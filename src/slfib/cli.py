@@ -166,6 +166,8 @@ def cmd_solve(args):
         "residual_norm": fld.residual_norm,
         "converged": fld.converged,
         "newton_iterations": fld.diagnostics.get("newton_iterations"),
+        "factorizations": fld.diagnostics.get("factorizations"),
+        "chord_steps": fld.diagnostics.get("chord_steps"),
         "cauchy_increments": list(fld.cauchy_increments),
         "is_limit": fld.is_limit,
     }

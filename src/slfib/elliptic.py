@@ -23,7 +23,16 @@ where
 in conservative form, so the discrete row integral of v is exactly
 y-independent.  u is then reconstructed from v_x, v_y with u(0,0) = 0.
 
-Both solvers run damped Newton with a sparse Jacobian.  Residuals are
+Both solvers run chord (Shamanskii) Newton with a sparse Jacobian.  The
+Jacobian is LU-factored by SuperLU with the fill-reducing minimum-degree
+ordering on A^T + A, and that factor is reused for full chord steps as
+long as each one cuts the sup-norm residual to at most CHORD_CONTRACTION
+times its previous value.  A chord step that misses the bound is
+discarded; the Jacobian is then rebuilt and factored at the current
+iterate and a damped Newton step with a sup-norm line search is taken.
+At most one factor is alive at a time: the stale one is dropped before
+the next is allocated, and the factor is never stored on a field.  A
+continuation hands its factor from one level to the next.  Residuals are
 evaluated in extended precision (80-bit long double): plain double
 second differences on fine grids carry cancellation noise above the
 1e-10 convergence target.
@@ -56,8 +65,12 @@ COEFF_FLOOR = 1e-16          # floor for v^2 + y^2 + a^2 before the inverse sqrt
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 60
 FLOOR_ACCEPT = 1e-8          # stagnated residual below this still counts as converged
+CHORD_CONTRACTION = 0.5      # a chord step must cut the residual to this fraction
 GRADING = 0.4                # radial grading strength toward r = 1
 DEFAULT_A_MIN = 1e-4
+# Part of every SolverCache key: change it whenever solver output changes,
+# so that fields cached on disk by an older solver are not reused.
+SOLVER_VERSION = "chord-newton-1"
 
 
 # ---------------------------------------------------------------------------
@@ -507,30 +520,77 @@ def strip_grid(n_x, n_y, R, P):
 # ---------------------------------------------------------------------------
 # Newton driver
 
-def _newton(x0_ld, eval_res, build_jac, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
-    """Damped Newton with sup-norm line search on an extended-precision residual."""
+class FactorSlot:
+    """Holds the one live LU factor of a solve, or of a whole continuation."""
+
+    __slots__ = ("lu",)
+
+    def __init__(self):
+        self.lu = None
+
+
+def _newton(x0_ld, eval_res, build_jac, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
+            factor=None):
+    """Chord Newton with sup-norm line search on an extended-precision residual.
+
+    Each iteration first tries a full chord step with the factor held in
+    ``factor`` (a FactorSlot; a fresh one when None), which may come from
+    an earlier iterate or an earlier continuation level.  The step is
+    kept if it cuts the sup-norm residual to at most CHORD_CONTRACTION
+    times its previous value.  Otherwise it is discarded, the slot is
+    emptied, the Jacobian at the current iterate is factored by
+    ``spla.splu`` with the MMD_AT_PLUS_A ordering into the slot, and a
+    damped Newton step is taken with a halving line search.  Emptying
+    the slot before ``splu`` keeps at most one factor alive; the caller
+    keeps the slot, and with it the last factor, for the next solve.
+
+    Every kept step counts as an iteration, as does a Newton step whose
+    line search failed.  A run of steps that fail to cut the residual by
+    10% stalls the solve: it is accepted as stagnated when the residual
+    is below FLOOR_ACCEPT, and raises SolverDiverged otherwise, as does
+    running out of iterations.  Returns (x, residual norm, iterations,
+    diagnostics) with the residual history, ``stagnated`` and the counts
+    ``factorizations`` and ``chord_steps``.
+    """
+    factor = factor if factor is not None else FactorSlot()
     x = np.asarray(x0_ld, dtype=LD)
     res = eval_res(x)
     norm = float(np.max(np.abs(res)))
     history = [norm]
     stall = 0
+    counts = {"factorizations": 0, "chord_steps": 0}
+
+    def outcome(iters, stagnated):
+        return x, norm, iters, {"history": history, "stagnated": stagnated, **counts}
+
     for it in range(max_iter):
         if norm < tol:
-            return x, norm, it, {"history": history, "stagnated": False}
-        jac = build_jac(np.asarray(x, float))
-        rhs = -np.asarray(res, float).ravel()
-        delta = spla.spsolve(jac, rhs).reshape(x.shape)
-        lam = 1.0
+            return outcome(it, False)
         accepted = False
-        while lam >= 2.0**-14:
-            x_new = x + LD(lam) * delta
+        rhs = -np.asarray(res, float).ravel()
+        if factor.lu is not None:
+            x_new = x + factor.lu.solve(rhs).reshape(x.shape)
             res_new = eval_res(x_new)
             norm_new = float(np.max(np.abs(res_new)))
-            if norm_new <= (1.0 - 1e-4 * lam) * norm:
+            if norm_new <= CHORD_CONTRACTION * norm:
                 x, res, norm = x_new, res_new, norm_new
                 accepted = True
-                break
-            lam *= 0.5
+                counts["chord_steps"] += 1
+        if not accepted:
+            factor.lu = None
+            factor.lu = spla.splu(build_jac(np.asarray(x, float)), permc_spec="MMD_AT_PLUS_A")
+            counts["factorizations"] += 1
+            delta = factor.lu.solve(rhs).reshape(x.shape)
+            lam = 1.0
+            while lam >= 2.0**-14:
+                x_new = x + LD(lam) * delta
+                res_new = eval_res(x_new)
+                norm_new = float(np.max(np.abs(res_new)))
+                if norm_new <= (1.0 - 1e-4 * lam) * norm:
+                    x, res, norm = x_new, res_new, norm_new
+                    accepted = True
+                    break
+                lam *= 0.5
         history.append(norm)
         if not accepted or norm > 0.9 * history[-2]:
             stall += 1
@@ -539,12 +599,12 @@ def _newton(x0_ld, eval_res, build_jac, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER
         if not accepted and stall >= 2 or stall >= 4:
             if norm < FLOOR_ACCEPT:
                 # round-off floor of the residual evaluation: accept
-                return x, norm, it + 1, {"history": history, "stagnated": True}
+                return outcome(it + 1, True)
             raise SolverDiverged("newton stalled", residual=norm, iterations=it + 1)
     if norm < tol:
-        return x, norm, max_iter, {"history": history, "stagnated": False}
+        return outcome(max_iter, False)
     if norm < FLOOR_ACCEPT:
-        return x, norm, max_iter, {"history": history, "stagnated": True}
+        return outcome(max_iter, True)
     raise SolverDiverged("newton iteration budget exhausted", residual=norm,
                          iterations=max_iter)
 
@@ -779,10 +839,58 @@ def field_from_callables(domain, a, u_fn, v_fn, is_limit=None):
 
 
 # ---------------------------------------------------------------------------
+# continuation
+
+def _continue(schedule, solve_level, interior):
+    """Solve along a decreasing level schedule; returns the a_min proxy.
+
+    ``solve_level(a, initial, factor)`` solves one level, warm-started
+    from ``interior`` of the previous level's field and sharing one
+    FactorSlot with every level.  The returned field records the Cauchy
+    increments of u and v between consecutive levels and, under
+    ``diagnostics["levels"]``, each level's a, residual norm and counts.
+    """
+    schedule = tuple(schedule) if schedule is not None else geometric_schedule()
+    if len(schedule) == 0 or any(s <= 0 for s in schedule) or \
+            any(schedule[i + 1] >= schedule[i] for i in range(len(schedule) - 1)):
+        raise ValueError("schedule must be a decreasing positive sequence")
+    factor = FactorSlot()
+    fld = None
+    prev = None
+    increments_u, increments_v, levels = [], [], []
+    for a_k in schedule:
+        try:
+            nxt = solve_level(a_k, prev, factor)
+        except SolverDiverged as exc:
+            raise ContinuationFailed(f"continuation step failed at a={a_k}",
+                                     a=a_k, residual=exc.data.get("residual")) from exc
+        if fld is not None:
+            increments_u.append(float(np.max(np.abs(nxt.u - fld.u))))
+            increments_v.append(float(np.max(np.abs(nxt.v - fld.v))))
+        levels.append({"a": float(a_k), "residual_norm": nxt.residual_norm,
+                       "converged": nxt.converged,
+                       **{k: nxt.diagnostics[k] for k in
+                          ("newton_iterations", "factorizations", "chord_steps")}})
+        fld = nxt
+        prev = interior(fld)
+    fld.is_limit = True
+    fld.cauchy_increments = tuple(increments_v)
+    fld.diagnostics["cauchy_u"] = tuple(increments_u)
+    fld.diagnostics["cauchy_v"] = tuple(increments_v)
+    fld.diagnostics["schedule"] = tuple(float(s) for s in schedule)
+    fld.diagnostics["levels"] = tuple(levels)
+    return fld
+
+
+# ---------------------------------------------------------------------------
 # disc solver
 
-def solve_disc(boundary, a, domain=None, initial=None, tol=NEWTON_TOL):
-    """Solve the disc problem at level a != 0 with Dirichlet potential data."""
+def solve_disc(boundary, a, domain=None, initial=None, tol=NEWTON_TOL, factor=None):
+    """Solve the disc problem at level a != 0 with Dirichlet potential data.
+
+    ``factor`` is a FactorSlot whose LU factor Newton may reuse and
+    replaces; a continuation passes the same slot to every level.
+    """
     if a == 0.0:
         raise ValueError("level a = 0 is reached through solve_disc_limit")
     a = abs(float(a))  # solutions at a and -a coincide
@@ -797,50 +905,34 @@ def solve_disc(boundary, a, domain=None, initial=None, tol=NEWTON_TOL):
     def build_jac(f_int64):
         return grid.jacobian(f_int64, np.asarray(phi_ld, float), a)
 
-    f_sol, norm, iters, diag = _newton(f0, eval_res, build_jac, tol=tol)
+    f_sol, norm, iters, diag = _newton(f0, eval_res, build_jac, tol=tol, factor=factor)
     u, v, u_c, v_c, f_c = grid.extract_uv(f_sol, phi_ld)
     f_full = np.vstack([np.asarray(f_sol, float), np.asarray(phi_ld, float)[None, :]])
     return SolutionField(
         "disc", domain, a, u, v, f=f_full, f_center=f_c, u_center=u_c, v_center=v_c,
-        boundary={"circle": boundary}, converged=True, residual_norm=norm,
+        boundary={"circle": boundary}, converged=not diag["stagnated"], residual_norm=norm,
         diagnostics={"newton_iterations": iters, **diag},
     )
 
 
 def solve_disc_limit(boundary, domain=None, schedule=None, tol=NEWTON_TOL):
     """Continuation along a decreasing level schedule; returns the a_min proxy."""
-    schedule = tuple(schedule) if schedule is not None else geometric_schedule()
-    if len(schedule) == 0 or any(s <= 0 for s in schedule) or \
-            any(schedule[i + 1] >= schedule[i] for i in range(len(schedule) - 1)):
-        raise ValueError("schedule must be a decreasing positive sequence")
     domain = domain or DomainSpec.disc()
-    fld = None
-    f_prev = None
-    increments_u, increments_v = [], []
-    for a_k in schedule:
-        try:
-            nxt = solve_disc(boundary, a_k, domain, initial=f_prev, tol=tol)
-        except SolverDiverged as exc:
-            raise ContinuationFailed(f"continuation step failed at a={a_k}",
-                                     a=a_k, residual=exc.data.get("residual")) from exc
-        if fld is not None:
-            increments_u.append(float(np.max(np.abs(nxt.u - fld.u))))
-            increments_v.append(float(np.max(np.abs(nxt.v - fld.v))))
-        fld = nxt
-        f_prev = np.asarray(fld.f[:-1], LD)
-    fld.is_limit = True
-    fld.cauchy_increments = tuple(increments_v)
-    fld.diagnostics["cauchy_u"] = tuple(increments_u)
-    fld.diagnostics["cauchy_v"] = tuple(increments_v)
-    fld.diagnostics["schedule"] = tuple(float(s) for s in schedule)
-    return fld
+    return _continue(
+        schedule,
+        lambda a_k, initial, factor: solve_disc(boundary, a_k, domain, initial=initial,
+                                                tol=tol, factor=factor),
+        lambda fld: np.asarray(fld.f[:-1], LD))
 
 
 # ---------------------------------------------------------------------------
 # strip solver
 
-def solve_strip(top, bottom, a, domain=None, initial=None, tol=NEWTON_TOL):
-    """Solve the strip problem at level a != 0 with edge data for v."""
+def solve_strip(top, bottom, a, domain=None, initial=None, tol=NEWTON_TOL, factor=None):
+    """Solve the strip problem at level a != 0 with edge data for v.
+
+    ``factor`` is a FactorSlot, as for solve_disc.
+    """
     if a == 0.0:
         raise ValueError("level a = 0 is reached through solve_strip_limit")
     a = abs(float(a))
@@ -865,44 +957,25 @@ def solve_strip(top, bottom, a, domain=None, initial=None, tol=NEWTON_TOL):
     def build_jac(v_int64):
         return grid.jacobian(v_int64, np.asarray(top_ld, float), np.asarray(bot_ld, float), a)
 
-    v_sol, norm, iters, diag = _newton(v0, eval_res, build_jac, tol=tol)
+    v_sol, norm, iters, diag = _newton(v0, eval_res, build_jac, tol=tol, factor=factor)
     v_full = np.vstack([np.asarray(bot_ld, float), np.asarray(v_sol, float),
                         np.asarray(top_ld, float)])
     fld = SolutionField(
         "periodic-strip", domain, a, np.zeros_like(v_full), v_full,
-        boundary={"top": top, "bottom": bottom}, converged=True, residual_norm=norm,
-        diagnostics={"newton_iterations": iters, **diag},
+        boundary={"top": top, "bottom": bottom}, converged=not diag["stagnated"],
+        residual_norm=norm, diagnostics={"newton_iterations": iters, **diag},
     )
     return reconstruct_u(fld)
 
 
 def solve_strip_limit(top, bottom, domain=None, schedule=None, tol=NEWTON_TOL):
     """Continuation wrapper for the strip problem down to the a_min proxy."""
-    schedule = tuple(schedule) if schedule is not None else geometric_schedule()
-    if len(schedule) == 0 or any(s <= 0 for s in schedule) or \
-            any(schedule[i + 1] >= schedule[i] for i in range(len(schedule) - 1)):
-        raise ValueError("schedule must be a decreasing positive sequence")
     domain = domain or DomainSpec.strip()
-    fld = None
-    v_prev = None
-    increments_u, increments_v = [], []
-    for a_k in schedule:
-        try:
-            nxt = solve_strip(top, bottom, a_k, domain, initial=v_prev, tol=tol)
-        except SolverDiverged as exc:
-            raise ContinuationFailed(f"continuation step failed at a={a_k}",
-                                     a=a_k, residual=exc.data.get("residual")) from exc
-        if fld is not None:
-            increments_u.append(float(np.max(np.abs(nxt.u - fld.u))))
-            increments_v.append(float(np.max(np.abs(nxt.v - fld.v))))
-        fld = nxt
-        v_prev = np.asarray(fld.v[1:-1], LD)
-    fld.is_limit = True
-    fld.cauchy_increments = tuple(increments_v)
-    fld.diagnostics["cauchy_u"] = tuple(increments_u)
-    fld.diagnostics["cauchy_v"] = tuple(increments_v)
-    fld.diagnostics["schedule"] = tuple(float(s) for s in schedule)
-    return fld
+    return _continue(
+        schedule,
+        lambda a_k, initial, factor: solve_strip(top, bottom, a_k, domain, initial=initial,
+                                                 tol=tol, factor=factor),
+        lambda fld: np.asarray(fld.v[1:-1], LD))
 
 
 def reconstruct_u(field, defect_tol=1e-6):

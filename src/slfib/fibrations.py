@@ -23,6 +23,7 @@ in memory (and on disk when SLFIB_CACHE_DIR is set).
 
 import hashlib
 import os
+import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import (
+    SOLVER_VERSION,
     BoundarySpec,
     DomainSpec,
     geometric_schedule,
@@ -113,7 +115,13 @@ def strip_family(t):
 # solver cache
 
 class SolverCache:
-    """LRU cache of solved fields, optionally persisted to SLFIB_CACHE_DIR."""
+    """LRU cache of solved fields, optionally persisted to SLFIB_CACHE_DIR.
+
+    Keys are prefixed with the solver's SOLVER_VERSION, so a disk entry
+    written by another solver version misses.  Disk entries are written
+    to a temporary file in the cache directory and renamed into place,
+    so processes sharing the directory never read a partial file.
+    """
 
     def __init__(self, maxsize=48):
         self.maxsize = maxsize
@@ -131,6 +139,7 @@ class SolverCache:
         return os.path.join(root, f"field-{digest}.csv")
 
     def get_or_solve(self, key, solve_fn):
+        key = (SOLVER_VERSION, key)
         with self._lock:
             if key in self._store:
                 self.hits += 1
@@ -144,13 +153,24 @@ class SolverCache:
             self.misses += 1
             fld = solve_fn()
             if path:
-                save_field(fld, path)
+                _save_atomic(fld, path)
         with self._lock:
             self._store[key] = fld
             self._store.move_to_end(key)
             while len(self._store) > self.maxsize:
                 self._store.popitem(last=False)
         return fld
+
+
+def _save_atomic(fld, path):
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    os.close(fd)
+    try:
+        save_field(fld, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 _shared_cache = SolverCache()

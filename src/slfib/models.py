@@ -157,12 +157,14 @@ def _na_uv_grid(a, x, y):
         yg = y[generic]
         x2 = xg * xg
         y2 = yg * yg
-        xy2 = x2 * y2
+        xyg = xg * yg
 
         def g(s):
+            # xy * (xy / s), not x^2 y^2 / s: x^2 y^2 underflows to zero
+            # for tiny points whose root s is still representable
             with np.errstate(over="ignore", divide="ignore"):
                 q = x2 + s + a
-                return q * q - a * a - y2 - xy2 / s
+                return q * q - a * a - y2 - xyg * (xyg / s)
 
         # g is strictly increasing with g -> -inf at 0+ and +inf at
         # infinity; bisect in log(s) so any root magnitude is resolved

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from slfib.elliptic import (
+    FLOOR_ACCEPT,
+    NEWTON_TOL,
     BoundarySpec,
     DomainSpec,
     SolutionField,
@@ -17,6 +19,7 @@ from slfib.elliptic import (
     solve_strip_limit,
 )
 from slfib.errors import ContinuationFailed, IncompatibleBoundary, SolverDiverged
+from slfib.models import na_oracle, na_oracle_grid, na_potential_circle
 
 
 def test_domain_normalisation():
@@ -50,6 +53,7 @@ def test_disc_affine_exactness(a):
     assert abs(fld.v_center - beta) < 1e-10
     assert abs(fld.u_center - gamma) < 1e-10
     assert fld.diagnostics["newton_iterations"] == 0
+    assert fld.diagnostics["factorizations"] == 0
 
 
 @pytest.mark.parametrize("a", [1e-4, 0.1, 1.0, 10.0])
@@ -58,6 +62,67 @@ def test_strip_affine_exactness(a):
     fld = solve_strip(spec, spec, a, DomainSpec.strip(32, 17))
     assert np.max(np.abs(fld.v - 0.8)) < 1e-10
     assert np.max(np.abs(fld.u)) < 1e-10
+    assert fld.diagnostics["newton_iterations"] == 0
+    assert fld.diagnostics["factorizations"] == 0
+
+
+# max node error against na_oracle_grid at (32, 64) of the solver that
+# factored every Newton step, rounded up in the third digit
+@pytest.mark.parametrize("a, ceil_u, ceil_v", [(0.5, 2.40e-3, 5.25e-3),
+                                               (0.05, 3.16e-2, 1.52e-2)])
+def test_disc_oracle_accuracy(a, ceil_u, ceil_v):
+    fld = solve_disc(na_potential_circle(a), a, DomainSpec.disc(32, 64))
+    xg, yg, u, v = fld.node_arrays()
+    uo, vo = na_oracle_grid(a, xg, yg)
+    uc, vc = na_oracle(a, 0.0, 0.0)
+    assert max(np.max(np.abs(u - uo)), abs(fld.u_center - uc)) <= ceil_u
+    assert max(np.max(np.abs(v - vo)), abs(fld.v_center - vc)) <= ceil_v
+    assert fld.converged and fld.residual_norm < NEWTON_TOL
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: solve_disc_limit(BoundarySpec.make(cos={1: 1.0, 3: -1.0}),
+                             DomainSpec.disc(24, 48), geometric_schedule(1.0, 0.25)),
+    lambda: solve_strip_limit(BoundarySpec.make(0.2, cos={1: 0.5}),
+                              BoundarySpec.make(0.2, cos={1: 0.5}),
+                              DomainSpec.strip(48, 25), geometric_schedule(1.0, 0.25)),
+], ids=["disc", "strip"])
+def test_limit_reuses_factors(solve):
+    levels = solve().diagnostics["levels"]
+    assert len(levels) == len(geometric_schedule(1.0, 0.25))
+    for lev in levels:
+        assert lev["converged"] and lev["residual_norm"] < NEWTON_TOL
+        assert lev["newton_iterations"] == lev["factorizations"] + lev["chord_steps"]
+    assert sum(lev["factorizations"] for lev in levels) < \
+        sum(lev["newton_iterations"] for lev in levels)
+
+
+def test_stagnation_is_not_converged():
+    # a tolerance below the residual's round-off floor can only stagnate
+    spec = BoundarySpec.make(cos={1: 1.0, 3: -1.0})
+    fld = solve_disc(spec, 1.0, DomainSpec.disc(24, 48), tol=1e-30)
+    assert fld.diagnostics["stagnated"] and not fld.converged
+    assert fld.residual_norm < FLOOR_ACCEPT
+    assert solve_disc(spec, 1.0, DomainSpec.disc(24, 48)).converged
+
+
+@pytest.mark.parametrize("max_iter", [3, 60])
+def test_newton_divergence_payload(max_iter):
+    import scipy.sparse as sp
+
+    from slfib.elliptic import LD, _newton
+
+    # x^2 + 1 has no real root: the residual never drops below 1
+    def eval_res(x):
+        return x * x + 1
+
+    def build_jac(x):
+        return sp.diags(2.0 * x.ravel()).tocsc()
+
+    with pytest.raises(SolverDiverged) as err:
+        _newton(np.full((2, 3), LD(3.0)), eval_res, build_jac, max_iter=max_iter)
+    assert err.value.data["residual"] >= 1.0
+    assert 1 <= err.value.data["iterations"] <= max_iter
 
 
 def test_disc_rejects_zero_level():

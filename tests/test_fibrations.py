@@ -141,6 +141,20 @@ def test_cache_disk_layer(tmp_path, monkeypatch):
     assert np.array_equal(fld1.v, fld2.v)
 
 
+def test_cache_disk_key_has_solver_version(tmp_path, monkeypatch):
+    import slfib.fibrations as fib
+
+    monkeypatch.setenv("SLFIB_CACHE_DIR", str(tmp_path))
+    fam = strip_family(0.0)
+    solve_family_member(fam, 0.5, 0.7, STRIP_RES, cache=SolverCache())
+    assert [p.suffix for p in tmp_path.iterdir()] == [".csv"]   # no temp file left
+    monkeypatch.setattr(fib, "SOLVER_VERSION", "older-solver")
+    c2 = SolverCache()
+    solve_family_member(fam, 0.5, 0.7, STRIP_RES, cache=c2)
+    assert c2.misses == 1
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".csv", ".csv"]
+
+
 def test_cache_lru_eviction():
     cache = SolverCache(maxsize=2)
     fam = strip_family(0.0)
