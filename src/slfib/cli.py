@@ -164,6 +164,7 @@ def cmd_solve(args):
     save_field(fld, field_path)
     diag = {
         "residual_norm": fld.residual_norm,
+        "tolerance": fld.diagnostics.get("tolerance"),
         "converged": fld.converged,
         "newton_iterations": fld.diagnostics.get("newton_iterations"),
         "factorizations": fld.diagnostics.get("factorizations"),

@@ -13,7 +13,11 @@ and mildly graded toward r = 1.  Angular differences use trigonometric
 denominators (2 sin h and 2 - 2 cos h), which differentiate first
 harmonics exactly, so affine potentials beta*x + gamma*y + delta are
 reproduced to round-off.  The pole is closed by a ghost value equal to
-the mean of the first ring.
+the mean of the first ring.  Each derivative is one sparse operator,
+sum_k diag(coef_k) kron(R_k, T_k) Pad, built once per grid from 1-D
+radial (R_k) and circulant angular (T_k) difference matrices; Pad
+appends the centre ghost and the boundary ring to the unknowns.  The
+residual and the Jacobian use the same operators.
 
 Strip: v directly on {|y| <= R} with period P in x and v(x, +-R) given,
 where
@@ -32,10 +36,16 @@ discarded; the Jacobian is then rebuilt and factored at the current
 iterate and a damped Newton step with a sup-norm line search is taken.
 At most one factor is alive at a time: the stale one is dropped before
 the next is allocated, and the factor is never stored on a field.  A
-continuation hands its factor from one level to the next.  Residuals are
-evaluated in extended precision (80-bit long double): plain double
-second differences on fine grids carry cancellation noise above the
-1e-10 convergence target.
+continuation hands its factor from one level to the next.
+
+Everything is computed in float64.  A residual evaluated in float64 has
+a round-off floor of about eps * || |J| |x| ||_inf, which at small a on
+fine grids lies above NEWTON_TOL, since the coefficient
+(v^2 + y^2 + a^2)^(-1/2) grows like 1/a near the singular points.  A
+solve is therefore converged when the sup-norm residual of the returned
+field is below max(NEWTON_TOL, ROUNDOFF_SAFETY * eps * || |J| |x| ||_inf),
+the floor taken from the last Jacobian that was factored; an explicit
+``tol`` replaces this rule.
 
 The level a = 0 is reached by geometric continuation a_k -> a_min with
 warm starts; the a_min field is returned as the singular-level proxy and
@@ -59,18 +69,17 @@ from .errors import (
     SolverDiverged,
 )
 
-LD = np.longdouble
-PI_LD = LD("3.14159265358979323846264338327950288")
 COEFF_FLOOR = 1e-16          # floor for v^2 + y^2 + a^2 before the inverse sqrt
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 60
-FLOOR_ACCEPT = 1e-8          # stagnated residual below this still counts as converged
+FLOOR_ACCEPT = 1e-8          # stagnated residual below this is returned, not converged
 CHORD_CONTRACTION = 0.5      # a chord step must cut the residual to this fraction
+ROUNDOFF_SAFETY = 0.5        # share of eps * || |J| |x| ||_inf taken as the residual floor
 GRADING = 0.4                # radial grading strength toward r = 1
 DEFAULT_A_MIN = 1e-4
 # Part of every SolverCache key: change it whenever solver output changes,
 # so that fields cached on disk by an older solver are not reused.
-SOLVER_VERSION = "chord-newton-1"
+SOLVER_VERSION = "chord-newton-2"
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +109,9 @@ class BoundarySpec:
         return BoundarySpec(float(constant), norm(cos), norm(sin))
 
     def sample(self, theta):
-        """Evaluate at angles theta (any float dtype, kept through the sum)."""
-        theta = np.asarray(theta)
-        one = theta.dtype.type(1.0) if theta.dtype.kind == "f" else 1.0
-        out = np.zeros_like(theta) + one * self.constant
+        """Evaluate at angles theta."""
+        theta = np.asarray(theta, float)
+        out = np.zeros_like(theta) + self.constant
         for k, coeff in self.cos_coeffs:
             out = out + coeff * np.cos(k * theta)
         for k, coeff in self.sin_coeffs:
@@ -214,193 +222,141 @@ def _nonuniform_weights(hm, hp):
     return (wm, w0, wp), (vm, v0, vp)
 
 
+def _one_sided_weights(d, e):
+    """Weights on nodes x0 < x1 < x2 of the first derivative at x2.
+
+    d = x1 - x0 and e = x2 - x1; mirrored, they give the derivative at x0.
+    """
+    return e / (d * (d + e)), -(d + e) / (d * e), (d + 2 * e) / (e * (d + e))
+
+
 class DiscGrid:
-    """Polar tensor grid on the unit disc with precomputed stencil data."""
+    """Polar tensor grid on the unit disc with its sparse difference operators."""
 
     def __init__(self, n_r, n_theta):
         self.N = int(n_r)
         self.M = int(n_theta)
         N, M = self.N, self.M
-        lam = LD(str(GRADING))
-        xi = np.arange(1, N + 1, dtype=LD) / LD(N)
-        self.r = (1 + lam) * xi - lam * xi * xi      # rings 1..N, r[N-1] = 1
-        self.theta = (2 * PI_LD / LD(M)) * np.arange(M, dtype=LD)
-        h = 2 * PI_LD / LD(M)
-        self.inv_2sin = LD(1) / (2 * np.sin(h))
-        self.inv_2mcos = LD(1) / (2 - 2 * np.cos(h))
+        xi = np.arange(1, N + 1) / N
+        self.r = xi + GRADING * xi * (1 - xi)        # rings 1..N, r[N-1] = 1
+        h = 2 * np.pi / M
+        self.theta = h * np.arange(M)
         self.cos = np.cos(self.theta)
         self.sin = np.sin(self.theta)
+        shift = sp.eye(M, k=1) + sp.eye(M, k=1 - M)  # (shift f)_j = f_(j+1 mod M)
+        self.angular = {
+            "id": sp.eye(M),
+            "d1": (shift - shift.T) / (2 * np.sin(h)),
+            "d2": (shift + shift.T - 2 * sp.eye(M)) / (2 - 2 * np.cos(h)),
+        }
 
         # radial weights at interior rings 1..N-1 (array index 0..N-2)
-        r_ext = np.concatenate(([LD(0)], self.r))    # rings 0(=centre)..N
+        r_ext = np.concatenate(([0.0], self.r))      # rings 0(=centre)..N
         hm = r_ext[1:N] - r_ext[0:N - 1]
         hp = r_ext[2:N + 1] - r_ext[1:N]
         (self.wm, self.w0, self.wp), (self.vm, self.v0, self.vp) = _nonuniform_weights(hm, hp)
 
         # one-sided first derivative at the boundary ring (rings N-2, N-1, N)
-        d = self.r[N - 2] - self.r[N - 3]
-        e = self.r[N - 1] - self.r[N - 2]
-        self.bnd_w = (e / (d * (d + e)), -(d + e) / (d * e), (d + 2 * e) / (e * (d + e)))
+        self.bnd_w = _one_sided_weights(self.r[N - 2] - self.r[N - 3],
+                                        self.r[N - 1] - self.r[N - 2])
 
-        ri = self.r[: N - 1][:, None]                # interior ring radii, column
-        c, s = self.cos[None, :], self.sin[None, :]
-        self.coef = {
-            "xx": (c * c, -2 * s * c / ri, s * s / ri**2, s * s / ri, 2 * s * c / ri**2),
-            "yy": (s * s, 2 * s * c / ri, c * c / ri**2, c * c / ri, -2 * s * c / ri**2),
+        ri = np.repeat(self.r[: N - 1], M)           # interior ring radius per unknown
+        self.scale = ri * ri                         # row scaling r^2 desingularises the pole
+        self.y2 = (ri * np.tile(self.sin, N - 1)) ** 2
+        self._ops = None
+
+    def ops64(self):
+        """Sparse derivative operators, built on first use.
+
+        A dict of (interior block, boundary block) CSR pairs: an operator
+        applied to f is ``A @ f_int.ravel() + A_b @ phi``.  "xx", "yy" and
+        "x" give f_xx, f_yy and f_x at the interior rings; "u" and "v" give
+        f_y and f_x at rings 1..N, with the one-sided radial stencil on the
+        boundary ring.
+        """
+        if self._ops is not None:
+            return self._ops
+        N, M = self.N, self.M
+        n = (N - 1) * M
+        # 1-D radial operators from rings 0..N (0 = centre ghost) to rings 1..N
+        i = np.arange(N - 1)
+        dr, drr = np.zeros((N, N + 1)), np.zeros((N, N + 1))
+        dr[i, i], dr[i, i + 1], dr[i, i + 2] = self.wm, self.w0, self.wp
+        drr[i, i], drr[i, i + 1], drr[i, i + 2] = self.vm, self.v0, self.vp
+        dr[N - 1, N - 2:] = self.bnd_w
+        radial = {"id": sp.eye(N, N + 1, k=1), "dr": sp.csr_matrix(dr),
+                  "drr": sp.csr_matrix(drr)}
+        # (interior rings, boundary ring) -> rings 0..N; the ghost is the mean of ring 1
+        ghost = sp.coo_matrix(([1.0], ([0], [0])), shape=(N + 1, N))
+        pad = (sp.kron(sp.eye(N + 1, N, k=-1), sp.eye(M))
+               + sp.kron(ghost, np.full((M, M), 1.0 / M))).tocsc()
+        basis = {}
+
+        def assemble(rows, *terms):
+            total = 0
+            for coef, rop, top in terms:
+                if (rop, top) not in basis:
+                    basis[rop, top] = (sp.kron(radial[rop], self.angular[top]) @ pad).tocsr()
+                total = total + sp.diags(np.broadcast_to(coef, (N, M)).ravel()) @ basis[rop, top]
+            total = total.tocsr()[:rows]
+            total.eliminate_zeros()
+            return total[:, :n].tocsr(), total[:, n:].tocsr()
+
+        r = self.r[:, None]
+        c, s = self.cos, self.sin
+        self._ops = {
+            "xx": assemble(n, (c * c, "drr", "id"), (-2 * s * c / r, "dr", "d1"),
+                           (s * s / r**2, "id", "d2"), (s * s / r, "dr", "id"),
+                           (2 * s * c / r**2, "id", "d1")),
+            "yy": assemble(n, (s * s, "drr", "id"), (2 * s * c / r, "dr", "d1"),
+                           (c * c / r**2, "id", "d2"), (c * c / r, "dr", "id"),
+                           (-2 * s * c / r**2, "id", "d1")),
+            "u": assemble(N * M, (s, "dr", "id"), (c / r, "id", "d1")),
+            "v": assemble(N * M, (c, "dr", "id"), (-s / r, "id", "d1")),
         }
-        self.g_coef = (c + 0 * ri, -s / ri)          # f_x = c f_r - (s/r) f_theta
-        self.scale = (ri * ri) + 0 * c               # row scaling r^2 desingularises the pole
-        self.y_int = ri * s
-        self._ops64 = None
+        self._ops["x"] = tuple(block[:n] for block in self._ops["v"])
+        return self._ops
 
-    # -- long-double array evaluation ------------------------------------
+    def _apply(self, name, f_int, phi):
+        op, op_b = (self._ops or self.ops64())[name]
+        return op @ f_int.ravel() + op_b @ phi
 
-    def pad(self, f_int, phi):
-        """Stack centre ghost row, interior rings and boundary ring."""
-        centre = np.mean(f_int[0])
-        return np.vstack([np.full((1, self.M), centre), f_int, phi[None, :]])
-
-    def d_theta(self, A):
-        return (np.roll(A, -1, axis=1) - np.roll(A, 1, axis=1)) * self.inv_2sin
-
-    def d_theta2(self, A):
-        return (np.roll(A, -1, axis=1) + np.roll(A, 1, axis=1) - 2 * A) * self.inv_2mcos
-
-    def radial(self, F):
-        """f_r and f_rr at interior rings from the padded stack F."""
-        N = self.N
-        wm, w0, wp = self.wm[:, None], self.w0[:, None], self.wp[:, None]
-        vm, v0, vp = self.vm[:, None], self.v0[:, None], self.vp[:, None]
-        fr = wm * F[0:N - 1] + w0 * F[1:N] + wp * F[2:N + 1]
-        frr = vm * F[0:N - 1] + v0 * F[1:N] + vp * F[2:N + 1]
-        return fr, frr
-
-    def second_derivs(self, F):
-        fr, frr = self.radial(F)
-        fint = F[1:self.N]
-        fth = self.d_theta(fint)
-        fthth = self.d_theta2(fint)
-        frth = self.d_theta(fr)
-        cxx, cyy = self.coef["xx"], self.coef["yy"]
-        fxx = cxx[0] * frr + cxx[1] * frth + cxx[2] * fthth + cxx[3] * fr + cxx[4] * fth
-        fyy = cyy[0] * frr + cyy[1] * frth + cyy[2] * fthth + cyy[3] * fr + cyy[4] * fth
-        g = self.g_coef[0] * fr + self.g_coef[1] * fth
-        return g, fxx, fyy
+    def _coefficient(self, f_int, phi, a):
+        """f_x and q = f_x^2 + y^2 + a^2 at the interior unknowns."""
+        g = self._apply("x", f_int, phi)
+        return g, g * g + self.y2 + a * a
 
     def residual(self, f_int, phi, a):
         """Scaled residual r^2 (W f_xx + 2 f_yy) at interior rings."""
-        F = self.pad(f_int, phi)
-        g, fxx, fyy = self.second_derivs(F)
-        q = g * g + self.y_int * self.y_int + a * a
-        w = 1.0 / np.sqrt(np.maximum(q, q.dtype.type(COEFF_FLOOR)))
-        return self.scale * (w * fxx + 2 * fyy)
+        _, q = self._coefficient(f_int, phi, a)
+        w = 1.0 / np.sqrt(np.maximum(q, COEFF_FLOOR))
+        res = self.scale * (w * self._apply("xx", f_int, phi) + 2 * self._apply("yy", f_int, phi))
+        return res.reshape(self.N - 1, self.M)
 
-    # -- sparse operators for the Jacobian --------------------------------
-
-    def ops64(self):
-        """CSR matrices for f_xx, f_yy, f_x over interior unknowns."""
-        if self._ops64 is not None:
-            return self._ops64
-        N, M = self.N, self.M
-        n_unknown = (N - 1) * M
-        jj = np.arange(M)
-        rad_ops = {
-            "id": ((0, np.ones(N - 1)),),
-            "dr": ((-1, self.wm.astype(float)), (0, self.w0.astype(float)),
-                   (1, self.wp.astype(float))),
-            "drr": ((-1, self.vm.astype(float)), (0, self.v0.astype(float)),
-                    (1, self.vp.astype(float))),
-        }
-        t1 = float(self.inv_2sin)
-        t2 = float(self.inv_2mcos)
-        th_ops = {
-            "id": ((0, 1.0),),
-            "d1": ((-1, -t1), (1, t1)),
-            "d2": ((-1, t2), (0, -2.0 * t2), (1, t2)),
-        }
-
-        def assemble(term_list):
-            rows, cols, vals = [], [], []
-            centre_acc = np.zeros(n_unknown)
-            for coef, rop, top in term_list:
-                coef = np.asarray(coef, dtype=float)
-                coef = np.broadcast_to(coef, (N - 1, M))
-                for di, wr in rad_ops[rop]:
-                    for dj, wt in th_ops[top]:
-                        vals_grid = coef * wr[:, None] * wt
-                        for i in range(1, N):
-                            ii = i + di
-                            base = (i - 1) * M
-                            r_idx = base + jj
-                            v_row = vals_grid[i - 1]
-                            if ii == 0:
-                                np.add.at(centre_acc, r_idx, v_row)
-                            elif ii >= N:
-                                continue  # boundary column: folded via pad()
-                            else:
-                                c_idx = (ii - 1) * M + (jj + dj) % M
-                                rows.append(r_idx)
-                                cols.append(c_idx)
-                                vals.append(v_row)
-            # centre ghost = mean of ring 1: spread 1/M over ring-1 columns
-            nz = np.nonzero(centre_acc)[0]
-            if nz.size:
-                rows.append(np.repeat(nz, M))
-                cols.append(np.tile(jj, nz.size))
-                vals.append(np.repeat(centre_acc[nz] / M, M))
-            rows = np.concatenate(rows)
-            cols = np.concatenate(cols)
-            vals = np.concatenate(vals)
-            mat = sp.coo_matrix((vals, (rows, cols)), shape=(n_unknown, n_unknown))
-            return mat.tocsr()
-
-        cxx = [(c.astype(float), r, t) for c, r, t in zip(
-            self.coef["xx"], ("drr", "dr", "id", "dr", "id"), ("id", "d1", "d2", "id", "d1"))]
-        cyy = [(c.astype(float), r, t) for c, r, t in zip(
-            self.coef["yy"], ("drr", "dr", "id", "dr", "id"), ("id", "d1", "d2", "id", "d1"))]
-        cg = [(np.asarray(self.g_coef[0], float), "dr", "id"),
-              (np.asarray(self.g_coef[1], float), "id", "d1")]
-        self._ops64 = (assemble(cxx), assemble(cyy), assemble(cg))
-        return self._ops64
-
-    def jacobian(self, f_int64, phi64, a):
-        XX, YY, G = self.ops64()
-        F = self.pad(f_int64, phi64)
-        g, fxx, _ = self.second_derivs(F)
-        q = g * g + np.asarray(self.y_int, float) ** 2 + a * a
+    def jacobian(self, f_int, phi, a):
+        ops = self._ops or self.ops64()
+        g, q = self._coefficient(f_int, phi, a)
         qe = np.maximum(q, COEFF_FLOOR)
-        w = 1.0 / np.sqrt(qe)
         dw = np.where(q > COEFF_FLOOR, -g * qe**-1.5, 0.0)
-        scale = np.asarray(self.scale, float)
-        d1 = np.asarray(scale * dw * fxx, float).ravel()
-        d2 = np.asarray(scale * w, float).ravel()
-        d3 = 2.0 * scale.ravel()
-        return (sp.diags(d1) @ G + sp.diags(d2) @ XX + sp.diags(d3) @ YY).tocsc()
+        fxx = self._apply("xx", f_int, phi)
+        return (sp.diags(self.scale * dw * fxx) @ ops["x"][0]
+                + sp.diags(self.scale / np.sqrt(qe)) @ ops["xx"][0]
+                + sp.diags(2 * self.scale) @ ops["yy"][0]).tocsc()
 
     # -- derived fields ----------------------------------------------------
 
     def extract_uv(self, f_int, phi):
         """u = f_y and v = f_x on all rings, plus the centre values."""
-        N = self.N
-        F = self.pad(np.asarray(f_int, LD), np.asarray(phi, LD))
-        fr_i, _ = self.radial(F)
-        bw = self.bnd_w
-        fr_bnd = bw[0] * F[N - 2] + bw[1] * F[N - 1] + bw[2] * F[N]
-        fr = np.vstack([fr_i, fr_bnd[None, :]])
-        fth = self.d_theta(F[1:N + 1])
-        r_all = self.r[:, None]
-        c, s = self.cos[None, :], self.sin[None, :]
-        u = s * fr + (c / r_all) * fth
-        v = c * fr - (s / r_all) * fth
-        f_c = float(np.mean(F[1]))
-        ring1 = np.asarray(F[1], float) - f_c
-        v_c = 2.0 / (self.M * float(self.r[0])) * float(ring1 @ np.asarray(self.cos, float))
-        u_c = 2.0 / (self.M * float(self.r[0])) * float(ring1 @ np.asarray(self.sin, float))
-        return np.asarray(u, float), np.asarray(v, float), u_c, v_c, f_c
+        u = self._apply("u", f_int, phi).reshape(self.N, self.M)
+        v = self._apply("v", f_int, phi).reshape(self.N, self.M)
+        f_c = float(np.mean(f_int[0]))
+        ring1 = f_int[0] - f_c
+        k = 2.0 / (self.M * self.r[0])
+        return u, v, float(k * (ring1 @ self.sin)), float(k * (ring1 @ self.cos)), f_c
 
     def harmonic_extension(self, spec):
         """Initial guess: the harmonic function matching the boundary data."""
-        f = np.zeros((self.N - 1, self.M), dtype=LD) + LD(str(spec.constant))
+        f = np.full((self.N - 1, self.M), spec.constant)
         r = self.r[: self.N - 1][:, None]
         for k, coeff in spec.cos_coeffs:
             f = f + coeff * r**k * np.cos(k * self.theta)[None, :]
@@ -430,23 +386,24 @@ class StripGrid:
         self.n_y = int(n_y)
         self.R = float(R)
         self.P = float(P)
-        self.hx = LD(str(P)) / LD(self.n_x)
-        self.hy = 2 * LD(str(R)) / LD(self.n_y - 1)
-        self.x = self.hx * np.arange(self.n_x, dtype=LD)
-        self.y = -LD(str(R)) + self.hy * np.arange(self.n_y, dtype=LD)
+        self.hx = self.P / self.n_x
+        self.hy = 2 * self.R / (self.n_y - 1)
+        self.x = self.hx * np.arange(self.n_x)
+        self.y = -self.R + self.hy * np.arange(self.n_y)
         self._jidx = None
+
+    def _faces(self, v_int, top, bot, a):
+        """v at all rows, and per node the face x + hx/2: v there, v difference, q."""
+        V = np.vstack([bot[None, :], v_int, top[None, :]])
+        right = np.roll(V, -1, axis=1)
+        mid = 0.5 * (V + right)
+        return V, mid, right - V, mid * mid + self.y[:, None] ** 2 + a * a
 
     def residual(self, v_int, top, bot, a):
         """Conservative-form residual on interior rows."""
-        V = np.vstack([bot[None, :], v_int, top[None, :]])
-        y2 = (self.y[:, None] * np.ones((1, self.n_x), dtype=V.dtype)) ** 2
-        dp = np.roll(V, -1, axis=1) - V
-        dm = V - np.roll(V, 1, axis=1)
-        qp = (0.5 * (V + np.roll(V, -1, axis=1))) ** 2 + y2 + a * a
-        qm = (0.5 * (V + np.roll(V, 1, axis=1))) ** 2 + y2 + a * a
-        wp = 1.0 / np.sqrt(np.maximum(qp, V.dtype.type(COEFF_FLOOR)))
-        wm = 1.0 / np.sqrt(np.maximum(qm, V.dtype.type(COEFF_FLOOR)))
-        rx = (wp * dp - wm * dm) / (self.hx * self.hx)
+        V, _, d, q = self._faces(v_int, top, bot, a)
+        flux = d / np.sqrt(np.maximum(q, COEFF_FLOOR))
+        rx = (flux - np.roll(flux, 1, axis=1)) / (self.hx * self.hx)
         ry = (V[2:] - 2 * V[1:-1] + V[:-2]) * (2 / (self.hy * self.hy))
         return rx[1:-1] + ry
 
@@ -461,30 +418,19 @@ class StripGrid:
         self._jidx = (k, kxp, kxm)
         return self._jidx
 
-    def jacobian(self, v_int64, top64, bot64, a):
+    def jacobian(self, v_int, top, bot, a):
         ny, nx = self.n_y, self.n_x
-        hx2 = float(self.hx) ** 2
-        hy2 = float(self.hy) ** 2
-        V = np.vstack([bot64[None, :], v_int64, top64[None, :]])
-        y2 = (np.asarray(self.y, float)[:, None]) ** 2
-        vp_mid = 0.5 * (V + np.roll(V, -1, axis=1))
-        vm_mid = 0.5 * (V + np.roll(V, 1, axis=1))
-        qp = vp_mid**2 + y2 + a * a
-        qm = vm_mid**2 + y2 + a * a
-        qpe = np.maximum(qp, COEFF_FLOOR)
-        qme = np.maximum(qm, COEFF_FLOOR)
-        wp = qpe**-0.5
-        wm = qme**-0.5
-        dwp = np.where(qp > COEFF_FLOOR, -vp_mid * qpe**-1.5, 0.0)
-        dwm = np.where(qm > COEFF_FLOOR, -vm_mid * qme**-1.5, 0.0)
-        dp = np.roll(V, -1, axis=1) - V
-        dm = V - np.roll(V, 1, axis=1)
-
-        sl = slice(1, ny - 1)
-        c_xp = (wp[sl] + 0.5 * dwp[sl] * dp[sl]) / hx2
-        c_xm = (wm[sl] - 0.5 * dwm[sl] * dm[sl]) / hx2
-        c_0 = (-wp[sl] - wm[sl] + 0.5 * dwp[sl] * dp[sl] - 0.5 * dwm[sl] * dm[sl]) / hx2 \
-            - 4.0 / hy2
+        hx2 = self.hx * self.hx
+        hy2 = self.hy * self.hy
+        _, mid, d, q = self._faces(v_int, top, bot, a)
+        qe = np.maximum(q, COEFF_FLOOR)
+        w = qe**-0.5
+        half_dw_d = 0.5 * np.where(q > COEFF_FLOOR, -mid * qe**-1.5, 0.0) * d
+        # face flux w * d: derivative w + half_dw_d in the right node, -w + half_dw_d in the left
+        right, left = (w + half_dw_d)[1:-1], (-w + half_dw_d)[1:-1]
+        c_xp = right / hx2
+        c_xm = -np.roll(left, 1, axis=1) / hx2
+        c_0 = (left - np.roll(right, 1, axis=1)) / hx2 - 4.0 / hy2
         k, kxp, kxm = self._indices()
         rows = [k.ravel(), k.ravel(), k.ravel()]
         cols = [k.ravel(), kxp.ravel(), kxm.ravel()]
@@ -521,17 +467,22 @@ def strip_grid(n_x, n_y, R, P):
 # Newton driver
 
 class FactorSlot:
-    """Holds the one live LU factor of a solve, or of a whole continuation."""
+    """Holds the one live LU factor of a solve, or of a whole continuation.
 
-    __slots__ = ("lu",)
+    ``floor`` is the residual's round-off floor, ROUNDOFF_SAFETY * eps *
+    || |J| |x| ||_inf, taken when that factor's Jacobian J was factored
+    at the iterate x.
+    """
+
+    __slots__ = ("lu", "floor")
 
     def __init__(self):
         self.lu = None
+        self.floor = 0.0
 
 
-def _newton(x0_ld, eval_res, build_jac, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
-            factor=None):
-    """Chord Newton with sup-norm line search on an extended-precision residual.
+def _newton(x0, eval_res, build_jac, tol=None, max_iter=NEWTON_MAX_ITER, factor=None):
+    """Chord Newton with sup-norm line search.
 
     Each iteration first tries a full chord step with the factor held in
     ``factor`` (a FactorSlot; a fresh one when None), which may come from
@@ -544,30 +495,41 @@ def _newton(x0_ld, eval_res, build_jac, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER
     the slot before ``splu`` keeps at most one factor alive; the caller
     keeps the slot, and with it the last factor, for the next solve.
 
+    The solve is converged once the sup-norm residual is below the
+    tolerance: ``tol`` when given, else max(NEWTON_TOL, floor) with the
+    slot's round-off floor, which is recomputed at every factorisation.
+    Below that floor float64 residuals are round-off, and iterating
+    further only refactors without progress.
+
     Every kept step counts as an iteration, as does a Newton step whose
     line search failed.  A run of steps that fail to cut the residual by
-    10% stalls the solve: it is accepted as stagnated when the residual
-    is below FLOOR_ACCEPT, and raises SolverDiverged otherwise, as does
-    running out of iterations.  Returns (x, residual norm, iterations,
-    diagnostics) with the residual history, ``stagnated`` and the counts
+    10% stalls the solve: it is returned as stagnated (not converged)
+    when the residual is below FLOOR_ACCEPT, and raises SolverDiverged
+    otherwise, as does running out of iterations.  Returns (x, residual
+    norm, iterations, diagnostics) with the residual history,
+    ``stagnated``, the ``tolerance`` applied and the counts
     ``factorizations`` and ``chord_steps``.
     """
     factor = factor if factor is not None else FactorSlot()
-    x = np.asarray(x0_ld, dtype=LD)
+    x = np.asarray(x0, float)
     res = eval_res(x)
     norm = float(np.max(np.abs(res)))
     history = [norm]
     stall = 0
     counts = {"factorizations": 0, "chord_steps": 0}
 
+    def tolerance():
+        return tol if tol is not None else max(NEWTON_TOL, factor.floor)
+
     def outcome(iters, stagnated):
-        return x, norm, iters, {"history": history, "stagnated": stagnated, **counts}
+        return x, norm, iters, {"history": tuple(history), "stagnated": stagnated,
+                                "tolerance": tolerance(), **counts}
 
     for it in range(max_iter):
-        if norm < tol:
+        if norm < tolerance():
             return outcome(it, False)
         accepted = False
-        rhs = -np.asarray(res, float).ravel()
+        rhs = -res.ravel()
         if factor.lu is not None:
             x_new = x + factor.lu.solve(rhs).reshape(x.shape)
             res_new = eval_res(x_new)
@@ -578,12 +540,15 @@ def _newton(x0_ld, eval_res, build_jac, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER
                 counts["chord_steps"] += 1
         if not accepted:
             factor.lu = None
-            factor.lu = spla.splu(build_jac(np.asarray(x, float)), permc_spec="MMD_AT_PLUS_A")
+            jac = build_jac(x)
+            factor.floor = float(ROUNDOFF_SAFETY * np.finfo(float).eps
+                                 * np.max(abs(jac) @ np.abs(x.ravel())))
+            factor.lu = spla.splu(jac, permc_spec="MMD_AT_PLUS_A")
             counts["factorizations"] += 1
             delta = factor.lu.solve(rhs).reshape(x.shape)
             lam = 1.0
             while lam >= 2.0**-14:
-                x_new = x + LD(lam) * delta
+                x_new = x + lam * delta
                 res_new = eval_res(x_new)
                 norm_new = float(np.max(np.abs(res_new)))
                 if norm_new <= (1.0 - 1e-4 * lam) * norm:
@@ -598,10 +563,9 @@ def _newton(x0_ld, eval_res, build_jac, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER
             stall = 0
         if not accepted and stall >= 2 or stall >= 4:
             if norm < FLOOR_ACCEPT:
-                # round-off floor of the residual evaluation: accept
                 return outcome(it + 1, True)
             raise SolverDiverged("newton stalled", residual=norm, iterations=it + 1)
-    if norm < tol:
+    if norm < tolerance():
         return outcome(max_iter, False)
     if norm < FLOOR_ACCEPT:
         return outcome(max_iter, True)
@@ -645,9 +609,9 @@ class SolutionField:
     def grid_axes(self):
         if self.kind == "disc":
             g = disc_grid(self.domain.n_x, self.domain.n_y)
-            return np.asarray(g.r, float), np.asarray(g.theta, float)
+            return g.r, g.theta
         g = strip_grid(self.domain.n_x, self.domain.n_y, self.domain.R, self.domain.P)
-        return np.asarray(g.x, float), np.asarray(g.y, float)
+        return g.x, g.y
 
     def node_arrays(self):
         """Cartesian node coordinates and the u, v grids."""
@@ -756,28 +720,17 @@ class SolutionField:
         """(d/dx, d/dy) of a ring-grid scalar via polar transforms (disc only)."""
         if self.kind != "disc":
             raise ValueError("cartesian_gradient is for disc fields")
-        r, th = self.grid_axes()
         g = disc_grid(self.domain.n_x, self.domain.n_y)
-        N = self.domain.n_x
+        r = g.r
         gr = np.empty_like(grid)
-        # one-sided at the first and last ring, central elsewhere
-        for i in range(N):
-            if i == 0:
-                h1, h2 = r[1] - r[0], r[2] - r[1]
-                gr[0] = (-(2 * h1 + h2) / (h1 * (h1 + h2)) * grid[0]
-                         + (h1 + h2) / (h1 * h2) * grid[1]
-                         - h1 / (h2 * (h1 + h2)) * grid[2])
-            elif i == N - 1:
-                d, e = r[N - 2] - r[N - 3], r[N - 1] - r[N - 2]
-                gr[i] = (e / (d * (d + e)) * grid[N - 3]
-                         - (d + e) / (d * e) * grid[N - 2]
-                         + (d + 2 * e) / (e * (d + e)) * grid[N - 1])
-            else:
-                hm, hp = r[i] - r[i - 1], r[i + 1] - r[i]
-                (wm, w0, wp), _ = _nonuniform_weights(hm, hp)
-                gr[i] = wm * grid[i - 1] + w0 * grid[i] + wp * grid[i + 1]
-        gth = (np.roll(grid, -1, axis=1) - np.roll(grid, 1, axis=1)) * float(g.inv_2sin)
-        c, s = np.cos(th)[None, :], np.sin(th)[None, :]
+        # central at rings 2..N-1, one-sided away from the pole and at the boundary
+        gr[1:-1] = g.wm[1:, None] * grid[:-2] + g.w0[1:, None] * grid[1:-1] \
+            + g.wp[1:, None] * grid[2:]
+        first = _one_sided_weights(r[2] - r[1], r[1] - r[0])
+        gr[0] = -(first[0] * grid[2] + first[1] * grid[1] + first[2] * grid[0])
+        gr[-1] = g.bnd_w[0] * grid[-3] + g.bnd_w[1] * grid[-2] + g.bnd_w[2] * grid[-1]
+        gth = grid @ g.angular["d1"].T
+        c, s = g.cos[None, :], g.sin[None, :]
         rr = r[:, None]
         gx = c * gr - (s / rr) * gth
         gy = s * gr + (c / rr) * gth
@@ -787,15 +740,14 @@ class SolutionField:
         """Check the container invariants; raises AssertionError on failure."""
         if self.kind == "disc":
             g = disc_grid(self.domain.n_x, self.domain.n_y)
-            phi = np.asarray(self.boundary["circle"].sample(g.theta), float)
+            phi = self.boundary["circle"].sample(g.theta)
             assert np.max(np.abs(self.f[-1] - phi)) <= tol_boundary, "boundary mismatch"
             v_bnd = self.v[-1]
             interior = self.v[:-1]
         else:
             g = strip_grid(self.domain.n_x, self.domain.n_y, self.domain.R, self.domain.P)
-            x = np.asarray(g.x, float)
-            top = np.asarray(self.boundary["top"].sample_x(x, self.domain.P), float)
-            bot = np.asarray(self.boundary["bottom"].sample_x(x, self.domain.P), float)
+            top = self.boundary["top"].sample_x(g.x, self.domain.P)
+            bot = self.boundary["bottom"].sample_x(g.x, self.domain.P)
             assert np.max(np.abs(self.v[-1] - top)) <= tol_boundary, "top boundary mismatch"
             assert np.max(np.abs(self.v[0] - bot)) <= tol_boundary, "bottom boundary mismatch"
             v_bnd = np.concatenate([self.v[0], self.v[-1]])
@@ -814,10 +766,8 @@ def field_from_callables(domain, a, u_fn, v_fn, is_limit=None):
     """Sample callables u(x, y), v(x, y) into a SolutionField container."""
     if domain.kind == "disc":
         g = disc_grid(domain.n_x, domain.n_y)
-        r = np.asarray(g.r, float)
-        th = np.asarray(g.theta, float)
-        xg = r[:, None] * np.cos(th)[None, :]
-        yg = r[:, None] * np.sin(th)[None, :]
+        xg = g.r[:, None] * g.cos[None, :]
+        yg = g.r[:, None] * g.sin[None, :]
         u = np.asarray(u_fn(xg, yg), float)
         v = np.asarray(v_fn(xg, yg), float)
         fld = SolutionField("disc", domain, float(a), u, v,
@@ -827,9 +777,7 @@ def field_from_callables(domain, a, u_fn, v_fn, is_limit=None):
                             converged=True, residual_norm=0.0)
     else:
         g = strip_grid(domain.n_x, domain.n_y, domain.R, domain.P)
-        x = np.asarray(g.x, float)
-        y = np.asarray(g.y, float)
-        xg, yg = np.meshgrid(x, y)
+        xg, yg = np.meshgrid(g.x, g.y)
         u = np.asarray(u_fn(xg, yg), float)
         v = np.asarray(v_fn(xg, yg), float)
         fld = SolutionField("periodic-strip", domain, float(a), u, v,
@@ -848,7 +796,8 @@ def _continue(schedule, solve_level, interior):
     from ``interior`` of the previous level's field and sharing one
     FactorSlot with every level.  The returned field records the Cauchy
     increments of u and v between consecutive levels and, under
-    ``diagnostics["levels"]``, each level's a, residual norm and counts.
+    ``diagnostics["levels"]``, each level's a, residual norm, tolerance
+    and counts.
     """
     schedule = tuple(schedule) if schedule is not None else geometric_schedule()
     if len(schedule) == 0 or any(s <= 0 for s in schedule) or \
@@ -870,7 +819,8 @@ def _continue(schedule, solve_level, interior):
         levels.append({"a": float(a_k), "residual_norm": nxt.residual_norm,
                        "converged": nxt.converged,
                        **{k: nxt.diagnostics[k] for k in
-                          ("newton_iterations", "factorizations", "chord_steps")}})
+                          ("tolerance", "newton_iterations", "factorizations",
+                           "chord_steps")}})
         fld = nxt
         prev = interior(fld)
     fld.is_limit = True
@@ -885,29 +835,25 @@ def _continue(schedule, solve_level, interior):
 # ---------------------------------------------------------------------------
 # disc solver
 
-def solve_disc(boundary, a, domain=None, initial=None, tol=NEWTON_TOL, factor=None):
+def solve_disc(boundary, a, domain=None, initial=None, tol=None, factor=None):
     """Solve the disc problem at level a != 0 with Dirichlet potential data.
 
-    ``factor`` is a FactorSlot whose LU factor Newton may reuse and
-    replaces; a continuation passes the same slot to every level.
+    ``tol`` is the residual tolerance; None applies the round-off rule of
+    ``_newton``.  ``factor`` is a FactorSlot whose LU factor Newton may
+    reuse and replaces; a continuation passes the same slot to every level.
     """
     if a == 0.0:
         raise ValueError("level a = 0 is reached through solve_disc_limit")
     a = abs(float(a))  # solutions at a and -a coincide
     domain = domain or DomainSpec.disc()
     grid = disc_grid(domain.n_x, domain.n_y)
-    phi_ld = np.asarray(boundary.sample(grid.theta), LD)
+    phi = boundary.sample(grid.theta)
     f0 = initial if initial is not None else grid.harmonic_extension(boundary)
-
-    def eval_res(f_int):
-        return grid.residual(f_int, phi_ld, LD(str(a)))
-
-    def build_jac(f_int64):
-        return grid.jacobian(f_int64, np.asarray(phi_ld, float), a)
-
-    f_sol, norm, iters, diag = _newton(f0, eval_res, build_jac, tol=tol, factor=factor)
-    u, v, u_c, v_c, f_c = grid.extract_uv(f_sol, phi_ld)
-    f_full = np.vstack([np.asarray(f_sol, float), np.asarray(phi_ld, float)[None, :]])
+    f_sol, norm, iters, diag = _newton(
+        f0, lambda f_int: grid.residual(f_int, phi, a),
+        lambda f_int: grid.jacobian(f_int, phi, a), tol=tol, factor=factor)
+    u, v, u_c, v_c, f_c = grid.extract_uv(f_sol, phi)
+    f_full = np.vstack([f_sol, phi[None, :]])
     return SolutionField(
         "disc", domain, a, u, v, f=f_full, f_center=f_c, u_center=u_c, v_center=v_c,
         boundary={"circle": boundary}, converged=not diag["stagnated"], residual_norm=norm,
@@ -915,23 +861,23 @@ def solve_disc(boundary, a, domain=None, initial=None, tol=NEWTON_TOL, factor=No
     )
 
 
-def solve_disc_limit(boundary, domain=None, schedule=None, tol=NEWTON_TOL):
+def solve_disc_limit(boundary, domain=None, schedule=None, tol=None):
     """Continuation along a decreasing level schedule; returns the a_min proxy."""
     domain = domain or DomainSpec.disc()
     return _continue(
         schedule,
         lambda a_k, initial, factor: solve_disc(boundary, a_k, domain, initial=initial,
                                                 tol=tol, factor=factor),
-        lambda fld: np.asarray(fld.f[:-1], LD))
+        lambda fld: fld.f[:-1])
 
 
 # ---------------------------------------------------------------------------
 # strip solver
 
-def solve_strip(top, bottom, a, domain=None, initial=None, tol=NEWTON_TOL, factor=None):
+def solve_strip(top, bottom, a, domain=None, initial=None, tol=None, factor=None):
     """Solve the strip problem at level a != 0 with edge data for v.
 
-    ``factor`` is a FactorSlot, as for solve_disc.
+    ``tol`` and ``factor`` are as for solve_disc.
     """
     if a == 0.0:
         raise ValueError("level a = 0 is reached through solve_strip_limit")
@@ -942,24 +888,18 @@ def solve_strip(top, bottom, a, domain=None, initial=None, tol=NEWTON_TOL, facto
                                    top_mean=top.constant, bottom_mean=bottom.constant)
     domain = domain or DomainSpec.strip()
     grid = strip_grid(domain.n_x, domain.n_y, domain.R, domain.P)
-    top_ld = np.asarray(top.sample_x(grid.x, LD(str(domain.P))), LD)
-    bot_ld = np.asarray(bottom.sample_x(grid.x, LD(str(domain.P))), LD)
+    top_v = top.sample_x(grid.x, domain.P)
+    bot_v = bottom.sample_x(grid.x, domain.P)
     if initial is not None:
         v0 = initial
     else:
         # linear blend between the edges
-        w = (np.asarray(grid.y[1:-1], LD)[:, None] + LD(str(domain.R))) / (2 * LD(str(domain.R)))
-        v0 = bot_ld[None, :] * (1 - w) + top_ld[None, :] * w
-
-    def eval_res(v_int):
-        return grid.residual(v_int, top_ld, bot_ld, LD(str(a)))
-
-    def build_jac(v_int64):
-        return grid.jacobian(v_int64, np.asarray(top_ld, float), np.asarray(bot_ld, float), a)
-
-    v_sol, norm, iters, diag = _newton(v0, eval_res, build_jac, tol=tol, factor=factor)
-    v_full = np.vstack([np.asarray(bot_ld, float), np.asarray(v_sol, float),
-                        np.asarray(top_ld, float)])
+        w = (grid.y[1:-1, None] + domain.R) / (2 * domain.R)
+        v0 = bot_v[None, :] * (1 - w) + top_v[None, :] * w
+    v_sol, norm, iters, diag = _newton(
+        v0, lambda v_int: grid.residual(v_int, top_v, bot_v, a),
+        lambda v_int: grid.jacobian(v_int, top_v, bot_v, a), tol=tol, factor=factor)
+    v_full = np.vstack([bot_v, v_sol, top_v])
     fld = SolutionField(
         "periodic-strip", domain, a, np.zeros_like(v_full), v_full,
         boundary={"top": top, "bottom": bottom}, converged=not diag["stagnated"],
@@ -968,14 +908,14 @@ def solve_strip(top, bottom, a, domain=None, initial=None, tol=NEWTON_TOL, facto
     return reconstruct_u(fld)
 
 
-def solve_strip_limit(top, bottom, domain=None, schedule=None, tol=NEWTON_TOL):
+def solve_strip_limit(top, bottom, domain=None, schedule=None, tol=None):
     """Continuation wrapper for the strip problem down to the a_min proxy."""
     domain = domain or DomainSpec.strip()
     return _continue(
         schedule,
         lambda a_k, initial, factor: solve_strip(top, bottom, a_k, domain, initial=initial,
                                                  tol=tol, factor=factor),
-        lambda fld: np.asarray(fld.v[1:-1], LD))
+        lambda fld: fld.v[1:-1])
 
 
 def reconstruct_u(field, defect_tol=1e-6):
@@ -990,9 +930,7 @@ def reconstruct_u(field, defect_tol=1e-6):
         raise ValueError("reconstruct_u applies to strip fields")
     grid = strip_grid(field.domain.n_x, field.domain.n_y, field.domain.R, field.domain.P)
     v = field.v
-    hx = float(grid.hx)
-    hy = float(grid.hy)
-    y = np.asarray(grid.y, float)
+    hx, hy, y = grid.hx, grid.hy, grid.y
     a = field.a
     vx = (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2 * hx)
     vy = np.gradient(v, hy, axis=0, edge_order=2)
@@ -1037,7 +975,8 @@ def save_field(field, path):
 
     Disc rows: centre first, then rings inner to outer, angles ascending;
     columns x, y, f, u, v.  Strip rows: y ascending then x ascending;
-    columns x, y, u, v.
+    columns x, y, u, v.  The header also carries the Cauchy increments
+    and the diagnostics.
     """
     header = {
         "kind": field.kind,
@@ -1050,6 +989,8 @@ def save_field(field, path):
         "residual_norm": field.residual_norm,
         "converged": bool(field.converged),
         "is_limit": bool(field.is_limit),
+        "cauchy_increments": list(field.cauchy_increments),
+        "diagnostics": field.diagnostics,
     }
     lines = [json.dumps(header, sort_keys=True)]
     if field.kind == "disc":
@@ -1076,6 +1017,13 @@ def load_field(path):
         names = fh.readline().strip().split(",")
         body = np.loadtxt(fh, delimiter=",").reshape(-1, len(names))
     kind = header["kind"]
+    boundary = {k: BoundarySpec.from_json(o) for k, o in header["boundary"].items()}
+    diagnostics = {k: tuple(v) if isinstance(v, list) else v
+                   for k, v in header.get("diagnostics", {}).items()}
+    common = dict(boundary=boundary, converged=header["converged"],
+                  residual_norm=header["residual_norm"], is_limit=header["is_limit"],
+                  cauchy_increments=tuple(header.get("cauchy_increments", ())),
+                  diagnostics=diagnostics)
     if kind == "disc":
         domain = DomainSpec.disc(header["n_x"], header["n_y"])
         n, m = domain.n_x, domain.n_y
@@ -1084,18 +1032,9 @@ def load_field(path):
         f = rows[:, 2].reshape(n, m)
         u = rows[:, 3].reshape(n, m)
         v = rows[:, 4].reshape(n, m)
-        boundary = {k: BoundarySpec.from_json(o) for k, o in header["boundary"].items()}
-        fld = SolutionField(kind, domain, header["a"], u, v, f=f, f_center=float(f_c),
-                            u_center=float(u_c), v_center=float(v_c), boundary=boundary,
-                            converged=header["converged"],
-                            residual_norm=header["residual_norm"],
-                            is_limit=header["is_limit"])
-        return fld
+        return SolutionField(kind, domain, header["a"], u, v, f=f, f_center=float(f_c),
+                             u_center=float(u_c), v_center=float(v_c), **common)
     domain = DomainSpec.strip(header["n_x"], header["n_y"], header["R"], header["P"])
     u = body[:, 2].reshape(domain.n_y, domain.n_x)
     v = body[:, 3].reshape(domain.n_y, domain.n_x)
-    boundary = {k: BoundarySpec.from_json(o) for k, o in header["boundary"].items()}
-    return SolutionField(kind, domain, header["a"], u, v, boundary=boundary,
-                         converged=header["converged"],
-                         residual_norm=header["residual_norm"],
-                         is_limit=header["is_limit"])
+    return SolutionField(kind, domain, header["a"], u, v, **common)

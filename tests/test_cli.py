@@ -20,6 +20,7 @@ def test_solve_disc_smoke(tmp_path, capsys):
     assert (tmp_path / "field.csv").exists()
     diag = json.loads((tmp_path / "field.csv.diag.json").read_text())
     assert diag["converged"] and diag["residual_norm"] < 1e-10
+    assert diag["tolerance"] >= 1e-10 and diag["residual_norm"] < diag["tolerance"]
     assert diag["factorizations"] >= 1
     assert diag["newton_iterations"] == diag["factorizations"] + diag["chord_steps"]
 

@@ -7,6 +7,7 @@ from slfib.elliptic import (
     BoundarySpec,
     DomainSpec,
     SolutionField,
+    disc_grid,
     field_from_callables,
     geometric_schedule,
     load_field,
@@ -17,8 +18,10 @@ from slfib.elliptic import (
     solve_disc_limit,
     solve_strip,
     solve_strip_limit,
+    strip_grid,
 )
 from slfib.errors import ContinuationFailed, IncompatibleBoundary, SolverDiverged
+from slfib.fibrations import DEFAULT_SCHEDULE, disc_family
 from slfib.models import na_oracle, na_oracle_grid, na_potential_circle
 
 
@@ -106,11 +109,37 @@ def test_stagnation_is_not_converged():
     assert solve_disc(spec, 1.0, DomainSpec.disc(24, 48)).converged
 
 
+@pytest.mark.parametrize("kind", ["disc", "strip"])
+def test_residual_norm_is_that_of_the_stored_field(kind):
+    if kind == "disc":
+        fld = solve_disc(disc_family().boundary(1.25), 1e-3, DomainSpec.disc(32, 64))
+        res = disc_grid(32, 64).residual(fld.f[:-1], fld.f[-1], fld.a)
+    else:
+        edge = BoundarySpec.make(cos={1: 0.5})
+        fld = solve_strip(edge, edge, 1e-3, DomainSpec.strip(64, 33))
+        res = strip_grid(64, 33, 1.0, 2 * np.pi).residual(fld.v[1:-1], fld.v[-1], fld.v[0],
+                                                          fld.a)
+    assert fld.converged
+    assert fld.residual_norm == float(np.max(np.abs(res)))
+
+
+def test_deep_levels_converge_at_the_roundoff_floor():
+    # at this grid the float64 residual floor passes NEWTON_TOL on the way to a_min
+    fld = solve_disc_limit(disc_family().boundary(2.24), DomainSpec.disc(64, 128),
+                           DEFAULT_SCHEDULE)
+    levels = fld.diagnostics["levels"]
+    assert len(levels) == len(DEFAULT_SCHEDULE)
+    assert levels[-1]["tolerance"] > NEWTON_TOL
+    for lev in levels:
+        assert lev["converged"] and lev["residual_norm"] <= lev["tolerance"]
+    assert fld.diagnostics["tolerance"] == levels[-1]["tolerance"]
+
+
 @pytest.mark.parametrize("max_iter", [3, 60])
 def test_newton_divergence_payload(max_iter):
     import scipy.sparse as sp
 
-    from slfib.elliptic import LD, _newton
+    from slfib.elliptic import _newton
 
     # x^2 + 1 has no real root: the residual never drops below 1
     def eval_res(x):
@@ -120,7 +149,7 @@ def test_newton_divergence_payload(max_iter):
         return sp.diags(2.0 * x.ravel()).tocsc()
 
     with pytest.raises(SolverDiverged) as err:
-        _newton(np.full((2, 3), LD(3.0)), eval_res, build_jac, max_iter=max_iter)
+        _newton(np.full((2, 3), 3.0), eval_res, build_jac, max_iter=max_iter)
     assert err.value.data["residual"] >= 1.0
     assert 1 <= err.value.data["iterations"] <= max_iter
 

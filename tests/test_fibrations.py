@@ -161,3 +161,16 @@ def test_cache_lru_eviction():
     for b in (0.1, 0.2, 0.3):
         solve_family_member(fam, 0.5, b, STRIP_RES, cache=cache)
     assert len(cache._store) == 2
+
+
+def test_cache_disk_keeps_diagnostics(tmp_path, monkeypatch):
+    monkeypatch.setenv("SLFIB_CACHE_DIR", str(tmp_path))
+    fam = strip_family(0.5)
+    fld1 = solve_family_member(fam, 0.0, 0.2, STRIP_RES, FAST_SCHEDULE, cache=SolverCache())
+    c2 = SolverCache()
+    fld2 = solve_family_member(fam, 0.0, 0.2, STRIP_RES, FAST_SCHEDULE, cache=c2)
+    assert c2.misses == 0  # served from disk
+    assert len(fld1.cauchy_increments) == len(FAST_SCHEDULE) - 1
+    assert fld2.cauchy_increments == fld1.cauchy_increments
+    assert fld2.diagnostics["levels"] == fld1.diagnostics["levels"]
+    assert fld2.diagnostics == fld1.diagnostics
