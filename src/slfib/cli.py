@@ -23,7 +23,6 @@ from .elliptic import (
     DomainSpec,
     geometric_schedule,
     load_field,
-    mean_flux,
     save_field,
     solve_disc,
     solve_disc_limit,
@@ -31,7 +30,7 @@ from .elliptic import (
     solve_strip_limit,
 )
 from .errors import LabError, NonisolatedSingularities
-from .models import NaSlice, explicit_F, explicit_Fprime, hl_map, na_oracle
+from .models import NaSlice, na_oracle
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -279,9 +278,7 @@ def cmd_project(args):
 
 
 def _model_field(args):
-    if args.model == "na":
-        return NaSlice(args.a, _complex(args.c))
-    if args.model == "F":
+    if args.model in ("na", "F"):
         return NaSlice(args.a, _complex(args.c))
     if args.model == "Fprime":
         return NaSlice(args.a, _complex(args.c), negate=True)

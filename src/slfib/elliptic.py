@@ -72,7 +72,7 @@ from .errors import (
 COEFF_FLOOR = 1e-16          # floor for v^2 + y^2 + a^2 before the inverse sqrt
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 60
-FLOOR_ACCEPT = 1e-8          # stagnated residual below this is returned, not converged
+FLOOR_ACCEPT = 1e-8          # stagnation bound while the round-off floor is <= NEWTON_TOL
 CHORD_CONTRACTION = 0.5      # a chord step must cut the residual to this fraction
 ROUNDOFF_SAFETY = 0.5        # share of eps * || |J| |x| ||_inf taken as the residual floor
 GRADING = 0.4                # radial grading strength toward r = 1
@@ -503,12 +503,15 @@ def _newton(x0, eval_res, build_jac, tol=None, max_iter=NEWTON_MAX_ITER, factor=
 
     Every kept step counts as an iteration, as does a Newton step whose
     line search failed.  A run of steps that fail to cut the residual by
-    10% stalls the solve: it is returned as stagnated (not converged)
-    when the residual is below FLOOR_ACCEPT, and raises SolverDiverged
-    otherwise, as does running out of iterations.  Returns (x, residual
-    norm, iterations, diagnostics) with the residual history,
-    ``stagnated``, the ``tolerance`` applied and the counts
-    ``factorizations`` and ``chord_steps``.
+    10% stalls the solve, as does running out of iterations.  A stalled
+    iterate is converged when it is below the tolerance, is returned as
+    stagnated (not converged) when it is below the stagnation bound
+    FLOOR_ACCEPT / NEWTON_TOL * max(NEWTON_TOL, floor), and raises
+    SolverDiverged otherwise.  The bound is FLOOR_ACCEPT while the floor
+    is at most NEWTON_TOL and keeps the same margin over the tolerance
+    above it.  Returns (x, residual norm, iterations, diagnostics) with
+    the residual history, ``stagnated``, the ``tolerance`` applied and
+    the counts ``factorizations`` and ``chord_steps``.
     """
     factor = factor if factor is not None else FactorSlot()
     x = np.asarray(x0, float)
@@ -524,6 +527,13 @@ def _newton(x0, eval_res, build_jac, tol=None, max_iter=NEWTON_MAX_ITER, factor=
     def outcome(iters, stagnated):
         return x, norm, iters, {"history": tuple(history), "stagnated": stagnated,
                                 "tolerance": tolerance(), **counts}
+
+    def stalled(iters, reason):
+        if norm < tolerance():
+            return outcome(iters, False)
+        if norm < FLOOR_ACCEPT / NEWTON_TOL * max(NEWTON_TOL, factor.floor):
+            return outcome(iters, True)
+        raise SolverDiverged(reason, residual=norm, iterations=iters)
 
     for it in range(max_iter):
         if norm < tolerance():
@@ -562,15 +572,8 @@ def _newton(x0, eval_res, build_jac, tol=None, max_iter=NEWTON_MAX_ITER, factor=
         else:
             stall = 0
         if not accepted and stall >= 2 or stall >= 4:
-            if norm < FLOOR_ACCEPT:
-                return outcome(it + 1, True)
-            raise SolverDiverged("newton stalled", residual=norm, iterations=it + 1)
-    if norm < tolerance():
-        return outcome(max_iter, False)
-    if norm < FLOOR_ACCEPT:
-        return outcome(max_iter, True)
-    raise SolverDiverged("newton iteration budget exhausted", residual=norm,
-                         iterations=max_iter)
+            return stalled(it + 1, "newton stalled")
+    return stalled(max_iter, "newton iteration budget exhausted")
 
 
 # ---------------------------------------------------------------------------
@@ -943,11 +946,12 @@ def reconstruct_u(field, defect_tol=1e-6):
     q = v**2 + y[:, None] ** 2 + a * a
     uy = -0.5 * vx / np.sqrt(np.maximum(q, COEFF_FLOOR))
     j0 = (field.domain.n_y - 1) // 2
-    u0 = np.zeros(field.domain.n_y)
-    for j in range(j0 + 1, field.domain.n_y):
-        u0[j] = u0[j - 1] + 0.5 * hy * (uy[j - 1, 0] + uy[j, 0])
-    for j in range(j0 - 1, -1, -1):
-        u0[j] = u0[j + 1] - 0.5 * hy * (uy[j + 1, 0] + uy[j, 0])
+    steps = 0.5 * hy * (uy[1:, 0] + uy[:-1, 0])  # trapezoid per cell of the column
+    # running sums outward from u(0, 0) = 0, each seeded with 0.0 so that a zero
+    # sum keeps the sign an outward loop gives it
+    up = np.cumsum(np.concatenate(([0.0], steps[j0:])))
+    down = np.cumsum(np.concatenate(([0.0], -steps[:j0][::-1])))
+    u0 = np.concatenate((down[:0:-1], up))
 
     u = np.empty_like(v)
     u[:, 0] = u0

@@ -43,7 +43,7 @@ from .elliptic import (
     solve_strip_limit,
 )
 from .errors import BracketFailed, OutsideTotalSpace
-from .singularities import detect_axis_zeros
+from .singularities import TANGENTIAL_THRESHOLD, detect_axis_zeros
 
 DEFAULT_DISC_RESOLUTION = (64, 128)
 DEFAULT_STRIP_RESOLUTION = (128, 65)
@@ -202,16 +202,24 @@ def solve_family_member(family, a, b, resolution=None, schedule=None, cache=None
 # ---------------------------------------------------------------------------
 # probes and root searches
 
+def _probe(family, a, point, resolution, schedule, cache):
+    """The map b -> v at ``point`` of the family field at level a."""
+    x, y = point
+    centre = family.kind == "disc-sweep" and x == 0.0 and y == 0.0
+
+    def probe(b):
+        fld = solve_family_member(family, a, b, resolution, schedule, cache)
+        return float(fld.v_center if centre else fld.uv(x, y)[1])
+
+    return probe
+
+
 def vhat_probe(a, alpha, point, resolution=None, schedule=None, cache=None):
     """Interpolated v of the disc-family field at a point of the closed disc."""
     x, y = point
     if np.hypot(x, y) > 1.0 + 1e-12:
         raise OutsideTotalSpace("probe point outside the closed disc", x=x, y=y)
-    fld = solve_family_member(disc_family(), a, alpha, resolution, schedule, cache)
-    if x == 0.0 and y == 0.0:
-        return float(fld.v_center)
-    _, v = fld.uv(x, y)
-    return float(v)
+    return _probe(disc_family(), a, point, resolution, schedule, cache)(alpha)
 
 
 def _bisect(fn, lo, hi, tol, max_iter=200):
@@ -245,12 +253,11 @@ def find_alpha0_alpha1(schedule=None, resolution=None, bracket=(-20.0, 20.0),
     alpha0 is the unique root of alpha -> v(0,0) and alpha1 of
     alpha -> v(1,0); both probes are strictly increasing in alpha.
     """
-    alpha0 = _bisect(
-        lambda al: vhat_probe(0.0, al, (0.0, 0.0), resolution, schedule, cache),
-        bracket[0], bracket[1], tol)
-    alpha1 = _bisect(
-        lambda al: vhat_probe(0.0, al, (1.0, 0.0), resolution, schedule, cache),
-        bracket[0], bracket[1], tol)
+    fam = disc_family()
+    alpha0 = _bisect(_probe(fam, 0.0, (0.0, 0.0), resolution, schedule, cache),
+                     bracket[0], bracket[1], tol)
+    alpha1 = _bisect(_probe(fam, 0.0, (1.0, 0.0), resolution, schedule, cache),
+                     bracket[0], bracket[1], tol)
     if not alpha0 < alpha1:
         raise BracketFailed("bifurcation values out of order",
                             alpha0=alpha0, alpha1=alpha1)
@@ -288,14 +295,8 @@ def project_to_base(p, family, resolution=None, schedule=None, cache=None,
         if abs(y) >= family.R:
             raise OutsideTotalSpace("|Im z1 z2| must be below R", y=y)
 
-    def probe(b):
-        fld = solve_family_member(family, a, b, resolution, schedule, cache)
-        if family.kind == "disc-sweep" and x == 0.0 and y == 0.0:
-            return float(fld.v_center) - target
-        _, v = fld.uv(x, y)
-        return float(v) - target
-
-    b = _grown_bracket(probe, tol)
+    probe = _probe(family, a, (x, y), resolution, schedule, cache)
+    b = _grown_bracket(lambda b: probe(b) - target, tol)
     fld = solve_family_member(family, a, b, resolution, schedule, cache)
     if family.kind == "disc-sweep" and x == 0.0 and y == 0.0:
         u_val = float(fld.u_center)
@@ -316,39 +317,25 @@ def alpha_beta_curves(t_grid, resolution=None, schedule=None, tol=CURVE_TOL,
     out = []
     for t in t_grid:
         fam = strip_family(t)
-
-        def probe_at(x0):
-            def fn(b):
-                fld = solve_family_member(fam, 0.0, b, resolution, schedule, cache)
-                _, v = fld.uv(x0, 0.0)
-                return float(v)
-            return fn
-
-        alpha_t = _grown_bracket(probe_at(0.0), tol)
-        beta_t = _grown_bracket(probe_at(np.pi), tol)
+        alpha_t = _grown_bracket(_probe(fam, 0.0, (0.0, 0.0), resolution, schedule, cache), tol)
+        beta_t = _grown_bracket(_probe(fam, 0.0, (np.pi, 0.0), resolution, schedule, cache), tol)
         out.append((float(t), alpha_t, beta_t))
     return out
 
 
 def refine_band_edge(family, which, coarse, tol=1e-9, resolution=None,
                      schedule=None, cache=None, window=1e-4):
-    """Re-bisect a band-edge root to high accuracy from a coarse value."""
+    """Re-bisect a band-edge root to high accuracy from a coarse value.
+
+    The bracket is [coarse - w, coarse + w], with w = window doubled
+    until the probe changes sign over it.
+    """
     x0 = 0.0 if which == "alpha" else np.pi
-
-    def fn(b):
-        fld = solve_family_member(family, 0.0, b, resolution, schedule, cache)
-        _, v = fld.uv(x0, 0.0)
-        return float(v)
-
-    lo, hi = coarse - window, coarse + window
-    while fn(lo) > 0:
-        lo -= window
-    while fn(hi) < 0:
-        hi += window
-    return _bisect(fn, lo, hi, tol)
+    fn = _probe(family, 0.0, (x0, 0.0), resolution, schedule, cache)
+    return coarse + _grown_bracket(lambda d: fn(coarse + d), tol, b0=window)
 
 
-def ribbon_report(family, params, resolution=None, schedule=None, cache=None):
+def ribbon_report(family, params):
     """Discriminant ribbon data for a family.
 
     Disc sweep: params = (alpha0, alpha1); the lower end is a fold edge
@@ -370,10 +357,10 @@ def ribbon_report(family, params, resolution=None, schedule=None, cache=None):
         counts=(0, 1, 2), degenerate=degenerate)
 
 
-def singular_count_profile(family, t, b_samples=None, resolution=None,
-                           schedule=None, cache=None, cluster_tol=None,
-                           tangential_threshold=None):
-    """Axis-zero counts per period across the discriminant band.
+def singular_count_profile(t, b_samples=None, resolution=None, schedule=None,
+                           cache=None, cluster_tol=None,
+                           tangential_threshold=TANGENTIAL_THRESHOLD):
+    """Axis-zero counts per period across the strip-sweep band at t.
 
     With no explicit samples the band edges are refined to 1e-9 and the
     profile is sampled just outside, at both edges and at the midpoint,
@@ -396,11 +383,7 @@ def singular_count_profile(family, t, b_samples=None, resolution=None,
     out = []
     for b in b_samples:
         fld = solve_family_member(fam, 0.0, b, resolution, schedule, cache)
-        kwargs = {}
-        if cluster_tol is not None:
-            kwargs["cluster_tol"] = cluster_tol
-        if tangential_threshold is not None:
-            kwargs["tangential_threshold"] = tangential_threshold
-        zeros = detect_axis_zeros(fld, **kwargs)
+        zeros = detect_axis_zeros(fld, tangential_threshold=tangential_threshold,
+                                  cluster_tol=cluster_tol)
         out.append((float(b), len(zeros), tuple(zeros)))
     return out

@@ -225,6 +225,13 @@ def classify_type(field, x_location, probe_eps=None):
     return "minimum"
 
 
+def _angle_steps(du, dv):
+    """Wrapped angle increments of (du, dv) around closed loops along the last axis."""
+    ang = np.arctan2(dv, du)
+    inc = np.roll(ang, -1, axis=-1) - ang
+    return (inc + np.pi) % (2.0 * np.pi) - np.pi
+
+
 def _difference_on_circle(field, x0, radius, m):
     phis = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
     cx = x0 + radius * np.cos(phis)
@@ -253,9 +260,7 @@ def winding_multiplicity(field, x_location, radius, m_init=128):
             norms = np.hypot(du, dv)
             if norms.min() <= MIN_CIRCLE_NORM:
                 break  # shrink the radius
-            ang = np.arctan2(dv, du)
-            inc = np.diff(np.concatenate([ang, ang[:1]]))
-            inc = (inc + np.pi) % (2.0 * np.pi) - np.pi
+            inc = _angle_steps(du, dv)
             if np.max(np.abs(inc)) > 0.75 * np.pi:
                 m *= 2  # a step this large cannot be trusted
                 continue
@@ -298,36 +303,25 @@ def count_zeros_between(field1, field2, refine_iters=40):
         raise IdenticalFields("difference below round-off")
     xg, yg, _, _ = field1.node_arrays()
 
-    def corner_cycle(arr, i, j, wrap):
-        jp = (j + 1) % arr.shape[1] if wrap else j + 1
-        return np.array([arr[i, j], arr[i, jp], arr[i + 1, jp], arr[i + 1, j]])
+    def corners(arr):
+        # cell (i, j) in cycle order (i, j), (i, j+1), (i+1, j+1), (i+1, j); both
+        # grids wrap in their second index (theta or periodic x)
+        right = np.roll(arr, -1, axis=1)
+        return np.stack([arr[:-1], right[:-1], right[1:], arr[1:]], axis=-1)
 
-    wrap = True  # both grids wrap in their second index (theta or periodic x)
-    n_i, n_j = du.shape
-    hits = []
-    for i in range(n_i - 1):
-        for j in range(n_j if wrap else n_j - 1):
-            cu = corner_cycle(du, i, j, wrap)
-            cv = corner_cycle(dv, i, j, wrap)
-            if np.all(cu > 0) or np.all(cu < 0) or np.all(cv > 0) or np.all(cv < 0):
-                continue  # a strictly one-signed component rules the cell out
-            ang = np.arctan2(cv, cu)
-            inc = np.diff(np.concatenate([ang, ang[:1]]))
-            inc = (inc + np.pi) % (2.0 * np.pi) - np.pi
-            w = inc.sum() / (2.0 * np.pi)
-            if round(w) != 0:
-                hits.append((i, j, int(round(w))))
+    cu, cv = corners(du), corners(dv)
+    # a strictly one-signed component rules the cell out
+    one_signed = (np.all(cu > 0, axis=-1) | np.all(cu < 0, axis=-1)
+                  | np.all(cv > 0, axis=-1) | np.all(cv < 0, axis=-1))
+    winding = np.rint(_angle_steps(cu, cv).sum(axis=-1) / (2.0 * np.pi))
+    hits = np.argwhere(~one_signed & (winding != 0))
 
+    cx, cy = corners(xg), corners(yg)
     locations = []
     dedupe = 0.25 * field1.cell_scale()
-    for i, j, w in hits:
-        jp = (j + 1) % n_j
-        cu = np.array([du[i, j], du[i, jp], du[i + 1, jp], du[i + 1, j]])
-        cv = np.array([dv[i, j], dv[i, jp], dv[i + 1, jp], dv[i + 1, j]])
-        s, t = _bilinear_zero(cu, cv, refine_iters)
-        cx = np.array([xg[i, j], xg[i, jp], xg[i + 1, jp], xg[i + 1, j]])
-        cy = np.array([yg[i, j], yg[i, jp], yg[i + 1, jp], yg[i + 1, j]])
-        loc = (float(_bilinear(cx, s, t)), float(_bilinear(cy, s, t)))
+    for i, j in hits:
+        s, t = _bilinear_zero(cu[i, j], cv[i, j], refine_iters)
+        loc = (float(_bilinear(cx[i, j], s, t)), float(_bilinear(cy[i, j], s, t)))
         # a zero on a shared cell edge registers in both cells: keep one
         if all(np.hypot(loc[0] - p[0], loc[1] - p[1]) > dedupe for p in locations):
             locations.append(loc)
@@ -345,12 +339,9 @@ def _bilinear_zero(cu, cv, iters):
     s_lo, s_hi, t_lo, t_hi = 0.0, 1.0, 0.0, 1.0
 
     def deg(sl, sh, tl, th):
-        ss = [sl, sh, sh, sl]
-        tt = [tl, tl, th, th]
-        ang = np.arctan2([_bilinear(cv, s, t) for s, t in zip(ss, tt)],
-                         [_bilinear(cu, s, t) for s, t in zip(ss, tt)])
-        inc = np.diff(np.concatenate([ang, ang[:1]]))
-        inc = (inc + np.pi) % (2.0 * np.pi) - np.pi
+        ss = np.array([sl, sh, sh, sl])
+        tt = np.array([tl, tl, th, th])
+        inc = _angle_steps(_bilinear(cu, ss, tt), _bilinear(cv, ss, tt))
         return round(float(inc.sum() / (2.0 * np.pi)))
 
     for _ in range(iters):

@@ -154,6 +154,26 @@ def test_newton_divergence_payload(max_iter):
     assert 1 <= err.value.data["iterations"] <= max_iter
 
 
+def test_stall_bound_follows_the_roundoff_floor():
+    import scipy.sparse as sp
+
+    from slfib.elliptic import _newton
+
+    # every Newton step is uphill, so the solve stalls; the round-off floor
+    # 0.5 eps * 2e8 = 2.2e-8 puts the residual 5e-8 above FLOOR_ACCEPT but
+    # within the stagnation bound that follows the floor
+    def eval_res(x):
+        return 2e8 * (x - 1.0) + 5e-8
+
+    def build_jac(x):
+        return sp.diags(np.full(x.size, -2e8)).tocsc()
+
+    _, norm, _, diag = _newton(np.ones(3), eval_res, build_jac)
+    assert norm == 5e-8 > FLOOR_ACCEPT
+    assert diag["stagnated"]
+    assert diag["tolerance"] == pytest.approx(0.5 * np.finfo(float).eps * 2e8)
+
+
 def test_disc_rejects_zero_level():
     with pytest.raises(ValueError):
         solve_disc(BoundarySpec.make(cos={1: 1.0}), 0.0)
@@ -206,6 +226,25 @@ def test_reconstruct_u_constant():
     spec = BoundarySpec.make(constant=1.0)
     fld = solve_strip(spec, spec, 0.3, DomainSpec.strip(32, 17))
     assert np.max(np.abs(fld.u)) < 1e-12
+
+
+def test_reconstruct_u_column_is_the_outward_trapezoid_loop():
+    # x-even data make v_x vanish on the column x = 0, so several trapezoid
+    # steps are signed zeros: the u column must match the loop bit for bit
+    spec = BoundarySpec.make(constant=0.1, cos={1: 0.5})
+    fld = solve_strip(spec, spec, 1e-3, DomainSpec.strip(64, 33))
+    grid = strip_grid(64, 33, 1.0, 2 * np.pi)
+    v, hy, y = fld.v, grid.hy, grid.y
+    vx0 = (v[:, 1] - v[:, -1]) / (2 * grid.hx)
+    uy = -0.5 * vx0 / np.sqrt(np.maximum(v[:, 0] ** 2 + y**2 + fld.a**2, 1e-16))
+    j0 = (len(y) - 1) // 2
+    ref = np.zeros(len(y))
+    for j in range(j0 + 1, len(y)):
+        ref[j] = ref[j - 1] + 0.5 * hy * (uy[j - 1] + uy[j])
+    for j in range(j0 - 1, -1, -1):
+        ref[j] = ref[j + 1] - 0.5 * hy * (uy[j + 1] + uy[j])
+    assert np.count_nonzero(uy == 0.0) > 1
+    assert fld.u[:, 0].tobytes() == ref.tobytes()
 
 
 def test_reconstruct_is_strip_only(disc_field_alpha1):

@@ -12,6 +12,7 @@ from slfib.fibrations import (
     disc_family,
     project_to_base,
     ribbon_report,
+    singular_count_profile,
     solve_family_member,
     strip_family,
     vhat_probe,
@@ -120,6 +121,18 @@ def test_ribbon_reports():
     assert degenerate.degenerate
     wide = ribbon_report(strip_family(1.0), (-0.3, 0.3))
     assert not wide.degenerate and wide.endpoint_kind == ("fold-boundary",) * 2
+
+
+def test_singular_count_profile_across_the_band():
+    # refine_band_edge brackets each edge from the coarse alpha_beta_curves value
+    profile = singular_count_profile(0.5, resolution=(32, 17),
+                                     schedule=geometric_schedule(0.5, 0.25, 1e-3),
+                                     cache=SolverCache())
+    assert [count for _, count, _ in profile] == [0, 1, 2, 1, 0]
+    alpha, beta = profile[1][0], profile[3][0]
+    assert alpha < 0.0 < beta
+    assert abs(alpha + beta) <= 1e-9
+    assert profile[0][0] < alpha and profile[4][0] > beta
 
 
 def test_bisect_bracket_failure():
