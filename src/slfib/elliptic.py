@@ -54,7 +54,6 @@ Cauchy diagnostic.
 """
 
 import json
-import threading
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -204,7 +203,6 @@ def geometric_schedule(a_start=1.0, factor=0.5, a_min=DEFAULT_A_MIN):
 # disc grid and operators
 
 _GRID_CACHE = {}
-_GRID_LOCK = threading.Lock()
 
 
 def _nonuniform_weights(hm, hp):
@@ -367,12 +365,10 @@ class DiscGrid:
 
 def disc_grid(n_r, n_theta):
     key = ("disc", n_r, n_theta)
-    with _GRID_LOCK:
-        grid = _GRID_CACHE.get(key)
-        if grid is None:
-            grid = DiscGrid(n_r, n_theta)
-            _GRID_CACHE[key] = grid
-        return grid
+    grid = _GRID_CACHE.get(key)
+    if grid is None:
+        grid = _GRID_CACHE[key] = DiscGrid(n_r, n_theta)
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +451,10 @@ class StripGrid:
 
 def strip_grid(n_x, n_y, R, P):
     key = ("strip", n_x, n_y, R, P)
-    with _GRID_LOCK:
-        grid = _GRID_CACHE.get(key)
-        if grid is None:
-            grid = StripGrid(n_x, n_y, R, P)
-            _GRID_CACHE[key] = grid
-        return grid
+    grid = _GRID_CACHE.get(key)
+    if grid is None:
+        grid = _GRID_CACHE[key] = StripGrid(n_x, n_y, R, P)
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -792,6 +786,14 @@ def field_from_callables(domain, a, u_fn, v_fn, is_limit=None):
 # ---------------------------------------------------------------------------
 # continuation
 
+def level_record(fld):
+    """A level solve's a, residual norm, convergence, tolerance and counts."""
+    return {"a": float(fld.a), "residual_norm": fld.residual_norm,
+            "converged": fld.converged,
+            **{k: fld.diagnostics[k] for k in
+               ("tolerance", "newton_iterations", "factorizations", "chord_steps")}}
+
+
 def _continue(schedule, solve_level, interior):
     """Solve along a decreasing level schedule; returns the a_min proxy.
 
@@ -819,11 +821,7 @@ def _continue(schedule, solve_level, interior):
         if fld is not None:
             increments_u.append(float(np.max(np.abs(nxt.u - fld.u))))
             increments_v.append(float(np.max(np.abs(nxt.v - fld.v))))
-        levels.append({"a": float(a_k), "residual_norm": nxt.residual_norm,
-                       "converged": nxt.converged,
-                       **{k: nxt.diagnostics[k] for k in
-                          ("tolerance", "newton_iterations", "factorizations",
-                           "chord_steps")}})
+        levels.append(level_record(nxt))
         fld = nxt
         prev = interior(fld)
     fld.is_limit = True

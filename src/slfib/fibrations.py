@@ -17,14 +17,17 @@ and beta(t) are the roots in b of v(0,0) and v(pi,0); at t = 0 the band
 degenerates to the codimension-two line b = 0.
 
 All parameter searches use bisection on solver probes, justified by the
-strict monotonicity of v in the boundary data; solver results are cached
-in memory (and on disk when SLFIB_CACHE_DIR is set).
+strict monotonicity of v in the boundary data.  Solved fields are cached
+in memory (and on disk when SLFIB_CACHE_DIR is set).  A probe that
+misses the cache starts from a solved neighbour in the family parameter
+when one is cached: one Newton solve at the final level replaces the
+continuation in a, which runs only for the first probe of a search or
+when no neighbour leads to a converged field (see solve_family_member).
 """
 
 import hashlib
 import os
 import tempfile
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -35,6 +38,7 @@ from .elliptic import (
     BoundarySpec,
     DomainSpec,
     geometric_schedule,
+    level_record,
     load_field,
     save_field,
     solve_disc,
@@ -42,7 +46,7 @@ from .elliptic import (
     solve_strip,
     solve_strip_limit,
 )
-from .errors import BracketFailed, OutsideTotalSpace
+from .errors import BracketFailed, OutsideTotalSpace, SolverDiverged
 from .singularities import TANGENTIAL_THRESHOLD, detect_axis_zeros
 
 DEFAULT_DISC_RESOLUTION = (64, 128)
@@ -121,14 +125,21 @@ class SolverCache:
     written by another solver version misses.  Disk entries are written
     to a temporary file in the cache directory and renamed into place,
     so processes sharing the directory never read a partial file.
+
+    ``misses`` counts the solves that ran.  Family fields are keyed
+    (lane, b), so ``nearest`` reads a lane's solved fields straight off
+    the in-memory entries; of the solves that had such a neighbour,
+    ``warm_starts`` counts those that started from one and
+    ``warm_fallbacks`` those that ran the full schedule instead.
     """
 
     def __init__(self, maxsize=48):
         self.maxsize = maxsize
         self._store = OrderedDict()
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
+        self.warm_starts = 0
+        self.warm_fallbacks = 0
 
     def _disk_path(self, key):
         root = os.environ.get(CACHE_ENV)
@@ -140,11 +151,10 @@ class SolverCache:
 
     def get_or_solve(self, key, solve_fn):
         key = (SOLVER_VERSION, key)
-        with self._lock:
-            if key in self._store:
-                self.hits += 1
-                self._store.move_to_end(key)
-                return self._store[key]
+        if key in self._store:
+            self.hits += 1
+            self._store.move_to_end(key)
+            return self._store[key]
         path = self._disk_path(key)
         fld = None
         if path and os.path.exists(path):
@@ -154,12 +164,26 @@ class SolverCache:
             fld = solve_fn()
             if path:
                 _save_atomic(fld, path)
-        with self._lock:
-            self._store[key] = fld
-            self._store.move_to_end(key)
-            while len(self._store) > self.maxsize:
-                self._store.popitem(last=False)
+        self._store[key] = fld
+        while len(self._store) > self.maxsize:
+            self._store.popitem(last=False)
         return fld
+
+    def nearest(self, lane, b):
+        """The in-memory fields of ``lane`` nearest to b below and above it.
+
+        Returns up to two (b', field) pairs, the one closer to b first.
+        """
+        below = above = None
+        for (version, (key_lane, key_b)), fld in self._store.items():
+            if version != SOLVER_VERSION or key_lane != lane:
+                continue
+            if key_b < b and (below is None or key_b > below[0]):
+                below = (key_b, fld)
+            elif key_b > b and (above is None or key_b < above[0]):
+                above = (key_b, fld)
+        return sorted((s for s in (below, above) if s is not None),
+                      key=lambda s: abs(s[0] - b))
 
 
 def _save_atomic(fld, path):
@@ -177,26 +201,75 @@ _shared_cache = SolverCache()
 
 
 def solve_family_member(family, a, b, resolution=None, schedule=None, cache=None):
-    """Solve (or fetch) the family field at level a and parameter b."""
+    """Solve (or fetch) the family field at level a and parameter b.
+
+    A field is cached under its lane, the family kind, t, R, P, level a,
+    resolution and (at a = 0) schedule, and its parameter b.  On a miss
+    the probe is warm-started in b: the Dirichlet problem at a != 0 has a
+    unique solution, so the field of a solved neighbour b' in the same
+    lane, plus the harmonic extension of the data difference
+    ((b - b') r cos(theta) on the disc, the constant b - b' on the
+    strip), starts one Newton solve at the lane's final level
+    (``schedule[-1]`` at a = 0, else a).  The nearest b' below and the
+    nearest above b are tried, the closer first, and the first converged
+    field is kept; it records b' as ``diagnostics["warm_seed"]`` and, at
+    a = 0, its one level under ``diagnostics["levels"]``, with no Cauchy
+    increments.  With no neighbour, or when every attempt diverges or
+    stagnates, the probe runs the full continuation along the schedule.
+    """
     cache = cache or _shared_cache
     schedule = tuple(schedule) if schedule is not None else DEFAULT_SCHEDULE
+    b = float(b)
+    level = schedule[-1] if a == 0.0 else a      # the level a warm start solves at
     if family.kind == "disc-sweep":
         res = resolution or DEFAULT_DISC_RESOLUTION
         domain = DomainSpec.disc(*res)
         spec = family.boundary(b)
-        key = ("disc", round(float(a), 15), spec.key(), res, schedule if a == 0 else None)
-        if a == 0.0:
-            return cache.get_or_solve(key, lambda: solve_disc_limit(spec, domain, schedule))
-        return cache.get_or_solve(key, lambda: solve_disc(spec, a, domain))
-    res = resolution or DEFAULT_STRIP_RESOLUTION
-    domain = DomainSpec.strip(res[0], res[1], family.R, family.P)
-    top, bottom = family.boundary(b)
-    key = ("strip", round(float(a), 15), family.t, top.key(), bottom.key(), res,
-           (family.R, family.P), schedule if a == 0 else None)
-    if a == 0.0:
-        return cache.get_or_solve(
-            key, lambda: solve_strip_limit(top, bottom, domain, schedule))
-    return cache.get_or_solve(key, lambda: solve_strip(top, bottom, a, domain))
+
+        def cold():
+            if a == 0.0:
+                return solve_disc_limit(spec, domain, schedule)
+            return solve_disc(spec, a, domain)
+
+        def warm(seed_b, seed):
+            r, theta = seed.grid_axes()
+            initial = seed.f[:-1] + (b - seed_b) * r[:-1, None] * np.cos(theta)
+            return solve_disc(spec, level, domain, initial=initial)
+    else:
+        res = resolution or DEFAULT_STRIP_RESOLUTION
+        domain = DomainSpec.strip(res[0], res[1], family.R, family.P)
+        top, bottom = family.boundary(b)
+
+        def cold():
+            if a == 0.0:
+                return solve_strip_limit(top, bottom, domain, schedule)
+            return solve_strip(top, bottom, a, domain)
+
+        def warm(seed_b, seed):
+            return solve_strip(top, bottom, level, domain, initial=seed.v[1:-1] + (b - seed_b))
+
+    lane = (family.kind, family.t, family.R, family.P, round(float(a), 15), res,
+            schedule if a == 0 else None)
+
+    def solve():
+        seeds = cache.nearest(lane, b)
+        for seed_b, seed in seeds:
+            try:
+                fld = warm(seed_b, seed)
+            except SolverDiverged:
+                continue
+            if fld.converged:
+                cache.warm_starts += 1
+                if a == 0.0:
+                    fld.is_limit = True
+                    fld.diagnostics["levels"] = (level_record(fld),)
+                fld.diagnostics["warm_seed"] = seed_b
+                return fld
+        if seeds:
+            cache.warm_fallbacks += 1
+        return cold()
+
+    return cache.get_or_solve((lane, b), solve)
 
 
 # ---------------------------------------------------------------------------

@@ -194,9 +194,18 @@ def detect_axis_zeros(field, tangential_threshold=TANGENTIAL_THRESHOLD,
 def classify_type(field, x_location, probe_eps=None):
     """Sign-pattern label of v(., 0) on the two sides of an isolated zero."""
     spline, xs = _axis_spline(field)
+    zeros = detect_axis_zeros(field) if probe_eps is None else ()
+    return _sign_label(field, spline, xs, x_location, zeros, probe_eps)
+
+
+def _sign_label(field, spline, xs, x_location, zeros, probe_eps=None):
+    """The label of classify_type from the axis spline and the interior axis zeros.
+
+    With no ``probe_eps`` the probes sit halfway to the nearest other zero
+    or to the end of the axis segment (a quarter period on the strip).
+    """
     if probe_eps is None:
-        others = [z for z in detect_axis_zeros(field)
-                  if abs(z - x_location) > 10 * ZERO_REFINE_TOL]
+        others = [z for z in zeros if abs(z - x_location) > 10 * ZERO_REFINE_TOL]
         if field.kind == "periodic-strip":
             period = field.domain.P
             gaps = [min(abs(z - x_location), period - abs(z - x_location)) for z in others]
@@ -398,6 +407,7 @@ def analyze_field(field, l=None, tangential_threshold=TANGENTIAL_THRESHOLD,
     interior, boundary = detect_axis_zeros(
         field, tangential_threshold=tangential_threshold,
         cluster_tol=cluster_tol, include_boundary=True)
+    spline, xs = _axis_spline(field)
     records = []
     scale = 1.0 if field.kind == "disc" else field.domain.P / (2.0 * np.pi)
     for z in interior:
@@ -409,7 +419,7 @@ def analyze_field(field, l=None, tangential_threshold=TANGENTIAL_THRESHOLD,
             gaps = [min(abs(w - z), period - abs(w - z)) for w in others] + [field.domain.R]
         radius = min(0.45 * min(gaps), 0.3 * scale)
         radius = max(radius, 4.0 * field.cell_scale())
-        label = classify_type(field, z)
+        label = _sign_label(field, spline, xs, z, interior)
         mult, samples, rad = winding_multiplicity(field, z, radius)
         records.append(SingularPointRecord(z, label, mult, samples, rad))
     for xb in boundary:

@@ -2,9 +2,17 @@ import numpy as np
 import pytest
 
 from slfib.calibration import ComplexPoint3, FiberChartPoint, fiber_points
-from slfib.elliptic import geometric_schedule
-from slfib.errors import BracketFailed, OutsideTotalSpace
+from slfib.elliptic import (
+    DomainSpec,
+    geometric_schedule,
+    solve_disc,
+    solve_disc_limit,
+    solve_strip,
+    solve_strip_limit,
+)
+from slfib.errors import BracketFailed, OutsideTotalSpace, SolverDiverged
 from slfib.fibrations import (
+    DEFAULT_SCHEDULE,
     DiscriminantRibbon,
     FamilySpec,
     SolverCache,
@@ -186,4 +194,107 @@ def test_cache_disk_keeps_diagnostics(tmp_path, monkeypatch):
     assert len(fld1.cauchy_increments) == len(FAST_SCHEDULE) - 1
     assert fld2.cauchy_increments == fld1.cauchy_increments
     assert fld2.diagnostics["levels"] == fld1.diagnostics["levels"]
+    assert fld2.diagnostics == fld1.diagnostics
+
+
+# warm starts in the family parameter
+
+def _max_diff(f1, f2):
+    return max(np.max(np.abs(f1.u - f2.u)), np.max(np.abs(f1.v - f2.v)))
+
+
+@pytest.mark.parametrize("kind, seed_b, b", [
+    ("disc", 1.25, 0.625), ("disc", 2.5, 2.1875), ("strip", 0.25, 0.125)])
+def test_warm_start_matches_the_full_continuation(kind, seed_b, b):
+    if kind == "disc":
+        fam, res = disc_family(), (32, 64)
+        ref = solve_disc_limit(fam.boundary(b), DomainSpec.disc(*res), DEFAULT_SCHEDULE)
+    else:
+        fam, res = strip_family(0.5), (64, 33)
+        ref = solve_strip_limit(*fam.boundary(b), DomainSpec.strip(*res), DEFAULT_SCHEDULE)
+    cache = SolverCache()
+    seed = solve_family_member(fam, 0.0, seed_b, res, cache=cache)
+    fld = solve_family_member(fam, 0.0, b, res, cache=cache)
+    assert (cache.misses, cache.warm_starts, cache.warm_fallbacks) == (2, 1, 0)
+    assert "warm_seed" not in seed.diagnostics
+    assert len(seed.cauchy_increments) == len(DEFAULT_SCHEDULE) - 1
+    assert fld.diagnostics["warm_seed"] == seed_b
+    assert fld.cauchy_increments == ()
+    assert fld.is_limit and fld.converged
+    (level,) = fld.diagnostics["levels"]
+    assert level["a"] == DEFAULT_SCHEDULE[-1] == fld.a
+    assert _max_diff(fld, ref) <= 1e-11
+
+
+@pytest.mark.parametrize("failure", ["diverges", "stagnates"])
+def test_warm_start_falls_back_to_the_full_schedule(failure, monkeypatch):
+    import slfib.fibrations as fib
+
+    # the unpatched jump 0 -> 0.3125 also fails; the patch makes it fail everywhere
+    attempts = []
+
+    def failing_solve_disc(*args, **kwargs):
+        attempts.append(args)
+        if failure == "diverges":
+            raise SolverDiverged("forced", residual=1.0, iterations=0)
+        fld = solve_disc(*args, **kwargs)
+        fld.converged = False
+        return fld
+
+    fam, res = disc_family(), (32, 64)
+    cache = SolverCache()
+    solve_family_member(fam, 0.0, 0.0, res, cache=cache)
+    monkeypatch.setattr(fib, "solve_disc", failing_solve_disc)
+    fld = solve_family_member(fam, 0.0, 0.3125, res, cache=cache)
+    ref = solve_disc_limit(fam.boundary(0.3125), DomainSpec.disc(*res), DEFAULT_SCHEDULE)
+    assert len(attempts) == 1
+    assert (cache.misses, cache.warm_starts, cache.warm_fallbacks) == (2, 0, 1)
+    assert "warm_seed" not in fld.diagnostics
+    assert np.array_equal(fld.f, ref.f) and np.array_equal(fld.v, ref.v)
+    assert fld.cauchy_increments == ref.cauchy_increments
+    assert len(fld.cauchy_increments) == len(DEFAULT_SCHEDULE) - 1
+    assert fld.diagnostics["levels"] == ref.diagnostics["levels"]
+
+
+def test_warm_start_stays_in_its_lane():
+    cache = SolverCache()
+    fam = strip_family(0.5)
+    solve_family_member(fam, 0.0, 0.2, STRIP_RES, FAST_SCHEDULE, cache=cache)
+    others = [
+        solve_family_member(fam, 0.0, 0.25, (32, 17), FAST_SCHEDULE, cache=cache),
+        solve_family_member(strip_family(0.4), 0.0, 0.25, STRIP_RES, FAST_SCHEDULE, cache=cache),
+        solve_family_member(fam, 0.0, 0.25, STRIP_RES, geometric_schedule(0.5, 0.25, 1e-3),
+                            cache=cache),
+        solve_family_member(fam, 0.5, 0.25, STRIP_RES, cache=cache),
+    ]
+    assert (cache.misses, cache.warm_starts, cache.warm_fallbacks) == (5, 0, 0)
+    assert not any("warm_seed" in fld.diagnostics for fld in others)
+    # the same lane does seed
+    fld = solve_family_member(fam, 0.0, 0.25, STRIP_RES, FAST_SCHEDULE, cache=cache)
+    assert cache.warm_starts == 1 and fld.diagnostics["warm_seed"] == 0.2
+
+
+def test_warm_start_away_from_level_zero():
+    fam, res = strip_family(0.5), (64, 33)
+    cache = SolverCache()
+    solve_family_member(fam, 0.25, 0.1, res, cache=cache)
+    fld = solve_family_member(fam, 0.25, 0.15, res, cache=cache)
+    ref = solve_strip(*fam.boundary(0.15), 0.25, DomainSpec.strip(*res))
+    assert cache.warm_starts == 1 and fld.diagnostics["warm_seed"] == 0.1
+    assert not fld.is_limit and "levels" not in fld.diagnostics
+    assert _max_diff(fld, ref) <= 1e-11
+
+
+def test_cache_disk_keeps_the_warm_seed(tmp_path, monkeypatch):
+    monkeypatch.setenv("SLFIB_CACHE_DIR", str(tmp_path))
+    fam = strip_family(0.5)
+    c1 = SolverCache()
+    solve_family_member(fam, 0.0, 0.25, STRIP_RES, FAST_SCHEDULE, cache=c1)
+    fld1 = solve_family_member(fam, 0.0, 0.125, STRIP_RES, FAST_SCHEDULE, cache=c1)
+    assert c1.warm_starts == 1
+    c2 = SolverCache()
+    fld2 = solve_family_member(fam, 0.0, 0.125, STRIP_RES, FAST_SCHEDULE, cache=c2)
+    assert c2.misses == 0  # served from disk
+    assert fld2.diagnostics["warm_seed"] == 0.25
+    assert fld2.cauchy_increments == () and fld2.is_limit
     assert fld2.diagnostics == fld1.diagnostics

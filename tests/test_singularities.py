@@ -186,3 +186,25 @@ def test_analyze_cone_field():
 def test_boundary_record_json():
     rec = SingularPointRecord(1.0, None, None, boundary=True)
     assert rec.to_json()["multiplicity"] == "undefined-at-boundary"
+
+
+def test_analyze_detects_axis_zeros_once(monkeypatch):
+    import slfib.singularities as sing
+
+    fld = field_from_callables(STRIP, 0.0, lambda x, y: y * np.sin(x),
+                               lambda x, y: np.cos(x) + 0 * y)
+    calls = []
+    detect = sing.detect_axis_zeros
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return detect(*args, **kwargs)
+
+    monkeypatch.setattr(sing, "detect_axis_zeros", counted)
+    report = analyze_field(fld)
+    assert len(calls) == 1
+    recs = [(r.x_location, r.type, r.multiplicity) for r in report["records"]]
+    assert [(t, m) for _, t, m in recs] == [("decreasing", 1), ("increasing", 1)]
+    assert np.allclose([x for x, _, _ in recs], [0.5 * np.pi, 1.5 * np.pi], atol=1e-7)
+    # the public classify_type gives the same labels from its own detection
+    assert [classify_type(fld, x) for x, _, _ in recs] == ["decreasing", "increasing"]
