@@ -23,6 +23,8 @@ from .errors import DegenerateFrame, OutOfDomain
 
 FD_STEP = 1e-4
 SINGULAR_EXCLUSION_FACTOR = 4.0  # frames are skipped within 4h of a cone point
+EXCLUDE_RADIUS_CELLS = 1.0       # field_equation_residual's exclusion radius, in cells
+SINGULAR_V_THRESHOLD = 1e-6      # |v| below this marks an axis node as singular
 _GRAM_TOL = 1e-12
 
 
@@ -139,8 +141,12 @@ def fiber_points(field, chart):
     return ComplexPoint3(complex(z1), complex(z2), complex(z3))
 
 
-def frame_from_chart(field, chart, h=FD_STEP):
-    """Tangent frame at a chart point by central differences in (x, y, phase)."""
+def frame_from_chart(field, chart):
+    """Tangent frame at a chart point by central differences in (x, y, phase).
+
+    The step is FD_STEP in each coordinate.
+    """
+    h = FD_STEP
 
     def p(x, y, phase):
         pt = fiber_points(field, FiberChartPoint(x, y, phase, chart.a))
@@ -154,28 +160,28 @@ def frame_from_chart(field, chart, h=FD_STEP):
     return TangentFrame(base, tuple(ex), tuple(ey), tuple(ep))
 
 
-def near_cone_point(field, x, y, h=FD_STEP):
+def near_cone_point(field, x, y):
     """Whether (x, y) lies in the exclusion ball of a cone point.
 
     Cone points exist only at level a = 0, where the graph functions stop
     being differentiable; residual checks are skipped within a ball of
-    radius 4h around them.
+    radius 4h around them, h = FD_STEP.
     """
     if abs(field.a) > 1e-12:
         return False
     u, v = field.uv(x, y)
-    rad = SINGULAR_EXCLUSION_FACTOR * h
+    rad = SINGULAR_EXCLUSION_FACTOR * FD_STEP
     return bool(np.hypot(float(v), y) < rad) and abs(y) < rad
 
 
-def field_equation_residual(field, exclude_radius_cells=1.0, v_threshold=1e-6):
+def field_equation_residual(field):
     """Max interior residual of the two first-order graph equations.
 
     The equations are u_x = v_y and v_x = -2 sqrt(v^2 + y^2 + a^2) u_y,
     evaluated with second-order central differences on the field's grid.
-    At level a = 0, nodes within ``exclude_radius_cells`` grid cells of an
-    axis point with |v| below ``v_threshold`` are excluded, since the
-    graph functions need not be differentiable there.  On disc grids the
+    At level a = 0, nodes within EXCLUDE_RADIUS_CELLS grid cells of an
+    axis point with |v| below SINGULAR_V_THRESHOLD are excluded, since
+    the graph functions need not be differentiable there.  On disc grids the
     two rings nearest the pole and the ring adjacent to the boundary are
     also excluded: the derived grids switch stencils there and the
     crossover rings carry first-order artefacts rather than field error.
@@ -202,10 +208,11 @@ def field_equation_residual(field, exclude_radius_cells=1.0, v_threshold=1e-6):
 
     if abs(a) < 1e-12:
         cell = field.cell_scale()
-        singular = (np.abs(v) < v_threshold) & (np.abs(yg) <= exclude_radius_cells * cell)
+        radius = EXCLUDE_RADIUS_CELLS * cell
+        singular = (np.abs(v) < SINGULAR_V_THRESHOLD) & (np.abs(yg) <= radius)
         for sx, sy in zip(xg[singular], yg[singular]):
             dist = np.hypot(xg - sx, yg - sy)
-            mask = mask & (dist > exclude_radius_cells * cell)
+            mask = mask & (dist > radius)
 
     if not mask.any():
         return 0.0

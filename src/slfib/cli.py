@@ -92,24 +92,28 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _merge_config(args, parser):
-    """Overlay config-file values under explicit flags."""
-    if not getattr(args, "config", None):
+def _parse_args(argv):
+    """Parse argv; config-file values replace the defaults, explicit flags win.
+
+    The config keys that name an option of the chosen subcommand become
+    that subcommand's defaults, and argv is parsed again, so a flag given
+    at its default value still wins.  A key whose option the first parse
+    already moved off its default is dropped, so a repeatable flag such
+    as --cos replaces the config's list instead of extending it.
+    """
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)
+    if not args.config:
         return args
     with open(args.config) as fh:
         conf = json.load(fh)
-    defaults = {}
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            sub = action.choices[args.command]
-            defaults = {a.dest: a.default for a in sub._actions}
-    for key, value in conf.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            continue
-        if getattr(args, attr) == defaults.get(attr, object()):
-            setattr(args, attr, value)
-    return args
+    sub = commands[args.command]
+    own = {key.replace("-", "_"): value for key, value in conf.items()}
+    sub.set_defaults(**{
+        dest: value for dest, value in own.items()
+        if hasattr(args, dest) and dest not in ("command", "fn", "config")
+        and getattr(args, dest) == sub.get_default(dest)})
+    return parser.parse_args(argv)
 
 
 def _domain_from_args(args):
@@ -395,6 +399,7 @@ def cmd_oracle(args):
 
 
 def build_parser():
+    """The argument parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="slfib",
         description="Numerical laboratory for invariant special Lagrangian fibrations",
@@ -404,8 +409,6 @@ def build_parser():
     def common(p):
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--config", default=None, help="JSON config file; flags win")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("solve", help="solve one Dirichlet problem and dump the field")
     _add_solve_args(p)
@@ -428,6 +431,7 @@ def build_parser():
     p.add_argument("--nx", type=int, default=None)
     p.add_argument("--ny", type=int, default=None)
     p.add_argument("--schedule", default="")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (section7)")
     common(p)
     p.set_defaults(fn=cmd_sweep)
 
@@ -450,6 +454,7 @@ def build_parser():
     p.add_argument("--count", type=int, default=64)
     p.add_argument("--extent", type=float, default=1.5)
     p.add_argument("--out-file", default="fiber.csv")
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(fn=cmd_fiber_sample)
 
@@ -460,6 +465,7 @@ def build_parser():
     p.add_argument("--frames", type=int, default=100)
     p.add_argument("--extent", type=float, default=1.5)
     p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(fn=cmd_sl_check)
 
@@ -479,13 +485,11 @@ def build_parser():
     common(p)
     p.set_defaults(fn=cmd_oracle)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args = _merge_config(args, parser)
+    args = _parse_args(argv)
     try:
         return args.fn(args)
     except NonisolatedSingularities as exc:

@@ -76,6 +76,9 @@ CHORD_CONTRACTION = 0.5      # a chord step must cut the residual to this fracti
 ROUNDOFF_SAFETY = 0.5        # share of eps * || |J| |x| ||_inf taken as the residual floor
 GRADING = 0.4                # radial grading strength toward r = 1
 DEFAULT_A_MIN = 1e-4
+CLOSURE_DEFECT_TOL = 1e-6    # largest periodic closure defect of u that reconstruct_u accepts
+BOUNDARY_TOL = 1e-12         # validate: stored boundary values against the data
+MAXPRIN_SLACK = 1e-8         # validate: slack of the maximum principle
 # Part of every SolverCache key: change it whenever solver output changes,
 # so that fields cached on disk by an older solver are not reused.
 SOLVER_VERSION = "chord-newton-2"
@@ -123,13 +126,6 @@ class BoundarySpec:
     def max_abs(self):
         thetas = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
         return float(np.max(np.abs(self.sample(thetas))))
-
-    def max_harmonic(self):
-        ks = [k for k, _ in self.cos_coeffs] + [k for k, _ in self.sin_coeffs]
-        return max(ks) if ks else 0
-
-    def shifted(self, delta):
-        return BoundarySpec(self.constant + float(delta), self.cos_coeffs, self.sin_coeffs)
 
     def key(self):
         return (self.constant, self.cos_coeffs, self.sin_coeffs)
@@ -668,7 +664,7 @@ class SolutionField:
     def _get_interp(self, name):
         if name not in self._interp:
             grid = getattr(self, name)
-            center = {"u": self.u_center, "v": self.v_center, "f": self.f_center}[name]
+            center = {"u": self.u_center, "v": self.v_center}[name]
             self._interp[name] = self._interpolator(grid, center)
         return self._interp[name]
 
@@ -687,11 +683,6 @@ class SolutionField:
 
     def uv(self, x, y):
         return self._eval("u", x, y), self._eval("v", x, y)
-
-    def potential_at(self, x, y):
-        if self.f is None:
-            raise ValueError("field carries no potential grid")
-        return self._eval("f", x, y)
 
     # -- axis sampling -------------------------------------------------------
 
@@ -733,26 +724,26 @@ class SolutionField:
         gy = s * gr + (c / rr) * gth
         return gx, gy
 
-    def validate(self, tol_boundary=1e-12, tol_maxprin=1e-8):
+    def validate(self):
         """Check the container invariants; raises AssertionError on failure."""
         if self.kind == "disc":
             g = disc_grid(self.domain.n_x, self.domain.n_y)
             phi = self.boundary["circle"].sample(g.theta)
-            assert np.max(np.abs(self.f[-1] - phi)) <= tol_boundary, "boundary mismatch"
+            assert np.max(np.abs(self.f[-1] - phi)) <= BOUNDARY_TOL, "boundary mismatch"
             v_bnd = self.v[-1]
             interior = self.v[:-1]
         else:
             g = strip_grid(self.domain.n_x, self.domain.n_y, self.domain.R, self.domain.P)
             top = self.boundary["top"].sample_x(g.x, self.domain.P)
             bot = self.boundary["bottom"].sample_x(g.x, self.domain.P)
-            assert np.max(np.abs(self.v[-1] - top)) <= tol_boundary, "top boundary mismatch"
-            assert np.max(np.abs(self.v[0] - bot)) <= tol_boundary, "bottom boundary mismatch"
+            assert np.max(np.abs(self.v[-1] - top)) <= BOUNDARY_TOL, "top boundary mismatch"
+            assert np.max(np.abs(self.v[0] - bot)) <= BOUNDARY_TOL, "bottom boundary mismatch"
             v_bnd = np.concatenate([self.v[0], self.v[-1]])
             interior = self.v[1:-1]
             j0 = (self.domain.n_y - 1) // 2
             assert abs(self.u[j0, 0]) <= 1e-12, "u(0,0) normalisation broken"
-        assert interior.max() <= v_bnd.max() + tol_maxprin, "maximum principle violated"
-        assert interior.min() >= v_bnd.min() - tol_maxprin, "minimum principle violated"
+        assert interior.max() <= v_bnd.max() + MAXPRIN_SLACK, "maximum principle violated"
+        assert interior.min() >= v_bnd.min() - MAXPRIN_SLACK, "minimum principle violated"
         return True
 
 
@@ -919,13 +910,14 @@ def solve_strip_limit(top, bottom, domain=None, schedule=None, tol=None):
         lambda fld: fld.v[1:-1])
 
 
-def reconstruct_u(field, defect_tol=1e-6):
+def reconstruct_u(field):
     """Rebuild u from v on a strip via u_x = v_y and the x = 0 column.
 
     u(0, y) comes from integrating u_y = -(1/2)(v^2+y^2+a^2)^(-1/2) v_x up
     the column x = 0 from the anchor u(0,0) = 0, then each row integrates
     u_x = v_y.  The periodic closure defect of every row is recorded; a
-    defect above tolerance signals an unconverged v or incompatible data.
+    defect above CLOSURE_DEFECT_TOL signals an unconverged v or
+    incompatible data.
     """
     if field.kind != "periodic-strip":
         raise ValueError("reconstruct_u applies to strip fields")
@@ -938,7 +930,7 @@ def reconstruct_u(field, defect_tol=1e-6):
 
     defects = hx * vy.sum(axis=1)
     worst = float(np.max(np.abs(defects)))
-    if worst > defect_tol:
+    if worst > CLOSURE_DEFECT_TOL:
         raise MonodromyDefect("periodic closure of u failed", defect=worst)
 
     q = v**2 + y[:, None] ** 2 + a * a

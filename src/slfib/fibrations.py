@@ -47,7 +47,7 @@ from .elliptic import (
     solve_strip_limit,
 )
 from .errors import BracketFailed, OutsideTotalSpace, SolverDiverged
-from .singularities import TANGENTIAL_THRESHOLD, detect_axis_zeros
+from .singularities import detect_axis_zeros
 
 DEFAULT_DISC_RESOLUTION = (64, 128)
 DEFAULT_STRIP_RESOLUTION = (128, 65)
@@ -55,6 +55,9 @@ DEFAULT_SCHEDULE = geometric_schedule(1.0, 0.25)
 ROOT_TOL = 1e-6
 CURVE_TOL = 1e-5
 CACHE_ENV = "SLFIB_CACHE_DIR"
+BISECT_MAX_ITER = 200
+BRACKET_MAX = 1024.0             # _grown_bracket doubles its half-width up to this
+REFINE_WINDOW = 1e-4             # refine_band_edge's first half-width about the coarse root
 
 
 @dataclass(frozen=True)
@@ -89,9 +92,6 @@ class FamilySpec:
     t: float = 0.0                    # strip deformation parameter
     R: float = 1.0
     P: float = 2.0 * np.pi
-    a_grid: tuple = ()
-    b_grid: tuple = ()
-    t_grid: tuple = ()
 
     def __post_init__(self):
         if self.kind not in ("disc-sweep", "strip-sweep"):
@@ -126,7 +126,8 @@ class SolverCache:
     to a temporary file in the cache directory and renamed into place,
     so processes sharing the directory never read a partial file.
 
-    ``misses`` counts the solves that ran.  Family fields are keyed
+    ``hits`` counts the fields served from memory or from disk and
+    ``misses`` the solves that ran.  Family fields are keyed
     (lane, b), so ``nearest`` reads a lane's solved fields straight off
     the in-memory entries; of the solves that had such a neighbour,
     ``warm_starts`` counts those that started from one and
@@ -159,6 +160,7 @@ class SolverCache:
         fld = None
         if path and os.path.exists(path):
             fld = load_field(path)
+            self.hits += 1
         if fld is None:
             self.misses += 1
             fld = solve_fn()
@@ -295,7 +297,7 @@ def vhat_probe(a, alpha, point, resolution=None, schedule=None, cache=None):
     return _probe(disc_family(), a, point, resolution, schedule, cache)(alpha)
 
 
-def _bisect(fn, lo, hi, tol, max_iter=200):
+def _bisect(fn, lo, hi, tol):
     flo = fn(lo)
     fhi = fn(hi)
     if flo == 0.0:
@@ -305,7 +307,7 @@ def _bisect(fn, lo, hi, tol, max_iter=200):
     if (flo < 0.0) == (fhi < 0.0):
         raise BracketFailed("no sign change over the bracket", lo=lo, hi=hi,
                             f_lo=flo, f_hi=fhi)
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if hi - lo < tol:
             return mid
@@ -337,14 +339,14 @@ def find_alpha0_alpha1(schedule=None, resolution=None, bracket=(-20.0, 20.0),
     return alpha0, alpha1
 
 
-def _grown_bracket(fn, tol, b0=2.0, b_max=1024.0):
+def _grown_bracket(fn, tol, b0=2.0):
     b = b0
-    while b <= b_max:
+    while b <= BRACKET_MAX:
         try:
             return _bisect(fn, -b, b, tol)
         except BracketFailed:
             b *= 2.0
-    raise BracketFailed("no sign change up to the maximal bracket", b_max=b_max)
+    raise BracketFailed("no sign change up to the maximal bracket", b_max=BRACKET_MAX)
 
 
 def project_to_base(p, family, resolution=None, schedule=None, cache=None,
@@ -397,15 +399,15 @@ def alpha_beta_curves(t_grid, resolution=None, schedule=None, tol=CURVE_TOL,
 
 
 def refine_band_edge(family, which, coarse, tol=1e-9, resolution=None,
-                     schedule=None, cache=None, window=1e-4):
+                     schedule=None, cache=None):
     """Re-bisect a band-edge root to high accuracy from a coarse value.
 
-    The bracket is [coarse - w, coarse + w], with w = window doubled
-    until the probe changes sign over it.
+    The bracket is [coarse - w, coarse + w], with w = REFINE_WINDOW
+    doubled until the probe changes sign over it.
     """
     x0 = 0.0 if which == "alpha" else np.pi
     fn = _probe(family, 0.0, (x0, 0.0), resolution, schedule, cache)
-    return coarse + _grown_bracket(lambda d: fn(coarse + d), tol, b0=window)
+    return coarse + _grown_bracket(lambda d: fn(coarse + d), tol, b0=REFINE_WINDOW)
 
 
 def ribbon_report(family, params):
@@ -431,8 +433,7 @@ def ribbon_report(family, params):
 
 
 def singular_count_profile(t, b_samples=None, resolution=None, schedule=None,
-                           cache=None, cluster_tol=None,
-                           tangential_threshold=TANGENTIAL_THRESHOLD):
+                           cache=None):
     """Axis-zero counts per period across the strip-sweep band at t.
 
     With no explicit samples the band edges are refined to 1e-9 and the
@@ -456,7 +457,6 @@ def singular_count_profile(t, b_samples=None, resolution=None, schedule=None,
     out = []
     for b in b_samples:
         fld = solve_family_member(fam, 0.0, b, resolution, schedule, cache)
-        zeros = detect_axis_zeros(fld, tangential_threshold=tangential_threshold,
-                                  cluster_tol=cluster_tol)
+        zeros = detect_axis_zeros(fld)
         out.append((float(b), len(zeros), tuple(zeros)))
     return out

@@ -30,6 +30,8 @@ from .errors import OracleDiverged
 _ORACLE_BISECT_STEPS = 90
 _ORACLE_NEWTON_STEPS = 4
 _ORACLE_TOL = 1e-13
+_CIRCLE_QUADRATURE = 8192        # nodes of na_potential_circle's FFT quadrature
+_CIRCLE_COEFF_FLOOR = 1e-13      # smaller potential coefficients are dropped
 
 
 @dataclass(frozen=True)
@@ -113,8 +115,10 @@ def holo_disc_area(a):
     return 2.0 * np.pi * abs(a)
 
 
-def _na_uv_grid(a, x, y):
-    """Vectorised solve of the slice system; returns (u, v) arrays.
+def na_oracle_grid(a, x, y):
+    """Vectorised slice oracle over broadcastable coordinate arrays.
+
+    Solves the slice system at every point; returns (u, v) arrays.
 
     Off the axes the system reduces, via u v = -x y, to one strictly
     monotone scalar equation in s = u^2:
@@ -230,13 +234,8 @@ def _na_uv_grid(a, x, y):
 
 def na_oracle(a, x, y):
     """Scalar slice oracle; returns the unique (u, v) at the point (x, y)."""
-    u, v = _na_uv_grid(a, np.atleast_1d(float(x)), np.atleast_1d(float(y)))
+    u, v = na_oracle_grid(a, np.atleast_1d(float(x)), np.atleast_1d(float(y)))
     return float(u[0]), float(v[0])
-
-
-def na_oracle_grid(a, x, y):
-    """Vectorised slice oracle over broadcastable coordinate arrays."""
-    return _na_uv_grid(a, x, y)
 
 
 class NaSlice:
@@ -264,7 +263,7 @@ class NaSlice:
         return np.isfinite(x) & np.isfinite(y)
 
 
-def na_potential_circle(a, coeff_floor=1e-13, n_quad=8192):
+def na_potential_circle(a):
     """Potential boundary data on the unit circle induced by the slice graph.
 
     The graph functions admit a potential with f_x = v and f_y = u, so on
@@ -275,6 +274,7 @@ def na_potential_circle(a, coeff_floor=1e-13, n_quad=8192):
     """
     from .elliptic import BoundarySpec
 
+    n_quad = _CIRCLE_QUADRATURE
     tau = 2.0 * np.pi * np.arange(n_quad) / n_quad
     u, v = na_oracle_grid(a, np.cos(tau), np.sin(tau))
     g = -v * np.sin(tau) + u * np.cos(tau)
@@ -291,9 +291,9 @@ def na_potential_circle(a, coeff_floor=1e-13, n_quad=8192):
         c_cos = -b_k / k
         c_sin = a_k / k
         constant += b_k / k
-        if abs(c_cos) >= coeff_floor:
+        if abs(c_cos) >= _CIRCLE_COEFF_FLOOR:
             cos_coeffs[k] = c_cos
-        if abs(c_sin) >= coeff_floor:
+        if abs(c_sin) >= _CIRCLE_COEFF_FLOOR:
             sin_coeffs[k] = c_sin
     return BoundarySpec.make(constant, cos_coeffs, sin_coeffs)
 

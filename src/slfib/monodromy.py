@@ -14,6 +14,8 @@ Hermite-style unimodular row reduction.
 
 from dataclasses import dataclass, field as dc_field
 
+SPINE_LENGTH = 2.0               # length of each ribbon piece's spine past the vertex
+
 
 def _tupled(rows):
     return tuple(tuple(int(x) for x in r) for r in rows)
@@ -236,7 +238,7 @@ def lattice_contains(basis, vector):
 # ---------------------------------------------------------------------------
 # ribbon figure geometry
 
-def ribbon_figure_data(vertex, spine_length=2.0, width=0.5, overhang=0.25):
+def ribbon_figure_data(vertex, width=0.5, overhang=0.25):
     """Planar ribbon pieces modelling the thickened discriminant.
 
     Positive vertex: three rectangles in the hyperplanes dual to the
@@ -255,7 +257,7 @@ def ribbon_figure_data(vertex, spine_length=2.0, width=0.5, overhang=0.25):
         }
         for pid, (d, normal) in directions.items():
             d = _normalise(d)
-            lo, hi = -overhang, spine_length
+            lo, hi = -overhang, SPINE_LENGTH
             corners = [
                 (0.0 + lo * d[0], lo * d[1], lo * d[2]),
                 (width + lo * d[0], lo * d[1], lo * d[2]),
@@ -272,7 +274,7 @@ def ribbon_figure_data(vertex, spine_length=2.0, width=0.5, overhang=0.25):
         ang = math.radians(angle_deg)
         e = (0.0, math.cos(ang), math.sin(ang))
         n_in = (0.0, -math.sin(ang), math.cos(ang))  # transverse, in-plane
-        lo, hi = -overhang, spine_length
+        lo, hi = -overhang, SPINE_LENGTH
         half = 0.5 * width
         corners = [
             tuple(lo * e[i] - half * n_in[i] for i in range(3)),

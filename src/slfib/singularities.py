@@ -33,7 +33,9 @@ ZERO_REFINE_TOL = 1e-8
 PROBE_SIGN_FLOOR = 1e-9
 MIN_CIRCLE_NORM = 1e-7
 WINDING_DEFECT = 0.1
+MIN_CIRCLE_SAMPLES = 128
 MAX_CIRCLE_SAMPLES = 2**16
+BILINEAR_REFINE_ITERS = 40
 
 TYPES = ("increasing", "decreasing", "maximum", "minimum")
 
@@ -90,16 +92,16 @@ def is_axis_degenerate(field):
     return False
 
 
-def detect_axis_zeros(field, tangential_threshold=TANGENTIAL_THRESHOLD,
-                      cluster_tol=None, include_boundary=False):
+def detect_axis_zeros(field, include_boundary=False):
     """Locate the zeros of the cubic-interpolated v(., 0).
 
     Sign changes are refined by bracketed root finding to 1e-8;
-    tangential zeros (no sign change) are local minima of |v| below the
-    threshold.  Zeros closer together than ``cluster_tol`` merge into a
-    single location (a fused even-multiplicity point seen at finite
-    level-proxy accuracy).  Returns sorted interior locations; with
-    ``include_boundary`` a second list of boundary zeros (disc only).
+    tangential zeros (no sign change) are local minima of |v| below
+    TANGENTIAL_THRESHOLD.  Zeros closer together than twice the median
+    axis spacing merge into a single location (a fused even-multiplicity
+    point seen at finite level-proxy accuracy).  Returns sorted interior
+    locations; with ``include_boundary`` a second list of boundary zeros
+    (disc only).
     """
     if not field.is_singular_level:
         raise ValueError("axis zero detection expects a singular-level field")
@@ -109,10 +111,9 @@ def detect_axis_zeros(field, tangential_threshold=TANGENTIAL_THRESHOLD,
     lo, hi = float(xs[0]), float(xs[-1])
     dense = np.linspace(lo, hi, max(2048, 16 * len(xs)))
     vals = spline(dense)
-    if np.max(np.abs(vals)) < tangential_threshold:
+    if np.max(np.abs(vals)) < TANGENTIAL_THRESHOLD:
         raise NonisolatedSingularities("v below threshold along the whole axis")
-    if cluster_tol is None:
-        cluster_tol = 2.0 * float(np.median(np.diff(xs)))
+    cluster_tol = 2.0 * float(np.median(np.diff(xs)))
 
     zeros = []
     sign = np.sign(vals)
@@ -147,7 +148,7 @@ def detect_axis_zeros(field, tangential_threshold=TANGENTIAL_THRESHOLD,
         res = minimize_scalar(value_at, bounds=(dense[i] - step, dense[i] + step),
                               method="bounded",
                               options={"xatol": ZERO_REFINE_TOL / 10})
-        if abs(float(res.fun)) < tangential_threshold:
+        if abs(float(res.fun)) < TANGENTIAL_THRESHOLD:
             x0 = float(res.x)
             if periodic:
                 x0 = lo + (x0 - lo) % period
@@ -171,7 +172,6 @@ def detect_axis_zeros(field, tangential_threshold=TANGENTIAL_THRESHOLD,
 
     boundary_zeros = []
     if field.kind == "disc":
-        edge = max(tangential_threshold, 10 * ZERO_REFINE_TOL)
         locations, interior_locs = [], locations
         for z in interior_locs:
             if 1.0 - abs(z) < max(cluster_tol, 1e-6):
@@ -179,7 +179,7 @@ def detect_axis_zeros(field, tangential_threshold=TANGENTIAL_THRESHOLD,
             else:
                 locations.append(z)
         for xb in (-1.0, 1.0):
-            if abs(float(spline(xb))) < tangential_threshold and xb not in boundary_zeros:
+            if abs(float(spline(xb))) < TANGENTIAL_THRESHOLD and xb not in boundary_zeros:
                 boundary_zeros.append(xb)
         boundary_zeros.sort()
     else:
@@ -191,30 +191,27 @@ def detect_axis_zeros(field, tangential_threshold=TANGENTIAL_THRESHOLD,
     return locations
 
 
-def classify_type(field, x_location, probe_eps=None):
+def classify_type(field, x_location):
     """Sign-pattern label of v(., 0) on the two sides of an isolated zero."""
     spline, xs = _axis_spline(field)
-    zeros = detect_axis_zeros(field) if probe_eps is None else ()
-    return _sign_label(field, spline, xs, x_location, zeros, probe_eps)
+    return _sign_label(field, spline, xs, x_location, detect_axis_zeros(field))
 
 
-def _sign_label(field, spline, xs, x_location, zeros, probe_eps=None):
+def _sign_label(field, spline, xs, x_location, zeros):
     """The label of classify_type from the axis spline and the interior axis zeros.
 
-    With no ``probe_eps`` the probes sit halfway to the nearest other zero
-    or to the end of the axis segment (a quarter period on the strip).
+    The probes sit halfway to the nearest other zero or to the end of the
+    axis segment (a quarter period on the strip).
     """
-    if probe_eps is None:
-        others = [z for z in zeros if abs(z - x_location) > 10 * ZERO_REFINE_TOL]
-        if field.kind == "periodic-strip":
-            period = field.domain.P
-            gaps = [min(abs(z - x_location), period - abs(z - x_location)) for z in others]
-            edge_gap = period / 4.0
-        else:
-            gaps = [abs(z - x_location) for z in others]
-            edge_gap = min(x_location - xs[0], xs[-1] - x_location)
-        gap = min(gaps + [edge_gap])
-        probe_eps = 0.5 * gap
+    others = [z for z in zeros if abs(z - x_location) > 10 * ZERO_REFINE_TOL]
+    if field.kind == "periodic-strip":
+        period = field.domain.P
+        gaps = [min(abs(z - x_location), period - abs(z - x_location)) for z in others]
+        edge_gap = period / 4.0
+    else:
+        gaps = [abs(z - x_location) for z in others]
+        edge_gap = min(x_location - xs[0], xs[-1] - x_location)
+    probe_eps = 0.5 * min(gaps + [edge_gap])
     if field.kind == "periodic-strip":
         period = field.domain.P
         left = float(spline((x_location - probe_eps) % period))
@@ -250,20 +247,21 @@ def _difference_on_circle(field, x0, radius, m):
     return u1 - u2, v1 + v2
 
 
-def winding_multiplicity(field, x_location, radius, m_init=128):
+def winding_multiplicity(field, x_location, radius):
     """Winding number of the reflected-difference field about an axis zero.
 
     Samples the difference field on the circle, accumulates wrapped angle
-    increments and divides by 2 pi.  The sample count doubles (up to
-    2^16) and the radius shrinks when samples come too close to zero or
-    the total fails to settle on an integer.
+    increments and divides by 2 pi.  The sample count doubles (from
+    MIN_CIRCLE_SAMPLES up to MAX_CIRCLE_SAMPLES) and the radius shrinks
+    when samples come too close to zero or the total fails to settle on
+    an integer.
     """
     rad = float(radius)
     for shrink in range(6):
         if not _circle_in_domain(field, x_location, rad):
             rad *= 0.6
             continue
-        m = m_init
+        m = MIN_CIRCLE_SAMPLES
         while m <= MAX_CIRCLE_SAMPLES:
             du, dv = _difference_on_circle(field, x_location, rad, m)
             norms = np.hypot(du, dv)
@@ -279,7 +277,7 @@ def winding_multiplicity(field, x_location, radius, m_init=128):
                 return int(nearest), m, rad
             m *= 2
         rad *= 0.6
-    du, dv = _difference_on_circle(field, x_location, rad, m_init)
+    du, dv = _difference_on_circle(field, x_location, rad, MIN_CIRCLE_SAMPLES)
     if np.hypot(du, dv).min() <= MIN_CIRCLE_NORM:
         raise CircleHitsZero("difference field vanishes on every tried circle",
                              x=x_location, radius=rad)
@@ -295,7 +293,7 @@ def _circle_in_domain(field, x0, radius):
     return radius < field.domain.R - 1e-12
 
 
-def count_zeros_between(field1, field2, refine_iters=40):
+def count_zeros_between(field1, field2):
     """Count and locate zeros of the difference of two fields.
 
     Sweeps grid cells with a four-corner degree test on
@@ -329,7 +327,7 @@ def count_zeros_between(field1, field2, refine_iters=40):
     locations = []
     dedupe = 0.25 * field1.cell_scale()
     for i, j in hits:
-        s, t = _bilinear_zero(cu[i, j], cv[i, j], refine_iters)
+        s, t = _bilinear_zero(cu[i, j], cv[i, j])
         loc = (float(_bilinear(cx[i, j], s, t)), float(_bilinear(cy[i, j], s, t)))
         # a zero on a shared cell edge registers in both cells: keep one
         if all(np.hypot(loc[0] - p[0], loc[1] - p[1]) > dedupe for p in locations):
@@ -343,7 +341,7 @@ def _bilinear(corners, s, t):
             + c11 * s * t + c01 * (1 - s) * t)
 
 
-def _bilinear_zero(cu, cv, iters):
+def _bilinear_zero(cu, cv):
     """2-D bisection on the bilinear surrogate over the unit square."""
     s_lo, s_hi, t_lo, t_hi = 0.0, 1.0, 0.0, 1.0
 
@@ -353,7 +351,7 @@ def _bilinear_zero(cu, cv, iters):
         inc = _angle_steps(_bilinear(cu, ss, tt), _bilinear(cv, ss, tt))
         return round(float(inc.sum() / (2.0 * np.pi)))
 
-    for _ in range(iters):
+    for _ in range(BILINEAR_REFINE_ITERS):
         sm = 0.5 * (s_lo + s_hi)
         tm = 0.5 * (t_lo + t_hi)
         quads = [(s_lo, sm, t_lo, tm), (sm, s_hi, t_lo, tm),
@@ -376,21 +374,13 @@ def bound_check(records, l):
     return total <= l - 1
 
 
-def boundary_extrema_count(field_or_specs):
-    """Number of local maxima of phi - phi' on the domain boundary.
+def boundary_extrema_count(spec):
+    """Number of local maxima of phi - phi' on the unit circle.
 
-    phi' is the data of the reflected field.  On the disc this is
-    phi'(theta) = -phi(-theta), so phi - phi' keeps the constant and
-    cosine parts doubled and drops the sine part.
+    phi is the disc potential data ``spec`` and phi' the data of the
+    reflected field, phi'(theta) = -phi(-theta), so phi - phi' keeps the
+    constant and cosine parts doubled and drops the sine part.
     """
-    from .elliptic import SolutionField
-
-    if isinstance(field_or_specs, SolutionField):
-        if field_or_specs.kind != "disc":
-            raise ValueError("the extrema bound is computed for disc data")
-        spec = field_or_specs.boundary["circle"]
-    else:
-        spec = field_or_specs
     thetas = np.linspace(0.0, 2.0 * np.pi, 8192, endpoint=False)
     g = 2.0 * (spec.constant + sum(c * np.cos(k * thetas) for k, c in spec.cos_coeffs))
     g = np.asarray(g, float)
@@ -401,12 +391,9 @@ def boundary_extrema_count(field_or_specs):
     return int(np.sum((g > left) & (g >= right)))
 
 
-def analyze_field(field, l=None, tangential_threshold=TANGENTIAL_THRESHOLD,
-                  cluster_tol=None):
+def analyze_field(field, l=None):
     """Full singularity report: records, the l value and the bound verdict."""
-    interior, boundary = detect_axis_zeros(
-        field, tangential_threshold=tangential_threshold,
-        cluster_tol=cluster_tol, include_boundary=True)
+    interior, boundary = detect_axis_zeros(field, include_boundary=True)
     spline, xs = _axis_spline(field)
     records = []
     scale = 1.0 if field.kind == "disc" else field.domain.P / (2.0 * np.pi)
@@ -430,7 +417,7 @@ def analyze_field(field, l=None, tangential_threshold=TANGENTIAL_THRESHOLD,
         "parity_ok": all(r.parity_ok() for r in records),
     }
     if l is None and field.kind == "disc" and "circle" in (field.boundary or {}):
-        report["l"] = boundary_extrema_count(field)
+        report["l"] = boundary_extrema_count(field.boundary["circle"])
     if report["l"] is not None:
         report["bound_ok"] = bound_check(records, report["l"])
     return report

@@ -105,6 +105,18 @@ def test_sweep_section7_t0(tmp_path):
     assert csv[0] == "t,alpha_t,beta_t"
 
 
+def test_sweep_jobs_matches_the_serial_run(tmp_path):
+    # --jobs 2 solves each t in a worker process; the curves must not change
+    for jobs in ("1", "2"):
+        code = run(["sweep", "--family", "section7", "--t", "0.25,0.5",
+                    "--nx", "32", "--ny", "17",
+                    "--schedule", "0.5,0.125,0.03125,0.0078125,0.001",
+                    "--jobs", jobs, "--out", str(tmp_path / jobs)])
+        assert code == 0
+    assert (tmp_path / "1" / "curves.csv").read_bytes() == \
+        (tmp_path / "2" / "curves.csv").read_bytes()
+
+
 def test_sweep_empty_t_usage_error(tmp_path):
     code = run(["sweep", "--family", "section7", "--t", "", "--out", str(tmp_path)])
     assert code == 2
@@ -186,3 +198,30 @@ def test_config_file_merging(tmp_path, capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["u"] == -1.0
+
+
+def test_config_does_not_override_a_flag_at_its_default(tmp_path):
+    # --a 0.5 is fiber-sample's default, but it was given and must win
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"a": 0.7, "count": 4}))
+    code = run(["fiber-sample", "--a", "0.5", "--config", str(conf),
+                "--out", str(tmp_path)])
+    assert code == 0
+    lines = (tmp_path / "fiber.csv").read_text().splitlines()
+    assert len(lines) == 5                      # count comes from the config
+    for line in lines[1:]:
+        z1r, z1i, z2r, z2i, _, _ = map(float, line.split(","))
+        assert abs((z1r**2 + z1i**2) - (z2r**2 + z2i**2) - 1.0) < 1e-9   # 2a, a = 0.5
+
+
+def test_config_list_gives_way_to_a_repeated_flag(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"cos": ["3=-1"], "a": 0.5}))
+    code = run(["solve", "--kind", "disc", "--a", "1.0", "--n", "16", "--cos", "1=1",
+                "--config", str(conf), "--out", str(tmp_path)])
+    assert code == 0
+    from slfib.elliptic import load_field
+
+    fld = load_field(tmp_path / "field.csv")
+    assert fld.boundary["circle"].cos_coeffs == ((1, 1.0),)
+    assert fld.a == 1.0

@@ -159,6 +159,7 @@ def test_cache_disk_layer(tmp_path, monkeypatch):
     c2 = SolverCache()
     fld2 = solve_family_member(fam, 0.5, 0.7, STRIP_RES, cache=c2)
     assert c2.misses == 0  # served from disk
+    assert c2.hits == 1
     assert np.array_equal(fld1.v, fld2.v)
 
 
