@@ -95,25 +95,38 @@ def _write_json(path, payload):
 def _parse_args(argv):
     """Parse argv; config-file values replace the defaults, explicit flags win.
 
-    The config keys that name an option of the chosen subcommand become
-    that subcommand's defaults, and argv is parsed again, so a flag given
-    at its default value still wins.  A key whose option the first parse
-    already moved off its default is dropped, so a repeatable flag such
-    as --cos replaces the config's list instead of extending it.
+    A lenient parse, in which nothing is required, finds the subcommand
+    and its --config.  The config keys that name an option of that
+    subcommand become its defaults, a required option that the config
+    gives is required no more, and argv is parsed again, so a flag given
+    at its default value still wins.  A key whose option the lenient
+    parse already moved off its default is dropped, so a repeatable flag
+    such as --cos replaces the config's list instead of extending it.
+    Without a config, or when the lenient parse fails, argv is parsed by
+    the strict parser, which reports any error.
     """
-    parser, commands = build_parser()
-    args = parser.parse_args(argv)
-    if not args.config:
-        return args
+    try:
+        args, _ = build_parser(supplied=None)[0].parse_known_args(argv)
+    except argparse.ArgumentError:
+        args = None
+    if args is None or not args.config:
+        return build_parser()[0].parse_args(argv)
     with open(args.config) as fh:
-        conf = json.load(fh)
+        conf = {key.replace("-", "_"): value for key, value in json.load(fh).items()}
+    parser, commands = build_parser(supplied=conf)
     sub = commands[args.command]
-    own = {key.replace("-", "_"): value for key, value in conf.items()}
     sub.set_defaults(**{
-        dest: value for dest, value in own.items()
+        dest: value for dest, value in conf.items()
         if hasattr(args, dest) and dest not in ("command", "fn", "config")
         and getattr(args, dest) == sub.get_default(dest)})
     return parser.parse_args(argv)
+
+
+class _LenientParser(argparse.ArgumentParser):
+    """A parser that raises ArgumentError where argparse would exit."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
 
 
 def _domain_from_args(args):
@@ -142,11 +155,10 @@ def _solve_from_args(args):
     return solve_strip(top, bottom, args.a, domain)
 
 
-def _add_solve_args(p, required=True):
-    p.add_argument("--kind", choices=("disc", "strip"), required=required,
-                   default=None if required else "disc")
-    p.add_argument("--a", type=float, required=required,
-                   default=None if required else 0.0)
+def _add_solve_args(p, required):
+    """The solve flags; ``required(dest)`` tells whether --kind / --a must be given."""
+    p.add_argument("--kind", choices=("disc", "strip"), required=required("kind"))
+    p.add_argument("--a", type=float, required=required("a"))
     p.add_argument("--n", type=int, default=None, help="base resolution")
     p.add_argument("--nx", type=int, default=None)
     p.add_argument("--ny", type=int, default=None)
@@ -398,34 +410,49 @@ def cmd_oracle(args):
     return EXIT_OK
 
 
-def build_parser():
-    """The argument parser and its subcommand parsers by name."""
-    parser = argparse.ArgumentParser(
+def build_parser(supplied=()):
+    """The argument parser and its subcommand parsers by name.
+
+    An option whose dest is in ``supplied``, the keys of a config file,
+    is not required.  ``supplied=None`` builds the lenient parser of
+    _parse_args: nothing is required, there is no --help, and an error
+    raises ArgumentError instead of exiting.
+    """
+    lenient = supplied is None
+
+    def required(dest):
+        return not lenient and dest not in supplied
+
+    parser = (_LenientParser if lenient else argparse.ArgumentParser)(
         prog="slfib",
         description="Numerical laboratory for invariant special Lagrangian fibrations",
+        add_help=not lenient,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, summary):
+        return sub.add_parser(name, help=summary, add_help=not lenient)
 
     def common(p):
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--config", default=None, help="JSON config file; flags win")
 
-    p = sub.add_parser("solve", help="solve one Dirichlet problem and dump the field")
-    _add_solve_args(p)
+    p = command("solve", "solve one Dirichlet problem and dump the field")
+    _add_solve_args(p, required)
     p.add_argument("--out-field", default="field.csv")
     common(p)
     p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("classify", help="singularity report for a field")
-    _add_solve_args(p, required=False)
+    p = command("classify", "singularity report for a field")
+    _add_solve_args(p, lambda dest: False)
     p.add_argument("--field", default=None, help="load a field dump instead of solving")
     p.add_argument("--l", type=int, default=None, help="boundary extrema count override")
     p.add_argument("--report", default="report.json")
     common(p)
-    p.set_defaults(fn=cmd_classify)
+    p.set_defaults(fn=cmd_classify, kind="disc", a=0.0)
 
-    p = sub.add_parser("sweep", help="parameter sweep of a fibration family")
-    p.add_argument("--family", choices=("section6", "section7"), required=True)
+    p = command("sweep", "parameter sweep of a fibration family")
+    p.add_argument("--family", choices=("section6", "section7"), required=required("family"))
     p.add_argument("--t", default="", help="comma list of t values (section7)")
     p.add_argument("--alpha-grid", type=int, default=0, help="alpha count (section6)")
     p.add_argument("--nx", type=int, default=None)
@@ -435,19 +462,19 @@ def build_parser():
     common(p)
     p.set_defaults(fn=cmd_sweep)
 
-    p = sub.add_parser("project", help="project a point of C^3 to base coordinates")
-    p.add_argument("--family", choices=("section6", "section7"), required=True)
+    p = command("project", "project a point of C^3 to base coordinates")
+    p.add_argument("--family", choices=("section6", "section7"), required=required("family"))
     p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--z1", required=True)
-    p.add_argument("--z2", required=True)
-    p.add_argument("--z3", required=True)
+    p.add_argument("--z1", required=required("z1"))
+    p.add_argument("--z2", required=required("z2"))
+    p.add_argument("--z3", required=required("z3"))
     p.add_argument("--nx", type=int, default=None)
     p.add_argument("--ny", type=int, default=None)
     p.add_argument("--schedule", default="")
     common(p)
     p.set_defaults(fn=cmd_project)
 
-    p = sub.add_parser("fiber-sample", help="sample points of a model fibre")
+    p = command("fiber-sample", "sample points of a model fibre")
     p.add_argument("--model", choices=("na", "F", "Fprime"), default="na")
     p.add_argument("--a", type=float, default=0.5)
     p.add_argument("--c", default="0")
@@ -458,7 +485,7 @@ def build_parser():
     common(p)
     p.set_defaults(fn=cmd_fiber_sample)
 
-    p = sub.add_parser("sl-check", help="special Lagrangian residuals on sampled frames")
+    p = command("sl-check", "special Lagrangian residuals on sampled frames")
     p.add_argument("--model", choices=("na", "F", "Fprime"), default="na")
     p.add_argument("--a", type=float, default=0.5)
     p.add_argument("--c", default="0")
@@ -469,15 +496,15 @@ def build_parser():
     common(p)
     p.set_defaults(fn=cmd_sl_check)
 
-    p = sub.add_parser("monodromy", help="lattice checks and ribbon figure data")
+    p = command("monodromy", "lattice checks and ribbon figure data")
     p.add_argument("--vertex", choices=("positive", "negative"), default="positive")
     p.add_argument("--show-fixed", action="store_true")
     p.add_argument("--duality", action="store_true")
     common(p)
     p.set_defaults(fn=cmd_monodromy)
 
-    p = sub.add_parser("oracle", help="evaluate the algebraic slice oracle")
-    p.add_argument("--a", type=float, required=True)
+    p = command("oracle", "evaluate the algebraic slice oracle")
+    p.add_argument("--a", type=float, required=required("a"))
     p.add_argument("--x", type=float, default=0.0)
     p.add_argument("--y", type=float, default=0.0)
     p.add_argument("--grid", default="", help="'x0:x1:n;y0:y1:n' grid evaluation")

@@ -19,10 +19,14 @@ degenerates to the codimension-two line b = 0.
 All parameter searches use bisection on solver probes, justified by the
 strict monotonicity of v in the boundary data.  Solved fields are cached
 in memory (and on disk when SLFIB_CACHE_DIR is set).  A probe that
-misses the cache starts from a solved neighbour in the family parameter
-when one is cached: one Newton solve at the final level replaces the
-continuation in a, which runs only for the first probe of a search or
-when no neighbour leads to a converged field (see solve_family_member).
+misses the cache starts from solved neighbours in the family parameter
+when they are cached: one Newton solve at the final level replaces the
+continuation in a.  Bisection always holds solved b1 < b < b2, and the
+field depends continuously on the data, so the first start is the linear
+interpolant of the two fields; each neighbour on its own, shifted by the
+harmonic extension of the data difference, follows, the closer first.
+The continuation runs only for the first probe of a search or when no
+start leads to a converged field (see solve_family_member).
 """
 
 import hashlib
@@ -37,6 +41,7 @@ from .elliptic import (
     SOLVER_VERSION,
     BoundarySpec,
     DomainSpec,
+    disc_grid,
     geometric_schedule,
     level_record,
     load_field,
@@ -208,16 +213,23 @@ def solve_family_member(family, a, b, resolution=None, schedule=None, cache=None
     A field is cached under its lane, the family kind, t, R, P, level a,
     resolution and (at a = 0) schedule, and its parameter b.  On a miss
     the probe is warm-started in b: the Dirichlet problem at a != 0 has a
-    unique solution, so the field of a solved neighbour b' in the same
-    lane, plus the harmonic extension of the data difference
-    ((b - b') r cos(theta) on the disc, the constant b - b' on the
-    strip), starts one Newton solve at the lane's final level
-    (``schedule[-1]`` at a = 0, else a).  The nearest b' below and the
-    nearest above b are tried, the closer first, and the first converged
-    field is kept; it records b' as ``diagnostics["warm_seed"]`` and, at
-    a = 0, its one level under ``diagnostics["levels"]``, with no Cauchy
-    increments.  With no neighbour, or when every attempt diverges or
-    stagnates, the probe runs the full continuation along the schedule.
+    unique solution, so a start built from solved neighbours in the same
+    lane runs one Newton solve at the lane's final level (``schedule[-1]``
+    at a = 0, else a).  The starts are tried in this order, and the first
+    converged field is kept:
+
+    - with a solved b1 < b and b2 > b, the linear interpolant
+      (1 - w) F1 + w F2 of their interiors, w = (b - b1) / (b2 - b1);
+      both families' data are affine in b, so it carries the data at b;
+    - each neighbour b' on its own, the closer first, plus the harmonic
+      extension of the data difference ((b - b') r cos(theta) on the
+      disc, the constant b - b' on the strip).
+
+    A kept field records its seed as ``diagnostics["warm_seed"]``, the
+    pair (b1, b2) for the interpolant and b' for a one-sided start, and,
+    at a = 0, its one level under ``diagnostics["levels"]``, with no
+    Cauchy increments.  With no neighbour, or when every attempt diverges
+    or stagnates, the probe runs the full continuation along the schedule.
     """
     cache = cache or _shared_cache
     schedule = tuple(schedule) if schedule is not None else DEFAULT_SCHEDULE
@@ -233,9 +245,14 @@ def solve_family_member(family, a, b, resolution=None, schedule=None, cache=None
                 return solve_disc_limit(spec, domain, schedule)
             return solve_disc(spec, a, domain)
 
-        def warm(seed_b, seed):
-            r, theta = seed.grid_axes()
-            initial = seed.f[:-1] + (b - seed_b) * r[:-1, None] * np.cos(theta)
+        def interior(fld):
+            return fld.f[:-1]
+
+        def shift(db):                    # harmonic extension of db cos(theta)
+            grid = disc_grid(*res)
+            return db * grid.r[:-1, None] * np.cos(grid.theta)
+
+        def warm(initial):
             return solve_disc(spec, level, domain, initial=initial)
     else:
         res = resolution or DEFAULT_STRIP_RESOLUTION
@@ -247,17 +264,31 @@ def solve_family_member(family, a, b, resolution=None, schedule=None, cache=None
                 return solve_strip_limit(top, bottom, domain, schedule)
             return solve_strip(top, bottom, a, domain)
 
-        def warm(seed_b, seed):
-            return solve_strip(top, bottom, level, domain, initial=seed.v[1:-1] + (b - seed_b))
+        def interior(fld):
+            return fld.v[1:-1]
+
+        def shift(db):                    # harmonic extension of the constant db
+            return db
+
+        def warm(initial):
+            return solve_strip(top, bottom, level, domain, initial=initial)
 
     lane = (family.kind, family.t, family.R, family.P, round(float(a), 15), res,
             schedule if a == 0 else None)
 
+    def starts(seeds):
+        if len(seeds) == 2:
+            (b1, f1), (b2, f2) = sorted(seeds, key=lambda s: s[0])
+            w = (b - b1) / (b2 - b1)
+            yield (b1, b2), (1.0 - w) * interior(f1) + w * interior(f2)
+        for seed_b, seed in seeds:
+            yield seed_b, interior(seed) + shift(b - seed_b)
+
     def solve():
         seeds = cache.nearest(lane, b)
-        for seed_b, seed in seeds:
+        for seed_id, initial in starts(seeds):
             try:
-                fld = warm(seed_b, seed)
+                fld = warm(initial)
             except SolverDiverged:
                 continue
             if fld.converged:
@@ -265,7 +296,7 @@ def solve_family_member(family, a, b, resolution=None, schedule=None, cache=None
                 if a == 0.0:
                     fld.is_limit = True
                     fld.diagnostics["levels"] = (level_record(fld),)
-                fld.diagnostics["warm_seed"] = seed_b
+                fld.diagnostics["warm_seed"] = seed_id
                 return fld
         if seeds:
             cache.warm_fallbacks += 1

@@ -225,3 +225,34 @@ def test_config_list_gives_way_to_a_repeated_flag(tmp_path):
     fld = load_field(tmp_path / "field.csv")
     assert fld.boundary["circle"].cos_coeffs == ((1, 1.0),)
     assert fld.a == 1.0
+
+
+def test_config_supplies_a_required_flag_of_oracle(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"a": 0.5, "x": 1.0}))
+    code = run(["oracle", "--config", str(conf)])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["v"] == pytest.approx(np.sqrt(2.0), abs=1e-12)
+
+
+def test_config_supplies_the_required_flags_of_solve(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"kind": "disc", "a": 1.0, "cos": ["1=1"], "n": 16}))
+    code = run(["solve", "--config", str(conf), "--out", str(tmp_path)])
+    assert code == 0
+    from slfib.elliptic import load_field
+
+    fld = load_field(tmp_path / "field.csv")
+    assert fld.kind == "disc" and fld.a == 1.0
+    assert fld.boundary["circle"].cos_coeffs == ((1, 1.0),)
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["oracle"], "--a"), (["solve", "--a", "1"], "--kind"),
+    (["project", "--family", "section7"], "--z1, --z2, --z3")])
+def test_missing_required_flag_without_config_exits_2(argv, missing, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert f"the following arguments are required: {missing}" in capsys.readouterr().err

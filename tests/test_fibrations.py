@@ -4,6 +4,7 @@ import pytest
 from slfib.calibration import ComplexPoint3, FiberChartPoint, fiber_points
 from slfib.elliptic import (
     DomainSpec,
+    disc_grid,
     geometric_schedule,
     solve_disc,
     solve_disc_limit,
@@ -255,6 +256,78 @@ def test_warm_start_falls_back_to_the_full_schedule(failure, monkeypatch):
     assert fld.cauchy_increments == ref.cauchy_increments
     assert len(fld.cauchy_increments) == len(DEFAULT_SCHEDULE) - 1
     assert fld.diagnostics["levels"] == ref.diagnostics["levels"]
+
+
+@pytest.mark.parametrize("kind, b1, b2, b", [
+    ("disc", 1.25, 2.5, 1.875), ("strip", 0.0, 0.25, 0.125)])
+def test_two_sided_start_matches_the_full_continuation(kind, b1, b2, b):
+    # disc: the one-sided start from 1.25 diverges, the interpolant converges
+    if kind == "disc":
+        fam, res = disc_family(), (32, 64)
+        ref = solve_disc_limit(fam.boundary(b), DomainSpec.disc(*res), DEFAULT_SCHEDULE)
+    else:
+        fam, res = strip_family(0.5), (64, 33)
+        ref = solve_strip_limit(*fam.boundary(b), DomainSpec.strip(*res), DEFAULT_SCHEDULE)
+    cache = SolverCache()
+    for seed_b in (b1, b2):
+        solve_family_member(fam, 0.0, seed_b, res, cache=cache)
+    fld = solve_family_member(fam, 0.0, b, res, cache=cache)
+    assert fld.diagnostics["warm_seed"] == (b1, b2)
+    assert fld.cauchy_increments == ()
+    assert fld.is_limit and fld.converged
+    assert _max_diff(fld, ref) <= 1e-11
+
+
+def test_warm_attempts_run_interpolant_then_nearer_then_farther(monkeypatch):
+    import slfib.fibrations as fib
+
+    attempts = []
+
+    def failing_solve_disc(*args, **kwargs):
+        attempts.append((args[1], kwargs["initial"]))
+        raise SolverDiverged("forced", residual=1.0, iterations=0)
+
+    fam, res, b = disc_family(), (32, 64), 0.25
+    cache = SolverCache()
+    lo = solve_family_member(fam, 0.0, 0.0, res, cache=cache)
+    hi = solve_family_member(fam, 0.0, 1.0, res, cache=cache)
+    fallbacks = cache.warm_fallbacks
+    monkeypatch.setattr(fib, "solve_disc", failing_solve_disc)
+    fld = solve_family_member(fam, 0.0, b, res, cache=cache)
+    ref = solve_disc_limit(fam.boundary(b), DomainSpec.disc(*res), DEFAULT_SCHEDULE)
+
+    r, theta = lo.grid_axes()
+    shift = r[:-1, None] * np.cos(theta)
+    expected = [0.75 * lo.f[:-1] + 0.25 * hi.f[:-1],      # interpolant, w = 0.25
+                lo.f[:-1] + b * shift,                    # nearer neighbour, b' = 0
+                hi.f[:-1] + (b - 1.0) * shift]            # farther neighbour, b' = 1
+    assert len(attempts) == 3
+    for (level, initial), want in zip(attempts, expected):
+        assert level == DEFAULT_SCHEDULE[-1]
+        assert np.max(np.abs(initial - want)) <= 1e-13
+    assert cache.warm_fallbacks == fallbacks + 1
+    assert "warm_seed" not in fld.diagnostics
+    assert np.array_equal(fld.f, ref.f) and np.array_equal(fld.v, ref.v)
+    assert fld.cauchy_increments == ref.cauchy_increments
+    assert len(fld.cauchy_increments) == len(DEFAULT_SCHEDULE) - 1
+
+
+def test_predictor_converged_field_reports_its_residual():
+    # near alpha0 two seeds 2e-6 apart: the interpolant meets the tolerance as it is
+    fam, res, b = disc_family(), (32, 64), 0.176115334
+    cache = SolverCache()
+    for seed_b in (b - 1e-6, b + 1e-6):
+        solve_family_member(fam, 0.0, seed_b, res, cache=cache)
+    fld = solve_family_member(fam, 0.0, b, res, cache=cache)
+    diag = fld.diagnostics
+    assert diag["warm_seed"] == (b - 1e-6, b + 1e-6)
+    assert diag["newton_iterations"] == 0 and diag["factorizations"] == 0
+    grid = disc_grid(*res)
+    phi = fam.boundary(b).sample(grid.theta)
+    recomputed = float(np.max(np.abs(grid.residual(fld.f[:-1], phi, fld.a))))
+    assert fld.residual_norm == recomputed
+    assert fld.residual_norm < diag["tolerance"]
+    assert fld.converged
 
 
 def test_warm_start_stays_in_its_lane():
