@@ -22,6 +22,7 @@ from .elliptic import (
     BoundarySpec,
     DomainSpec,
     geometric_schedule,
+    level_record,
     load_field,
     save_field,
     solve_disc,
@@ -177,13 +178,16 @@ def cmd_solve(args):
     os.makedirs(args.out, exist_ok=True)
     field_path = os.path.join(args.out, args.out_field)
     save_field(fld, field_path)
+    # a continuation's field carries its last level's counts; report every level's
+    levels = fld.diagnostics.get("levels") or (level_record(fld),)
     diag = {
         "residual_norm": fld.residual_norm,
         "tolerance": fld.diagnostics.get("tolerance"),
         "converged": fld.converged,
-        "newton_iterations": fld.diagnostics.get("newton_iterations"),
-        "factorizations": fld.diagnostics.get("factorizations"),
-        "chord_steps": fld.diagnostics.get("chord_steps"),
+        **{k: sum(lev[k] for lev in levels)
+           for k in ("newton_iterations", "factorizations", "chord_steps")},
+        "fill": [fill for lev in levels for fill in lev["fill"]],
+        "levels": list(levels),
         "cauchy_increments": list(fld.cauchy_increments),
         "is_limit": fld.is_limit,
     }

@@ -12,12 +12,14 @@ is discretised in polar coordinates on a tensor grid, uniform in theta
 and mildly graded toward r = 1.  Angular differences use trigonometric
 denominators (2 sin h and 2 - 2 cos h), which differentiate first
 harmonics exactly, so affine potentials beta*x + gamma*y + delta are
-reproduced to round-off.  The pole is closed by a ghost value equal to
-the mean of the first ring.  Each derivative is one sparse operator,
-sum_k diag(coef_k) kron(R_k, T_k) Pad, built once per grid from 1-D
-radial (R_k) and circulant angular (T_k) difference matrices; Pad
-appends the centre ghost and the boundary ring to the unknowns.  The
-residual and the Jacobian use the same operators.
+reproduced to round-off.  The pole is closed by a ghost value g equal to
+the mean of the first ring, carried as one more (border) unknown with the
+equation g - mean(ring 1) = 0.  Each derivative is one sparse operator,
+sum_k diag(coef_k) (R_k x T_k), assembled once per grid from 3-point
+radial (R_k) and angular (T_k) difference stencils over the 3 x 3 block
+of nodes around each interior node; ring 0 of that block is g at every
+angle, and the boundary ring is phi.  The residual and the Jacobian use
+the same operators.
 
 Strip: v directly on {|y| <= R} with period P in x and v(x, +-R) given,
 where
@@ -27,16 +29,21 @@ where
 in conservative form, so the discrete row integral of v is exactly
 y-independent.  u is then reconstructed from v_x, v_y with u(0,0) = 0.
 
-Both solvers run chord (Shamanskii) Newton with a sparse Jacobian.  The
-Jacobian is LU-factored by SuperLU with the fill-reducing minimum-degree
-ordering on A^T + A, and that factor is reused for full chord steps as
-long as each one cuts the sup-norm residual to at most CHORD_CONTRACTION
-times its previous value.  A chord step that misses the bound is
-discarded; the Jacobian is then rebuilt and factored at the current
-iterate and a damped Newton step with a sup-norm line search is taken.
-At most one factor is alive at a time: the stale one is dropped before
-the next is allocated, and the factor is never stored on a field.  A
-continuation hands its factor from one level to the next.
+Both solvers run chord (Shamanskii) Newton with a sparse Jacobian.  Each
+grid fixes one fill-reducing order of its unknowns: a nested dissection
+of the index box (interior rings x angles on the disc, interior rows x
+x nodes on the strip), periodic in the angle or in x, with the disc's
+border unknown last.  The Jacobian is assembled straight into a CSC
+pattern in that order, fixed per grid, and SuperLU factors it as given
+(``permc_spec="NATURAL"``); each solve is mapped back to the unknowns.
+That factor is reused for full chord steps as long as each one cuts the
+sup-norm residual to at most CHORD_CONTRACTION times its previous value.
+A chord step that misses the bound is discarded; the Jacobian is then
+rebuilt and factored at the current iterate and a damped Newton step
+with a sup-norm line search is taken.  At most one factor is alive at a
+time: the stale one is dropped before the next is allocated, and the
+factor is never stored on a field.  A continuation hands its factor from
+one level to the next.
 
 Everything is computed in float64.  A residual evaluated in float64 has
 a round-off floor of about eps * || |J| |x| ||_inf, which at small a on
@@ -81,7 +88,7 @@ BOUNDARY_TOL = 1e-12         # validate: stored boundary values against the data
 MAXPRIN_SLACK = 1e-8         # validate: slack of the maximum principle
 # Part of every SolverCache key: change it whenever solver output changes,
 # so that fields cached on disk by an older solver are not reused.
-SOLVER_VERSION = "chord-newton-2"
+SOLVER_VERSION = "chord-newton-3"
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +231,43 @@ def _one_sided_weights(d, e):
     return e / (d * (d + e)), -(d + e) / (d * e), (d + 2 * e) / (e * (d + e))
 
 
+def _periodic_order(n_rows, n_cols):
+    """Nested-dissection order of an index box periodic in its columns.
+
+    Returns the nodes row * n_cols + col in elimination order.  Column 0
+    cuts the cycle open and comes last; the other columns form a box
+    whose first separator, its middle column, is the second cut.  A box
+    less than three nodes thick is taken row by row.  A wider one is
+    split by its middle column (a taller one, transposed, by its middle
+    row), and that separator comes after the two halves.  A box's order
+    depends only on its shape, so each shape is ordered once.
+    """
+    memo = {}
+
+    def box(h, w):                               # (rows, cols) of an h x w box
+        if (h, w) not in memo:
+            if min(h, w) < 3:
+                memo[h, w] = np.divmod(np.arange(h * w), w)
+            elif h > w:
+                memo[h, w] = box(w, h)[::-1]
+            else:
+                m = w // 2
+                (ra, ca), (rb, cb) = box(h, m), box(h, w - m - 1)
+                memo[h, w] = (np.concatenate([ra, rb, np.arange(h)]),
+                              np.concatenate([ca, cb + m + 1, np.full(h, m)]))
+        return memo[h, w]
+
+    rows, cols = box(n_rows, n_cols - 1)
+    return np.concatenate([rows * n_cols + cols + 1, np.arange(n_rows) * n_cols])
+
+
+def _positions(order):
+    """Inverse of a permutation: the position of each index in ``order``."""
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+    return pos
+
+
 class DiscGrid:
     """Polar tensor grid on the unit disc with its sparse difference operators."""
 
@@ -253,97 +297,145 @@ class DiscGrid:
         # one-sided first derivative at the boundary ring (rings N-2, N-1, N)
         self.bnd_w = _one_sided_weights(self.r[N - 2] - self.r[N - 3],
                                         self.r[N - 1] - self.r[N - 2])
-
-        ri = np.repeat(self.r[: N - 1], M)           # interior ring radius per unknown
-        self.scale = ri * ri                         # row scaling r^2 desingularises the pole
-        self.y2 = (ri * np.tile(self.sin, N - 1)) ** 2
         self._ops = None
 
     def ops64(self):
-        """Sparse derivative operators, built on first use.
+        """Factor order and sparse derivative operators, built on first use.
 
-        A dict of (interior block, boundary block) CSR pairs: an operator
-        applied to f is ``A @ f_int.ravel() + A_b @ phi``.  "xx", "yy" and
-        "x" give f_xx, f_yy and f_x at the interior rings; "u" and "v" give
-        f_y and f_x at rings 1..N, with the one-sided radial stencil on the
-        boundary ring.
+        The unknowns are f at the interior rings, ring by ring, then the
+        pole ghost g.  In factor order the interior nodes follow
+        _periodic_order over (interior rings x angles) and g comes last;
+        ``pos`` holds each interior node's position.  ``_lift`` puts
+        f_int and g there and appends the boundary ring, phi.
+
+        Returns a dict of operators on the lifted vector: "x", "xx" and
+        "yy" give f_x, r^2 f_xx and 2 r^2 f_yy at the interior rings, rows
+        in factor order; the row scaling r^2 desingularises the pole.  They
+        are CSC matrices on one shared pattern.  Its square leading block,
+        up to g's column, is the pattern of the bordered Jacobian, and
+        "yy" also holds the border row g - mean(ring 1).
         """
         if self._ops is not None:
             return self._ops
         N, M = self.N, self.M
         n = (N - 1) * M
-        # 1-D radial operators from rings 0..N (0 = centre ghost) to rings 1..N
-        i = np.arange(N - 1)
-        dr, drr = np.zeros((N, N + 1)), np.zeros((N, N + 1))
-        dr[i, i], dr[i, i + 1], dr[i, i + 2] = self.wm, self.w0, self.wp
-        drr[i, i], drr[i, i + 1], drr[i, i + 2] = self.vm, self.v0, self.vp
-        dr[N - 1, N - 2:] = self.bnd_w
-        radial = {"id": sp.eye(N, N + 1, k=1), "dr": sp.csr_matrix(dr),
-                  "drr": sp.csr_matrix(drr)}
-        # (interior rings, boundary ring) -> rings 0..N; the ghost is the mean of ring 1
-        ghost = sp.coo_matrix(([1.0], ([0], [0])), shape=(N + 1, N))
-        pad = (sp.kron(sp.eye(N + 1, N, k=-1), sp.eye(M))
-               + sp.kron(ghost, np.full((M, M), 1.0 / M))).tocsc()
-        basis = {}
+        # 3-point stencils over rings i-1..i+1 of interior ring i and angles j-1..j+1
+        radial = {"id": np.tile([0.0, 1.0, 0.0], (N - 1, 1)),
+                  "dr": np.column_stack([self.wm, self.w0, self.wp]),
+                  "drr": np.column_stack([self.vm, self.v0, self.vp])}
+        # row 1 of each circulant holds its stencil in columns 0..2
+        angular = {name: op.tocsr()[1, :3].toarray().ravel() for name, op in self.angular.items()}
 
-        def assemble(rows, *terms):
-            total = 0
+        def stencil(*terms):
+            """Values per interior node and stencil point, then ring 1's coupling to g."""
+            vals, ghost = 0.0, 0.0
             for coef, rop, top in terms:
-                if (rop, top) not in basis:
-                    basis[rop, top] = (sp.kron(radial[rop], self.angular[top]) @ pad).tocsr()
-                total = total + sp.diags(np.broadcast_to(coef, (N, M)).ravel()) @ basis[rop, top]
-            total = total.tocsr()[:rows]
-            total.eliminate_zeros()
-            return total[:, :n].tocsr(), total[:, n:].tocsr()
+                coef = np.broadcast_to(coef, (N - 1, M))
+                vals = vals + coef[:, :, None, None] * (radial[rop][:, None, :, None] * angular[top])
+                ghost = ghost + coef[0] * (radial[rop][0, 0] * angular[top].sum())
+            return vals, ghost
 
-        r = self.r[:, None]
-        c, s = self.cos, self.sin
-        self._ops = {
-            "xx": assemble(n, (c * c, "drr", "id"), (-2 * s * c / r, "dr", "d1"),
-                           (s * s / r**2, "id", "d2"), (s * s / r, "dr", "id"),
-                           (2 * s * c / r**2, "id", "d1")),
-            "yy": assemble(n, (s * s, "drr", "id"), (2 * s * c / r, "dr", "d1"),
-                           (c * c / r**2, "id", "d2"), (c * c / r, "dr", "id"),
-                           (-2 * s * c / r**2, "id", "d1")),
-            "u": assemble(N * M, (s, "dr", "id"), (c / r, "id", "d1")),
-            "v": assemble(N * M, (c, "dr", "id"), (-s / r, "id", "d1")),
+        r, c, s = self.r[: N - 1, None], self.cos, self.sin
+        rr = r * r
+        stencils = {
+            "x": stencil((c, "dr", "id"), (-s / r, "id", "d1")),
+            "xx": stencil((rr * c * c, "drr", "id"), (-2 * s * c * r, "dr", "d1"),
+                          (s * s, "id", "d2"), (s * s * r, "dr", "id"), (2 * s * c, "id", "d1")),
+            "yy": stencil((2 * rr * s * s, "drr", "id"), (4 * s * c * r, "dr", "d1"),
+                          (2 * c * c, "id", "d2"), (2 * c * c * r, "dr", "id"),
+                          (-4 * s * c, "id", "d1")),
         }
-        self._ops["x"] = tuple(block[:n] for block in self._ops["v"])
+        border = {"x": np.zeros(M + 1), "xx": np.zeros(M + 1),
+                  "yy": np.append(np.full(M, -1.0 / M), 1.0)}
+
+        # stencil point -> node, numbered interior nodes, boundary ring, then g;
+        # the points on ring 0 are g's coupling, summed in ``ghost``
+        i, j, di, dj = np.ix_(np.arange(N - 1), np.arange(M), np.arange(3), np.arange(3))
+        ring = np.broadcast_to(i + di - 1, (N - 1, M, 3, 3))
+        rows = np.broadcast_to(i * M + j, ring.shape).ravel()
+        cols = (ring * M + (j + dj - 1) % M).ravel()
+        points = np.flatnonzero(ring.ravel() >= 0)
+        g = n + M
+        order = np.append(_periodic_order(N - 1, M), n)
+        self.pos = _positions(order)[:n]
+        place = np.concatenate([self.pos, n + 1 + np.arange(M), [n]])   # node -> _lift index
+        # the pattern, each entry numbered (+ 1) by its source: a stencil point,
+        # ring 1's coupling to g, or the border row
+        ids = sp.csc_matrix(
+            (np.append(points, 9 * n + np.arange(2 * M + 1)) + 1.0,
+             (place[np.concatenate([rows[points], np.arange(M), np.full(M + 1, g)])],
+              place[np.concatenate([cols[points], np.full(M, g), np.append(np.arange(M), g)])])),
+            shape=(n + 1, n + 1 + M))
+        source = ids.data.astype(np.intp) - 1
+        self._ops = {name: sp.csc_matrix((np.concatenate([vals, ghost, border[name]],
+                                                         axis=None)[source],
+                                          ids.indices, ids.indptr), shape=ids.shape)
+                     for name, (vals, ghost) in stencils.items()}
+        y = np.repeat(self.r[: N - 1], M) * np.tile(self.sin, N - 1)
+        self._y2 = np.append(y * y, 0.0)[order]      # y^2 per row in factor order
         return self._ops
 
-    def _apply(self, name, f_int, phi):
-        op, op_b = (self._ops or self.ops64())[name]
-        return op @ f_int.ravel() + op_b @ phi
+    def _lift(self, f_int, phi):
+        """The unknowns in factor order, f_int then g = the mean of ring 1, then phi."""
+        if self._ops is None:
+            self.ops64()
+        n = self.pos.size
+        z = np.empty(n + 1 + self.M)
+        z[self.pos] = f_int.ravel()
+        z[n] = np.mean(f_int[0])
+        z[n + 1:] = phi
+        return z
 
-    def _coefficient(self, f_int, phi, a):
-        """f_x and q = f_x^2 + y^2 + a^2 at the interior unknowns."""
-        g = self._apply("x", f_int, phi)
-        return g, g * g + self.y2 + a * a
+    def _coefficient(self, z, a):
+        """f_x and q = f_x^2 + y^2 + a^2 per row in factor order."""
+        fx = self._ops["x"] @ z
+        return fx, fx * fx + self._y2 + a * a
 
     def residual(self, f_int, phi, a):
         """Scaled residual r^2 (W f_xx + 2 f_yy) at interior rings."""
-        _, q = self._coefficient(f_int, phi, a)
+        z = self._lift(f_int, phi)
+        _, q = self._coefficient(z, a)
         w = 1.0 / np.sqrt(np.maximum(q, COEFF_FLOOR))
-        res = self.scale * (w * self._apply("xx", f_int, phi) + 2 * self._apply("yy", f_int, phi))
-        return res.reshape(self.N - 1, self.M)
+        res = w * (self._ops["xx"] @ z) + self._ops["yy"] @ z
+        return res[self.pos].reshape(self.N - 1, self.M)
 
     def jacobian(self, f_int, phi, a):
-        ops = self._ops or self.ops64()
-        g, q = self._coefficient(f_int, phi, a)
+        """The bordered Jacobian in factor order, as ``_newton`` takes it.
+
+        Returns (J, pos, z): J over the interior unknowns and g, in the
+        grid's factor order, its data one gather-multiply-add over the
+        shared pattern's square block; ``pos``; and the lifted iterate
+        up to g.  The Schur complement of g's row and column is the
+        Jacobian of ``residual`` in f_int.
+        """
+        z = self._lift(f_int, phi)
+        x, xx, yy = (self._ops[name] for name in ("x", "xx", "yy"))
+        fx, q = self._coefficient(z, a)
         qe = np.maximum(q, COEFF_FLOOR)
-        dw = np.where(q > COEFF_FLOOR, -g * qe**-1.5, 0.0)
-        fxx = self._apply("xx", f_int, phi)
-        return (sp.diags(self.scale * dw * fxx) @ ops["x"][0]
-                + sp.diags(self.scale / np.sqrt(qe)) @ ops["xx"][0]
-                + sp.diags(2 * self.scale) @ ops["yy"][0]).tocsc()
+        w = 1.0 / np.sqrt(qe)
+        dw = np.where(q > COEFF_FLOOR, -fx * qe**-1.5, 0.0)
+        m = q.size
+        k = xx.indptr[m]                             # entries in the square block
+        rows = xx.indices[:k]
+        data = ((dw * (xx @ z))[rows] * x.data[:k] + w[rows] * xx.data[:k] + yy.data[:k])
+        return sp.csc_matrix((data, rows, xx.indptr[:m + 1]), shape=(m, m)), self.pos, z[:m]
 
     # -- derived fields ----------------------------------------------------
 
     def extract_uv(self, f_int, phi):
-        """u = f_y and v = f_x on all rings, plus the centre values."""
-        u = self._apply("u", f_int, phi).reshape(self.N, self.M)
-        v = self._apply("v", f_int, phi).reshape(self.N, self.M)
+        """u = f_y and v = f_x on all rings, plus the centre values.
+
+        The radial derivative is central at the interior rings, the pole
+        ghost standing in for ring 0, and one-sided on the boundary ring.
+        """
         f_c = float(np.mean(f_int[0]))
+        rings = np.vstack([np.full(self.M, f_c), f_int, phi])    # rings 0..N
+        f_r = np.vstack([self.wm[:, None] * rings[:-2] + self.w0[:, None] * rings[1:-1]
+                         + self.wp[:, None] * rings[2:], np.dot(self.bnd_w, rings[-3:])])
+        f_t = rings[1:] @ self.angular["d1"].T
+        c, s, r = self.cos, self.sin, self.r[:, None]
+        u = s * f_r + c / r * f_t
+        v = c * f_r - s / r * f_t
         ring1 = f_int[0] - f_c
         k = 2.0 / (self.M * self.r[0])
         return u, v, float(k * (ring1 @ self.sin)), float(k * (ring1 @ self.cos)), f_c
@@ -371,7 +463,15 @@ def disc_grid(n_r, n_theta):
 # strip grid
 
 class StripGrid:
-    """Uniform periodic-in-x grid on the strip |y| <= R."""
+    """Uniform periodic-in-x grid on the strip |y| <= R.
+
+    The unknowns are v at the interior rows, row by row.  Their factor
+    order is _periodic_order over (interior rows x x nodes); ``pos``
+    holds each node's position.  The Jacobian's five-point pattern is
+    fixed in that order: its entry e is coefficient ``_source[e]`` of the
+    centre, right and left couplings of every node, then the constant
+    coupling across rows.
+    """
 
     def __init__(self, n_x, n_y, R, P):
         self.n_x = int(n_x)
@@ -382,7 +482,18 @@ class StripGrid:
         self.hy = 2 * self.R / (self.n_y - 1)
         self.x = self.hx * np.arange(self.n_x)
         self.y = -self.R + self.hy * np.arange(self.n_y)
-        self._jidx = None
+        n = (self.n_y - 2) * self.n_x
+        self.pos = _positions(_periodic_order(self.n_y - 2, self.n_x))
+        k = np.arange(n).reshape(self.n_y - 2, self.n_x)
+        rows = np.concatenate([k, k, k, k[:-1], k[1:]], axis=None)
+        cols = np.concatenate([k, np.roll(k, -1, axis=1), np.roll(k, 1, axis=1), k[1:], k[:-1]],
+                              axis=None)
+        source = np.concatenate([k, k + n, k + 2 * n, np.full(2 * (n - self.n_x), 3 * n)],
+                                axis=None)
+        # entry numbers + 1 through the COO -> CSC conversion
+        ids = sp.csc_matrix((source + 1.0, (self.pos[rows], self.pos[cols])), shape=(n, n))
+        self._pattern = ids.indices, ids.indptr
+        self._source = ids.data.astype(np.intp) - 1
 
     def _faces(self, v_int, top, bot, a):
         """v at all rows, and per node the face x + hx/2: v there, v difference, q."""
@@ -399,19 +510,11 @@ class StripGrid:
         ry = (V[2:] - 2 * V[1:-1] + V[:-2]) * (2 / (self.hy * self.hy))
         return rx[1:-1] + ry
 
-    def _indices(self):
-        if self._jidx is not None:
-            return self._jidx
-        ny, nx = self.n_y, self.n_x
-        rows_interior = ny - 2
-        k = (np.arange(rows_interior)[:, None] * nx + np.arange(nx)[None, :])
-        kxp = (np.arange(rows_interior)[:, None] * nx + (np.arange(nx)[None, :] + 1) % nx)
-        kxm = (np.arange(rows_interior)[:, None] * nx + (np.arange(nx)[None, :] - 1) % nx)
-        self._jidx = (k, kxp, kxm)
-        return self._jidx
-
     def jacobian(self, v_int, top, bot, a):
-        ny, nx = self.n_y, self.n_x
+        """The Jacobian in factor order, as ``_newton`` takes it: (J, pos, z).
+
+        z is v_int in factor order.
+        """
         hx2 = self.hx * self.hx
         hy2 = self.hy * self.hy
         _, mid, d, q = self._faces(v_int, top, bot, a)
@@ -423,26 +526,11 @@ class StripGrid:
         c_xp = right / hx2
         c_xm = -np.roll(left, 1, axis=1) / hx2
         c_0 = (left - np.roll(right, 1, axis=1)) / hx2 - 4.0 / hy2
-        k, kxp, kxm = self._indices()
-        rows = [k.ravel(), k.ravel(), k.ravel()]
-        cols = [k.ravel(), kxp.ravel(), kxm.ravel()]
-        vals = [c_0.ravel(), c_xp.ravel(), c_xm.ravel()]
-        cy = 2.0 / hy2
-        if ny - 2 > 1:
-            up = k[:-1].ravel()
-            rows.append(up)
-            cols.append((k[:-1] + nx).ravel())
-            vals.append(np.full(up.size, cy))
-            dn = k[1:].ravel()
-            rows.append(dn)
-            cols.append((k[1:] - nx).ravel())
-            vals.append(np.full(dn.size, cy))
-        n_unknown = (ny - 2) * nx
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_unknown, n_unknown),
-        )
-        return mat.tocsc()
+        coeffs = np.concatenate([c_0, c_xp, c_xm, 2.0 / hy2], axis=None)
+        n = self.pos.size
+        z = np.empty(n)
+        z[self.pos] = v_int.ravel()
+        return sp.csc_matrix((coeffs[self._source], *self._pattern), shape=(n, n)), self.pos, z
 
 
 def strip_grid(n_x, n_y, R, P):
@@ -459,16 +547,25 @@ def strip_grid(n_x, n_y, R, P):
 class FactorSlot:
     """Holds the one live LU factor of a solve, or of a whole continuation.
 
-    ``floor`` is the residual's round-off floor, ROUNDOFF_SAFETY * eps *
-    || |J| |x| ||_inf, taken when that factor's Jacobian J was factored
-    at the iterate x.
+    ``lu`` factors, as given, a Jacobian that its grid assembled in the
+    grid's fixed factor order, border unknowns last; ``pos`` is the
+    position of each unknown in that order.  ``floor`` is
+    the residual's round-off floor, ROUNDOFF_SAFETY * eps * || |J| |x| ||_inf,
+    taken when that factor's Jacobian J was factored at the iterate x.
     """
 
-    __slots__ = ("lu", "floor")
+    __slots__ = ("lu", "pos", "floor")
 
     def __init__(self):
         self.lu = None
+        self.pos = None
         self.floor = 0.0
+
+    def solve(self, rhs):
+        """J^-1 rhs for the unknowns: border rows get a zero right-hand side."""
+        b = np.zeros(self.lu.shape[0])
+        b[self.pos] = rhs
+        return self.lu.solve(b)[self.pos]
 
 
 def _newton(x0, eval_res, build_jac, tol=None, max_iter=NEWTON_MAX_ITER, factor=None):
@@ -480,10 +577,19 @@ def _newton(x0, eval_res, build_jac, tol=None, max_iter=NEWTON_MAX_ITER, factor=
     kept if it cuts the sup-norm residual to at most CHORD_CONTRACTION
     times its previous value.  Otherwise it is discarded, the slot is
     emptied, the Jacobian at the current iterate is factored by
-    ``spla.splu`` with the MMD_AT_PLUS_A ordering into the slot, and a
-    damped Newton step is taken with a halving line search.  Emptying
-    the slot before ``splu`` keeps at most one factor alive; the caller
-    keeps the slot, and with it the last factor, for the next solve.
+    ``spla.splu`` into the slot, and a damped Newton step is taken with
+    a halving line search.  Emptying the slot before ``splu`` keeps at
+    most one factor alive; the caller keeps the slot, and with it the
+    last factor, for the next solve.
+
+    ``build_jac(x)`` returns the Jacobian at x as a triple (J, pos, z):
+    J in the grid's factor order, which SuperLU keeps
+    (``permc_spec="NATURAL"``); pos, where each unknown sits in it, with
+    any border unknowns after the others; and z, the iterate there with
+    its border values.  A border row's right-hand side is zero, as its
+    equation holds at every iterate, and each solve is read back at pos.
+    A plain sparse matrix stands for J over the unknowns in their own
+    order.
 
     The solve is converged once the sup-norm residual is below the
     tolerance: ``tol`` when given, else max(NEWTON_TOL, floor) with the
@@ -500,14 +606,16 @@ def _newton(x0, eval_res, build_jac, tol=None, max_iter=NEWTON_MAX_ITER, factor=
     SolverDiverged otherwise.  The bound is FLOOR_ACCEPT while the floor
     is at most NEWTON_TOL and keeps the same margin over the tolerance
     above it.  Returns (x, residual norm, iterations, diagnostics) with
-    the residual history, ``stagnated``, the ``tolerance`` applied and
-    the counts ``factorizations`` and ``chord_steps``.
+    the residual history, ``stagnated``, the ``tolerance`` applied, the
+    counts ``factorizations`` and ``chord_steps``, and the ``fill`` of
+    each factorisation: the entries SuperLU stores for L and U.
     """
     factor = factor if factor is not None else FactorSlot()
     x = np.asarray(x0, float)
     res = eval_res(x)
     norm = float(np.max(np.abs(res)))
     history = [norm]
+    fill = []
     stall = 0
     counts = {"factorizations": 0, "chord_steps": 0}
 
@@ -516,7 +624,7 @@ def _newton(x0, eval_res, build_jac, tol=None, max_iter=NEWTON_MAX_ITER, factor=
 
     def outcome(iters, stagnated):
         return x, norm, iters, {"history": tuple(history), "stagnated": stagnated,
-                                "tolerance": tolerance(), **counts}
+                                "tolerance": tolerance(), "fill": tuple(fill), **counts}
 
     def stalled(iters, reason):
         if norm < tolerance():
@@ -531,7 +639,7 @@ def _newton(x0, eval_res, build_jac, tol=None, max_iter=NEWTON_MAX_ITER, factor=
         accepted = False
         rhs = -res.ravel()
         if factor.lu is not None:
-            x_new = x + factor.lu.solve(rhs).reshape(x.shape)
+            x_new = x + factor.solve(rhs).reshape(x.shape)
             res_new = eval_res(x_new)
             norm_new = float(np.max(np.abs(res_new)))
             if norm_new <= CHORD_CONTRACTION * norm:
@@ -541,11 +649,13 @@ def _newton(x0, eval_res, build_jac, tol=None, max_iter=NEWTON_MAX_ITER, factor=
         if not accepted:
             factor.lu = None
             jac = build_jac(x)
+            jac, factor.pos, z = jac if isinstance(jac, tuple) else (jac, slice(None), x.ravel())
             factor.floor = float(ROUNDOFF_SAFETY * np.finfo(float).eps
-                                 * np.max(abs(jac) @ np.abs(x.ravel())))
-            factor.lu = spla.splu(jac, permc_spec="MMD_AT_PLUS_A")
+                                 * np.max(abs(jac) @ np.abs(z)))
+            factor.lu = spla.splu(jac, permc_spec="NATURAL")
             counts["factorizations"] += 1
-            delta = factor.lu.solve(rhs).reshape(x.shape)
+            fill.append(factor.lu.nnz)
+            delta = factor.solve(rhs).reshape(x.shape)
             lam = 1.0
             while lam >= 2.0**-14:
                 x_new = x + lam * delta
@@ -778,11 +888,11 @@ def field_from_callables(domain, a, u_fn, v_fn, is_limit=None):
 # continuation
 
 def level_record(fld):
-    """A level solve's a, residual norm, convergence, tolerance and counts."""
+    """A level solve's a, residual norm, convergence, tolerance, counts and fill."""
     return {"a": float(fld.a), "residual_norm": fld.residual_norm,
             "converged": fld.converged,
             **{k: fld.diagnostics[k] for k in
-               ("tolerance", "newton_iterations", "factorizations", "chord_steps")}}
+               ("tolerance", "newton_iterations", "factorizations", "chord_steps", "fill")}}
 
 
 def _continue(schedule, solve_level, interior):
@@ -1004,6 +1114,15 @@ def save_field(field, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def _tuples(obj):
+    """A JSON value with every list, at any depth, back as the tuple it was."""
+    if isinstance(obj, list):
+        return tuple(_tuples(v) for v in obj)
+    if isinstance(obj, dict):
+        return {k: _tuples(v) for k, v in obj.items()}
+    return obj
+
+
 def load_field(path):
     """Rebuild a SolutionField from a dump written by save_field."""
     with open(path) as fh:
@@ -1012,8 +1131,7 @@ def load_field(path):
         body = np.loadtxt(fh, delimiter=",").reshape(-1, len(names))
     kind = header["kind"]
     boundary = {k: BoundarySpec.from_json(o) for k, o in header["boundary"].items()}
-    diagnostics = {k: tuple(v) if isinstance(v, list) else v
-                   for k, v in header.get("diagnostics", {}).items()}
+    diagnostics = _tuples(header.get("diagnostics", {}))
     common = dict(boundary=boundary, converged=header["converged"],
                   residual_norm=header["residual_norm"], is_limit=header["is_limit"],
                   cauchy_increments=tuple(header.get("cauchy_increments", ())),

@@ -256,3 +256,18 @@ def test_missing_required_flag_without_config_exits_2(argv, missing, capsys):
         run(argv)
     assert exc.value.code == 2
     assert f"the following arguments are required: {missing}" in capsys.readouterr().err
+
+
+def test_solve_limit_diag_totals_its_levels(tmp_path):
+    code = run(["solve", "--kind", "disc", "--a", "0", "--nx", "24", "--ny", "48",
+                "--cos", "1=1.25", "--cos", "3=-1", "--schedule", "1,0.25,0.0625",
+                "--out", str(tmp_path)])
+    assert code == 0
+    diag = json.loads((tmp_path / "field.csv.diag.json").read_text())
+    levels = diag["levels"]
+    assert [lev["a"] for lev in levels] == [1.0, 0.25, 0.0625]
+    for key in ("newton_iterations", "factorizations", "chord_steps"):
+        assert diag[key] == sum(lev[key] for lev in levels)
+    assert diag["newton_iterations"] > levels[-1]["newton_iterations"]
+    assert diag["fill"] == [fill for lev in levels for fill in lev["fill"]]
+    assert len(diag["fill"]) == diag["factorizations"]

@@ -364,3 +364,99 @@ def test_interpolation_matches_nodes(disc_field_alpha1):
     iu, iv = disc_field_alpha1.uv(xg[10, 7], yg[10, 7])
     assert abs(iu - u[10, 7]) < 1e-12
     assert abs(iv - v[10, 7]) < 1e-12
+
+
+# Jacobians and the factor order
+
+def _differenced(residual, x, step=1e-7):
+    """Central differences of ``residual`` in every unknown of x, column by column."""
+    cols = []
+    for k in range(x.size):
+        e = np.zeros(x.size)
+        e[k] = step
+        cols.append((residual(x + e.reshape(x.shape)) - residual(x - e.reshape(x.shape))).ravel()
+                    / (2 * step))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("a", [0.5, 1e-3])
+@pytest.mark.parametrize("kind", ["disc", "strip"])
+def test_jacobian_matches_central_differences(kind, a):
+    rng = np.random.default_rng(1)
+    if kind == "disc":
+        grid = disc_grid(16, 16)
+        spec = BoundarySpec.make(0.2, cos={1: 1.0, 3: -1.0}, sin={2: 0.3})
+        phi = spec.sample(grid.theta)
+        x = grid.harmonic_extension(spec) + 1e-2 * rng.standard_normal((15, 16))
+        jac, pos, z = grid.jacobian(x, phi, a)
+        n = x.size
+        # the bordered Jacobian over the unknowns, then g: its Schur complement
+        # eliminates g and is the Jacobian of the residual in f_int
+        full = jac.toarray()[np.ix_(np.append(pos, n), np.append(pos, n))]
+        ana = full[:n, :n] - np.outer(full[:n, n], full[n, :n]) / full[n, n]
+        assert z[-1] == np.mean(x[0])
+        num = _differenced(lambda f: grid.residual(f, phi, a), x)
+    else:
+        grid = strip_grid(16, 17, 1.0, 2 * np.pi)
+        top = BoundarySpec.make(0.3, cos={1: 0.5}).sample_x(grid.x, 2 * np.pi)
+        bot = BoundarySpec.make(0.3, sin={1: 0.4}).sample_x(grid.x, 2 * np.pi)
+        x = 0.3 + 0.2 * rng.standard_normal((15, 16))
+        jac, pos, z = grid.jacobian(x, top, bot, a)
+        ana = jac.toarray()[np.ix_(pos, pos)]
+        assert np.array_equal(z[pos], x.ravel())
+        num = _differenced(lambda v: grid.residual(v, top, bot, a), x)
+    assert jac.has_canonical_format
+    assert np.max(np.abs(ana - num)) <= 1e-7 * np.max(np.abs(ana))
+
+
+@pytest.mark.parametrize("kind, n_x, n_y", [
+    ("disc", 16, 16), ("disc", 17, 20), ("disc", 24, 44), ("disc", 31, 100),
+    ("strip", 16, 17), ("strip", 17, 19), ("strip", 48, 25), ("strip", 100, 51)])
+def test_factor_order_is_a_permutation(kind, n_x, n_y):
+    if kind == "disc":
+        grid = disc_grid(n_x, n_y)
+        grid.ops64()
+        unknowns = (n_x - 1) * n_y + 1               # the border unknown g sits last
+        order = np.append(grid.pos, unknowns - 1)
+    else:
+        grid = strip_grid(n_x, n_y, 1.0, 2 * np.pi)
+        unknowns = (n_y - 2) * n_x
+        order = grid.pos
+    assert np.array_equal(np.sort(order), np.arange(unknowns))
+
+
+@pytest.fixture(scope="module")
+def jacobian_128():
+    grid = disc_grid(128, 256)
+    spec = na_potential_circle(0.5)
+    phi = spec.sample(grid.theta)
+    return grid.jacobian(grid.harmonic_extension(spec), phi, 0.5)[0]
+
+
+def test_factor_order_fill_is_below_minimum_degree(jacobian_128):
+    import scipy.sparse.linalg as spla
+
+    lu = spla.splu(jacobian_128, permc_spec="NATURAL")
+    # L.nnz + U.nnz of the MMD_AT_PLUS_A factor of the same Jacobian when the
+    # pole ghost was a dense ring-1 block instead of a border unknown
+    assert lu.L.nnz + lu.U.nnz < 2_835_724
+
+
+def test_factor_order_solve_matches_minimum_degree(jacobian_128):
+    import scipy.sparse.linalg as spla
+
+    b = np.random.default_rng(2).standard_normal(jacobian_128.shape[0])
+    got = spla.splu(jacobian_128, permc_spec="NATURAL").solve(b)
+    ref = spla.splu(jacobian_128, permc_spec="MMD_AT_PLUS_A").solve(b)
+    assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+def test_fill_is_recorded_per_factorisation():
+    fld = solve_disc_limit(BoundarySpec.make(cos={1: 1.0, 3: -1.0}), DomainSpec.disc(24, 48),
+                           geometric_schedule(1.0, 0.25))
+    levels = fld.diagnostics["levels"]
+    assert sum(lev["factorizations"] for lev in levels) >= 1
+    for lev in levels:
+        assert len(lev["fill"]) == lev["factorizations"]
+        assert all(fill > 23 * 48 for fill in lev["fill"])
+    assert fld.diagnostics["fill"] == levels[-1]["fill"]
