@@ -178,7 +178,8 @@ def cmd_solve(args):
     os.makedirs(args.out, exist_ok=True)
     field_path = os.path.join(args.out, args.out_field)
     save_field(fld, field_path)
-    # a continuation's field carries its last level's counts; report every level's
+    # a continuation's field carries its last level's counts; report every level's.
+    # The coarse solves of a cold start are listed apart, outside the totals.
     levels = fld.diagnostics.get("levels") or (level_record(fld),)
     diag = {
         "residual_norm": fld.residual_norm,
@@ -188,6 +189,7 @@ def cmd_solve(args):
            for k in ("newton_iterations", "factorizations", "chord_steps")},
         "fill": [fill for lev in levels for fill in lev["fill"]],
         "levels": list(levels),
+        "coarse": list(fld.diagnostics.get("coarse", ())),
         "cauchy_increments": list(fld.cauchy_increments),
         "is_limit": fld.is_limit,
     }

@@ -37,13 +37,24 @@ border unknown last.  The Jacobian is assembled straight into a CSC
 pattern in that order, fixed per grid, and SuperLU factors it as given
 (``permc_spec="NATURAL"``); each solve is mapped back to the unknowns.
 That factor is reused for full chord steps as long as each one cuts the
-sup-norm residual to at most CHORD_CONTRACTION times its previous value.
-A chord step that misses the bound is discarded; the Jacobian is then
-rebuilt and factored at the current iterate and a damped Newton step
-with a sup-norm line search is taken.  At most one factor is alive at a
-time: the stale one is dropped before the next is allocated, and the
-factor is never stored on a field.  A continuation hands its factor from
-one level to the next.
+sup-norm residual to at most CHORD_CONTRACTION times its previous value,
+or below the tolerance.  A chord step that does neither is discarded;
+the Jacobian is then rebuilt and factored at the current iterate and a
+damped Newton step with a sup-norm line search is taken.  At most one
+factor is alive at a time: the stale one is dropped before the next is
+allocated, and the factor is never stored on a field.  A continuation
+hands its factor from one level to the next.
+
+A cold disc solve (no initial iterate) is grid-sequenced (nested
+iteration): when (N, M) halves exactly onto a grid of at least 16 x 16,
+the same data at the same level are first solved there, by the same
+rule, and the fine Newton starts from the fine harmonic extension plus
+the coarse solution's difference from the coarse harmonic extension,
+prolonged trigonometrically in theta and by cubics in the ring
+parameter.  The coarse grid's rings are every other fine ring, as both
+grids share r(xi).  A grid that does not halve, or a coarse solve that
+diverges, starts from the harmonic extension.  The strip starts cold
+from the linear blend of its edge data.
 
 Everything is computed in float64.  A residual evaluated in float64 has
 a round-off floor of about eps * || |J| |x| ||_inf, which at small a on
@@ -88,7 +99,7 @@ BOUNDARY_TOL = 1e-12         # validate: stored boundary values against the data
 MAXPRIN_SLACK = 1e-8         # validate: slack of the maximum principle
 # Part of every SolverCache key: change it whenever solver output changes,
 # so that fields cached on disk by an older solver are not reused.
-SOLVER_VERSION = "chord-newton-3"
+SOLVER_VERSION = "chord-newton-4"
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +470,33 @@ def disc_grid(n_r, n_theta):
     return grid
 
 
+def _prolong(c):
+    """Interior values on the (N, M) disc grid of c, given on the (N/2, M/2) one.
+
+    c holds the interior rings of the (N/2, M/2) grid and vanishes on
+    its boundary ring; its pole value is the mean of its first ring,
+    as for the pole ghost.  Coarse ring i is fine ring 2i and coarse
+    angle j is fine angle 2j.  Each ring is interpolated trigonometrically
+    in theta (the rFFT zero-padded, its Nyquist term split evenly
+    between +-M/4), then each ray by the cubic through the four
+    nearest coarse rings in xi, pole and boundary included.
+    """
+    n, m = c.shape[0] + 1, c.shape[1]              # the coarse (N, M)
+    spec = np.zeros((n + 1, m + 1), complex)
+    spec[1:n, : m // 2 + 1] = 2.0 * np.fft.rfft(c, axis=1)
+    spec[:, m // 2] *= 0.5
+    spec[0, 0] = 2 * m * np.mean(c[0])             # the pole, constant in theta
+    p = np.fft.irfft(spec, n=2 * m, axis=1)        # coarse rings 0..n, fine angles
+    mid = np.empty((n, 2 * m))                     # values halfway between coarse rings
+    mid[1:-1] = (9.0 * (p[1:-2] + p[2:-1]) - p[:-3] - p[3:]) / 16.0
+    mid[0] = (5.0 * p[0] + 15.0 * p[1] - 5.0 * p[2] + p[3]) / 16.0
+    mid[-1] = (p[-4] - 5.0 * p[-3] + 15.0 * p[-2] + 5.0 * p[-1]) / 16.0
+    out = np.empty((2 * n - 1, 2 * m))
+    out[0::2] = mid
+    out[1::2] = p[1:-1]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # strip grid
 
@@ -575,8 +613,9 @@ def _newton(x0, eval_res, build_jac, tol=None, max_iter=NEWTON_MAX_ITER, factor=
     ``factor`` (a FactorSlot; a fresh one when None), which may come from
     an earlier iterate or an earlier continuation level.  The step is
     kept if it cuts the sup-norm residual to at most CHORD_CONTRACTION
-    times its previous value.  Otherwise it is discarded, the slot is
-    emptied, the Jacobian at the current iterate is factored by
+    times its previous value, or below the tolerance, since a step that
+    converges needs no new factor.  Otherwise it is discarded, the slot
+    is emptied, the Jacobian at the current iterate is factored by
     ``spla.splu`` into the slot, and a damped Newton step is taken with
     a halving line search.  Emptying the slot before ``splu`` keeps at
     most one factor alive; the caller keeps the slot, and with it the
@@ -642,7 +681,7 @@ def _newton(x0, eval_res, build_jac, tol=None, max_iter=NEWTON_MAX_ITER, factor=
             x_new = x + factor.solve(rhs).reshape(x.shape)
             res_new = eval_res(x_new)
             norm_new = float(np.max(np.abs(res_new)))
-            if norm_new <= CHORD_CONTRACTION * norm:
+            if norm_new <= CHORD_CONTRACTION * norm or norm_new < tolerance():
                 x, res, norm = x_new, res_new, norm_new
                 accepted = True
                 counts["chord_steps"] += 1
@@ -903,7 +942,8 @@ def _continue(schedule, solve_level, interior):
     FactorSlot with every level.  The returned field records the Cauchy
     increments of u and v between consecutive levels and, under
     ``diagnostics["levels"]``, each level's a, residual norm, tolerance
-    and counts.
+    and counts; ``diagnostics["coarse"]`` gathers the levels' coarse
+    solves (see solve_disc), which only a cold first level makes.
     """
     schedule = tuple(schedule) if schedule is not None else geometric_schedule()
     if len(schedule) == 0 or any(s <= 0 for s in schedule) or \
@@ -912,7 +952,7 @@ def _continue(schedule, solve_level, interior):
     factor = FactorSlot()
     fld = None
     prev = None
-    increments_u, increments_v, levels = [], [], []
+    increments_u, increments_v, levels, coarse = [], [], [], []
     for a_k in schedule:
         try:
             nxt = solve_level(a_k, prev, factor)
@@ -923,6 +963,7 @@ def _continue(schedule, solve_level, interior):
             increments_u.append(float(np.max(np.abs(nxt.u - fld.u))))
             increments_v.append(float(np.max(np.abs(nxt.v - fld.v))))
         levels.append(level_record(nxt))
+        coarse.extend(nxt.diagnostics.get("coarse", ()))
         fld = nxt
         prev = interior(fld)
     fld.is_limit = True
@@ -931,14 +972,44 @@ def _continue(schedule, solve_level, interior):
     fld.diagnostics["cauchy_v"] = tuple(increments_v)
     fld.diagnostics["schedule"] = tuple(float(s) for s in schedule)
     fld.diagnostics["levels"] = tuple(levels)
+    fld.diagnostics["coarse"] = tuple(coarse)
     return fld
 
 
 # ---------------------------------------------------------------------------
 # disc solver
 
+def _cold_start(grid, boundary, a):
+    """Initial iterate of a cold disc solve, and the coarse solves behind it.
+
+    When the grid halves exactly (N even, M a multiple of 8, both halves
+    at least 16), the same data at the same level are solved on the
+    (N/2, M/2) grid, itself cold, with the default tolerance and its own
+    FactorSlot; the start is the harmonic extension H plus the prolonged
+    coarse correction f_2h - H_2h.  Otherwise, or when the coarse solve
+    raises SolverDiverged, the start is H.  Returns the start and the
+    coarse solves' level records with their (n_x, n_y), coarsest first.
+    """
+    start = grid.harmonic_extension(boundary)
+    n, m = grid.N // 2, grid.M // 2
+    if grid.N % 2 or grid.M % 8 or min(n, m) < 16:
+        return start, ()
+    try:
+        coarse = solve_disc(boundary, a, DomainSpec.disc(n, m))
+    except SolverDiverged:
+        return start, ()
+    start += _prolong(coarse.f[:-1] - disc_grid(n, m).harmonic_extension(boundary))
+    return start, (*coarse.diagnostics["coarse"], {**level_record(coarse), "n_x": n, "n_y": m})
+
+
 def solve_disc(boundary, a, domain=None, initial=None, tol=None, factor=None):
     """Solve the disc problem at level a != 0 with Dirichlet potential data.
+
+    ``initial`` is the interior iterate to start from.  Without it the
+    solve is cold and grid-sequenced as ``_cold_start`` describes, and
+    ``diagnostics["coarse"]`` lists the coarse solves, () when there were
+    none.  They finish, and drop their factors, before the fine Newton
+    starts.
 
     ``tol`` is the residual tolerance; None applies the round-off rule of
     ``_newton``.  ``factor`` is a FactorSlot whose LU factor Newton may
@@ -950,7 +1021,7 @@ def solve_disc(boundary, a, domain=None, initial=None, tol=None, factor=None):
     domain = domain or DomainSpec.disc()
     grid = disc_grid(domain.n_x, domain.n_y)
     phi = boundary.sample(grid.theta)
-    f0 = initial if initial is not None else grid.harmonic_extension(boundary)
+    f0, coarse = (initial, ()) if initial is not None else _cold_start(grid, boundary, a)
     f_sol, norm, iters, diag = _newton(
         f0, lambda f_int: grid.residual(f_int, phi, a),
         lambda f_int: grid.jacobian(f_int, phi, a), tol=tol, factor=factor)
@@ -959,7 +1030,7 @@ def solve_disc(boundary, a, domain=None, initial=None, tol=None, factor=None):
     return SolutionField(
         "disc", domain, a, u, v, f=f_full, f_center=f_c, u_center=u_c, v_center=v_c,
         boundary={"circle": boundary}, converged=not diag["stagnated"], residual_norm=norm,
-        diagnostics={"newton_iterations": iters, **diag},
+        diagnostics={"newton_iterations": iters, **diag, "coarse": coarse},
     )
 
 

@@ -271,3 +271,19 @@ def test_solve_limit_diag_totals_its_levels(tmp_path):
     assert diag["newton_iterations"] > levels[-1]["newton_iterations"]
     assert diag["fill"] == [fill for lev in levels for fill in lev["fill"]]
     assert len(diag["fill"]) == diag["factorizations"]
+
+
+def test_solve_diag_lists_the_coarse_solves_apart_from_the_fine_totals(tmp_path):
+    code = run(["solve", "--kind", "disc", "--a", "0.05", "--nx", "64", "--ny", "128",
+                "--cos", "1=1.25", "--cos", "3=-1", "--out", str(tmp_path)])
+    assert code == 0
+    diag = json.loads((tmp_path / "field.csv.diag.json").read_text())
+    assert diag["converged"] and diag["residual_norm"] <= diag["tolerance"]
+    coarse = diag["coarse"]
+    assert [(c["n_x"], c["n_y"]) for c in coarse] == [(16, 32), (32, 64)]
+    assert all(c["a"] == 0.05 and c["converged"] for c in coarse)
+    assert all(len(c["fill"]) == c["factorizations"] >= 1 for c in coarse)
+    (level,) = diag["levels"]
+    for key in ("newton_iterations", "factorizations", "chord_steps"):
+        assert diag[key] == level[key]
+    assert diag["fill"] == level["fill"]

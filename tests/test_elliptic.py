@@ -460,3 +460,114 @@ def test_fill_is_recorded_per_factorisation():
         assert len(lev["fill"]) == lev["factorizations"]
         assert all(fill > 23 * 48 for fill in lev["fill"])
     assert fld.diagnostics["fill"] == levels[-1]["fill"]
+
+
+# -- grid-sequenced cold starts ------------------------------------------------
+
+def test_prolongation_is_exact_on_cubic_rays_of_resolved_harmonics():
+    from slfib.elliptic import _prolong
+
+    n, m = 16, 32                                # the coarse grid; the fine one is (32, 64)
+
+    def sample(n_r, n_theta):
+        xi = np.arange(1, n_r)[:, None] / n_r
+        theta = 2 * np.pi * np.arange(n_theta) / n_theta
+        ray = xi * (1 - xi) * (xi + 0.3)         # a cubic vanishing at the pole and the rim
+        return ray * (np.cos(theta) - 0.5 * np.sin(3 * theta) + 0.25 * np.cos(m // 2 * theta))
+
+    assert np.max(np.abs(_prolong(sample(n, m)) - sample(2 * n, 2 * m))) < 1e-14
+
+
+def test_cold_start_falls_back_to_the_harmonic_extension(monkeypatch):
+    import slfib.elliptic as ell
+
+    spec, a, domain = na_potential_circle(0.05), 0.05, DomainSpec.disc(64, 128)
+    grid = disc_grid(64, 128)
+    ref = solve_disc(spec, a, domain, initial=grid.harmonic_extension(spec))
+
+    def coarse_diverges(boundary, level, dom=None, **kwargs):
+        if dom is not None and dom.n_x < 64:
+            raise SolverDiverged("no", residual=1.0)
+        return solve_disc(boundary, level, dom, **kwargs)
+
+    monkeypatch.setattr(ell, "solve_disc", coarse_diverges)
+    fld = solve_disc(spec, a, domain)
+    assert fld.diagnostics["coarse"] == ()
+    for name in ("f", "u", "v"):
+        assert np.array_equal(getattr(fld, name), getattr(ref, name))
+    assert (fld.f_center, fld.u_center, fld.v_center) == (ref.f_center, ref.u_center,
+                                                          ref.v_center)
+    assert fld.residual_norm == ref.residual_norm
+    assert fld.diagnostics["history"] == ref.diagnostics["history"]
+
+
+@pytest.mark.parametrize("n_x, n_y", [(24, 48), (33, 64), (40, 52)])
+def test_grids_that_do_not_halve_make_no_coarse_solves(n_x, n_y):
+    spec = BoundarySpec.make(cos={1: 1.0, 3: -1.0})
+    fld = solve_disc(spec, 0.5, DomainSpec.disc(n_x, n_y))
+    assert fld.converged and fld.diagnostics["coarse"] == ()
+
+
+@pytest.mark.parametrize("a", [0.5, 0.05, 1e-3])
+def test_sequenced_start_matches_the_harmonic_start(a):
+    spec, domain = na_potential_circle(a), DomainSpec.disc(64, 128)
+    ref = solve_disc(spec, a, domain, initial=disc_grid(64, 128).harmonic_extension(spec))
+    fld = solve_disc(spec, a, domain)
+    assert [(c["n_x"], c["n_y"]) for c in fld.diagnostics["coarse"]] == [(16, 32), (32, 64)]
+    assert all(c["converged"] for c in fld.diagnostics["coarse"])
+    assert ref.diagnostics["coarse"] == ()
+    assert fld.converged and fld.residual_norm <= fld.diagnostics["tolerance"]
+    assert np.max(np.abs(fld.f - ref.f)) <= 1e-10
+    assert np.max(np.abs(fld.v - ref.v)) <= 1e-10
+    assert fld.diagnostics["factorizations"] <= ref.diagnostics["factorizations"]
+
+
+def test_sequenced_start_keeps_affine_data_exact():
+    spec = BoundarySpec.make(0.3, cos={1: 2.0}, sin={1: -0.7})
+    fld = solve_disc(spec, 1e-3, DomainSpec.disc(64, 128))
+    assert [c["newton_iterations"] for c in fld.diagnostics["coarse"]] == [0, 0]
+    assert fld.diagnostics["newton_iterations"] == 0
+    assert fld.diagnostics["factorizations"] == 0
+    assert np.max(np.abs(fld.v - 2.0)) < 1e-10 and np.max(np.abs(fld.u + 0.7)) < 1e-10
+
+
+def test_limit_lists_the_coarse_solves_of_its_first_level():
+    fld = solve_disc_limit(BoundarySpec.make(cos={1: 1.0, 3: -1.0}), DomainSpec.disc(32, 64),
+                           geometric_schedule(1.0, 0.25, 1e-2))
+    coarse = fld.diagnostics["coarse"]
+    assert [(c["a"], c["n_x"], c["n_y"]) for c in coarse] == [(1.0, 16, 32)]
+    # the coarse solves stay out of the level records
+    assert all("n_x" not in lev for lev in fld.diagnostics["levels"])
+
+
+def test_dump_roundtrip_keeps_the_coarse_solves(tmp_path, disc_field_alpha1):
+    coarse = disc_field_alpha1.diagnostics["coarse"]
+    assert [(c["n_x"], c["n_y"]) for c in coarse] == [(24, 48)]
+    path = tmp_path / "disc.csv"
+    save_field(disc_field_alpha1, path)
+    back = load_field(path)
+    assert back.diagnostics["coarse"] == coarse
+    assert isinstance(back.diagnostics["coarse"], tuple)
+    assert isinstance(back.diagnostics["coarse"][0]["fill"], tuple)
+
+
+def test_chord_step_that_reaches_the_tolerance_is_kept():
+    import scipy.sparse as sp
+
+    from slfib.elliptic import CHORD_CONTRACTION, _newton
+
+    # the Jacobian is 2.5 times the slope, so every step leaves 0.6 of the
+    # residual, above CHORD_CONTRACTION; the first chord step, from 1.5e-10,
+    # lands at 9e-11, below NEWTON_TOL
+    def eval_res(x):
+        return x.copy()
+
+    def build_jac(x):
+        return sp.diags(np.full(x.size, 2.5)).tocsc()
+
+    _, norm, iters, diag = _newton(np.full(3, 2.5e-10), eval_res, build_jac)
+    history = diag["history"]
+    assert history[2] / history[1] > CHORD_CONTRACTION
+    assert norm == history[-1] < NEWTON_TOL == diag["tolerance"]
+    assert not diag["stagnated"]
+    assert (iters, diag["factorizations"], diag["chord_steps"]) == (2, 1, 1)
