@@ -76,8 +76,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse as sp
+# keep ``spla`` a module-level name: benchmarks/tracing.py swaps it for a traced proxy
 import scipy.sparse.linalg as spla
-from scipy.interpolate import RectBivariateSpline
 
 from .errors import (
     ContinuationFailed,
@@ -796,6 +796,9 @@ class SolutionField:
     # -- interpolation -----------------------------------------------------
 
     def _interpolator(self, grid, center_value):
+        # local: scipy.interpolate loads scipy.optimize, which a solve never needs
+        from scipy.interpolate import RectBivariateSpline
+
         pad = 4  # wrap columns so the periodic coordinate stays smooth
         if self.kind == "disc":
             r, th = self.grid_axes()

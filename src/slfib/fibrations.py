@@ -315,7 +315,8 @@ def _probe(family, a, point, resolution, schedule, cache):
 
     def probe(b):
         fld = solve_family_member(family, a, b, resolution, schedule, cache)
-        return float(fld.v_center if centre else fld.uv(x, y)[1])
+        # v only: a probe never reads u, so it builds no u interpolant
+        return float(fld.v_center if centre else fld._eval("v", x, y))
 
     return probe
 

@@ -17,8 +17,6 @@ types force even multiplicity.
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .errors import (
     CircleHitsZero,
@@ -66,6 +64,9 @@ class SingularPointRecord:
 
 
 def _axis_spline(field):
+    # local: importing slfib should not load scipy.interpolate and scipy.optimize
+    from scipy.interpolate import CubicSpline
+
     xs, us, vs = field.axis_samples()
     if field.kind == "periodic-strip":
         return CubicSpline(xs, vs, bc_type="periodic"), xs
@@ -107,6 +108,9 @@ def detect_axis_zeros(field, include_boundary=False):
         raise ValueError("axis zero detection expects a singular-level field")
     if is_axis_degenerate(field):
         raise NonisolatedSingularities("field equals its own reflection")
+    # local, like minimize_scalar below: only an analysis needs the root finder
+    from scipy.optimize import brentq
+
     spline, xs = _axis_spline(field)
     lo, hi = float(xs[0]), float(xs[-1])
     dense = np.linspace(lo, hi, max(2048, 16 * len(xs)))

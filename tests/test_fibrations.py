@@ -17,6 +17,7 @@ from slfib.fibrations import (
     DiscriminantRibbon,
     FamilySpec,
     SolverCache,
+    _probe,
     alpha_beta_curves,
     disc_family,
     project_to_base,
@@ -62,6 +63,17 @@ def test_vhat_probe_even_in_x():
     v2 = vhat_probe(1.0, 0.5, (-0.4, 0.0), DISC_RES, cache=cache)
     assert abs(v1 - v2) < 1e-8
     assert cache.misses == 1 and cache.hits == 1
+
+
+@pytest.mark.parametrize("kind, point", [("disc", (1.0, 0.0)), ("strip", (np.pi, 0.0))])
+def test_probe_evaluates_only_v(kind, point):
+    fam, res = (disc_family(), DISC_RES) if kind == "disc" else (strip_family(0.5), STRIP_RES)
+    cache = SolverCache()
+    val = _probe(fam, 0.0, point, res, FAST_SCHEDULE, cache)(0.25)
+    fld = solve_family_member(fam, 0.0, 0.25, res, FAST_SCHEDULE, cache)
+    assert (cache.misses, cache.hits) == (1, 1)
+    assert "u" not in fld._interp  # the probe built no u interpolant
+    assert val == float(fld.uv(*point)[1])
 
 
 def test_vhat_probe_outside():
