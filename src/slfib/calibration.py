@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .elliptic import disc_grid
 from .errors import DegenerateFrame, OutOfDomain
 
 FD_STEP = 1e-4
@@ -178,7 +179,8 @@ def field_equation_residual(field):
     """Max interior residual of the two first-order graph equations.
 
     The equations are u_x = v_y and v_x = -2 sqrt(v^2 + y^2 + a^2) u_y,
-    evaluated with second-order central differences on the field's grid.
+    evaluated with second-order central differences on the field's grid
+    (on the disc, the solver's own stencils in DiscGrid.extract_uv).
     At level a = 0, nodes within EXCLUDE_RADIUS_CELLS grid cells of an
     axis point with |v| below SINGULAR_V_THRESHOLD are excluded, since
     the graph functions need not be differentiable there.  On disc grids the
@@ -189,8 +191,9 @@ def field_equation_residual(field):
     xg, yg, u, v = field.node_arrays()
     a = field.a
     if field.kind == "disc":
-        ux, uy = field.cartesian_gradient(u)
-        vx, vy = field.cartesian_gradient(v)
+        grid = disc_grid(field.domain.n_x, field.domain.n_y)
+        uy, ux, *_ = grid.extract_uv(u[:-1], u[-1])
+        vy, vx, *_ = grid.extract_uv(v[:-1], v[-1])
     else:
         dx = xg[0, 1] - xg[0, 0]
         dy = yg[1, 0] - yg[0, 0]

@@ -237,7 +237,7 @@ def _nonuniform_weights(hm, hp):
 def _one_sided_weights(d, e):
     """Weights on nodes x0 < x1 < x2 of the first derivative at x2.
 
-    d = x1 - x0 and e = x2 - x1; mirrored, they give the derivative at x0.
+    d = x1 - x0 and e = x2 - x1.
     """
     return e / (d * (d + e)), -(d + e) / (d * e), (d + 2 * e) / (e * (d + e))
 
@@ -856,26 +856,6 @@ class SolutionField:
 
     # -- diagnostics ---------------------------------------------------------
 
-    def cartesian_gradient(self, grid):
-        """(d/dx, d/dy) of a ring-grid scalar via polar transforms (disc only)."""
-        if self.kind != "disc":
-            raise ValueError("cartesian_gradient is for disc fields")
-        g = disc_grid(self.domain.n_x, self.domain.n_y)
-        r = g.r
-        gr = np.empty_like(grid)
-        # central at rings 2..N-1, one-sided away from the pole and at the boundary
-        gr[1:-1] = g.wm[1:, None] * grid[:-2] + g.w0[1:, None] * grid[1:-1] \
-            + g.wp[1:, None] * grid[2:]
-        first = _one_sided_weights(r[2] - r[1], r[1] - r[0])
-        gr[0] = -(first[0] * grid[2] + first[1] * grid[1] + first[2] * grid[0])
-        gr[-1] = g.bnd_w[0] * grid[-3] + g.bnd_w[1] * grid[-2] + g.bnd_w[2] * grid[-1]
-        gth = grid @ g.angular["d1"].T
-        c, s = g.cos[None, :], g.sin[None, :]
-        rr = r[:, None]
-        gx = c * gr - (s / rr) * gth
-        gy = s * gr + (c / rr) * gth
-        return gx, gy
-
     def validate(self):
         """Check the container invariants; raises AssertionError on failure."""
         if self.kind == "disc":
@@ -900,7 +880,9 @@ class SolutionField:
 
 
 # ---------------------------------------------------------------------------
-# synthetic fields (used by analysis tests and the CLI classify path)
+# synthetic fields: a test constructor for fields with known zeros and
+# exact references.  It stays in the package so that a fresh interpreter
+# with only the source tree on its path can build one too.
 
 def field_from_callables(domain, a, u_fn, v_fn, is_limit=None):
     """Sample callables u(x, y), v(x, y) into a SolutionField container."""

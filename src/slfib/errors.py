@@ -34,6 +34,5 @@ NonisolatedSingularities = _make("nonisolated-singularities", "v vanishes along 
 ProbeTooClose = _make("probe-too-close", "Type probes landed too close to a zero to read a sign.")
 CircleHitsZero = _make("circle-hits-zero", "Winding circle passes through a zero of the difference field.")
 WindingUnresolved = _make("winding-unresolved", "Angle accumulation did not settle on an integer.")
-IdenticalFields = _make("identical-fields", "Fields agree to round-off; no zero set to count.")
 OutsideTotalSpace = _make("outside-total-space", "Point is not in the open set fibred by the family.")
 BracketFailed = _make("bracket-failed", "Root bracket could not be established in the search interval.")

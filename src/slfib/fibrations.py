@@ -52,7 +52,6 @@ from .elliptic import (
     solve_strip_limit,
 )
 from .errors import BracketFailed, OutsideTotalSpace, SolverDiverged
-from .singularities import detect_axis_zeros
 
 DEFAULT_DISC_RESOLUTION = (64, 128)
 DEFAULT_STRIP_RESOLUTION = (128, 65)
@@ -62,7 +61,6 @@ CURVE_TOL = 1e-5
 CACHE_ENV = "SLFIB_CACHE_DIR"
 BISECT_MAX_ITER = 200
 BRACKET_MAX = 1024.0             # _grown_bracket doubles its half-width up to this
-REFINE_WINDOW = 1e-4             # refine_band_edge's first half-width about the coarse root
 
 
 @dataclass(frozen=True)
@@ -321,14 +319,6 @@ def _probe(family, a, point, resolution, schedule, cache):
     return probe
 
 
-def vhat_probe(a, alpha, point, resolution=None, schedule=None, cache=None):
-    """Interpolated v of the disc-family field at a point of the closed disc."""
-    x, y = point
-    if np.hypot(x, y) > 1.0 + 1e-12:
-        raise OutsideTotalSpace("probe point outside the closed disc", x=x, y=y)
-    return _probe(disc_family(), a, point, resolution, schedule, cache)(alpha)
-
-
 def _bisect(fn, lo, hi, tol):
     flo = fn(lo)
     fhi = fn(hi)
@@ -371,8 +361,8 @@ def find_alpha0_alpha1(schedule=None, resolution=None, bracket=(-20.0, 20.0),
     return alpha0, alpha1
 
 
-def _grown_bracket(fn, tol, b0=2.0):
-    b = b0
+def _grown_bracket(fn, tol):
+    b = 2.0
     while b <= BRACKET_MAX:
         try:
             return _bisect(fn, -b, b, tol)
@@ -430,18 +420,6 @@ def alpha_beta_curves(t_grid, resolution=None, schedule=None, tol=CURVE_TOL,
     return out
 
 
-def refine_band_edge(family, which, coarse, tol=1e-9, resolution=None,
-                     schedule=None, cache=None):
-    """Re-bisect a band-edge root to high accuracy from a coarse value.
-
-    The bracket is [coarse - w, coarse + w], with w = REFINE_WINDOW
-    doubled until the probe changes sign over it.
-    """
-    x0 = 0.0 if which == "alpha" else np.pi
-    fn = _probe(family, 0.0, (x0, 0.0), resolution, schedule, cache)
-    return coarse + _grown_bracket(lambda d: fn(coarse + d), tol, b0=REFINE_WINDOW)
-
-
 def ribbon_report(family, params):
     """Discriminant ribbon data for a family.
 
@@ -462,33 +440,3 @@ def ribbon_report(family, params):
         a_plane=0.0, b_interval=(float(alpha_t), float(beta_t)),
         c_range="all-reals", endpoint_kind=("fold-boundary", "fold-boundary"),
         counts=(0, 1, 2), degenerate=degenerate)
-
-
-def singular_count_profile(t, b_samples=None, resolution=None, schedule=None,
-                           cache=None):
-    """Axis-zero counts per period across the strip-sweep band at t.
-
-    With no explicit samples the band edges are refined to 1e-9 and the
-    profile is sampled just outside, at both edges and at the midpoint,
-    where the expected counts are 0 / 1 / 2 / 1 / 0.
-    """
-    if not 0.0 < t <= 1.0:
-        raise ValueError("the profile is defined for t in (0, 1]")
-    fam = strip_family(t)
-    if b_samples is None:
-        (_, alpha_c, beta_c), = alpha_beta_curves([t], resolution, schedule,
-                                                  cache=cache)
-        alpha_t = refine_band_edge(fam, "alpha", alpha_c, resolution=resolution,
-                                   schedule=schedule, cache=cache)
-        beta_t = refine_band_edge(fam, "beta", beta_c, resolution=resolution,
-                                  schedule=schedule, cache=cache)
-        width = beta_t - alpha_t
-        delta = max(0.05 * width, 1e-3)
-        b_samples = [alpha_t - delta, alpha_t, 0.5 * (alpha_t + beta_t),
-                     beta_t, beta_t + delta]
-    out = []
-    for b in b_samples:
-        fld = solve_family_member(fam, 0.0, b, resolution, schedule, cache)
-        zeros = detect_axis_zeros(fld)
-        out.append((float(b), len(zeros), tuple(zeros)))
-    return out

@@ -192,49 +192,6 @@ def invariant_lattice(vertex):
     }
 
 
-def lattice_contains(basis, vector):
-    """Whether an integer vector lies in the lattice spanned by the basis."""
-    from fractions import Fraction
-
-    if not basis:
-        return all(x == 0 for x in vector)
-    # solve basis^T c = vector over the rationals, then check integrality
-    a = [[Fraction(b[i]) for b in basis] for i in range(3)]
-    rhs = [Fraction(x) for x in vector]
-    cols = len(basis)
-    # gaussian elimination on the 3 x cols system
-    row = 0
-    pivots = []
-    for col in range(cols):
-        pr = next((r for r in range(row, 3) if a[r][col] != 0), None)
-        if pr is None:
-            continue
-        a[row], a[pr] = a[pr], a[row]
-        rhs[row], rhs[pr] = rhs[pr], rhs[row]
-        inv = a[row][col]
-        a[row] = [x / inv for x in a[row]]
-        rhs[row] = rhs[row] / inv
-        for r in range(3):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-                rhs[r] = rhs[r] - f * rhs[row]
-        pivots.append(col)
-        row += 1
-    coeffs = [Fraction(0)] * cols
-    for r, col in enumerate(pivots):
-        coeffs[col] = rhs[r]
-    # consistency of the remaining equations
-    for r in range(3):
-        lhs = sum(a[r][c] * coeffs[c] for c in range(cols))
-        if lhs != rhs[r] and r >= len(pivots):
-            return False
-    recon = [sum(basis[c][i] * coeffs[c] for c in range(cols)) for i in range(3)]
-    if any(recon[i] != vector[i] for i in range(3)):
-        return False
-    return all(c.denominator == 1 for c in coeffs)
-
-
 # ---------------------------------------------------------------------------
 # ribbon figure geometry
 

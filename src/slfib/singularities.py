@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import (
     CircleHitsZero,
-    IdenticalFields,
     NonisolatedSingularities,
     ProbeTooClose,
     WindingUnresolved,
@@ -33,7 +32,6 @@ MIN_CIRCLE_NORM = 1e-7
 WINDING_DEFECT = 0.1
 MIN_CIRCLE_SAMPLES = 128
 MAX_CIRCLE_SAMPLES = 2**16
-BILINEAR_REFINE_ITERS = 40
 
 TYPES = ("increasing", "decreasing", "maximum", "minimum")
 
@@ -236,9 +234,9 @@ def _sign_label(field, spline, xs, x_location, zeros):
 
 
 def _angle_steps(du, dv):
-    """Wrapped angle increments of (du, dv) around closed loops along the last axis."""
+    """Wrapped angle increments of (du, dv) around a closed loop of samples."""
     ang = np.arctan2(dv, du)
-    inc = np.roll(ang, -1, axis=-1) - ang
+    inc = np.roll(ang, -1) - ang
     return (inc + np.pi) % (2.0 * np.pi) - np.pi
 
 
@@ -295,78 +293,6 @@ def _circle_in_domain(field, x0, radius):
     if field.kind == "disc":
         return abs(x0) + radius < 1.0 - 1e-9
     return radius < field.domain.R - 1e-12
-
-
-def count_zeros_between(field1, field2):
-    """Count and locate zeros of the difference of two fields.
-
-    Sweeps grid cells with a four-corner degree test on
-    (u1 - u2, v1 - v2) and refines each hit by bisection on the bilinear
-    model of the cell.  Returns (count, locations).
-    """
-    if field1.v.shape != field2.v.shape or field1.kind != field2.kind:
-        raise ValueError("fields must share a grid")
-    if abs(field1.a - field2.a) > 1e-12 * max(1.0, abs(field1.a)):
-        raise ValueError("fields must share the level a")
-    du = field1.u - field2.u
-    dv = field1.v - field2.v
-    if max(np.max(np.abs(du)), np.max(np.abs(dv))) < 1e-12:
-        raise IdenticalFields("difference below round-off")
-    xg, yg, _, _ = field1.node_arrays()
-
-    def corners(arr):
-        # cell (i, j) in cycle order (i, j), (i, j+1), (i+1, j+1), (i+1, j); both
-        # grids wrap in their second index (theta or periodic x)
-        right = np.roll(arr, -1, axis=1)
-        return np.stack([arr[:-1], right[:-1], right[1:], arr[1:]], axis=-1)
-
-    cu, cv = corners(du), corners(dv)
-    # a strictly one-signed component rules the cell out
-    one_signed = (np.all(cu > 0, axis=-1) | np.all(cu < 0, axis=-1)
-                  | np.all(cv > 0, axis=-1) | np.all(cv < 0, axis=-1))
-    winding = np.rint(_angle_steps(cu, cv).sum(axis=-1) / (2.0 * np.pi))
-    hits = np.argwhere(~one_signed & (winding != 0))
-
-    cx, cy = corners(xg), corners(yg)
-    locations = []
-    dedupe = 0.25 * field1.cell_scale()
-    for i, j in hits:
-        s, t = _bilinear_zero(cu[i, j], cv[i, j])
-        loc = (float(_bilinear(cx[i, j], s, t)), float(_bilinear(cy[i, j], s, t)))
-        # a zero on a shared cell edge registers in both cells: keep one
-        if all(np.hypot(loc[0] - p[0], loc[1] - p[1]) > dedupe for p in locations):
-            locations.append(loc)
-    return len(locations), locations
-
-
-def _bilinear(corners, s, t):
-    c00, c10, c11, c01 = corners  # cycle order (0,0), (1,0), (1,1), (0,1)
-    return (c00 * (1 - s) * (1 - t) + c10 * s * (1 - t)
-            + c11 * s * t + c01 * (1 - s) * t)
-
-
-def _bilinear_zero(cu, cv):
-    """2-D bisection on the bilinear surrogate over the unit square."""
-    s_lo, s_hi, t_lo, t_hi = 0.0, 1.0, 0.0, 1.0
-
-    def deg(sl, sh, tl, th):
-        ss = np.array([sl, sh, sh, sl])
-        tt = np.array([tl, tl, th, th])
-        inc = _angle_steps(_bilinear(cu, ss, tt), _bilinear(cv, ss, tt))
-        return round(float(inc.sum() / (2.0 * np.pi)))
-
-    for _ in range(BILINEAR_REFINE_ITERS):
-        sm = 0.5 * (s_lo + s_hi)
-        tm = 0.5 * (t_lo + t_hi)
-        quads = [(s_lo, sm, t_lo, tm), (sm, s_hi, t_lo, tm),
-                 (s_lo, sm, tm, t_hi), (sm, s_hi, tm, t_hi)]
-        for q in quads:
-            if deg(*q) != 0:
-                s_lo, s_hi, t_lo, t_hi = q
-                break
-        else:
-            break  # degree spread over sub-cells; return the centre
-    return 0.5 * (s_lo + s_hi), 0.5 * (t_lo + t_hi)
 
 
 def bound_check(records, l):

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from slfib import cli
 from slfib.cli import main
 from slfib.elliptic import DomainSpec, field_from_callables, save_field
 from slfib.models import na_oracle_grid
@@ -117,6 +121,32 @@ def test_sweep_jobs_matches_the_serial_run(tmp_path):
         (tmp_path / "2" / "curves.csv").read_bytes()
 
 
+def test_sweep_jobs_never_exceed_the_t_values(tmp_path, monkeypatch):
+    # a fork-started pool starts all of its workers at the first submit
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    for ts in ("0.5,0.25", "0.5"):
+        code = run(["sweep", "--family", "section7", "--t", ts, "--nx", "32", "--ny", "17",
+                    "--schedule", "0.5,0.125,0.03125,0.0078125,0.001",
+                    "--jobs", "64", "--out", str(tmp_path / ts)])
+        assert code == 0
+    assert asked == [2]  # two t values ask for two workers, one t for no pool
+
+
 def test_sweep_empty_t_usage_error(tmp_path):
     code = run(["sweep", "--family", "section7", "--t", "", "--out", str(tmp_path)])
     assert code == 2
@@ -148,6 +178,20 @@ def test_sl_check(tmp_path):
     code = run(["sl-check", "--model", "Fprime", "--a", "0.4", "--c", "0.2+0.1j",
                 "--frames", "40", "--out", str(tmp_path)])
     assert code == 0
+
+
+def test_sl_check_stops_when_every_draw_is_excluded(tmp_path):
+    # at a = 0 every draw this close to the origin lies in the cone-point
+    # exclusion ball; a fresh interpreter with a timeout turns a loop that
+    # never ends into a failure instead of a hung test run
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "slfib.cli", "sl-check", "--a", "0",
+                           "--extent", "1e-5", "--frames", "3", "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "cone-point exclusion" in proc.stderr
 
 
 def test_monodromy_default(tmp_path, capsys):

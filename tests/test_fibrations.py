@@ -22,11 +22,10 @@ from slfib.fibrations import (
     disc_family,
     project_to_base,
     ribbon_report,
-    singular_count_profile,
     solve_family_member,
     strip_family,
-    vhat_probe,
 )
+from slfib.singularities import detect_axis_zeros
 
 FAST_SCHEDULE = geometric_schedule(0.5, 0.25)
 DISC_RES = (24, 48)
@@ -53,14 +52,15 @@ def test_strip_family_boundary():
 
 def test_vhat_probe_boundary_value():
     # alpha + 3 up to discretisation error at this deliberately small grid
-    val = vhat_probe(1.0, 1.0, (0.0, 1.0), DISC_RES, cache=SolverCache())
+    fld = solve_family_member(disc_family(), 1.0, 1.0, DISC_RES, cache=SolverCache())
+    val = fld.uv(0.0, 1.0)[1]
     assert abs(val - 4.0) < 1e-1
 
 
 def test_vhat_probe_even_in_x():
     cache = SolverCache()
-    v1 = vhat_probe(1.0, 0.5, (0.4, 0.0), DISC_RES, cache=cache)
-    v2 = vhat_probe(1.0, 0.5, (-0.4, 0.0), DISC_RES, cache=cache)
+    v1 = solve_family_member(disc_family(), 1.0, 0.5, DISC_RES, cache=cache).uv(0.4, 0.0)[1]
+    v2 = solve_family_member(disc_family(), 1.0, 0.5, DISC_RES, cache=cache).uv(-0.4, 0.0)[1]
     assert abs(v1 - v2) < 1e-8
     assert cache.misses == 1 and cache.hits == 1
 
@@ -74,11 +74,6 @@ def test_probe_evaluates_only_v(kind, point):
     assert (cache.misses, cache.hits) == (1, 1)
     assert "u" not in fld._interp  # the probe built no u interpolant
     assert val == float(fld.uv(*point)[1])
-
-
-def test_vhat_probe_outside():
-    with pytest.raises(OutsideTotalSpace):
-        vhat_probe(1.0, 0.0, (1.2, 0.0), DISC_RES)
 
 
 def test_project_strip_trivial_family():
@@ -145,15 +140,18 @@ def test_ribbon_reports():
 
 
 def test_singular_count_profile_across_the_band():
-    # refine_band_edge brackets each edge from the coarse alpha_beta_curves value
-    profile = singular_count_profile(0.5, resolution=(32, 17),
-                                     schedule=geometric_schedule(0.5, 0.25, 1e-3),
-                                     cache=SolverCache())
-    assert [count for _, count, _ in profile] == [0, 1, 2, 1, 0]
-    alpha, beta = profile[1][0], profile[3][0]
+    # axis-zero counts just outside the band, at both edges and at its midpoint
+    res, schedule, cache = (32, 17), geometric_schedule(0.5, 0.25, 1e-3), SolverCache()
+    (_, alpha, beta), = alpha_beta_curves([0.5], res, schedule, tol=1e-9, cache=cache)
+    delta = max(0.05 * (beta - alpha), 1e-3)
+    samples = [alpha - delta, alpha, 0.5 * (alpha + beta), beta, beta + delta]
+    counts = [len(detect_axis_zeros(
+        solve_family_member(strip_family(0.5), 0.0, b, res, schedule, cache)))
+        for b in samples]
+    assert counts == [0, 1, 2, 1, 0]
     assert alpha < 0.0 < beta
     assert abs(alpha + beta) <= 1e-9
-    assert profile[0][0] < alpha and profile[4][0] > beta
+    assert samples[0] < alpha and samples[4] > beta
 
 
 def test_bisect_bracket_failure():

@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from slfib.elliptic import BoundarySpec, DomainSpec, field_from_callables
-from slfib.errors import (
-    IdenticalFields,
-    NonisolatedSingularities,
-    ProbeTooClose,
-)
+from slfib.errors import NonisolatedSingularities, ProbeTooClose
 from slfib.models import na_oracle_grid
 from slfib.singularities import (
     SingularPointRecord,
@@ -14,7 +10,6 @@ from slfib.singularities import (
     bound_check,
     boundary_extrema_count,
     classify_type,
-    count_zeros_between,
     detect_axis_zeros,
     is_axis_degenerate,
     winding_multiplicity,
@@ -121,29 +116,6 @@ def test_degenerate_disc_boundary_spec():
 def test_requires_singular_level(disc_field_alpha1):
     with pytest.raises(ValueError):
         detect_axis_zeros(disc_field_alpha1)
-
-
-def test_count_zeros_between_offset_fields():
-    f1 = field_from_callables(STRIP, 0.5, lambda x, y: 0 * x, lambda x, y: 0 * x + 1.0)
-    f2 = field_from_callables(STRIP, 0.5, lambda x, y: 0 * x, lambda x, y: 0 * x + 1.001)
-    count, locs = count_zeros_between(f1, f2)
-    assert count == 0 and locs == []
-
-
-def test_count_zeros_between_identical():
-    f1 = field_from_callables(STRIP, 0.5, lambda x, y: 0 * x, lambda x, y: 0 * x + 1.0)
-    with pytest.raises(IdenticalFields):
-        count_zeros_between(f1, f1)
-
-
-def test_count_zeros_between_finds_a_zero():
-    f1 = field_from_callables(DISC, 0.0, lambda x, y: -0.5 * y,
-                              lambda x, y: 0.5 * (x - 0.3), is_limit=True)
-    f2 = field_from_callables(DISC, 0.0, lambda x, y: 0 * x, lambda x, y: 0 * x,
-                              is_limit=True)
-    count, locs = count_zeros_between(f1, f2)
-    assert count == 1
-    assert abs(locs[0][0] - 0.3) < 1e-6 and abs(locs[0][1]) < 1e-6
 
 
 def test_bound_check_cases():
