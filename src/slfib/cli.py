@@ -101,10 +101,11 @@ def _parse_args(argv):
 
     A lenient parse, in which nothing is required, finds the subcommand
     and its --config.  The config keys that name an option of that
-    subcommand become its defaults, a required option that the config
-    gives is required no more, and argv is parsed again, so a flag given
-    at its default value still wins.  A key whose option the lenient
-    parse already moved off its default is dropped, so a repeatable flag
+    subcommand become its defaults (numbers as strings, so that the
+    option's type applies), a required option that the config gives is
+    required no more, and argv is parsed again, so a flag given at its
+    default value still wins.  A key whose option the lenient parse
+    already moved off its default is dropped, so a repeatable flag
     such as --cos replaces the config's list instead of extending it.
     Without a config, or when the lenient parse fails, argv is parsed by
     the strict parser, which reports any error.
@@ -119,8 +120,10 @@ def _parse_args(argv):
         conf = {key.replace("-", "_"): value for key, value in json.load(fh).items()}
     parser, commands = build_parser(supplied=conf)
     sub = commands[args.command]
+    # a JSON number goes in as a string, which argparse converts by the option's type
     sub.set_defaults(**{
-        dest: value for dest, value in conf.items()
+        dest: str(value) if type(value) in (int, float) else value
+        for dest, value in conf.items()
         if hasattr(args, dest) and dest not in ("command", "fn", "config")
         and getattr(args, dest) == sub.get_default(dest)})
     return parser.parse_args(argv)
@@ -229,13 +232,15 @@ def _sweep_point_section7(task):
 def cmd_sweep(args):
     os.makedirs(args.out, exist_ok=True)
     schedule = _parse_schedule(args.schedule)
+    default = (fibrations.DEFAULT_STRIP_RESOLUTION if args.family == "section7"
+               else fibrations.DEFAULT_DISC_RESOLUTION)
+    resolution = (args.nx or default[0], args.ny or default[1])
     records = []
     if args.family == "section7":
         ts = [float(v) for v in args.t.split(",")] if args.t else []
         if not ts:
             print("empty t list", file=sys.stderr)
             return 2
-        resolution = (args.nx or 128, args.ny or 65)
         tasks = [(t, resolution, schedule) for t in ts]
         # a fork-started pool starts every worker at the first submit
         workers = min(args.jobs, len(tasks))
@@ -254,7 +259,6 @@ def cmd_sweep(args):
             for t, a_t, b_t in rows:
                 fh.write(f"{t!r},{a_t!r},{b_t!r}\n")
     else:
-        resolution = (args.nx or 64, args.ny or 128)
         alpha0, alpha1 = fibrations.find_alpha0_alpha1(schedule, resolution)
         ribbon = fibrations.ribbon_report(fibrations.disc_family(), (alpha0, alpha1))
         grid_n = args.alpha_grid or 0
@@ -293,11 +297,10 @@ def cmd_project(args):
 
     p = ComplexPoint3(_complex(args.z1), _complex(args.z2), _complex(args.z3))
     if args.family == "section6":
-        fam = fibrations.disc_family()
-        resolution = (args.nx or 64, args.ny or 128)
+        fam, default = fibrations.disc_family(), fibrations.DEFAULT_DISC_RESOLUTION
     else:
-        fam = fibrations.strip_family(args.t)
-        resolution = (args.nx or 128, args.ny or 65)
+        fam, default = fibrations.strip_family(args.t), fibrations.DEFAULT_STRIP_RESOLUTION
+    resolution = (args.nx or default[0], args.ny or default[1])
     coords = fibrations.project_to_base(p, fam, resolution,
                                         _parse_schedule(args.schedule))
     print(json.dumps({"a": coords.a, "b": coords.b, "c": coords.c}, sort_keys=True))
@@ -334,6 +337,8 @@ def cmd_fiber_sample(args):
 
 
 def cmd_sl_check(args):
+    if args.frames < 1:
+        raise ValueError(f"--frames must be at least 1, got {args.frames}")
     rng = np.random.default_rng(args.seed)
     field = _model_field(args)
     worst_omega = 0.0

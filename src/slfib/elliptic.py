@@ -606,7 +606,7 @@ class FactorSlot:
         return self.lu.solve(b)[self.pos]
 
 
-def _newton(x0, eval_res, build_jac, tol=None, max_iter=NEWTON_MAX_ITER, factor=None):
+def _newton(x0, eval_res, build_jac, tol=None, factor=None):
     """Chord Newton with sup-norm line search.
 
     Each iteration first tries a full chord step with the factor held in
@@ -627,8 +627,6 @@ def _newton(x0, eval_res, build_jac, tol=None, max_iter=NEWTON_MAX_ITER, factor=
     any border unknowns after the others; and z, the iterate there with
     its border values.  A border row's right-hand side is zero, as its
     equation holds at every iterate, and each solve is read back at pos.
-    A plain sparse matrix stands for J over the unknowns in their own
-    order.
 
     The solve is converged once the sup-norm residual is below the
     tolerance: ``tol`` when given, else max(NEWTON_TOL, floor) with the
@@ -638,7 +636,7 @@ def _newton(x0, eval_res, build_jac, tol=None, max_iter=NEWTON_MAX_ITER, factor=
 
     Every kept step counts as an iteration, as does a Newton step whose
     line search failed.  A run of steps that fail to cut the residual by
-    10% stalls the solve, as does running out of iterations.  A stalled
+    10% stalls the solve, as does reaching NEWTON_MAX_ITER.  A stalled
     iterate is converged when it is below the tolerance, is returned as
     stagnated (not converged) when it is below the stagnation bound
     FLOOR_ACCEPT / NEWTON_TOL * max(NEWTON_TOL, floor), and raises
@@ -672,7 +670,7 @@ def _newton(x0, eval_res, build_jac, tol=None, max_iter=NEWTON_MAX_ITER, factor=
             return outcome(iters, True)
         raise SolverDiverged(reason, residual=norm, iterations=iters)
 
-    for it in range(max_iter):
+    for it in range(NEWTON_MAX_ITER):
         if norm < tolerance():
             return outcome(it, False)
         accepted = False
@@ -687,8 +685,7 @@ def _newton(x0, eval_res, build_jac, tol=None, max_iter=NEWTON_MAX_ITER, factor=
                 counts["chord_steps"] += 1
         if not accepted:
             factor.lu = None
-            jac = build_jac(x)
-            jac, factor.pos, z = jac if isinstance(jac, tuple) else (jac, slice(None), x.ravel())
+            jac, factor.pos, z = build_jac(x)
             factor.floor = float(ROUNDOFF_SAFETY * np.finfo(float).eps
                                  * np.max(abs(jac) @ np.abs(z)))
             factor.lu = spla.splu(jac, permc_spec="NATURAL")
@@ -712,7 +709,7 @@ def _newton(x0, eval_res, build_jac, tol=None, max_iter=NEWTON_MAX_ITER, factor=
             stall = 0
         if not accepted and stall >= 2 or stall >= 4:
             return stalled(it + 1, "newton stalled")
-    return stalled(max_iter, "newton iteration budget exhausted")
+    return stalled(NEWTON_MAX_ITER, "newton iteration budget exhausted")
 
 
 # ---------------------------------------------------------------------------

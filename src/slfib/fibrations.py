@@ -93,14 +93,10 @@ class FamilySpec:
 
     kind: str                         # "disc-sweep" | "strip-sweep"
     t: float = 0.0                    # strip deformation parameter
-    R: float = 1.0
-    P: float = 2.0 * np.pi
 
     def __post_init__(self):
         if self.kind not in ("disc-sweep", "strip-sweep"):
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind == "strip-sweep" and abs(self.P - 2.0 * np.pi) > 1e-12:
-            raise ValueError("the strip sweep family is defined at period 2 pi")
 
     def boundary(self, b):
         """Boundary data at family parameter b (alpha for the disc sweep)."""
@@ -208,7 +204,7 @@ _shared_cache = SolverCache()
 def solve_family_member(family, a, b, resolution=None, schedule=None, cache=None):
     """Solve (or fetch) the family field at level a and parameter b.
 
-    A field is cached under its lane, the family kind, t, R, P, level a,
+    A field is cached under its lane, the family kind, t, level a,
     resolution and (at a = 0) schedule, and its parameter b.  On a miss
     the probe is warm-started in b: the Dirichlet problem at a != 0 has a
     unique solution, so a start built from solved neighbours in the same
@@ -254,7 +250,7 @@ def solve_family_member(family, a, b, resolution=None, schedule=None, cache=None
             return solve_disc(spec, level, domain, initial=initial)
     else:
         res = resolution or DEFAULT_STRIP_RESOLUTION
-        domain = DomainSpec.strip(res[0], res[1], family.R, family.P)
+        domain = DomainSpec.strip(*res)
         top, bottom = family.boundary(b)
 
         def cold():
@@ -271,8 +267,7 @@ def solve_family_member(family, a, b, resolution=None, schedule=None, cache=None
         def warm(initial):
             return solve_strip(top, bottom, level, domain, initial=initial)
 
-    lane = (family.kind, family.t, family.R, family.P, round(float(a), 15), res,
-            schedule if a == 0 else None)
+    lane = (family.kind, family.t, round(float(a), 15), res, schedule if a == 0 else None)
 
     def starts(seeds):
         if len(seeds) == 2:
@@ -388,9 +383,8 @@ def project_to_base(p, family, resolution=None, schedule=None, cache=None,
         if x * x + y * y >= 1.0:
             raise OutsideTotalSpace("(Re z3)^2 + (Im z1 z2)^2 must be below 1",
                                     x=x, y=y)
-    else:
-        if abs(y) >= family.R:
-            raise OutsideTotalSpace("|Im z1 z2| must be below R", y=y)
+    elif abs(y) >= DomainSpec.strip().R:
+        raise OutsideTotalSpace("|Im z1 z2| must be below the strip's R", y=y)
 
     probe = _probe(family, a, (x, y), resolution, schedule, cache)
     b = _grown_bracket(lambda b: probe(b) - target, tol)

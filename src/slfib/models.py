@@ -29,7 +29,6 @@ from .errors import OracleDiverged
 
 _ORACLE_BISECT_STEPS = 90
 _ORACLE_NEWTON_STEPS = 4
-_ORACLE_TOL = 1e-13
 _CIRCLE_QUADRATURE = 8192        # nodes of na_potential_circle's FFT quadrature
 _CIRCLE_COEFF_FLOOR = 1e-13      # smaller potential coefficients are dropped
 

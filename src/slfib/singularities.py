@@ -26,7 +26,7 @@ from .errors import (
 )
 
 TANGENTIAL_THRESHOLD = 1e-6
-ZERO_REFINE_TOL = 1e-8
+SAME_ZERO_TOL = 1e-7               # _sign_label: nearer zeros are the probed one
 PROBE_SIGN_FLOOR = 1e-9
 MIN_CIRCLE_NORM = 1e-7
 WINDING_DEFECT = 0.1
@@ -94,68 +94,33 @@ def is_axis_degenerate(field):
 def detect_axis_zeros(field, include_boundary=False):
     """Locate the zeros of the cubic-interpolated v(., 0).
 
-    Sign changes are refined by bracketed root finding to 1e-8;
-    tangential zeros (no sign change) are local minima of |v| below
-    TANGENTIAL_THRESHOLD.  Zeros closer together than twice the median
-    axis spacing merge into a single location (a fused even-multiplicity
-    point seen at finite level-proxy accuracy).  Returns sorted interior
-    locations; with ``include_boundary`` a second list of boundary zeros
-    (disc only).
+    The axis spline is piecewise cubic, so its zeros are the exact roots
+    of its pieces.  Tangential zeros (no sign change) are its critical
+    points with |v| below TANGENTIAL_THRESHOLD.  Zeros closer together
+    than twice the median axis spacing merge into a single location (a
+    fused even-multiplicity point seen at finite level-proxy accuracy).
+    Returns sorted interior locations; with ``include_boundary`` a second
+    list of boundary zeros (disc only).
     """
     if not field.is_singular_level:
         raise ValueError("axis zero detection expects a singular-level field")
     if is_axis_degenerate(field):
         raise NonisolatedSingularities("field equals its own reflection")
-    # local, like minimize_scalar below: only an analysis needs the root finder
-    from scipy.optimize import brentq
 
     spline, xs = _axis_spline(field)
     lo, hi = float(xs[0]), float(xs[-1])
-    dense = np.linspace(lo, hi, max(2048, 16 * len(xs)))
-    vals = spline(dense)
-    if np.max(np.abs(vals)) < TANGENTIAL_THRESHOLD:
+    # PPoly.roots reports NaN for a piece that vanishes identically
+    roots, critical = (r[~np.isnan(r)] for r in (spline.roots(extrapolate=False),
+                                                 spline.derivative().roots(extrapolate=False)))
+    # a cubic spline is extremal at the ends of the axis or where v' = 0
+    if np.max(np.abs(spline(np.concatenate([[lo, hi], critical])))) < TANGENTIAL_THRESHOLD:
         raise NonisolatedSingularities("v below threshold along the whole axis")
     cluster_tol = 2.0 * float(np.median(np.diff(xs)))
 
-    zeros = []
-    sign = np.sign(vals)
-    # walk sign changes on the dense sample; refine each bracket
-    nz = np.nonzero(sign)[0]
-    for k in range(len(nz) - 1):
-        i, j = nz[k], nz[k + 1]
-        if sign[i] != sign[j]:
-            zeros.append(brentq(spline, dense[i], dense[j], xtol=ZERO_REFINE_TOL))
-    # tangential zeros: refine every local minimum of |v| and keep those
-    # whose refined value drops under the threshold (a narrow dip can sit
-    # entirely between dense samples, so the raw samples cannot be used
-    # to pre-filter)
-    from scipy.optimize import minimize_scalar
-
-    periodic = field.kind == "periodic-strip"
-    period = hi - lo
-    mag = np.abs(vals)
-    if periodic:
-        # the scan wraps: a minimum sitting at the seam x = 0 is real
-        m = mag[:-1]
-        candidates = np.nonzero((m <= np.roll(m, 1)) & (m <= np.roll(m, -1)))[0]
-    else:
-        inner = np.arange(1, len(dense) - 1)
-        candidates = inner[(mag[inner] <= mag[inner - 1]) & (mag[inner] <= mag[inner + 1])]
-
-    def value_at(t):
-        return abs(float(spline(lo + (t - lo) % period if periodic else t)))
-
-    step = dense[1] - dense[0]
-    for i in candidates:
-        res = minimize_scalar(value_at, bounds=(dense[i] - step, dense[i] + step),
-                              method="bounded",
-                              options={"xatol": ZERO_REFINE_TOL / 10})
-        if abs(float(res.fun)) < TANGENTIAL_THRESHOLD:
-            x0 = float(res.x)
-            if periodic:
-                x0 = lo + (x0 - lo) % period
-            if all(abs(x0 - z) > cluster_tol for z in zeros):
-                zeros.append(x0)
+    zeros = list(roots)
+    for x0 in critical[np.abs(spline(critical)) < TANGENTIAL_THRESHOLD]:
+        if all(abs(x0 - z) > cluster_tol for z in zeros):
+            zeros.append(x0)
 
     zeros.sort()
     merged = []
@@ -205,7 +170,7 @@ def _sign_label(field, spline, xs, x_location, zeros):
     The probes sit halfway to the nearest other zero or to the end of the
     axis segment (a quarter period on the strip).
     """
-    others = [z for z in zeros if abs(z - x_location) > 10 * ZERO_REFINE_TOL]
+    others = [z for z in zeros if abs(z - x_location) > SAME_ZERO_TOL]
     if field.kind == "periodic-strip":
         period = field.domain.P
         gaps = [min(abs(z - x_location), period - abs(z - x_location)) for z in others]
@@ -215,7 +180,6 @@ def _sign_label(field, spline, xs, x_location, zeros):
         edge_gap = min(x_location - xs[0], xs[-1] - x_location)
     probe_eps = 0.5 * min(gaps + [edge_gap])
     if field.kind == "periodic-strip":
-        period = field.domain.P
         left = float(spline((x_location - probe_eps) % period))
         right = float(spline((x_location + probe_eps) % period))
     else:

@@ -180,6 +180,12 @@ def test_sl_check(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("frames", ["0", "-3"])
+def test_sl_check_rejects_fewer_than_one_frame(frames, capsys):
+    assert run(["sl-check", "--frames", frames]) == 1
+    assert "--frames must be at least 1" in capsys.readouterr().err
+
+
 def test_sl_check_stops_when_every_draw_is_excluded(tmp_path):
     # at a = 0 every draw this close to the origin lies in the cone-point
     # exclusion ball; a fresh interpreter with a timeout turns a loop that
@@ -290,6 +296,34 @@ def test_config_supplies_the_required_flags_of_solve(tmp_path):
     fld = load_field(tmp_path / "field.csv")
     assert fld.kind == "disc" and fld.a == 1.0
     assert fld.boundary["circle"].cos_coeffs == ((1, 1.0),)
+
+
+def test_config_numbers_take_the_option_type(tmp_path):
+    # JSON numbers reach argparse as strings, so --t keeps its string type
+    # and --nx / --ny become ints, as when given as flags
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"family": "section7", "t": 0.5, "nx": 32, "ny": 17}))
+    code = run(["sweep", "--config", str(conf), "--out", str(tmp_path)])
+    assert code == 0
+    rows = (tmp_path / "curves.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("0.5,")
+
+
+def test_config_number_of_the_wrong_type_exits_2(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"nx": 32.5}))
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--family", "section7", "--config", str(conf), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "argument --nx: invalid int value: '32.5'" in capsys.readouterr().err
+
+
+def test_config_bool_sets_a_store_true_flag(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"duality": True}))
+    assert run(["monodromy", "--config", str(conf), "--out", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out) is True
+    assert not (tmp_path / "monodromy_checks.json").exists()
 
 
 @pytest.mark.parametrize("argv, missing", [

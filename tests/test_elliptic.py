@@ -136,20 +136,23 @@ def test_deep_levels_converge_at_the_roundoff_floor():
 
 
 @pytest.mark.parametrize("max_iter", [3, 60])
-def test_newton_divergence_payload(max_iter):
+def test_newton_divergence_payload(max_iter, monkeypatch):
     import scipy.sparse as sp
 
+    from slfib import elliptic
     from slfib.elliptic import _newton
+
+    monkeypatch.setattr(elliptic, "NEWTON_MAX_ITER", max_iter)
 
     # x^2 + 1 has no real root: the residual never drops below 1
     def eval_res(x):
         return x * x + 1
 
     def build_jac(x):
-        return sp.diags(2.0 * x.ravel()).tocsc()
+        return sp.diags(2.0 * x.ravel()).tocsc(), np.arange(x.size), x.ravel()
 
     with pytest.raises(SolverDiverged) as err:
-        _newton(np.full((2, 3), 3.0), eval_res, build_jac, max_iter=max_iter)
+        _newton(np.full((2, 3), 3.0), eval_res, build_jac)
     assert err.value.data["residual"] >= 1.0
     assert 1 <= err.value.data["iterations"] <= max_iter
 
@@ -166,7 +169,7 @@ def test_stall_bound_follows_the_roundoff_floor():
         return 2e8 * (x - 1.0) + 5e-8
 
     def build_jac(x):
-        return sp.diags(np.full(x.size, -2e8)).tocsc()
+        return sp.diags(np.full(x.size, -2e8)).tocsc(), np.arange(x.size), x.ravel()
 
     _, norm, _, diag = _newton(np.ones(3), eval_res, build_jac)
     assert norm == 5e-8 > FLOOR_ACCEPT
@@ -563,7 +566,7 @@ def test_chord_step_that_reaches_the_tolerance_is_kept():
         return x.copy()
 
     def build_jac(x):
-        return sp.diags(np.full(x.size, 2.5)).tocsc()
+        return sp.diags(np.full(x.size, 2.5)).tocsc(), np.arange(x.size), x.ravel()
 
     _, norm, iters, diag = _newton(np.full(3, 2.5e-10), eval_res, build_jac)
     history = diag["history"]

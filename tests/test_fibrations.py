@@ -35,8 +35,6 @@ STRIP_RES = (48, 25)
 def test_family_validation():
     with pytest.raises(ValueError):
         FamilySpec("circle-sweep")
-    with pytest.raises(ValueError):
-        FamilySpec("strip-sweep", P=1.0)
 
 
 def test_disc_family_boundary():

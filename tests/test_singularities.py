@@ -3,9 +3,11 @@ import pytest
 
 from slfib.elliptic import BoundarySpec, DomainSpec, field_from_callables
 from slfib.errors import NonisolatedSingularities, ProbeTooClose
+from slfib.fibrations import SolverCache, disc_family, solve_family_member, strip_family
 from slfib.models import na_oracle_grid
 from slfib.singularities import (
     SingularPointRecord,
+    _axis_spline,
     analyze_field,
     bound_check,
     boundary_extrema_count,
@@ -33,6 +35,17 @@ def test_cone_field_single_zero():
     zeros = detect_axis_zeros(oracle_disc_field())
     assert len(zeros) == 1
     assert abs(zeros[0]) < 1e-8
+
+
+@pytest.mark.parametrize("family, b, resolution", [
+    (disc_family(), 1.25, (32, 64)), (strip_family(0.5), -0.16, (64, 33))],
+    ids=["disc", "strip"])
+def test_interior_zeros_are_roots_of_the_axis_spline(family, b, resolution):
+    fld = solve_family_member(family, 0.0, b, resolution, cache=SolverCache())
+    zeros = detect_axis_zeros(fld)
+    spline = _axis_spline(fld)[0]
+    assert len(zeros) == 2
+    assert max(abs(float(spline(z))) for z in zeros) <= 1e-14
 
 
 def test_constant_field_no_zeros():
