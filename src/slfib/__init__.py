@@ -16,7 +16,6 @@ from .elliptic import (
     SolutionField,
     geometric_schedule,
     load_field,
-    mean_flux,
     reconstruct_u,
     save_field,
     solve_disc,
@@ -32,7 +31,6 @@ from .models import (
     explicit_Fprime,
     hl_discriminant_contains,
     hl_map,
-    holo_disc_area,
     na_oracle,
     na_oracle_grid,
     na_slice_formulas,

@@ -191,6 +191,7 @@ def cmd_solve(args):
         "residual_norm": fld.residual_norm,
         "tolerance": fld.diagnostics.get("tolerance"),
         "converged": fld.converged,
+        "unknowns": fld.diagnostics.get("unknowns"),
         **{k: sum(lev[k] for lev in levels)
            for k in ("newton_iterations", "factorizations", "chord_steps")},
         "fill": [fill for lev in levels for fill in lev["fill"]],

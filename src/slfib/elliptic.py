@@ -45,6 +45,13 @@ factor is alive at a time: the stale one is dropped before the next is
 allocated, and the factor is never stored on a field.  A continuation
 hands its factor from one level to the next.
 
+Newton solves on the representative nodes of the data's reflections
+(see solve_disc and solve_strip).  A quotient, built once per grid and
+reflections, orders its box of representatives by nested dissection,
+maps node -> (representative, sign), folds the Jacobian's columns into
+a fixed pattern and evaluates residuals on its own rows.  Starts are
+folded and solutions unfolded, so fields cover the full grid.
+
 A cold disc solve (no initial iterate) is grid-sequenced (nested
 iteration): when (N, M) halves exactly onto a grid of at least 16 x 16,
 the same data at the same level are first solved there, by the same
@@ -71,7 +78,10 @@ the sup-norm increments between consecutive steps are recorded as a
 Cauchy diagnostic.
 """
 
+import copy
+import functools
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -99,7 +109,7 @@ BOUNDARY_TOL = 1e-12         # validate: stored boundary values against the data
 MAXPRIN_SLACK = 1e-8         # validate: slack of the maximum principle
 # Part of every SolverCache key: change it whenever solver output changes,
 # so that fields cached on disk by an older solver are not reused.
-SOLVER_VERSION = "chord-newton-4"
+SOLVER_VERSION = "chord-newton-5"
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +154,6 @@ class BoundarySpec:
     def max_abs(self):
         thetas = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
         return float(np.max(np.abs(self.sample(thetas))))
-
-    def key(self):
-        return (self.constant, self.cos_coeffs, self.sin_coeffs)
 
     def to_json(self):
         return {
@@ -242,33 +249,33 @@ def _one_sided_weights(d, e):
     return e / (d * (d + e)), -(d + e) / (d * e), (d + 2 * e) / (e * (d + e))
 
 
-def _periodic_order(n_rows, n_cols):
-    """Nested-dissection order of an index box periodic in its columns.
+@functools.lru_cache(maxsize=None)
+def _box_order(h, w):
+    """Nested-dissection order of an h x w index box: (rows, cols) in elimination order.
 
-    Returns the nodes row * n_cols + col in elimination order.  Column 0
-    cuts the cycle open and comes last; the other columns form a box
-    whose first separator, its middle column, is the second cut.  A box
-    less than three nodes thick is taken row by row.  A wider one is
-    split by its middle column (a taller one, transposed, by its middle
-    row), and that separator comes after the two halves.  A box's order
-    depends only on its shape, so each shape is ordered once.
+    A box less than three nodes thick is taken row by row.  A wider one
+    is split by its middle column (a taller one, transposed, by its
+    middle row), and that separator comes after the two halves.
     """
-    memo = {}
+    if min(h, w) < 3:
+        return np.divmod(np.arange(h * w), w)
+    if h > w:
+        return _box_order(w, h)[::-1]
+    m = w // 2
+    (ra, ca), (rb, cb) = _box_order(h, m), _box_order(h, w - m - 1)
+    return (np.concatenate([ra, rb, np.arange(h)]),
+            np.concatenate([ca, cb + m + 1, np.full(h, m)]))
 
-    def box(h, w):                               # (rows, cols) of an h x w box
-        if (h, w) not in memo:
-            if min(h, w) < 3:
-                memo[h, w] = np.divmod(np.arange(h * w), w)
-            elif h > w:
-                memo[h, w] = box(w, h)[::-1]
-            else:
-                m = w // 2
-                (ra, ca), (rb, cb) = box(h, m), box(h, w - m - 1)
-                memo[h, w] = (np.concatenate([ra, rb, np.arange(h)]),
-                              np.concatenate([ca, cb + m + 1, np.full(h, m)]))
-        return memo[h, w]
 
-    rows, cols = box(n_rows, n_cols - 1)
+def _factor_order(n_rows, n_cols, periodic):
+    """The nodes row * n_cols + col of an index box in elimination order.
+
+    Periodic columns are cut open by column 0, which comes last.
+    """
+    if not periodic:
+        rows, cols = _box_order(n_rows, n_cols)
+        return rows * n_cols + cols
+    rows, cols = _box_order(n_rows, n_cols - 1)
     return np.concatenate([rows * n_cols + cols + 1, np.arange(n_rows) * n_cols])
 
 
@@ -279,13 +286,62 @@ def _positions(order):
     return pos
 
 
-class DiscGrid:
+def _fold(indices, indptr, shape, rows, col_to, col_sign):
+    """(take, sub, (map, indices, indptr)): a CSC pattern's ``rows``, first columns folded.
+
+    ``sub``, canonical, holds the rows, ``take`` their entries' numbers;
+    ``map`` adds col_sign[c] times column c of sub to column col_to[c].
+    """
+    sub = sp.csc_matrix((np.arange(indices.size) + 1.0, indices, indptr), shape=shape)[rows]
+    sub.sort_indices()                # canonical, so no later use reorders it in place
+    n = len(rows)
+    cols = np.repeat(np.arange(col_to.size), np.diff(sub.indptr[:col_to.size + 1]))
+    kept = np.flatnonzero(col_sign[cols] != 0)
+    keys, slot = np.unique(col_to[cols[kept]] * n + sub.indices[kept], return_inverse=True)
+    fold = sp.csr_matrix((col_sign[cols[kept]], (slot, kept)), shape=(keys.size, cols.size))
+    return (sub.data.astype(np.intp) - 1, sub,
+            (fold, keys % n, np.searchsorted(keys // n, np.arange(n + 1))))
+
+
+class _Reflections:
+    """A grid's systems on the representative nodes of its data's reflections.
+
+    A quotient is a shallow copy of its grid with its own ``shape``, ``pos``, ``_fold``,
+    ``unknowns`` and ``_src``, ``_sgn``: the box node and sign of each full-grid unknown.
+    """
+
+    def quotient(self, sym):
+        """The system for data of parities sym = (sx, sy): 1 even, -1 odd, 0 neither."""
+        quotients = self.__dict__.setdefault("_quotients", {})
+        if sym not in quotients:
+            quotients[sym] = self._folded(sym) if any(sym) else self
+        return quotients[sym]
+
+    def fold(self, f):
+        """The representatives' values of a full interior array."""
+        return f[: self.shape[0], : self.shape[1]]
+
+    def unfold(self, x):
+        """The full interior array from the representatives' values."""
+        return (self._sgn * x.ravel()[self._src])[self._full_pos].reshape(self._full_shape)
+
+    def _folded_jacobian(self, jac, z):
+        """(J, pos, scale) for ``_newton``; scale is taken before the fold, which can cancel."""
+        scale = float(np.max(abs(jac) @ np.abs(z)))
+        if self._fold is not None:
+            fold, indices, indptr = self._fold
+            jac = sp.csc_matrix((fold @ jac.data, indices, indptr), shape=(jac.shape[0],) * 2)
+        return jac, self.pos, scale
+
+
+class DiscGrid(_Reflections):
     """Polar tensor grid on the unit disc with its sparse difference operators."""
 
     def __init__(self, n_r, n_theta):
         self.N = int(n_r)
         self.M = int(n_theta)
         N, M = self.N, self.M
+        self.shape = self._full_shape = (N - 1, M)
         xi = np.arange(1, N + 1) / N
         self.r = xi + GRADING * xi * (1 - xi)        # rings 1..N, r[N-1] = 1
         h = 2 * np.pi / M
@@ -314,10 +370,10 @@ class DiscGrid:
         """Factor order and sparse derivative operators, built on first use.
 
         The unknowns are f at the interior rings, ring by ring, then the
-        pole ghost g.  In factor order the interior nodes follow
-        _periodic_order over (interior rings x angles) and g comes last;
-        ``pos`` holds each interior node's position.  ``_lift`` puts
-        f_int and g there and appends the boundary ring, phi.
+        pole ghost g.  In factor order the interior nodes follow the
+        periodic _factor_order over (interior rings x angles) and g comes
+        last; ``pos`` holds each interior node's position.  ``_lift``
+        puts f_int and g there and appends the boundary ring, phi.
 
         Returns a dict of operators on the lifted vector: "x", "xx" and
         "yy" give f_x, r^2 f_xx and 2 r^2 f_yy at the interior rings, rows
@@ -367,8 +423,9 @@ class DiscGrid:
         cols = (ring * M + (j + dj - 1) % M).ravel()
         points = np.flatnonzero(ring.ravel() >= 0)
         g = n + M
-        order = np.append(_periodic_order(N - 1, M), n)
-        self.pos = _positions(order)[:n]
+        order = _factor_order(N - 1, M, True)
+        self.pos = self._full_pos = _positions(order)
+        self._src, self._sgn, self._fold, self.unknowns = order, 1.0, None, n + 1
         place = np.concatenate([self.pos, n + 1 + np.arange(M), [n]])   # node -> _lift index
         # the pattern, each entry numbered (+ 1) by its source: a stencil point,
         # ring 1's coupling to g, or the border row
@@ -383,17 +440,48 @@ class DiscGrid:
                                           ids.indices, ids.indptr), shape=ids.shape)
                      for name, (vals, ghost) in stencils.items()}
         y = np.repeat(self.r[: N - 1], M) * np.tile(self.sin, N - 1)
-        self._y2 = np.append(y * y, 0.0)[order]      # y^2 per row in factor order
+        self._y2 = np.append(y * y, 0.0)[np.append(order, n)]   # y^2 per row in factor order
         return self._ops
 
+    @staticmethod
+    def reflections(spec):
+        """The parities (sx, sy) of potential data; see solve_disc."""
+        odd = [k % 2 for k, _ in spec.cos_coeffs]
+        sx = -1 if spec.constant == 0.0 and all(odd) else 0 if any(odd) else 1
+        return (0, 0) if spec.sin_coeffs else (sx, 1)
+
+    def _folded(self, sym):
+        """The quotient on 0 <= theta <= pi, or on 0 <= theta <= pi/2 when sx != 0."""
+        ops = self.ops64()
+        N, M, n, sx = self.N, self.M, self.pos.size, sym[0]
+        rep = np.minimum(np.arange(M), -np.arange(M) % M)
+        flip = (rep > M // 4) & (sx != 0)         # x -> -x maps theta to pi - theta
+        sign, rep = np.where(flip, sx, 1.0), np.where(flip, M // 2 - rep, rep)
+        width = M // 4 + (sx > 0) if sx else M // 2 + 1
+        sign[rep == width] = 0.0                  # odd in x: theta = +-pi/2
+        rep[rep == width] = 0
+        box = _factor_order(N - 1, width, False)
+        view = copy.copy(self)
+        view.shape, view.pos = (N - 1, width), _positions(box)
+        view._src = (np.arange(N - 1)[:, None] * width + rep).ravel()[self._src]
+        view._sgn = np.tile(sign, N - 1)[self._src]
+        rows = np.append(self.pos[box // width * M + box % width], n)[: box.size + (sx >= 0)]
+        take, sub, view._fold = _fold(ops["x"].indices, ops["x"].indptr, ops["x"].shape, rows,
+                                      np.append(view.pos[view._src], box.size),
+                                      np.append(view._sgn, float(sx >= 0)))
+        view._ops = {name: sp.csc_matrix((op.data[take], sub.indices, sub.indptr), shape=sub.shape)
+                     for name, op in ops.items()}
+        view._y2, view.unknowns = self._y2[rows], rows.size
+        return view
+
     def _lift(self, f_int, phi):
-        """The unknowns in factor order, f_int then g = the mean of ring 1, then phi."""
+        """The full grid's unknowns from f_int's box, g = the exact mean of ring 1, then phi."""
         if self._ops is None:
             self.ops64()
-        n = self.pos.size
+        n = self._full_pos.size
         z = np.empty(n + 1 + self.M)
-        z[self.pos] = f_int.ravel()
-        z[n] = np.mean(f_int[0])
+        z[:n] = self._sgn * f_int.ravel()[self._src]
+        z[n] = math.fsum(z[self._full_pos[: self.M]]) / self.M
         z[n + 1:] = phi
         return z
 
@@ -403,21 +491,19 @@ class DiscGrid:
         return fx, fx * fx + self._y2 + a * a
 
     def residual(self, f_int, phi, a):
-        """Scaled residual r^2 (W f_xx + 2 f_yy) at interior rings."""
+        """Scaled residual r^2 (W f_xx + 2 f_yy) at the nodes of f_int's box."""
         z = self._lift(f_int, phi)
         _, q = self._coefficient(z, a)
         w = 1.0 / np.sqrt(np.maximum(q, COEFF_FLOOR))
         res = w * (self._ops["xx"] @ z) + self._ops["yy"] @ z
-        return res[self.pos].reshape(self.N - 1, self.M)
+        return res[self.pos].reshape(f_int.shape)
 
     def jacobian(self, f_int, phi, a):
         """The bordered Jacobian in factor order, as ``_newton`` takes it.
 
-        Returns (J, pos, z): J over the interior unknowns and g, in the
-        grid's factor order, its data one gather-multiply-add over the
-        shared pattern's square block; ``pos``; and the lifted iterate
-        up to g.  The Schur complement of g's row and column is the
-        Jacobian of ``residual`` in f_int.
+        Returns (J, pos, scale) of ``_folded_jacobian``, J's data one
+        gather-multiply-add over the shared pattern.  On the full grid the
+        Schur complement of g's row and column is the Jacobian of ``residual``.
         """
         z = self._lift(f_int, phi)
         x, xx, yy = (self._ops[name] for name in ("x", "xx", "yy"))
@@ -425,11 +511,12 @@ class DiscGrid:
         qe = np.maximum(q, COEFF_FLOOR)
         w = 1.0 / np.sqrt(qe)
         dw = np.where(q > COEFF_FLOOR, -fx * qe**-1.5, 0.0)
-        m = q.size
-        k = xx.indptr[m]                             # entries in the square block
+        m = self._full_pos.size + 1
+        k = xx.indptr[m]
         rows = xx.indices[:k]
         data = ((dw * (xx @ z))[rows] * x.data[:k] + w[rows] * xx.data[:k] + yy.data[:k])
-        return sp.csc_matrix((data, rows, xx.indptr[:m + 1]), shape=(m, m)), self.pos, z[:m]
+        jac = sp.csc_matrix((data, rows, xx.indptr[:m + 1]), shape=(q.size, m))
+        return self._folded_jacobian(jac, z[:m])
 
     # -- derived fields ----------------------------------------------------
 
@@ -439,7 +526,7 @@ class DiscGrid:
         The radial derivative is central at the interior rings, the pole
         ghost standing in for ring 0, and one-sided on the boundary ring.
         """
-        f_c = float(np.mean(f_int[0]))
+        f_c = math.fsum(f_int[0]) / self.M          # exact: 0 on a ring odd in x
         rings = np.vstack([np.full(self.M, f_c), f_int, phi])    # rings 0..N
         f_r = np.vstack([self.wm[:, None] * rings[:-2] + self.w0[:, None] * rings[1:-1]
                          + self.wp[:, None] * rings[2:], np.dot(self.bnd_w, rings[-3:])])
@@ -500,15 +587,16 @@ def _prolong(c):
 # ---------------------------------------------------------------------------
 # strip grid
 
-class StripGrid:
+class StripGrid(_Reflections):
     """Uniform periodic-in-x grid on the strip |y| <= R.
 
     The unknowns are v at the interior rows, row by row.  Their factor
-    order is _periodic_order over (interior rows x x nodes); ``pos``
-    holds each node's position.  The Jacobian's five-point pattern is
-    fixed in that order: its entry e is coefficient ``_source[e]`` of the
-    centre, right and left couplings of every node, then the constant
-    coupling across rows.
+    order is _factor_order over (interior rows x x nodes), periodic in x;
+    ``pos`` holds each node's position.  The Jacobian's five-point
+    pattern is fixed in that order: its entry e is coefficient
+    ``_source[e]`` of the centre, right and left couplings of every node,
+    then the constant coupling across rows.  Residual and coefficients
+    are read off the box widened by one node, gathered through ``_halo``.
     """
 
     def __init__(self, n_x, n_y, R, P):
@@ -520,55 +608,86 @@ class StripGrid:
         self.hy = 2 * self.R / (self.n_y - 1)
         self.x = self.hx * np.arange(self.n_x)
         self.y = -self.R + self.hy * np.arange(self.n_y)
-        n = (self.n_y - 2) * self.n_x
-        self.pos = _positions(_periodic_order(self.n_y - 2, self.n_x))
-        k = np.arange(n).reshape(self.n_y - 2, self.n_x)
+        self.shape = self._full_shape = (ny, nx) = (self.n_y - 2, self.n_x)
+        n = ny * nx
+        order = _factor_order(ny, nx, True)
+        self.pos = self._full_pos = _positions(order)
+        self._src, self._sgn, self._fold, self.unknowns = order, 1.0, None, n
+        self._halo = self._halo_index(np.arange(n), ny, nx)
+        self._y2 = self.y[1:-1, None] ** 2
+        k = np.arange(n).reshape(ny, nx)
         rows = np.concatenate([k, k, k, k[:-1], k[1:]], axis=None)
         cols = np.concatenate([k, np.roll(k, -1, axis=1), np.roll(k, 1, axis=1), k[1:], k[:-1]],
                               axis=None)
-        source = np.concatenate([k, k + n, k + 2 * n, np.full(2 * (n - self.n_x), 3 * n)],
-                                axis=None)
+        source = np.concatenate([k, k + n, k + 2 * n, np.full(2 * (n - nx), 3 * n)], axis=None)
         # entry numbers + 1 through the COO -> CSC conversion
         ids = sp.csc_matrix((source + 1.0, (self.pos[rows], self.pos[cols])), shape=(n, n))
         self._pattern = ids.indices, ids.indptr
         self._source = ids.data.astype(np.intp) - 1
 
-    def _faces(self, v_int, top, bot, a):
-        """v at all rows, and per node the face x + hx/2: v there, v difference, q."""
-        V = np.vstack([bot[None, :], v_int, top[None, :]])
-        right = np.roll(V, -1, axis=1)
-        mid = 0.5 * (V + right)
-        return V, mid, right - V, mid * mid + self.y[:, None] ** 2 + a * a
+    def _halo_index(self, src, n_rows, n_cols):
+        """Index into [bottom edge, box values, top edge] of the box widened by one node."""
+        m = np.arange(self.n_x)
+        ext = np.vstack([m, m.size + src.reshape(-1, m.size), m.size + n_rows * n_cols + m])
+        return ext[np.ix_(np.arange(n_rows + 2), np.arange(-1, n_cols + 1) % m.size)]
+
+    @staticmethod
+    def reflections(top, bottom):
+        """The parities (sx, sy) of edge data; see solve_strip."""
+        return (int(not (top.sin_coeffs or bottom.sin_coeffs)), int(top == bottom))
+
+    def _folded(self, sym):
+        """The quotient on 0 <= x <= P/2 when sx = 1 and on y <= 0 when sy = 1."""
+        sx, sy = sym
+        ny, nx = self._full_shape
+        n_rows, n_cols = (ny // 2 + 1 if sy else ny), (nx // 2 + 1 if sx else nx)
+        i, j = np.arange(ny), np.arange(nx)
+        src = ((np.minimum(i, ny - 1 - i) if sy else i)[:, None] * n_cols
+               + (np.minimum(j, -j % nx) if sx else j)).ravel()
+        box = _factor_order(n_rows, n_cols, not sx)
+        view = copy.copy(self)
+        view.shape, view.pos, view._src = (n_rows, n_cols), _positions(box), src[self._src]
+        view._halo = self._halo_index(src, n_rows, n_cols)
+        view._y2, view.unknowns = self.y[1:n_rows + 1, None] ** 2, box.size
+        take, sub, view._fold = _fold(*self._pattern, (ny * nx,) * 2,
+                                      self.pos[box // n_cols * nx + box % n_cols],
+                                      view.pos[view._src], np.ones(ny * nx))
+        kind, node = np.divmod(self._source[take], ny * nx)
+        view._source = kind * box.size + node // nx * n_cols + node % nx
+        view._pattern = sub.indices, sub.indptr
+        return view
+
+    def _faces(self, V, a):
+        """Per face x + hx/2 of the block's interior rows: v there, v difference, q."""
+        mid = 0.5 * (V[1:-1, :-1] + V[1:-1, 1:])
+        return mid, V[1:-1, 1:] - V[1:-1, :-1], mid * mid + self._y2 + a * a
 
     def residual(self, v_int, top, bot, a):
-        """Conservative-form residual on interior rows."""
-        V, _, d, q = self._faces(v_int, top, bot, a)
+        """Conservative-form residual at the nodes of v_int's box."""
+        V = np.concatenate([bot, v_int.ravel(), top])[self._halo]
+        _, d, q = self._faces(V, a)
         flux = d / np.sqrt(np.maximum(q, COEFF_FLOOR))
-        rx = (flux - np.roll(flux, 1, axis=1)) / (self.hx * self.hx)
-        ry = (V[2:] - 2 * V[1:-1] + V[:-2]) * (2 / (self.hy * self.hy))
-        return rx[1:-1] + ry
+        rx = (flux[:, 1:] - flux[:, :-1]) / (self.hx * self.hx)
+        ry = (V[2:, 1:-1] - 2 * V[1:-1, 1:-1] + V[:-2, 1:-1]) * (2 / (self.hy * self.hy))
+        return (rx + ry).reshape(v_int.shape)
 
     def jacobian(self, v_int, top, bot, a):
-        """The Jacobian in factor order, as ``_newton`` takes it: (J, pos, z).
-
-        z is v_int in factor order.
-        """
+        """The Jacobian in factor order, as ``_newton`` takes it: (J, pos, scale)."""
         hx2 = self.hx * self.hx
         hy2 = self.hy * self.hy
-        _, mid, d, q = self._faces(v_int, top, bot, a)
+        mid, d, q = self._faces(np.concatenate([bot, v_int.ravel(), top])[self._halo], a)
         qe = np.maximum(q, COEFF_FLOOR)
         w = qe**-0.5
         half_dw_d = 0.5 * np.where(q > COEFF_FLOOR, -mid * qe**-1.5, 0.0) * d
         # face flux w * d: derivative w + half_dw_d in the right node, -w + half_dw_d in the left
-        right, left = (w + half_dw_d)[1:-1], (-w + half_dw_d)[1:-1]
-        c_xp = right / hx2
-        c_xm = -np.roll(left, 1, axis=1) / hx2
-        c_0 = (left - np.roll(right, 1, axis=1)) / hx2 - 4.0 / hy2
+        right, left = w + half_dw_d, -w + half_dw_d
+        c_xp = right[:, 1:] / hx2
+        c_xm = -left[:, :-1] / hx2
+        c_0 = (left[:, 1:] - right[:, :-1]) / hx2 - 4.0 / hy2
         coeffs = np.concatenate([c_0, c_xp, c_xm, 2.0 / hy2], axis=None)
-        n = self.pos.size
-        z = np.empty(n)
-        z[self.pos] = v_int.ravel()
-        return sp.csc_matrix((coeffs[self._source], *self._pattern), shape=(n, n)), self.pos, z
+        jac = sp.csc_matrix((coeffs[self._source], *self._pattern),
+                            shape=(v_int.size, self._full_pos.size))
+        return self._folded_jacobian(jac, v_int.ravel()[self._src])
 
 
 def strip_grid(n_x, n_y, R, P):
@@ -621,12 +740,13 @@ def _newton(x0, eval_res, build_jac, tol=None, factor=None):
     most one factor alive; the caller keeps the slot, and with it the
     last factor, for the next solve.
 
-    ``build_jac(x)`` returns the Jacobian at x as a triple (J, pos, z):
+    ``build_jac(x)`` returns the Jacobian at x as a triple (J, pos, scale):
     J in the grid's factor order, which SuperLU keeps
     (``permc_spec="NATURAL"``); pos, where each unknown sits in it, with
-    any border unknowns after the others; and z, the iterate there with
-    its border values.  A border row's right-hand side is zero, as its
-    equation holds at every iterate, and each solve is read back at pos.
+    any border unknowns after the others; and scale, || |J| |z| ||_inf
+    of the full grid's Jacobian at the iterate z with its border values.
+    A border row's right-hand side is zero, as its equation holds at
+    every iterate, and each solve is read back at pos.
 
     The solve is converged once the sup-norm residual is below the
     tolerance: ``tol`` when given, else max(NEWTON_TOL, floor) with the
@@ -685,9 +805,8 @@ def _newton(x0, eval_res, build_jac, tol=None, factor=None):
                 counts["chord_steps"] += 1
         if not accepted:
             factor.lu = None
-            jac, factor.pos, z = build_jac(x)
-            factor.floor = float(ROUNDOFF_SAFETY * np.finfo(float).eps
-                                 * np.max(abs(jac) @ np.abs(z)))
+            jac, factor.pos, scale = build_jac(x)
+            factor.floor = ROUNDOFF_SAFETY * np.finfo(float).eps * scale
             factor.lu = spla.splu(jac, permc_spec="NATURAL")
             counts["factorizations"] += 1
             fill.append(factor.lu.nnz)
@@ -993,6 +1112,11 @@ def solve_disc(boundary, a, domain=None, initial=None, tol=None, factor=None):
     none.  They finish, and drop their factors, before the fine Newton
     starts.
 
+    Data without sine terms are even in y.  Odd cosines alone are also
+    odd in x (f = 0 on theta = +-pi/2 and at the pole: the ghost drops
+    out), a constant plus even cosines even in x (the ghost stays).
+    ``diagnostics["unknowns"]`` counts the unknowns Newton solved for.
+
     ``tol`` is the residual tolerance; None applies the round-off rule of
     ``_newton``.  ``factor`` is a FactorSlot whose LU factor Newton may
     reuse and replaces; a continuation passes the same slot to every level.
@@ -1004,15 +1128,20 @@ def solve_disc(boundary, a, domain=None, initial=None, tol=None, factor=None):
     grid = disc_grid(domain.n_x, domain.n_y)
     phi = boundary.sample(grid.theta)
     f0, coarse = (initial, ()) if initial is not None else _cold_start(grid, boundary, a)
-    f_sol, norm, iters, diag = _newton(
-        f0, lambda f_int: grid.residual(f_int, phi, a),
-        lambda f_int: grid.jacobian(f_int, phi, a), tol=tol, factor=factor)
+    system = grid.quotient(grid.reflections(boundary))
+    x, _, iters, diag = _newton(
+        system.fold(f0), lambda x: system.residual(x, phi, a),
+        lambda x: system.jacobian(x, phi, a), tol=tol, factor=factor)
+    f_sol = system.unfold(x)
+    # on a quotient the mirrored rows' residuals differ from the solved ones by round-off
+    norm = float(np.max(np.abs(grid.residual(f_sol, phi, a))))
     u, v, u_c, v_c, f_c = grid.extract_uv(f_sol, phi)
     f_full = np.vstack([f_sol, phi[None, :]])
     return SolutionField(
         "disc", domain, a, u, v, f=f_full, f_center=f_c, u_center=u_c, v_center=v_c,
         boundary={"circle": boundary}, converged=not diag["stagnated"], residual_norm=norm,
-        diagnostics={"newton_iterations": iters, **diag, "coarse": coarse},
+        diagnostics={"newton_iterations": iters, "unknowns": system.unknowns, **diag,
+                     "coarse": coarse},
     )
 
 
@@ -1032,7 +1161,8 @@ def solve_disc_limit(boundary, domain=None, schedule=None, tol=None):
 def solve_strip(top, bottom, a, domain=None, initial=None, tol=None, factor=None):
     """Solve the strip problem at level a != 0 with edge data for v.
 
-    ``tol`` and ``factor`` are as for solve_disc.
+    Edges without sine terms are even in x, equal edges even in y.
+    ``diagnostics["unknowns"]``, ``tol`` and ``factor`` are as for solve_disc.
     """
     if a == 0.0:
         raise ValueError("level a = 0 is reached through solve_strip_limit")
@@ -1051,14 +1181,18 @@ def solve_strip(top, bottom, a, domain=None, initial=None, tol=None, factor=None
         # linear blend between the edges
         w = (grid.y[1:-1, None] + domain.R) / (2 * domain.R)
         v0 = bot_v[None, :] * (1 - w) + top_v[None, :] * w
-    v_sol, norm, iters, diag = _newton(
-        v0, lambda v_int: grid.residual(v_int, top_v, bot_v, a),
-        lambda v_int: grid.jacobian(v_int, top_v, bot_v, a), tol=tol, factor=factor)
+    system = grid.quotient(grid.reflections(top, bottom))
+    x, _, iters, diag = _newton(
+        system.fold(v0), lambda x: system.residual(x, top_v, bot_v, a),
+        lambda x: system.jacobian(x, top_v, bot_v, a), tol=tol, factor=factor)
+    v_sol = system.unfold(x)
+    norm = float(np.max(np.abs(grid.residual(v_sol, top_v, bot_v, a))))
     v_full = np.vstack([bot_v, v_sol, top_v])
     fld = SolutionField(
         "periodic-strip", domain, a, np.zeros_like(v_full), v_full,
         boundary={"top": top, "bottom": bottom}, converged=not diag["stagnated"],
-        residual_norm=norm, diagnostics={"newton_iterations": iters, **diag},
+        residual_norm=norm,
+        diagnostics={"newton_iterations": iters, "unknowns": system.unknowns, **diag},
     )
     return reconstruct_u(fld)
 
@@ -1115,13 +1249,6 @@ def reconstruct_u(field):
     field.diagnostics["closure_defect"] = worst
     field._interp.pop("u", None)
     return field
-
-
-def mean_flux(field, row):
-    """Periodic trapezoid mean of v along a grid row of a strip field."""
-    if field.kind != "periodic-strip":
-        raise ValueError("mean_flux applies to strip fields")
-    return float(np.mean(field.v[row]))
 
 
 # ---------------------------------------------------------------------------

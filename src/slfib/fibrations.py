@@ -83,9 +83,6 @@ class DiscriminantRibbon:
     counts: tuple                     # singular points per fibre: (exterior, edge, interior)
     degenerate: bool = False
 
-    def width(self):
-        return self.b_interval[1] - self.b_interval[0]
-
 
 @dataclass(frozen=True)
 class FamilySpec:

@@ -109,11 +109,6 @@ def na_slice_formulas(a, s, which):
     raise ValueError(f"unknown axis selector {which!r}")
 
 
-def holo_disc_area(a):
-    """Area 2*pi*|a| of the holomorphic disc bounded in the a-level fibre."""
-    return 2.0 * np.pi * abs(a)
-
-
 def na_oracle_grid(a, x, y):
     """Vectorised slice oracle over broadcastable coordinate arrays.
 

@@ -44,10 +44,6 @@ class MonodromyMatrix:
             [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)]
              for i in range(3)]))
 
-    def apply(self, column):
-        return tuple(sum(self.entries[i][k] * column[k] for k in range(3))
-                     for i in range(3))
-
     def transpose(self):
         e = self.entries
         return MonodromyMatrix(_tupled([[e[j][i] for j in range(3)] for i in range(3)]))

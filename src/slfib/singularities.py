@@ -98,7 +98,8 @@ def detect_axis_zeros(field, include_boundary=False):
     of its pieces.  Tangential zeros (no sign change) are its critical
     points with |v| below TANGENTIAL_THRESHOLD.  Zeros closer together
     than twice the median axis spacing merge into a single location (a
-    fused even-multiplicity point seen at finite level-proxy accuracy).
+    fused even-multiplicity point seen at finite level-proxy accuracy);
+    |v| < TANGENTIAL_THRESHOLD on a longer stretch is nonisolated.
     Returns sorted interior locations; with ``include_boundary`` a second
     list of boundary zeros (disc only).
     """
@@ -109,13 +110,17 @@ def detect_axis_zeros(field, include_boundary=False):
 
     spline, xs = _axis_spline(field)
     lo, hi = float(xs[0]), float(xs[-1])
-    # PPoly.roots reports NaN for a piece that vanishes identically
-    roots, critical = (r[~np.isnan(r)] for r in (spline.roots(extrapolate=False),
-                                                 spline.derivative().roots(extrapolate=False)))
-    # a cubic spline is extremal at the ends of the axis or where v' = 0
-    if np.max(np.abs(spline(np.concatenate([[lo, hi], critical])))) < TANGENTIAL_THRESHOLD:
-        raise NonisolatedSingularities("v below threshold along the whole axis")
     cluster_tol = 2.0 * float(np.median(np.diff(xs)))
+    # PPoly.roots and .solve report NaN for a piece that vanishes identically
+    roots, critical, *crossings = (r[~np.isnan(r)] for r in (
+        spline.roots(extrapolate=False), spline.derivative().roots(extrapolate=False),
+        spline.solve(TANGENTIAL_THRESHOLD, extrapolate=False),
+        spline.solve(-TANGENTIAL_THRESHOLD, extrapolate=False)))
+    # |v| stays on one side of the threshold between consecutive crossings
+    cuts = np.unique(np.concatenate([[lo, hi], *crossings]))
+    below = np.abs(spline(0.5 * (cuts[:-1] + cuts[1:]))) < TANGENTIAL_THRESHOLD
+    if np.any(below & (np.diff(cuts) > cluster_tol)):
+        raise NonisolatedSingularities("v below threshold along a stretch of the axis")
 
     zeros = list(roots)
     for x0 in critical[np.abs(spline(critical)) < TANGENTIAL_THRESHOLD]:

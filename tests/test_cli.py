@@ -27,6 +27,8 @@ def test_solve_disc_smoke(tmp_path, capsys):
     assert diag["tolerance"] >= 1e-10 and diag["residual_norm"] < diag["tolerance"]
     assert diag["factorizations"] >= 1
     assert diag["newton_iterations"] == diag["factorizations"] + diag["chord_steps"]
+    # odd cosines: Newton solved on the quarter 0 <= theta < pi/2 of the (24, 48) grid
+    assert diag["unknowns"] == 23 * 12
 
 
 def test_solve_strip_constant_limit(tmp_path):

@@ -11,7 +11,6 @@ from slfib.elliptic import (
     field_from_callables,
     geometric_schedule,
     load_field,
-    mean_flux,
     reconstruct_u,
     save_field,
     solve_disc,
@@ -149,7 +148,8 @@ def test_newton_divergence_payload(max_iter, monkeypatch):
         return x * x + 1
 
     def build_jac(x):
-        return sp.diags(2.0 * x.ravel()).tocsc(), np.arange(x.size), x.ravel()
+        jac = sp.diags(2.0 * x.ravel()).tocsc()
+        return jac, np.arange(x.size), np.max(abs(jac) @ np.abs(x.ravel()))
 
     with pytest.raises(SolverDiverged) as err:
         _newton(np.full((2, 3), 3.0), eval_res, build_jac)
@@ -169,7 +169,7 @@ def test_stall_bound_follows_the_roundoff_floor():
         return 2e8 * (x - 1.0) + 5e-8
 
     def build_jac(x):
-        return sp.diags(np.full(x.size, -2e8)).tocsc(), np.arange(x.size), x.ravel()
+        return sp.diags(np.full(x.size, -2e8)).tocsc(), np.arange(x.size), 2e8 * np.max(np.abs(x))
 
     _, norm, _, diag = _newton(np.ones(3), eval_res, build_jac)
     assert norm == 5e-8 > FLOOR_ACCEPT
@@ -210,18 +210,18 @@ def test_strip_cos_symmetries(strip_field_cos):
 
 
 def test_row_means_constant(strip_field_cos):
-    means = [mean_flux(strip_field_cos, j) for j in range(strip_field_cos.domain.n_y)]
+    means = np.mean(strip_field_cos.v, axis=1)
     assert max(means) - min(means) < 1e-10
 
 
 def test_mean_flux_examples():
     spec = BoundarySpec.make(constant=0.6)
     fld = solve_strip(spec, spec, 0.5, DomainSpec.strip(32, 17))
-    assert abs(mean_flux(fld, 3) - 0.6) < 1e-14
+    assert abs(np.mean(fld.v[3]) - 0.6) < 1e-14
     # corrupting v by +y moves the row means linearly: spread = 2R
     bad = field_from_callables(fld.domain, 0.5, lambda x, y: 0 * x,
                                lambda x, y: 0.6 + y)
-    spread = mean_flux(bad, bad.domain.n_y - 1) - mean_flux(bad, 0)
+    spread = np.mean(bad.v[-1]) - np.mean(bad.v[0])
     assert abs(spread - 2 * fld.domain.R) < 1e-12
 
 
@@ -344,7 +344,7 @@ def test_dump_roundtrip_strip(tmp_path, strip_field_cos):
     back = load_field(path)
     assert np.max(np.abs(back.v - strip_field_cos.v)) == 0.0
     assert np.max(np.abs(back.u - strip_field_cos.u)) == 0.0
-    assert back.boundary["top"].key() == strip_field_cos.boundary["top"].key()
+    assert back.boundary["top"] == strip_field_cos.boundary["top"]
     # determinism: a second write is bit-identical
     path2 = tmp_path / "strip2.csv"
     save_field(strip_field_cos, path2)
@@ -391,22 +391,23 @@ def test_jacobian_matches_central_differences(kind, a):
         spec = BoundarySpec.make(0.2, cos={1: 1.0, 3: -1.0}, sin={2: 0.3})
         phi = spec.sample(grid.theta)
         x = grid.harmonic_extension(spec) + 1e-2 * rng.standard_normal((15, 16))
-        jac, pos, z = grid.jacobian(x, phi, a)
+        jac, pos, scale = grid.jacobian(x, phi, a)
         n = x.size
         # the bordered Jacobian over the unknowns, then g: its Schur complement
         # eliminates g and is the Jacobian of the residual in f_int
         full = jac.toarray()[np.ix_(np.append(pos, n), np.append(pos, n))]
         ana = full[:n, :n] - np.outer(full[:n, n], full[n, :n]) / full[n, n]
-        assert z[-1] == np.mean(x[0])
+        z = np.append(x.ravel()[np.argsort(pos)], np.mean(x[0]))   # factor order, g last
+        assert scale == pytest.approx(np.max(abs(jac) @ np.abs(z)), rel=1e-14)
         num = _differenced(lambda f: grid.residual(f, phi, a), x)
     else:
         grid = strip_grid(16, 17, 1.0, 2 * np.pi)
         top = BoundarySpec.make(0.3, cos={1: 0.5}).sample_x(grid.x, 2 * np.pi)
         bot = BoundarySpec.make(0.3, sin={1: 0.4}).sample_x(grid.x, 2 * np.pi)
         x = 0.3 + 0.2 * rng.standard_normal((15, 16))
-        jac, pos, z = grid.jacobian(x, top, bot, a)
+        jac, pos, scale = grid.jacobian(x, top, bot, a)
         ana = jac.toarray()[np.ix_(pos, pos)]
-        assert np.array_equal(z[pos], x.ravel())
+        assert scale == np.max(abs(jac) @ np.abs(x.ravel()[np.argsort(pos)]))
         num = _differenced(lambda v: grid.residual(v, top, bot, a), x)
     assert jac.has_canonical_format
     assert np.max(np.abs(ana - num)) <= 1e-7 * np.max(np.abs(ana))
@@ -566,7 +567,7 @@ def test_chord_step_that_reaches_the_tolerance_is_kept():
         return x.copy()
 
     def build_jac(x):
-        return sp.diags(np.full(x.size, 2.5)).tocsc(), np.arange(x.size), x.ravel()
+        return sp.diags(np.full(x.size, 2.5)).tocsc(), np.arange(x.size), 2.5 * np.max(np.abs(x))
 
     _, norm, iters, diag = _newton(np.full(3, 2.5e-10), eval_res, build_jac)
     history = diag["history"]
@@ -574,3 +575,112 @@ def test_chord_step_that_reaches_the_tolerance_is_kept():
     assert norm == history[-1] < NEWTON_TOL == diag["tolerance"]
     assert not diag["stagnated"]
     assert (iters, diag["factorizations"], diag["chord_steps"]) == (2, 1, 1)
+
+
+# -- solves on the symmetry quotient ---------------------------------------------
+
+def _strip_family_edge():
+    return BoundarySpec.make(-0.16, cos={1: 0.5})
+
+
+QUOTIENT_PROBLEMS = {
+    # (solve, unknowns of the quotient): odd in x, even in x with the ghost, the strip quarter
+    "disc-odd": (lambda: solve_disc(disc_family().boundary(1.25), 0.05, DomainSpec.disc(32, 64)),
+                 31 * 16),
+    "disc-even": (lambda: solve_disc(na_potential_circle(0.05), 0.05, DomainSpec.disc(32, 64)),
+                  31 * 17 + 1),
+    "strip": (lambda: solve_strip(_strip_family_edge(), _strip_family_edge(), 0.5,
+                                  DomainSpec.strip(64, 33)), 16 * 33),
+}
+
+
+@pytest.mark.parametrize("name", list(QUOTIENT_PROBLEMS))
+def test_quotient_solution_solves_the_full_grid(name):
+    solve, unknowns = QUOTIENT_PROBLEMS[name]
+    fld = solve()
+    assert fld.diagnostics["unknowns"] == unknowns
+    if fld.kind == "disc":
+        grid = disc_grid(fld.domain.n_x, fld.domain.n_y)
+        res = grid.residual(fld.f[:-1], fld.f[-1], fld.a)
+    else:
+        grid = strip_grid(fld.domain.n_x, fld.domain.n_y, fld.domain.R, fld.domain.P)
+        res = grid.residual(fld.v[1:-1], fld.v[-1], fld.v[0], fld.a)
+    assert res.shape == grid.shape
+    assert fld.converged and np.max(np.abs(res)) <= fld.diagnostics["tolerance"]
+
+
+def test_odd_data_vanish_on_the_vertical_and_at_the_pole():
+    fld = QUOTIENT_PROBLEMS["disc-odd"][0]()
+    m = fld.domain.n_y
+    assert np.all(fld.f[:-1, m // 4] == 0.0) and np.all(fld.f[:-1, 3 * m // 4] == 0.0)
+    assert fld.f_center == 0.0
+
+
+@pytest.mark.parametrize("kind, edges, unknowns", [
+    ("disc", (BoundarySpec.make(cos={1: 1.0, 3: -1.0}),), 31 * 16),
+    ("disc", (BoundarySpec.make(0.3, cos={2: 1.0, 4: -0.5}),), 31 * 17 + 1),
+    ("disc", (BoundarySpec.make(0.3, cos={1: 1.0, 2: 0.5}),), 31 * 33 + 1),
+    ("disc", (BoundarySpec.make(cos={1: 1.0, 3: -1.0}, sin={2: 0.1}),), 31 * 64 + 1),
+    ("strip", (BoundarySpec.make(0.2, cos={1: 0.5}),) * 2, 16 * 33),
+    ("strip", (BoundarySpec.make(0.2, cos={1: 0.5}, sin={2: 0.1}),) * 2, 16 * 64),
+    ("strip", (BoundarySpec.make(0.2, cos={1: 0.5}), BoundarySpec.make(0.2, cos={2: 0.3})),
+     31 * 33),
+    ("strip", (BoundarySpec.make(0.2, cos={1: 0.5}), BoundarySpec.make(0.2, sin={1: 0.3})),
+     31 * 64),
+], ids=["disc-odd", "disc-even", "disc-y", "disc-sine", "strip-xy", "strip-y", "strip-x",
+        "strip-none"])
+def test_unknowns_follow_the_data_reflections(kind, edges, unknowns):
+    if kind == "disc":
+        fld = solve_disc(*edges, 0.5, DomainSpec.disc(32, 64))
+    else:
+        fld = solve_strip(*edges, 0.5, DomainSpec.strip(64, 33))
+    assert fld.converged and fld.diagnostics["unknowns"] == unknowns
+
+
+@pytest.mark.parametrize("kind", ["disc", "strip"])
+def test_a_small_sine_term_moves_the_field_little(kind):
+    # the sine term sends the solve to the full grid; the field moves by about its size
+    if kind == "disc":
+        spec = disc_family().boundary(1.25)
+        ref = solve_disc(spec, 0.05, DomainSpec.disc(32, 64))
+        fld = solve_disc(BoundarySpec.make(spec.constant, dict(spec.cos_coeffs), {1: 1e-6}),
+                         0.05, DomainSpec.disc(32, 64))
+    else:
+        edge = _strip_family_edge()
+        nudged = BoundarySpec.make(edge.constant, dict(edge.cos_coeffs), {1: 1e-6})
+        ref = solve_strip(edge, edge, 0.5, DomainSpec.strip(64, 33))
+        fld = solve_strip(nudged, nudged, 0.5, DomainSpec.strip(64, 33))
+    assert fld.diagnostics["unknowns"] > ref.diagnostics["unknowns"]
+    assert 0 < np.max(np.abs(fld.v - ref.v)) <= 1e-5
+
+
+@pytest.mark.parametrize("case", ["disc-odd", "disc-even", "strip-xy", "strip-y"])
+def test_quotient_jacobian_matches_central_differences(case):
+    rng = np.random.default_rng(3)
+    a = 0.05
+    if case.startswith("disc"):
+        grid = disc_grid(16, 16)
+        spec = (BoundarySpec.make(cos={1: 1.0, 3: -1.0}) if case == "disc-odd"
+                else BoundarySpec.make(0.2, cos={2: 1.0}))
+        phi = spec.sample(grid.theta)
+        q = grid.quotient(grid.reflections(spec))
+        x = q.fold(grid.harmonic_extension(spec)) + 1e-2 * rng.standard_normal(q.shape)
+        args = (phi, a)
+    else:
+        grid = strip_grid(16, 17, 1.0, 2 * np.pi)
+        edge = BoundarySpec.make(0.3, cos={1: 0.5}, sin={2: 0.2} if case == "strip-y" else None)
+        top = bot = edge.sample_x(grid.x, 2 * np.pi)
+        q = grid.quotient(grid.reflections(edge, edge))
+        x = 0.3 + 0.2 * rng.standard_normal(q.shape)
+        args = (top, bot, a)
+    jac, pos, scale = q.jacobian(x, *args)
+    n = x.size
+    full = jac.toarray()[np.ix_(np.append(pos, np.arange(n, jac.shape[0])),
+                                np.append(pos, np.arange(n, jac.shape[0])))]
+    if jac.shape[0] > n:                     # eliminate the border unknown g
+        full = full[:n, :n] - np.outer(full[:n, n], full[n, :n]) / full[n, n]
+    num = _differenced(lambda y: q.residual(y, *args), x)
+    assert jac.has_canonical_format and jac.shape[0] == q.unknowns
+    assert np.max(np.abs(full - num)) <= 1e-7 * np.max(np.abs(full))
+    # the round-off floor is taken from the full grid's Jacobian at the unfolded iterate
+    assert scale == pytest.approx(grid.jacobian(q.unfold(x), *args)[2], rel=1e-12)

@@ -130,7 +130,7 @@ def test_ribbon_reports():
     assert ribbon.endpoint_kind == ("fold-boundary", "domain-boundary")
     assert ribbon.c_range == "all-reals"
     assert ribbon.counts == (0, 1, 2)
-    assert abs(ribbon.width() - 2.75) < 1e-12
+    assert abs(ribbon.b_interval[1] - ribbon.b_interval[0] - 2.75) < 1e-12
     degenerate = ribbon_report(strip_family(0.0), (0.0, 0.0))
     assert degenerate.degenerate
     wide = ribbon_report(strip_family(1.0), (-0.3, 0.3))

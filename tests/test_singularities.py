@@ -120,6 +120,20 @@ def test_nonisolated_detection_by_magnitude():
         detect_axis_zeros(fld)
 
 
+@pytest.mark.parametrize("kind", ["disc", "strip"])
+def test_nonisolated_detection_on_a_stretch_of_the_axis(kind):
+    # v vanishes on a stretch of the axis and nowhere else in particular
+    if kind == "disc":
+        fld = field_from_callables(DomainSpec.disc(32, 64), 0.0, lambda x, y: -y,
+                                   lambda x, y: np.maximum(x - 0.3, 0.0), is_limit=True)
+    else:
+        fld = field_from_callables(STRIP, 0.0, lambda x, y: 0 * x,
+                                   lambda x, y: np.maximum(np.cos(x) - 0.5, 0.0) + 0 * y,
+                                   is_limit=True)
+    with pytest.raises(NonisolatedSingularities):
+        detect_axis_zeros(fld)
+
+
 def test_degenerate_disc_boundary_spec():
     fld = oracle_disc_field()
     fld.boundary = {"circle": BoundarySpec.make(sin={1: 1.0})}
