@@ -31,7 +31,7 @@ from .elliptic import (
     solve_strip_limit,
 )
 from .errors import LabError, NonisolatedSingularities
-from .models import NaSlice, na_oracle
+from .models import NaSlice, na_oracle, na_oracle_grid
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -416,16 +416,14 @@ def cmd_oracle(args):
             lo, hi, n = part.split(":")
             return np.linspace(float(lo), float(hi), int(n))
 
-        xs = parse_axis(part_x)
-        ys = parse_axis(part_y)
+        x, y = np.meshgrid(parse_axis(part_x), parse_axis(part_y))   # rows: y outer, x inner
+        u, v = na_oracle_grid(args.a, x, y)
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, args.out_file)
         with open(path, "w") as fh:
             fh.write("x,y,u,v\n")
-            for yv in ys:
-                for xv in xs:
-                    u, v = na_oracle(args.a, xv, yv)
-                    fh.write(f"{xv!r},{yv!r},{u!r},{v!r}\n")
+            for row in zip(x.flat, y.flat, u.flat, v.flat):
+                fh.write(",".join(repr(float(val)) for val in row) + "\n")
         print(f"oracle grid written to {path}")
         return EXIT_OK
     u, v = na_oracle(args.a, args.x, args.y)

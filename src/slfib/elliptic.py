@@ -325,13 +325,19 @@ class _Reflections:
         """The full interior array from the representatives' values."""
         return (self._sgn * x.ravel()[self._src])[self._full_pos].reshape(self._full_shape)
 
-    def _folded_jacobian(self, jac, z):
-        """(J, pos, scale) for ``_newton``; scale is taken before the fold, which can cancel."""
-        scale = float(np.max(abs(jac) @ np.abs(z)))
+    def _folded_jacobian(self, data, rows, indptr, z):
+        """(J, pos, scale) for ``_newton`` from the full grid's columns of J in CSC form.
+
+        scale, || |J| |z| ||_inf at the iterate z, is summed in entry order, as the CSC
+        product |J| @ |z| sums it, and before the fold, which can cancel.
+        """
+        z_col = np.repeat(np.abs(z[: indptr.size - 1]), np.diff(indptr))   # per entry
+        scale = float(np.max(np.bincount(rows, np.abs(data) * z_col)))
         if self._fold is not None:
-            fold, indices, indptr = self._fold
-            jac = sp.csc_matrix((fold @ jac.data, indices, indptr), shape=(jac.shape[0],) * 2)
-        return jac, self.pos, scale
+            fold, rows, indptr = self._fold
+            data = fold @ data
+        n = indptr.size - 1
+        return sp.csc_matrix((data, rows, indptr), shape=(n, n)), self.pos, scale
 
 
 class DiscGrid(_Reflections):
@@ -515,8 +521,7 @@ class DiscGrid(_Reflections):
         k = xx.indptr[m]
         rows = xx.indices[:k]
         data = ((dw * (xx @ z))[rows] * x.data[:k] + w[rows] * xx.data[:k] + yy.data[:k])
-        jac = sp.csc_matrix((data, rows, xx.indptr[:m + 1]), shape=(q.size, m))
-        return self._folded_jacobian(jac, z[:m])
+        return self._folded_jacobian(data, rows, xx.indptr[:m + 1], z)
 
     # -- derived fields ----------------------------------------------------
 
@@ -685,9 +690,8 @@ class StripGrid(_Reflections):
         c_xm = -left[:, :-1] / hx2
         c_0 = (left[:, 1:] - right[:, :-1]) / hx2 - 4.0 / hy2
         coeffs = np.concatenate([c_0, c_xp, c_xm, 2.0 / hy2], axis=None)
-        jac = sp.csc_matrix((coeffs[self._source], *self._pattern),
-                            shape=(v_int.size, self._full_pos.size))
-        return self._folded_jacobian(jac, v_int.ravel()[self._src])
+        return self._folded_jacobian(coeffs[self._source], *self._pattern,
+                                     v_int.ravel()[self._src])
 
 
 def strip_grid(n_x, n_y, R, P):

@@ -25,7 +25,6 @@ def _make(token_str, doc):
 
 DegenerateFrame = _make("degenerate-frame", "Tangent frame is linearly dependent.")
 OutOfDomain = _make("out-of-domain", "Chart point lies outside the field domain.")
-OracleDiverged = _make("oracle-diverged", "Algebraic oracle failed to bracket or converge.")
 SolverDiverged = _make("solver-diverged", "Newton iteration exhausted its damping budget.")
 ContinuationFailed = _make("continuation-failed", "A step of the membrane-level continuation diverged.")
 IncompatibleBoundary = _make("incompatible-boundary", "Strip edge data have unequal means.")

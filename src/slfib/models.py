@@ -12,9 +12,16 @@ algebraic system
 
     v^2 + y^2 = (x^2 + u^2 + |a|)^2 - a^2,       u v = -x y,
 
-with the sign pattern sign(v) = sign(x), sign(u) = -sign(y).  The oracle
-solves this system to near machine precision and is used throughout the
-test suite as an independent reference for the PDE solvers.
+with the sign pattern sign(v) = sign(x), sign(u) = -sign(y).  With
+A = x^2 + |a|, s = u^2 is a root of the cubic
+
+    s^3 + 2 A s^2 + (A^2 - a^2 - y^2) s - x^2 y^2
+        = (s + x^2) (s^2 + (x^2 + 2|a|) s - y^2),
+
+so the system is solved in closed form by the positive root of the
+quadratic factor (na_oracle_grid).  That oracle is used throughout the
+test suite as an exact reference for the PDE solvers, and its exact
+potential gives the disc data na_potential_circle.
 
 Also here: the quadratic torus fibration of C^3 with trivalent-graph
 discriminant, and the two piecewise-smooth fibrations F, F' whose fibres
@@ -25,10 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OracleDiverged
-
-_ORACLE_BISECT_STEPS = 90
-_ORACLE_NEWTON_STEPS = 4
 _CIRCLE_QUADRATURE = 8192        # nodes of na_potential_circle's FFT quadrature
 _CIRCLE_COEFF_FLOOR = 1e-13      # smaller potential coefficients are dropped
 
@@ -109,121 +112,28 @@ def na_slice_formulas(a, s, which):
     raise ValueError(f"unknown axis selector {which!r}")
 
 
+def _b_and_root(a, x, y):
+    """B = x^2 + 2|a| and sqrt(W), W = (B + sqrt(B^2 + 4 y^2)) / 2."""
+    b = x * x + 2.0 * abs(float(a))
+    return b, np.sqrt(0.5 * (b + np.hypot(b, 2.0 * y)))
+
+
 def na_oracle_grid(a, x, y):
     """Vectorised slice oracle over broadcastable coordinate arrays.
 
-    Solves the slice system at every point; returns (u, v) arrays.
-
-    Off the axes the system reduces, via u v = -x y, to one strictly
-    monotone scalar equation in s = u^2:
-
-        g(s) = (x^2 + s + |a|)^2 - a^2 - y^2 - x^2 y^2 / s = 0,
-
-    which is bracketed by geometric growth and solved by bisection, then
-    polished with a couple of damped Newton steps on the 2x2 system.  On
-    the axes the closed forms are exact.
+    Returns N_a's graph functions (u, v) in closed form.  Eliminating
+    v = -x y / u leaves the cubic (s + x^2) (s^2 + B s - y^2) = 0 in s = u^2,
+    with B = x^2 + 2|a| (module docstring).  Its positive root is s = y^2 / W,
+    W = (B + sqrt(B^2 + 4 y^2)) / 2 the positive root of W^2 - B W - y^2.
+    So u = -y / sqrt(W) and v = x sqrt(W) (u = v = 0 where W = 0): both
+    slice equations and the sign pattern hold identically, and nothing
+    cancels.
     """
-    a = abs(float(a))  # the graph functions are even in a
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    x, y = np.broadcast_arrays(x, y)
-    u = np.zeros(x.shape)
-    v = np.zeros(x.shape)
-
-    # Branch selection.  Near the x axis (|y| well under x^2 + 2a, which
-    # sets the scale of u^2's validity) the closed slice form plus the
-    # exact uv = -xy correction is accurate to O(y^2) and avoids pushing
-    # the scalar reduction below floating-point range.  Products x*y that
-    # underflow to zero are routed to the axis of the smaller coordinate.
-    xy = x * y
-    near_x = (y == 0.0) | (np.abs(y) <= 1e-8 * (x * x + 2 * a)) | \
-        ((xy == 0.0) & (np.abs(x) >= np.abs(y)))
-    near_y = ~near_x & ((x == 0.0) | (xy == 0.0))
-    generic = ~(near_x | near_y)
-
-    vx = v_slice(a, x[near_x])
-    v[near_x] = vx
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    _, root = _b_and_root(a, x, y)
     with np.errstate(invalid="ignore", divide="ignore"):
-        u[near_x] = np.where(vx != 0.0, -xy[near_x] / np.where(vx != 0.0, vx, 1.0), 0.0)
-    uy = u_slice(a, y[near_y])
-    u[near_y] = uy
-    with np.errstate(invalid="ignore", divide="ignore"):
-        v[near_y] = np.where(uy != 0.0, -xy[near_y] / np.where(uy != 0.0, uy, 1.0), 0.0)
-
-    if np.any(generic):
-        xg = x[generic]
-        yg = y[generic]
-        x2 = xg * xg
-        y2 = yg * yg
-        xyg = xg * yg
-
-        def g(s):
-            # xy * (xy / s), not x^2 y^2 / s: x^2 y^2 underflows to zero
-            # for tiny points whose root s is still representable
-            with np.errstate(over="ignore", divide="ignore"):
-                q = x2 + s + a
-                return q * q - a * a - y2 - xyg * (xyg / s)
-
-        # g is strictly increasing with g -> -inf at 0+ and +inf at
-        # infinity; bisect in log(s) so any root magnitude is resolved
-        lo = np.full(xg.shape, 1e-320)
-        hi = np.maximum(1.0, np.abs(u_slice(a, yg)) ** 2 * 4.0)
-        for _ in range(200):
-            bad = g(hi) < 0.0
-            if not bad.any():
-                break
-            hi[bad] *= 4.0
-        else:
-            raise OracleDiverged("upper bracket growth exhausted")
-        if np.any(g(lo) > 0.0):
-            raise OracleDiverged("no sign change at the lower bracket end")
-
-        wlo = np.log(lo)
-        whi = np.log(hi)
-        for _ in range(_ORACLE_BISECT_STEPS):
-            wmid = 0.5 * (wlo + whi)
-            neg = g(np.exp(wmid)) < 0.0
-            wlo = np.where(neg, wmid, wlo)
-            whi = np.where(neg, whi, wmid)
-        s = np.exp(0.5 * (wlo + whi))
-
-        ug = -np.sign(yg) * np.sqrt(s)
-        vg = -xg * yg / ug
-
-        # Newton polish on F = (v^2+y^2-(x^2+u^2+a)^2+a^2, uv+xy)
-        for _ in range(_ORACLE_NEWTON_STEPS):
-            q = x2 + ug * ug + a
-            f1 = vg * vg + y2 - q * q + a * a
-            f2 = ug * vg + xg * yg
-            j11 = -4.0 * ug * q
-            j12 = 2.0 * vg
-            j21 = vg
-            j22 = ug
-            det = j11 * j22 - j12 * j21
-            safe = np.abs(det) > 1e-300
-            du = np.where(safe, (f1 * j22 - f2 * j12) / det, 0.0)
-            dv = np.where(safe, (j11 * f2 - j21 * f1) / det, 0.0)
-            # damp so the polish can never leave the sign quadrant
-            du = np.clip(du, -0.5 * np.abs(ug), 0.5 * np.abs(ug))
-            dv = np.clip(dv, -0.5 * np.abs(vg), 0.5 * np.abs(vg))
-            ug = ug - du
-            vg = vg - dv
-
-        q = x2 + ug * ug + a
-        res = np.maximum(
-            np.abs(vg * vg + y2 - q * q + a * a),
-            np.abs(ug * vg + xg * yg),
-        )
-        scale = np.maximum(1.0, q * q)
-        if np.any(res > 1e-9 * scale):
-            raise OracleDiverged(
-                "oracle residual above tolerance",
-                worst=float(np.max(res / scale)),
-            )
-        u[generic] = ug
-        v[generic] = vg
-
-    return u, v
+        u = np.where(root > 0.0, -y / root, 0.0)
+    return u, x * root
 
 
 def na_oracle(a, x, y):
@@ -260,36 +170,26 @@ class NaSlice:
 def na_potential_circle(a):
     """Potential boundary data on the unit circle induced by the slice graph.
 
-    The graph functions admit a potential with f_x = v and f_y = u, so on
-    the circle f(theta) = integral of (-v sin + u cos) d tau.  The
-    integrand is sampled, transformed, and integrated term by term; the
-    result is a finite cosine series (the graph is even in x and the
-    integrand is odd).  Returns a BoundarySpec for the disc solver.
+    The graph functions are the gradient of the exact potential
+
+        f = sqrt(W) (B - 2 W / 3),      f_x = v,  f_y = u,
+
+    with B and W as in na_oracle_grid.  f is sampled on the circle,
+    shifted so that f(theta = 0) = 0, and transformed; the result is a
+    finite cosine series (f is even in x and in y), with coefficients
+    below _CIRCLE_COEFF_FLOOR dropped.  Returns a BoundarySpec for the
+    disc solver.
     """
     from .elliptic import BoundarySpec
 
     n_quad = _CIRCLE_QUADRATURE
     tau = 2.0 * np.pi * np.arange(n_quad) / n_quad
-    u, v = na_oracle_grid(a, np.cos(tau), np.sin(tau))
-    g = -v * np.sin(tau) + u * np.cos(tau)
-    spec = np.fft.rfft(g) / n_quad
-    mean = abs(spec[0].real)
-    if mean > 1e-10:
-        raise OracleDiverged("circle potential is not single-valued", mean=mean)
-    cos_coeffs = {}
-    sin_coeffs = {}
-    constant = 0.0
-    for k in range(1, n_quad // 2):
-        a_k = 2.0 * spec[k].real        # cos component of the integrand
-        b_k = -2.0 * spec[k].imag       # sin component of the integrand
-        c_cos = -b_k / k
-        c_sin = a_k / k
-        constant += b_k / k
-        if abs(c_cos) >= _CIRCLE_COEFF_FLOOR:
-            cos_coeffs[k] = c_cos
-        if abs(c_sin) >= _CIRCLE_COEFF_FLOOR:
-            sin_coeffs[k] = c_sin
-    return BoundarySpec.make(constant, cos_coeffs, sin_coeffs)
+    b, root = _b_and_root(a, np.cos(tau), np.sin(tau))
+    f = root * (b - 2.0 / 3.0 * root * root)
+    spec = np.fft.rfft(f - f[0])[: n_quad // 2] / n_quad
+    cos, sin = ({k: c[k] for k in np.flatnonzero(np.abs(c) >= _CIRCLE_COEFF_FLOOR) if k}
+                for c in (2.0 * spec.real, -2.0 * spec.imag))
+    return BoundarySpec.make(spec[0].real, cos, sin)
 
 
 def _f_base(p, sign):

@@ -240,6 +240,13 @@ def test_oracle_grid(tmp_path):
     assert code == 0
     lines = (tmp_path / "oracle.csv").read_text().splitlines()
     assert len(lines) == 26
+    assert lines[0] == "x,y,u,v"
+    rows = np.array([[float(val) for val in line.split(",")] for line in lines[1:]])
+    assert rows.shape == (25, 4)
+    # rows run over x inside y
+    x, y = np.meshgrid(np.linspace(-1, 1, 5), np.linspace(-1, 1, 5))
+    u, v = na_oracle_grid(0.5, x, y)
+    assert np.array_equal(rows, np.column_stack([x.ravel(), y.ravel(), u.ravel(), v.ravel()]))
 
 
 def test_config_file_merging(tmp_path, capsys):

@@ -82,6 +82,32 @@ def test_disc_oracle_accuracy(a, ceil_u, ceil_v):
     assert fld.converged and fld.residual_norm < NEWTON_TOL
 
 
+def _na_potential(a, x, y):
+    """The exact potential of N_a's graph, f_x = v and f_y = u."""
+    b = x * x + 2.0 * abs(a)
+    w = 0.5 * (b + np.hypot(b, 2.0 * y))
+    return np.sqrt(w) * (b - 2.0 * w / 3.0)
+
+
+def _potential_error(a, n_r, n_theta):
+    """Max error of the solved potential, centre included, against the exact one."""
+    fld = solve_disc(na_potential_circle(a), a, DomainSpec.disc(n_r, n_theta))
+    xg, yg, _, _ = fld.node_arrays()
+    exact = _na_potential(a, xg, yg) - _na_potential(a, 1.0, 0.0)   # 0 at theta = 0
+    centre = _na_potential(a, 0.0, 0.0) - _na_potential(a, 1.0, 0.0)
+    return max(np.max(np.abs(fld.f - exact)), abs(fld.f_center - centre))
+
+
+# measured errors at (32, 64) and (64, 128), rounded up in the third digit
+@pytest.mark.parametrize("a, ceilings", [(0.5, (6.99e-4, 1.75e-4)),
+                                         (0.05, (6.65e-3, 1.93e-3))])
+def test_disc_potential_against_the_exact_one(a, ceilings):
+    errors = [_potential_error(a, 32, 64), _potential_error(a, 64, 128)]
+    assert errors[0] <= ceilings[0] and errors[1] <= ceilings[1]
+    if a == 0.5:
+        assert np.log2(errors[0] / errors[1]) >= 1.9
+
+
 @pytest.mark.parametrize("solve", [
     lambda: solve_disc_limit(BoundarySpec.make(cos={1: 1.0, 3: -1.0}),
                              DomainSpec.disc(24, 48), geometric_schedule(1.0, 0.25)),

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -81,8 +83,8 @@ def test_slice_formulas():
 def test_oracle_solves_the_system(a, x, y):
     u, v = na_oracle(a, x, y)
     q = x * x + u * u + abs(a)
-    assert abs(v * v + y * y - q * q + a * a) < 1e-10 * max(1.0, q * q)
-    assert abs(u * v + x * y) < 1e-10 * max(1.0, abs(x * y))
+    assert abs(v * v + y * y - q * q + a * a) < 1e-13 * max(1.0, q * q)
+    assert abs(u * v + x * y) < 1e-13 * max(1.0, abs(x * y))
     # sign pattern of the graph functions
     if x > 1e-12:
         assert v >= 0.0
@@ -92,6 +94,41 @@ def test_oracle_solves_the_system(a, x, y):
         assert u <= 0.0
     if y < -1e-12:
         assert u >= 0.0
+
+
+def _cubic_root_reference(a, x, y):
+    """(u, v) from the positive root s = u^2 of the unfactored cubic, bisected at 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, x, y = abs(Decimal(a)), Decimal(x), Decimal(y)
+        big_a = x * x + a
+
+        def cubic(s):
+            return ((s + 2 * big_a) * s + big_a * big_a - a * a - y * y) * s - x * x * y * y
+
+        lo, hi = Decimal("1e-40"), Decimal("1e3")
+        assert cubic(lo) < 0 < cubic(hi)
+        while hi - lo > Decimal("1e-30") * hi:
+            # geometric midpoints down to one octave, then arithmetic ones
+            mid = (lo * hi).sqrt() if hi > 2 * lo else (lo + hi) / 2
+            lo, hi = (mid, hi) if cubic(mid) < 0 else (lo, mid)
+        u = -lo.sqrt() if y > 0 else lo.sqrt()
+        return u, -x * y / u
+
+
+def test_oracle_matches_a_decimal_reference_over_scales():
+    # log sweep of the level and of both coordinates' scales, in two sign quadrants
+    scales = 10.0 ** np.arange(-11, 2, 2)
+    worst = 0.0
+    for a in (0.0, 1e-12, 1e-6, 1e-3, 0.05, 0.5, 1.0, 30.0):
+        for sx in (1.0, -1.0):
+            x, y = np.meshgrid(sx * scales, scales)
+            u, v = na_oracle_grid(a, x, y)
+            for xi, yi, ui, vi in zip(x.flat, y.flat, u.flat, v.flat):
+                u_ref, v_ref = _cubic_root_reference(a, xi, yi)
+                worst = max(worst, float(abs((Decimal(ui) - u_ref) / u_ref)),
+                            float(abs((Decimal(vi) - v_ref) / v_ref)))
+    assert worst <= 1e-14
 
 
 @given(a=st.floats(0.0, 2.0), x=st.floats(-2, 2), y=st.floats(-2, 2))
