@@ -69,8 +69,7 @@ fine grids lies above NEWTON_TOL, since the coefficient
 (v^2 + y^2 + a^2)^(-1/2) grows like 1/a near the singular points.  A
 solve is therefore converged when the sup-norm residual of the returned
 field is below max(NEWTON_TOL, ROUNDOFF_SAFETY * eps * || |J| |x| ||_inf),
-the floor taken from the last Jacobian that was factored; an explicit
-``tol`` replaces this rule.
+the floor taken from the last Jacobian that was factored.
 
 The level a = 0 is reached by geometric continuation a_k -> a_min with
 warm starts; the a_min field is returned as the singular-level proxy and
@@ -121,7 +120,7 @@ class BoundarySpec:
 
     Disc: a function of theta on the unit circle.  Strip: a function of
     2*pi*x/P on one edge.  Coefficient maps are harmonic index -> value,
-    stored as sorted tuples so specs hash and compare by value.
+    stored as sorted tuples so specs hash and compare by value, all finite.
     """
 
     constant: float = 0.0
@@ -136,7 +135,11 @@ class BoundarySpec:
             items = dict(d).items()
             return tuple(sorted((int(k), float(v)) for k, v in items if float(v) != 0.0))
 
-        return BoundarySpec(float(constant), norm(cos), norm(sin))
+        spec = BoundarySpec(float(constant), norm(cos), norm(sin))
+        values = [spec.constant] + [v for _, v in spec.cos_coeffs + spec.sin_coeffs]
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"boundary data must be finite, got {spec.to_json()}")
+        return spec
 
     def sample(self, theta):
         """Evaluate at angles theta."""
@@ -178,10 +181,10 @@ class DomainSpec:
     """
 
     kind: str
-    R: float = 1.0
-    P: float = 2.0 * np.pi
-    n_x: int = 128
-    n_y: int = 128
+    R: float
+    P: float
+    n_x: int
+    n_y: int
 
     def __post_init__(self):
         if self.kind not in ("disc", "periodic-strip"):
@@ -199,11 +202,11 @@ class DomainSpec:
                 object.__setattr__(self, "n_y", int(self.n_y) + 1)
 
     @staticmethod
-    def disc(n_r=128, n_theta=256):
+    def disc(n_r, n_theta):
         return DomainSpec("disc", 1.0, 2.0 * np.pi, n_r, n_theta)
 
     @staticmethod
-    def strip(n_x=256, n_y=129, R=1.0, P=2.0 * np.pi):
+    def strip(n_x, n_y, R=1.0, P=2.0 * np.pi):
         return DomainSpec("periodic-strip", R, P, n_x, n_y)
 
 
@@ -729,7 +732,7 @@ class FactorSlot:
         return self.lu.solve(b)[self.pos]
 
 
-def _newton(x0, eval_res, build_jac, tol=None, factor=None):
+def _newton(x0, eval_res, build_jac, factor=None):
     """Chord Newton with sup-norm line search.
 
     Each iteration first tries a full chord step with the factor held in
@@ -753,8 +756,8 @@ def _newton(x0, eval_res, build_jac, tol=None, factor=None):
     every iterate, and each solve is read back at pos.
 
     The solve is converged once the sup-norm residual is below the
-    tolerance: ``tol`` when given, else max(NEWTON_TOL, floor) with the
-    slot's round-off floor, which is recomputed at every factorisation.
+    tolerance max(NEWTON_TOL, floor), with the slot's round-off floor,
+    which is recomputed at every factorisation.
     Below that floor float64 residuals are round-off, and iterating
     further only refactors without progress.
 
@@ -781,7 +784,7 @@ def _newton(x0, eval_res, build_jac, tol=None, factor=None):
     counts = {"factorizations": 0, "chord_steps": 0}
 
     def tolerance():
-        return tol if tol is not None else max(NEWTON_TOL, factor.floor)
+        return max(NEWTON_TOL, factor.floor)
 
     def outcome(iters, stagnated):
         return x, norm, iters, {"history": tuple(history), "stagnated": stagnated,
@@ -790,7 +793,7 @@ def _newton(x0, eval_res, build_jac, tol=None, factor=None):
     def stalled(iters, reason):
         if norm < tolerance():
             return outcome(iters, False)
-        if norm < FLOOR_ACCEPT / NEWTON_TOL * max(NEWTON_TOL, factor.floor):
+        if norm < FLOOR_ACCEPT / NEWTON_TOL * tolerance():
             return outcome(iters, True)
         raise SolverDiverged(reason, residual=norm, iterations=iters)
 
@@ -1004,28 +1007,20 @@ class SolutionField:
 # exact references.  It stays in the package so that a fresh interpreter
 # with only the source tree on its path can build one too.
 
-def field_from_callables(domain, a, u_fn, v_fn, is_limit=None):
+def field_from_callables(domain, a, u_fn, v_fn):
     """Sample callables u(x, y), v(x, y) into a SolutionField container."""
+    disc = {}
     if domain.kind == "disc":
         g = disc_grid(domain.n_x, domain.n_y)
-        xg = g.r[:, None] * g.cos[None, :]
-        yg = g.r[:, None] * g.sin[None, :]
-        u = np.asarray(u_fn(xg, yg), float)
-        v = np.asarray(v_fn(xg, yg), float)
-        fld = SolutionField("disc", domain, float(a), u, v,
-                            f=np.zeros_like(u), boundary={},
-                            u_center=float(u_fn(0.0, 0.0)),
-                            v_center=float(v_fn(0.0, 0.0)),
-                            converged=True, residual_norm=0.0)
+        xg, yg = g.r[:, None] * g.cos, g.r[:, None] * g.sin
+        disc = dict(f=np.zeros(xg.shape), u_center=float(u_fn(0.0, 0.0)),
+                    v_center=float(v_fn(0.0, 0.0)))
     else:
         g = strip_grid(domain.n_x, domain.n_y, domain.R, domain.P)
         xg, yg = np.meshgrid(g.x, g.y)
-        u = np.asarray(u_fn(xg, yg), float)
-        v = np.asarray(v_fn(xg, yg), float)
-        fld = SolutionField("periodic-strip", domain, float(a), u, v,
-                            boundary={}, converged=True, residual_norm=0.0)
-    fld.is_limit = bool(is_limit) if is_limit is not None else (float(a) == 0.0)
-    return fld
+    return SolutionField(domain.kind, domain, float(a), np.asarray(u_fn(xg, yg), float),
+                         np.asarray(v_fn(xg, yg), float), converged=True, residual_norm=0.0,
+                         is_limit=float(a) == 0.0, **disc)
 
 
 # ---------------------------------------------------------------------------
@@ -1050,7 +1045,7 @@ def _continue(schedule, solve_level, interior):
     and counts; ``diagnostics["coarse"]`` gathers the levels' coarse
     solves (see solve_disc), which only a cold first level makes.
     """
-    schedule = tuple(schedule) if schedule is not None else geometric_schedule()
+    schedule = tuple(schedule)
     if len(schedule) == 0 or any(s <= 0 for s in schedule) or \
             any(schedule[i + 1] >= schedule[i] for i in range(len(schedule) - 1)):
         raise ValueError("schedule must be a decreasing positive sequence")
@@ -1089,11 +1084,11 @@ def _cold_start(grid, boundary, a):
 
     When the grid halves exactly (N even, M a multiple of 8, both halves
     at least 16), the same data at the same level are solved on the
-    (N/2, M/2) grid, itself cold, with the default tolerance and its own
-    FactorSlot; the start is the harmonic extension H plus the prolonged
-    coarse correction f_2h - H_2h.  Otherwise, or when the coarse solve
-    raises SolverDiverged, the start is H.  Returns the start and the
-    coarse solves' level records with their (n_x, n_y), coarsest first.
+    (N/2, M/2) grid, itself cold, with its own FactorSlot; the start is
+    the harmonic extension H plus the prolonged coarse correction
+    f_2h - H_2h.  Otherwise, or when the coarse solve raises
+    SolverDiverged, the start is H.  Returns the start and the coarse
+    solves' level records with their (n_x, n_y), coarsest first.
     """
     start = grid.harmonic_extension(boundary)
     n, m = grid.N // 2, grid.M // 2
@@ -1107,7 +1102,7 @@ def _cold_start(grid, boundary, a):
     return start, (*coarse.diagnostics["coarse"], {**level_record(coarse), "n_x": n, "n_y": m})
 
 
-def solve_disc(boundary, a, domain=None, initial=None, tol=None, factor=None):
+def solve_disc(boundary, a, domain, initial=None, factor=None):
     """Solve the disc problem at level a != 0 with Dirichlet potential data.
 
     ``initial`` is the interior iterate to start from.  Without it the
@@ -1121,21 +1116,20 @@ def solve_disc(boundary, a, domain=None, initial=None, tol=None, factor=None):
     out), a constant plus even cosines even in x (the ghost stays).
     ``diagnostics["unknowns"]`` counts the unknowns Newton solved for.
 
-    ``tol`` is the residual tolerance; None applies the round-off rule of
-    ``_newton``.  ``factor`` is a FactorSlot whose LU factor Newton may
-    reuse and replaces; a continuation passes the same slot to every level.
+    The tolerance is _newton's.  ``factor`` is a FactorSlot whose LU factor
+    Newton may reuse and replaces; a continuation passes it to every level.
     """
-    if a == 0.0:
-        raise ValueError("level a = 0 is reached through solve_disc_limit")
+    if a == 0.0 or not math.isfinite(a):
+        raise ValueError(f"level a must be finite and nonzero, got {a} "
+                         "(a = 0 is reached through solve_disc_limit)")
     a = abs(float(a))  # solutions at a and -a coincide
-    domain = domain or DomainSpec.disc()
     grid = disc_grid(domain.n_x, domain.n_y)
     phi = boundary.sample(grid.theta)
     f0, coarse = (initial, ()) if initial is not None else _cold_start(grid, boundary, a)
     system = grid.quotient(grid.reflections(boundary))
     x, _, iters, diag = _newton(
         system.fold(f0), lambda x: system.residual(x, phi, a),
-        lambda x: system.jacobian(x, phi, a), tol=tol, factor=factor)
+        lambda x: system.jacobian(x, phi, a), factor=factor)
     f_sol = system.unfold(x)
     # on a quotient the mirrored rows' residuals differ from the solved ones by round-off
     norm = float(np.max(np.abs(grid.residual(f_sol, phi, a))))
@@ -1149,33 +1143,32 @@ def solve_disc(boundary, a, domain=None, initial=None, tol=None, factor=None):
     )
 
 
-def solve_disc_limit(boundary, domain=None, schedule=None, tol=None):
+def solve_disc_limit(boundary, domain, schedule):
     """Continuation along a decreasing level schedule; returns the a_min proxy."""
-    domain = domain or DomainSpec.disc()
     return _continue(
         schedule,
         lambda a_k, initial, factor: solve_disc(boundary, a_k, domain, initial=initial,
-                                                tol=tol, factor=factor),
+                                                factor=factor),
         lambda fld: fld.f[:-1])
 
 
 # ---------------------------------------------------------------------------
 # strip solver
 
-def solve_strip(top, bottom, a, domain=None, initial=None, tol=None, factor=None):
+def solve_strip(top, bottom, a, domain, initial=None, factor=None):
     """Solve the strip problem at level a != 0 with edge data for v.
 
     Edges without sine terms are even in x, equal edges even in y.
-    ``diagnostics["unknowns"]``, ``tol`` and ``factor`` are as for solve_disc.
+    ``diagnostics["unknowns"]``, the tolerance and ``factor`` are as for solve_disc.
     """
-    if a == 0.0:
-        raise ValueError("level a = 0 is reached through solve_strip_limit")
+    if a == 0.0 or not math.isfinite(a):
+        raise ValueError(f"level a must be finite and nonzero, got {a} "
+                         "(a = 0 is reached through solve_strip_limit)")
     a = abs(float(a))
     scale = max(1.0, top.max_abs(), bottom.max_abs())
     if abs(top.constant - bottom.constant) > 1e-12 * scale:
         raise IncompatibleBoundary("edge data must have equal means",
                                    top_mean=top.constant, bottom_mean=bottom.constant)
-    domain = domain or DomainSpec.strip()
     grid = strip_grid(domain.n_x, domain.n_y, domain.R, domain.P)
     top_v = top.sample_x(grid.x, domain.P)
     bot_v = bottom.sample_x(grid.x, domain.P)
@@ -1188,7 +1181,7 @@ def solve_strip(top, bottom, a, domain=None, initial=None, tol=None, factor=None
     system = grid.quotient(grid.reflections(top, bottom))
     x, _, iters, diag = _newton(
         system.fold(v0), lambda x: system.residual(x, top_v, bot_v, a),
-        lambda x: system.jacobian(x, top_v, bot_v, a), tol=tol, factor=factor)
+        lambda x: system.jacobian(x, top_v, bot_v, a), factor=factor)
     v_sol = system.unfold(x)
     norm = float(np.max(np.abs(grid.residual(v_sol, top_v, bot_v, a))))
     v_full = np.vstack([bot_v, v_sol, top_v])
@@ -1201,13 +1194,12 @@ def solve_strip(top, bottom, a, domain=None, initial=None, tol=None, factor=None
     return reconstruct_u(fld)
 
 
-def solve_strip_limit(top, bottom, domain=None, schedule=None, tol=None):
+def solve_strip_limit(top, bottom, domain, schedule):
     """Continuation wrapper for the strip problem down to the a_min proxy."""
-    domain = domain or DomainSpec.strip()
     return _continue(
         schedule,
         lambda a_k, initial, factor: solve_strip(top, bottom, a_k, domain, initial=initial,
-                                                 tol=tol, factor=factor),
+                                                 factor=factor),
         lambda fld: fld.v[1:-1])
 
 

@@ -61,6 +61,7 @@ CURVE_TOL = 1e-5
 CACHE_ENV = "SLFIB_CACHE_DIR"
 BISECT_MAX_ITER = 200
 BRACKET_MAX = 1024.0             # _grown_bracket doubles its half-width up to this
+CACHE_SIZE = 48                  # fields a SolverCache keeps in memory
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def strip_family(t):
 # solver cache
 
 class SolverCache:
-    """LRU cache of solved fields, optionally persisted to SLFIB_CACHE_DIR.
+    """LRU cache of CACHE_SIZE solved fields, optionally persisted to SLFIB_CACHE_DIR.
 
     Keys are prefixed with the solver's SOLVER_VERSION, so a disk entry
     written by another solver version misses.  Disk entries are written
@@ -130,8 +131,7 @@ class SolverCache:
     ``warm_fallbacks`` those that ran the full schedule instead.
     """
 
-    def __init__(self, maxsize=48):
-        self.maxsize = maxsize
+    def __init__(self):
         self._store = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -163,7 +163,7 @@ class SolverCache:
             if path:
                 _save_atomic(fld, path)
         self._store[key] = fld
-        while len(self._store) > self.maxsize:
+        while len(self._store) > CACHE_SIZE:
             self._store.popitem(last=False)
         return fld
 
@@ -198,6 +198,13 @@ def _save_atomic(fld, path):
 _shared_cache = SolverCache()
 
 
+def _family_domain(family, resolution):
+    """The resolution (the family default when None) and domain of family fields."""
+    disc = family.kind == "disc-sweep"
+    res = resolution or (DEFAULT_DISC_RESOLUTION if disc else DEFAULT_STRIP_RESOLUTION)
+    return res, (DomainSpec.disc if disc else DomainSpec.strip)(*res)
+
+
 def solve_family_member(family, a, b, resolution=None, schedule=None, cache=None):
     """Solve (or fetch) the family field at level a and parameter b.
 
@@ -226,9 +233,8 @@ def solve_family_member(family, a, b, resolution=None, schedule=None, cache=None
     schedule = tuple(schedule) if schedule is not None else DEFAULT_SCHEDULE
     b = float(b)
     level = schedule[-1] if a == 0.0 else a      # the level a warm start solves at
+    res, domain = _family_domain(family, resolution)
     if family.kind == "disc-sweep":
-        res = resolution or DEFAULT_DISC_RESOLUTION
-        domain = DomainSpec.disc(*res)
         spec = family.boundary(b)
 
         def cold():
@@ -246,8 +252,6 @@ def solve_family_member(family, a, b, resolution=None, schedule=None, cache=None
         def warm(initial):
             return solve_disc(spec, level, domain, initial=initial)
     else:
-        res = resolution or DEFAULT_STRIP_RESOLUTION
-        domain = DomainSpec.strip(*res)
         top, bottom = family.boundary(b)
 
         def cold():
@@ -380,7 +384,7 @@ def project_to_base(p, family, resolution=None, schedule=None, cache=None,
         if x * x + y * y >= 1.0:
             raise OutsideTotalSpace("(Re z3)^2 + (Im z1 z2)^2 must be below 1",
                                     x=x, y=y)
-    elif abs(y) >= DomainSpec.strip().R:
+    elif abs(y) >= _family_domain(family, resolution)[1].R:
         raise OutsideTotalSpace("|Im z1 z2| must be below the strip's R", y=y)
 
     probe = _probe(family, a, (x, y), resolution, schedule, cache)

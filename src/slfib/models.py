@@ -127,9 +127,11 @@ def na_oracle_grid(a, x, y):
     W = (B + sqrt(B^2 + 4 y^2)) / 2 the positive root of W^2 - B W - y^2.
     So u = -y / sqrt(W) and v = x sqrt(W) (u = v = 0 where W = 0): both
     slice equations and the sign pattern hold identically, and nothing
-    cancels.
+    cancels.  Raises ValueError unless a, x and y are finite.
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    if not (np.isfinite(a) and np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("the slice oracle needs finite a, x and y")
     _, root = _b_and_root(a, x, y)
     with np.errstate(invalid="ignore", divide="ignore"):
         u = np.where(root > 0.0, -y / root, 0.0)

@@ -15,6 +15,8 @@ Hermite-style unimodular row reduction.
 from dataclasses import dataclass, field as dc_field
 
 SPINE_LENGTH = 2.0               # length of each ribbon piece's spine past the vertex
+RIBBON_WIDTH = 0.5               # width of each ribbon piece across its spine
+RIBBON_OVERHANG = 0.25           # length of each ribbon piece's spine behind the vertex
 
 
 def _tupled(rows):
@@ -191,13 +193,13 @@ def invariant_lattice(vertex):
 # ---------------------------------------------------------------------------
 # ribbon figure geometry
 
-def ribbon_figure_data(vertex, width=0.5, overhang=0.25):
+def ribbon_figure_data(vertex):
     """Planar ribbon pieces modelling the thickened discriminant.
 
     Positive vertex: three rectangles in the hyperplanes dual to the
-    fixed column vectors, overlapping along the segment [0, width] of the
-    x1-axis and sticking ``overhang`` past it.  Negative vertex: three
-    rectangles merging into a Y inside the single hyperplane x1 = 0.
+    fixed column vectors, overlapping along the segment [0, RIBBON_WIDTH]
+    of the x1-axis and sticking RIBBON_OVERHANG past it.  Negative vertex:
+    three rectangles merging into a Y inside the single hyperplane x1 = 0.
     Width zero collapses every piece onto the trivalent graph skeleton.
     Returns a list of pieces {piece_id, vertices, plane_normal}.
     """
@@ -210,11 +212,11 @@ def ribbon_figure_data(vertex, width=0.5, overhang=0.25):
         }
         for pid, (d, normal) in directions.items():
             d = _normalise(d)
-            lo, hi = -overhang, SPINE_LENGTH
+            lo, hi = -RIBBON_OVERHANG, SPINE_LENGTH
             corners = [
                 (0.0 + lo * d[0], lo * d[1], lo * d[2]),
-                (width + lo * d[0], lo * d[1], lo * d[2]),
-                (width + hi * d[0], hi * d[1], hi * d[2]),
+                (RIBBON_WIDTH + lo * d[0], lo * d[1], lo * d[2]),
+                (RIBBON_WIDTH + hi * d[0], hi * d[1], hi * d[2]),
                 (0.0 + hi * d[0], hi * d[1], hi * d[2]),
             ]
             pieces.append({"piece_id": pid, "vertices": corners,
@@ -227,8 +229,8 @@ def ribbon_figure_data(vertex, width=0.5, overhang=0.25):
         ang = math.radians(angle_deg)
         e = (0.0, math.cos(ang), math.sin(ang))
         n_in = (0.0, -math.sin(ang), math.cos(ang))  # transverse, in-plane
-        lo, hi = -overhang, SPINE_LENGTH
-        half = 0.5 * width
+        lo, hi = -RIBBON_OVERHANG, SPINE_LENGTH
+        half = 0.5 * RIBBON_WIDTH
         corners = [
             tuple(lo * e[i] - half * n_in[i] for i in range(3)),
             tuple(hi * e[i] - half * n_in[i] for i in range(3)),

@@ -68,8 +68,7 @@ def test_classify_cone_field(tmp_path, capsys):
     fld = field_from_callables(
         DomainSpec.disc(48, 96), 0.0,
         lambda x, y: na_oracle_grid(0.0, x, y)[0],
-        lambda x, y: na_oracle_grid(0.0, x, y)[1],
-        is_limit=True)
+        lambda x, y: na_oracle_grid(0.0, x, y)[1])
     save_field(fld, tmp_path / "cone.csv")
     code = run(["classify", "--field", str(tmp_path / "cone.csv"),
                 "--out", str(tmp_path)])
@@ -186,6 +185,30 @@ def test_sl_check(tmp_path):
 def test_sl_check_rejects_fewer_than_one_frame(frames, capsys):
     assert run(["sl-check", "--frames", frames]) == 1
     assert "--frames must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--kind", "disc", "--a", "0.5", "--nx", "16", "--ny", "32", "--cos", "1=nan"],
+    ["solve", "--kind", "disc", "--a", "0.5", "--nx", "16", "--ny", "32", "--cos", "1=inf"],
+    ["solve", "--kind", "disc", "--a", "nan", "--nx", "16", "--ny", "32", "--cos", "1=1"],
+    ["solve", "--kind", "strip", "--a", "0.5", "--nx", "16", "--ny", "17",
+     "--top", "const=nan", "--bottom", "const=nan"],
+    ["sweep", "--family", "section7", "--t", "nan", "--nx", "16", "--ny", "17"],
+    ["oracle", "--a", "nan", "--x", "1"],
+], ids=["disc-cos-nan", "disc-cos-inf", "disc-a-nan", "strip-top-nan", "sweep-t-nan",
+        "oracle-a-nan"])
+def test_non_finite_input_exits_1_with_one_line(argv, tmp_path, capsys):
+    assert run(argv + ["--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "finite" in lines[0]
+
+
+def test_incompatible_strip_edges_exit_1(tmp_path, capsys):
+    assert run(["solve", "--kind", "strip", "--a", "0.5", "--nx", "16", "--ny", "17",
+                "--top", "const=1", "--bottom", "const=0.5", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("incompatible-boundary: ")
 
 
 def test_sl_check_stops_when_every_draw_is_excluded(tmp_path):

@@ -19,7 +19,8 @@ from slfib.elliptic import (
     solve_strip_limit,
     strip_grid,
 )
-from slfib.errors import ContinuationFailed, IncompatibleBoundary, SolverDiverged
+from slfib.errors import ContinuationFailed, IncompatibleBoundary, MonodromyDefect, \
+    SolverDiverged
 from slfib.fibrations import DEFAULT_SCHEDULE, disc_family
 from slfib.models import na_oracle, na_oracle_grid, na_potential_circle
 
@@ -30,9 +31,29 @@ def test_domain_normalisation():
     s = DomainSpec.strip(32, 16)
     assert s.n_y == 17  # odd so the axis is a grid row
     with pytest.raises(ValueError):
-        DomainSpec("disc", R=2.0)
+        DomainSpec("disc", 2.0, 2.0 * np.pi, 32, 64)
     with pytest.raises(ValueError):
         DomainSpec.disc(8, 16)
+
+
+@pytest.mark.parametrize("args", [
+    ("annulus", 1.0, 2.0 * np.pi, 32, 32),
+    ("periodic-strip", float("nan"), 2.0 * np.pi, 32, 17),
+    ("periodic-strip", 0.0, 2.0 * np.pi, 32, 17),
+    ("periodic-strip", -1.0, 2.0 * np.pi, 32, 17),
+    ("periodic-strip", 1.0, float("inf"), 32, 17),
+    ("periodic-strip", 1.0, 0.0, 32, 17),
+], ids=["unknown-kind", "R-nan", "R-zero", "R-negative", "P-inf", "P-zero"])
+def test_domain_rejects_an_unknown_kind_and_a_bad_extent(args):
+    with pytest.raises(ValueError, match="unknown domain kind|finite and positive"):
+        DomainSpec(*args)
+
+
+@pytest.mark.parametrize("field", ["constant", "cos", "sin"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_boundary_data_must_be_finite(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        BoundarySpec.make(**{field: value if field == "constant" else {1: value}})
 
 
 def test_schedule():
@@ -125,13 +146,18 @@ def test_limit_reuses_factors(solve):
         sum(lev["newton_iterations"] for lev in levels)
 
 
-def test_stagnation_is_not_converged():
+def test_stagnation_is_not_converged(monkeypatch):
     # a tolerance below the residual's round-off floor can only stagnate
+    import slfib.elliptic as ell
+
     spec = BoundarySpec.make(cos={1: 1.0, 3: -1.0})
-    fld = solve_disc(spec, 1.0, DomainSpec.disc(24, 48), tol=1e-30)
-    assert fld.diagnostics["stagnated"] and not fld.converged
-    assert fld.residual_norm < FLOOR_ACCEPT
     assert solve_disc(spec, 1.0, DomainSpec.disc(24, 48)).converged
+    monkeypatch.setattr(ell, "NEWTON_TOL", 1e-30)
+    monkeypatch.setattr(ell, "ROUNDOFF_SAFETY", 0.0)
+    fld = solve_disc(spec, 1.0, DomainSpec.disc(24, 48))
+    assert fld.diagnostics["stagnated"] and not fld.converged
+    assert fld.diagnostics["tolerance"] == 1e-30
+    assert fld.residual_norm < FLOOR_ACCEPT
 
 
 @pytest.mark.parametrize("kind", ["disc", "strip"])
@@ -205,7 +231,18 @@ def test_stall_bound_follows_the_roundoff_floor():
 
 def test_disc_rejects_zero_level():
     with pytest.raises(ValueError):
-        solve_disc(BoundarySpec.make(cos={1: 1.0}), 0.0)
+        solve_disc(BoundarySpec.make(cos={1: 1.0}), 0.0, DomainSpec.disc(24, 48))
+
+
+@pytest.mark.parametrize("a", [0.0, float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("kind", ["disc", "strip"])
+def test_solvers_reject_a_zero_or_non_finite_level(kind, a):
+    edge = BoundarySpec.make(0.5, cos={1: 1.0})
+    with pytest.raises(ValueError, match="level a must be finite and nonzero"):
+        if kind == "disc":
+            solve_disc(edge, a, DomainSpec.disc(24, 48))
+        else:
+            solve_strip(edge, edge, a, DomainSpec.strip(32, 17))
 
 
 def test_level_parity(disc_field_alpha1):
@@ -294,6 +331,19 @@ def test_incompatible_edges():
     with pytest.raises(IncompatibleBoundary):
         solve_strip(BoundarySpec.make(constant=1.0), BoundarySpec.make(constant=0.5),
                     0.5, DomainSpec.strip(32, 17))
+    top, bottom = BoundarySpec.make(0.2, cos={1: 0.5}), BoundarySpec.make(0.3, cos={1: 0.5})
+    with pytest.raises(IncompatibleBoundary) as info:
+        solve_strip(top, bottom, 0.5, DomainSpec.strip(32, 17))
+    assert info.value.data == {"top_mean": 0.2, "bottom_mean": 0.3}
+
+
+def test_reconstruct_u_rejects_a_field_whose_u_does_not_close():
+    # v = y: u_x = v_y = 1, so every row of u gains P around the period
+    fld = field_from_callables(DomainSpec.strip(32, 17), 0.5, lambda x, y: 0 * x,
+                               lambda x, y: y + 0 * x)
+    with pytest.raises(MonodromyDefect) as info:
+        reconstruct_u(fld)
+    assert info.value.data["defect"] == pytest.approx(2 * np.pi, rel=1e-12)
 
 
 def test_monotone_in_edge_data():

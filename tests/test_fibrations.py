@@ -20,6 +20,7 @@ from slfib.fibrations import (
     _probe,
     alpha_beta_curves,
     disc_family,
+    find_alpha0_alpha1,
     project_to_base,
     ribbon_report,
     solve_family_member,
@@ -152,6 +153,18 @@ def test_singular_count_profile_across_the_band():
     assert samples[0] < alpha and samples[4] > beta
 
 
+def test_find_alpha0_alpha1_on_the_coarse_disc():
+    # the seed-0 roots of the disc bifurcation benchmark, at its grid and default bracket
+    alpha0, alpha1 = find_alpha0_alpha1(resolution=(32, 64), cache=SolverCache())
+    assert alpha0 == pytest.approx(0.17611533403396606, abs=1e-6)
+    assert alpha1 == pytest.approx(2.2415325045585632, abs=1e-6)
+
+
+def test_find_alpha0_alpha1_needs_a_sign_change():
+    with pytest.raises(BracketFailed):
+        find_alpha0_alpha1(resolution=(32, 64), bracket=(5.0, 10.0), cache=SolverCache())
+
+
 def test_bisect_bracket_failure():
     from slfib.fibrations import _bisect
 
@@ -186,8 +199,11 @@ def test_cache_disk_key_has_solver_version(tmp_path, monkeypatch):
     assert sorted(p.suffix for p in tmp_path.iterdir()) == [".csv", ".csv"]
 
 
-def test_cache_lru_eviction():
-    cache = SolverCache(maxsize=2)
+def test_cache_lru_eviction(monkeypatch):
+    import slfib.fibrations as fib
+
+    monkeypatch.setattr(fib, "CACHE_SIZE", 2)
+    cache = SolverCache()
     fam = strip_family(0.0)
     for b in (0.1, 0.2, 0.3):
         solve_family_member(fam, 0.5, b, STRIP_RES, cache=cache)

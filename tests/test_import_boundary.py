@@ -34,7 +34,7 @@ assert cli.main(["solve", "--kind", "disc", "--a", "0.05", "--nx", "32", "--ny",
 loaded["solve"] = [m for m in LAZY if m in sys.modules]
 fld = field_from_callables(DomainSpec.disc(48, 96), 0.0,
                            lambda x, y: na_oracle_grid(0.0, x, y)[0],
-                           lambda x, y: na_oracle_grid(0.0, x, y)[1], is_limit=True)
+                           lambda x, y: na_oracle_grid(0.0, x, y)[1])
 uv = [float(w) for w in fld.uv(*%r)]
 loaded["uv"] = [m for m in LAZY if m in sys.modules]
 zeros = detect_axis_zeros(fld)
@@ -45,7 +45,7 @@ print(json.dumps({"loaded": loaded, "uv": uv, "zeros": zeros}))
 def _level_zero_oracle_field():
     return field_from_callables(DomainSpec.disc(48, 96), 0.0,
                                 lambda x, y: na_oracle_grid(0.0, x, y)[0],
-                                lambda x, y: na_oracle_grid(0.0, x, y)[1], is_limit=True)
+                                lambda x, y: na_oracle_grid(0.0, x, y)[1])
 
 
 def test_scipy_interpolate_and_optimize_load_on_first_use(tmp_path):

@@ -66,6 +66,15 @@ def test_oracle_origin():
     assert na_oracle(0.0, 0.0, 0.0) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("a, x, y", [
+    (float("nan"), 1.0, 0.0), (float("inf"), 1.0, 0.0),
+    (0.5, [0.0, float("nan")], 0.0), (0.5, 0.0, [1.0, -float("inf")]),
+])
+def test_oracle_rejects_non_finite_input(a, x, y):
+    with pytest.raises(ValueError, match="finite"):
+        na_oracle_grid(a, x, y)
+
+
 def test_slice_formulas():
     assert na_slice_formulas(0.0, 1.0, "u") == -1.0
     assert na_slice_formulas(0.7, 0.0, "v") == 0.0

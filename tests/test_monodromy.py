@@ -111,9 +111,13 @@ def test_negative_ribbons_share_one_hyperplane():
         assert all(abs(vx[0]) < 1e-12 for vx in p["vertices"])
 
 
-def test_zero_width_collapses_to_graph_skeleton():
+def test_zero_width_collapses_to_graph_skeleton(monkeypatch):
+    from slfib import monodromy
+
+    monkeypatch.setattr(monodromy, "RIBBON_WIDTH", 0.0)
+    monkeypatch.setattr(monodromy, "RIBBON_OVERHANG", 0.0)
     for model in (POS, NEG):
-        pieces = ribbon_figure_data(model, width=0.0, overhang=0.0)
+        pieces = ribbon_figure_data(model)
         for p in pieces:
             vx = np.asarray(p["vertices"])
             # rectangle degenerates to a segment through the origin

@@ -21,13 +21,12 @@ DISC = DomainSpec.disc(48, 96)
 STRIP = DomainSpec.strip(64, 33)
 
 
-def oracle_disc_field(negate=False, a=0.0):
+def oracle_disc_field(negate=False):
     sgn = -1.0 if negate else 1.0
     return field_from_callables(
-        DISC, a,
-        lambda x, y: sgn * na_oracle_grid(a, x, y)[0],
-        lambda x, y: sgn * na_oracle_grid(a, x, y)[1],
-        is_limit=True,
+        DISC, 0.0,
+        lambda x, y: sgn * na_oracle_grid(0.0, x, y)[0],
+        lambda x, y: sgn * na_oracle_grid(0.0, x, y)[1],
     )
 
 
@@ -63,7 +62,7 @@ def test_mirror_cone_decreasing_type():
 
 def test_parabola_maximum_type():
     fld = field_from_callables(DISC, 0.0, lambda x, y: -y,
-                               lambda x, y: -(x * x) - 0.05 * y * y, is_limit=True)
+                               lambda x, y: -(x * x) - 0.05 * y * y)
     zeros = detect_axis_zeros(fld)
     assert len(zeros) == 1 and abs(zeros[0]) < 1e-6
     assert classify_type(fld, zeros[0]) == "maximum"
@@ -71,13 +70,13 @@ def test_parabola_maximum_type():
 
 def test_reflection_swaps_min_max():
     fld = field_from_callables(DISC, 0.0, lambda x, y: -y,
-                               lambda x, y: x * x + 0.05 * y * y, is_limit=True)
+                               lambda x, y: x * x + 0.05 * y * y)
     assert classify_type(fld, detect_axis_zeros(fld)[0]) == "minimum"
 
 
 def test_probe_too_close():
     fld = field_from_callables(DISC, 0.0, lambda x, y: -y,
-                               lambda x, y: 0 * x + 1e-12, is_limit=True)
+                               lambda x, y: 0 * x + 1e-12)
     with pytest.raises((ProbeTooClose, NonisolatedSingularities)):
         zeros = detect_axis_zeros(fld)
         classify_type(fld, zeros[0] if zeros else 0.0)
@@ -87,7 +86,7 @@ def test_winding_of_linear_model():
     # u = -y/2, v = (x - x0)/2 realises a degree-one difference field
     x0 = 0.25
     fld = field_from_callables(DISC, 0.0, lambda x, y: -0.5 * y,
-                               lambda x, y: 0.5 * (x - x0), is_limit=True)
+                               lambda x, y: 0.5 * (x - x0))
     for rad in (0.3, 0.15, 0.075):
         mult, samples, used = winding_multiplicity(fld, x0, rad)
         assert mult == 1
@@ -102,8 +101,7 @@ def test_winding_on_cone_field():
 
 
 def test_nonisolated_detection_by_symmetry():
-    fld = field_from_callables(STRIP, 0.0, lambda x, y: 0 * x, lambda x, y: 0.1 * y,
-                               is_limit=True)
+    fld = field_from_callables(STRIP, 0.0, lambda x, y: 0 * x, lambda x, y: 0.1 * y)
     fld.boundary = {
         "top": BoundarySpec.make(constant=0.1),
         "bottom": BoundarySpec.make(constant=-0.1),
@@ -114,8 +112,7 @@ def test_nonisolated_detection_by_symmetry():
 
 
 def test_nonisolated_detection_by_magnitude():
-    fld = field_from_callables(STRIP, 0.0, lambda x, y: 0 * x, lambda x, y: 1e-9 * y,
-                               is_limit=True)
+    fld = field_from_callables(STRIP, 0.0, lambda x, y: 0 * x, lambda x, y: 1e-9 * y)
     with pytest.raises(NonisolatedSingularities):
         detect_axis_zeros(fld)
 
@@ -125,13 +122,24 @@ def test_nonisolated_detection_on_a_stretch_of_the_axis(kind):
     # v vanishes on a stretch of the axis and nowhere else in particular
     if kind == "disc":
         fld = field_from_callables(DomainSpec.disc(32, 64), 0.0, lambda x, y: -y,
-                                   lambda x, y: np.maximum(x - 0.3, 0.0), is_limit=True)
+                                   lambda x, y: np.maximum(x - 0.3, 0.0))
     else:
         fld = field_from_callables(STRIP, 0.0, lambda x, y: 0 * x,
-                                   lambda x, y: np.maximum(np.cos(x) - 0.5, 0.0) + 0 * y,
-                                   is_limit=True)
+                                   lambda x, y: np.maximum(np.cos(x) - 0.5, 0.0) + 0 * y)
     with pytest.raises(NonisolatedSingularities):
         detect_axis_zeros(fld)
+
+
+def test_tangential_zero_between_spline_roots():
+    # v > 0 on the axis, so PPoly.roots finds nothing: the zero is the critical point
+    fld = field_from_callables(DISC, 0.0, lambda x, y: -y, lambda x, y: (x - 0.3) ** 2 + 1e-7)
+    zeros = detect_axis_zeros(fld)
+    assert len(zeros) == 1 and zeros[0] == pytest.approx(0.3, abs=1e-12)
+
+
+def test_boundary_zeros_are_listed_apart():
+    fld = field_from_callables(DISC, 0.0, lambda x, y: -y, lambda x, y: x * x - 1.0)
+    assert detect_axis_zeros(fld, include_boundary=True) == ([], [-1.0, 1.0])
 
 
 def test_degenerate_disc_boundary_spec():
