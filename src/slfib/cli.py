@@ -9,6 +9,7 @@ All output files are deterministic for a fixed config and seed.
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -192,6 +193,8 @@ def cmd_solve(args):
         "tolerance": fld.diagnostics.get("tolerance"),
         "converged": fld.converged,
         "unknowns": fld.diagnostics.get("unknowns"),
+        "factor": fld.diagnostics.get("factor"),
+        "half_bandwidth": fld.diagnostics.get("half_bandwidth"),
         **{k: sum(lev[k] for lev in levels)
            for k in ("newton_iterations", "factorizations", "chord_steps")},
         "fill": [fill for lev in levels for fill in lev["fill"]],
@@ -340,6 +343,8 @@ def cmd_fiber_sample(args):
 def cmd_sl_check(args):
     if args.frames < 1:
         raise ValueError(f"--frames must be at least 1, got {args.frames}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     rng = np.random.default_rng(args.seed)
     field = _model_field(args)
     worst_omega = 0.0

@@ -34,8 +34,14 @@ grid fixes one fill-reducing order of its unknowns: a nested dissection
 of the index box (interior rings x angles on the disc, interior rows x
 x nodes on the strip), periodic in the angle or in x, with the disc's
 border unknown last.  The Jacobian is assembled straight into a CSC
-pattern in that order, fixed per grid, and SuperLU factors it as given
-(``permc_spec="NATURAL"``); each solve is mapped back to the unknowns.
+pattern in that order, fixed per grid.  One of two kernels factors it.
+A system whose box is thin has a narrow band order: on the disc ring by
+ring with the angles inner and the pole ghost first, on the strip column
+by column with the rows inner when the box is not periodic in x, else
+row by row.  When that order's half-bandwidth is at most BAND_MAX,
+LAPACK's band LU (``dgbtrf``) factors the Jacobian in it.  Otherwise
+SuperLU factors it in the nested-dissection order as given
+(``permc_spec="NATURAL"``).  Each solve is mapped back to the unknowns.
 That factor is reused for full chord steps as long as each one cuts the
 sup-norm residual to at most CHORD_CONTRACTION times its previous value,
 or below the tolerance.  A chord step that does neither is discarded;
@@ -87,6 +93,7 @@ import numpy as np
 import scipy.sparse as sp
 # keep ``spla`` a module-level name: benchmarks/tracing.py swaps it for a traced proxy
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbtrf, dgbtrs   # already loaded by scipy.sparse.linalg
 
 from .errors import (
     ContinuationFailed,
@@ -108,7 +115,14 @@ BOUNDARY_TOL = 1e-12         # validate: stored boundary values against the data
 MAXPRIN_SLACK = 1e-8         # validate: slack of the maximum principle
 # Part of every SolverCache key: change it whenever solver output changes,
 # so that fields cached on disk by an older solver are not reused.
-SOLVER_VERSION = "chord-newton-5"
+SOLVER_VERSION = "chord-newton-6"
+# Widest half-bandwidth that LAPACK's band LU factors; SuperLU takes the rest.  Per
+# factorisation (2 cores, one BLAS thread), dgbtrf against splu: half-bandwidth 16-17
+# (the (32, 64) and (64, 33) quarters) 0.11-0.15 ms against 0.64-0.87 ms; 32-34 (the
+# (64, 128) and (128, 65) quarters) 0.8-1.6 ms against 3.1-5.0 ms; 66 (the (128, 256)
+# even quarter) 16 ms against 21-24 ms, but with 13.1 MB of band storage.  Periodic full
+# grids run along their period (63 or more), so 48 separates them.
+BAND_MAX = 48
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +320,69 @@ def _fold(indices, indptr, shape, rows, col_to, col_sign):
             (fold, keys % n, np.searchsorted(keys // n, np.arange(n + 1))))
 
 
+class _BandLU:
+    """LAPACK's band LU of one Jacobian, with SuperLU's ``shape``, ``nnz`` and ``solve``.
+
+    ``nnz`` counts the entries stored: the band array's size.
+    """
+
+    __slots__ = ("lu", "piv", "kl", "ku", "shape", "nnz")
+
+    def __init__(self, lu, piv, kl, ku):
+        self.lu, self.piv, self.kl, self.ku = lu, piv, kl, ku
+        self.shape, self.nnz = (lu.shape[1],) * 2, lu.size
+
+    def solve(self, b):
+        return dgbtrs(self.lu, self.kl, self.ku, b, self.piv, overwrite_b=1)[0]
+
+
+class _Band:
+    """A system's band order and its Jacobian pattern's place in LAPACK band storage.
+
+    ``index`` is the band index of each unknown in the Jacobian's order; ``kl`` and
+    ``ku`` are the pattern's lower and upper bandwidths there, ``width`` the larger.
+    Band storage has shape (2 kl + ku + 1, n) in Fortran order; ``_slot``, the flat
+    slot of every entry of the pattern, is built on the first band factorisation.
+    """
+
+    __slots__ = ("index", "kl", "ku", "width", "_slot")
+
+    def __init__(self, index, rows, indptr):
+        self.index = index
+        i, j = self._entries(rows, indptr)
+        self.kl, self.ku = int(np.max(i - j)), int(np.max(j - i))
+        self.width = max(self.kl, self.ku)
+        self._slot = None
+
+    def _entries(self, rows, indptr):
+        """Band row and column of every entry of a CSC pattern in the Jacobian's order."""
+        cols = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        return self.index[rows], self.index[cols]
+
+    def factor(self, jac):
+        """dgbtrf's LU of jac, on the system's pattern, in a freshly zeroed band array."""
+        n, kl, ku = self.index.size, self.kl, self.ku
+        ldab = 2 * kl + ku + 1
+        if self._slot is None:
+            i, j = self._entries(jac.indices, jac.indptr)
+            self._slot = j * ldab + kl + ku + i - j
+        ab = np.zeros(n * ldab)
+        ab[self._slot] = jac.data
+        lu, piv, info = dgbtrf(ab.reshape(n, ldab).T, kl, ku, overwrite_ab=1)
+        if info != 0:
+            raise RuntimeError(f"band LU failed: dgbtrf info {info}")
+        return _BandLU(lu, piv, kl, ku)
+
+
 class _Reflections:
     """A grid's systems on the representative nodes of its data's reflections.
 
     A quotient is a shallow copy of its grid with its own ``shape``, ``pos``, ``_fold``,
     ``unknowns`` and ``_src``, ``_sgn``: the box node and sign of each full-grid unknown.
+    Each system keeps its band layout, a _Band, in ``_band`` once it is built.
     """
+
+    _band = None
 
     def quotient(self, sym):
         """The system for data of parities sym = (sx, sy): 1 even, -1 odd, 0 neither."""
@@ -329,10 +400,12 @@ class _Reflections:
         return (self._sgn * x.ravel()[self._src])[self._full_pos].reshape(self._full_shape)
 
     def _folded_jacobian(self, data, rows, indptr, z):
-        """(J, pos, scale) for ``_newton`` from the full grid's columns of J in CSC form.
+        """(J, pos, scale, band) for ``_newton`` from the full grid's columns of J in CSC form.
 
         scale, || |J| |z| ||_inf at the iterate z, is summed in entry order, as the CSC
-        product |J| @ |z| sums it, and before the fold, which can cancel.
+        product |J| @ |z| sums it, and before the fold, which can cancel.  band is the
+        system's _Band, built on the first call: the border unknowns first, then the
+        box nodes in ``_band_order``.
         """
         z_col = np.repeat(np.abs(z[: indptr.size - 1]), np.diff(indptr))   # per entry
         scale = float(np.max(np.bincount(rows, np.abs(data) * z_col)))
@@ -340,7 +413,17 @@ class _Reflections:
             fold, rows, indptr = self._fold
             data = fold @ data
         n = indptr.size - 1
-        return sp.csc_matrix((data, rows, indptr), shape=(n, n)), self.pos, scale
+        if self._band is None:
+            border = n - self.pos.size
+            index = np.empty(n, np.intp)
+            index[self.pos] = border + self._band_order()
+            index[self.pos.size:] = np.arange(border)
+            self._band = _Band(index, rows, indptr)
+        return sp.csc_matrix((data, rows, indptr), shape=(n, n)), self.pos, scale, self._band
+
+    def _band_order(self):
+        """The band index of each node of the box: row by row, on the disc ring by ring."""
+        return np.arange(self.pos.size)
 
 
 class DiscGrid(_Reflections):
@@ -471,7 +554,7 @@ class DiscGrid(_Reflections):
         rep[rep == width] = 0
         box = _factor_order(N - 1, width, False)
         view = copy.copy(self)
-        view.shape, view.pos = (N - 1, width), _positions(box)
+        view.shape, view.pos, view._band = (N - 1, width), _positions(box), None
         view._src = (np.arange(N - 1)[:, None] * width + rep).ravel()[self._src]
         view._sgn = np.tile(sign, N - 1)[self._src]
         rows = np.append(self.pos[box // width * M + box % width], n)[: box.size + (sx >= 0)]
@@ -510,7 +593,7 @@ class DiscGrid(_Reflections):
     def jacobian(self, f_int, phi, a):
         """The bordered Jacobian in factor order, as ``_newton`` takes it.
 
-        Returns (J, pos, scale) of ``_folded_jacobian``, J's data one
+        Returns (J, pos, scale, band) of ``_folded_jacobian``, J's data one
         gather-multiply-add over the shared pattern.  On the full grid the
         Schur complement of g's row and column is the Jacobian of ``residual``.
         """
@@ -655,6 +738,7 @@ class StripGrid(_Reflections):
         box = _factor_order(n_rows, n_cols, not sx)
         view = copy.copy(self)
         view.shape, view.pos, view._src = (n_rows, n_cols), _positions(box), src[self._src]
+        view._band = None
         view._halo = self._halo_index(src, n_rows, n_cols)
         view._y2, view.unknowns = self.y[1:n_rows + 1, None] ** 2, box.size
         take, sub, view._fold = _fold(*self._pattern, (ny * nx,) * 2,
@@ -664,6 +748,17 @@ class StripGrid(_Reflections):
         view._source = kind * box.size + node // nx * n_cols + node % nx
         view._pattern = sub.indices, sub.indptr
         return view
+
+    def _band_order(self):
+        """The band index of each node of the box.
+
+        Column by column, the rows inner, when the box is not periodic in x, as a
+        quotient even in x is not; row by row when it is.
+        """
+        n_rows, n_cols = self.shape
+        if n_cols == self.n_x:
+            return super()._band_order()
+        return np.arange(n_rows * n_cols).reshape(n_cols, n_rows).T.ravel()
 
     def _faces(self, V, a):
         """Per face x + hx/2 of the block's interior rows: v there, v difference, q."""
@@ -680,7 +775,7 @@ class StripGrid(_Reflections):
         return (rx + ry).reshape(v_int.shape)
 
     def jacobian(self, v_int, top, bot, a):
-        """The Jacobian in factor order, as ``_newton`` takes it: (J, pos, scale)."""
+        """The Jacobian in factor order, as ``_newton`` takes it: (J, pos, scale, band)."""
         hx2 = self.hx * self.hx
         hy2 = self.hy * self.hy
         mid, d, q = self._faces(np.concatenate([bot, v_int.ravel(), top])[self._halo], a)
@@ -711,19 +806,36 @@ def strip_grid(n_x, n_y, R, P):
 class FactorSlot:
     """Holds the one live LU factor of a solve, or of a whole continuation.
 
-    ``lu`` factors, as given, a Jacobian that its grid assembled in the
-    grid's fixed factor order, border unknowns last; ``pos`` is the
-    position of each unknown in that order.  ``floor`` is
+    ``lu`` factors a Jacobian that its grid assembled in the grid's fixed
+    factor order: a _BandLU in the system's band order when its
+    half-bandwidth ``half_bandwidth`` is at most BAND_MAX, else SuperLU's
+    factor in the factor order as given.  ``pos`` is the position of each
+    unknown in the factor's order.  ``floor`` is
     the residual's round-off floor, ROUNDOFF_SAFETY * eps * || |J| |x| ||_inf,
     taken when that factor's Jacobian J was factored at the iterate x.
     """
 
-    __slots__ = ("lu", "pos", "floor")
+    __slots__ = ("lu", "pos", "floor", "half_bandwidth")
 
     def __init__(self):
         self.lu = None
         self.pos = None
         self.floor = 0.0
+        self.half_bandwidth = None
+
+    def load(self, jac, pos, band):
+        """Factor jac, with pos and the system's _Band (or None) as build_jac gives them."""
+        self.half_bandwidth = band.width if band is not None else None
+        if band is not None and band.width <= BAND_MAX:
+            self.lu, self.pos = band.factor(jac), band.index[pos]
+        else:
+            self.lu, self.pos = spla.splu(jac, permc_spec="NATURAL"), pos
+
+    def kernel(self):
+        """"band" or "superlu" for the live factor, None while there is none."""
+        if self.lu is None:
+            return None
+        return "band" if isinstance(self.lu, _BandLU) else "superlu"
 
     def solve(self, rhs):
         """J^-1 rhs for the unknowns: border rows get a zero right-hand side."""
@@ -741,17 +853,21 @@ def _newton(x0, eval_res, build_jac, factor=None):
     kept if it cuts the sup-norm residual to at most CHORD_CONTRACTION
     times its previous value, or below the tolerance, since a step that
     converges needs no new factor.  Otherwise it is discarded, the slot
-    is emptied, the Jacobian at the current iterate is factored by
-    ``spla.splu`` into the slot, and a damped Newton step is taken with
-    a halving line search.  Emptying the slot before ``splu`` keeps at
-    most one factor alive; the caller keeps the slot, and with it the
-    last factor, for the next solve.
+    is emptied, the Jacobian at the current iterate is factored into the
+    slot (FactorSlot.load), and a damped Newton step is taken with
+    a halving line search.  Emptying the slot before the Jacobian is
+    built keeps at most one factor alive; the caller keeps the slot, and
+    with it the last factor, for the next solve.
 
-    ``build_jac(x)`` returns the Jacobian at x as a triple (J, pos, scale):
-    J in the grid's factor order, which SuperLU keeps
-    (``permc_spec="NATURAL"``); pos, where each unknown sits in it, with
-    any border unknowns after the others; and scale, || |J| |z| ||_inf
-    of the full grid's Jacobian at the iterate z with its border values.
+    ``build_jac(x)`` returns the Jacobian at x as (J, pos, scale, band):
+    J in the grid's factor order; pos, where each unknown sits in it,
+    with any border unknowns after the others; scale, || |J| |z| ||_inf
+    of the full grid's Jacobian at the iterate z with its border values;
+    and band, the system's _Band or None.  The kernel follows band's
+    half-bandwidth: at most BAND_MAX, LAPACK's ``dgbtrf`` factors J
+    scattered into band storage in band order and ``dgbtrs`` solves;
+    otherwise, or without a band, ``spla.splu`` factors J in its factor
+    order (``permc_spec="NATURAL"``).
     A border row's right-hand side is zero, as its equation holds at
     every iterate, and each solve is read back at pos.
 
@@ -771,8 +887,10 @@ def _newton(x0, eval_res, build_jac, factor=None):
     is at most NEWTON_TOL and keeps the same margin over the tolerance
     above it.  Returns (x, residual norm, iterations, diagnostics) with
     the residual history, ``stagnated``, the ``tolerance`` applied, the
-    counts ``factorizations`` and ``chord_steps``, and the ``fill`` of
-    each factorisation: the entries SuperLU stores for L and U.
+    counts ``factorizations`` and ``chord_steps``, the ``fill`` of each
+    factorisation (the entries SuperLU stores for L and U, or the band
+    array's size), and the slot's last factor: its ``factor``, "band" or
+    "superlu" (None if there was none), and the band's ``half_bandwidth``.
     """
     factor = factor if factor is not None else FactorSlot()
     x = np.asarray(x0, float)
@@ -788,7 +906,9 @@ def _newton(x0, eval_res, build_jac, factor=None):
 
     def outcome(iters, stagnated):
         return x, norm, iters, {"history": tuple(history), "stagnated": stagnated,
-                                "tolerance": tolerance(), "fill": tuple(fill), **counts}
+                                "tolerance": tolerance(), "fill": tuple(fill), **counts,
+                                "factor": factor.kernel(),
+                                "half_bandwidth": factor.half_bandwidth}
 
     def stalled(iters, reason):
         if norm < tolerance():
@@ -812,9 +932,9 @@ def _newton(x0, eval_res, build_jac, factor=None):
                 counts["chord_steps"] += 1
         if not accepted:
             factor.lu = None
-            jac, factor.pos, scale = build_jac(x)
+            jac, pos, scale, band = build_jac(x)
             factor.floor = ROUNDOFF_SAFETY * np.finfo(float).eps * scale
-            factor.lu = spla.splu(jac, permc_spec="NATURAL")
+            factor.load(jac, pos, band)
             counts["factorizations"] += 1
             fill.append(factor.lu.nnz)
             delta = factor.solve(rhs).reshape(x.shape)
@@ -1027,11 +1147,12 @@ def field_from_callables(domain, a, u_fn, v_fn):
 # continuation
 
 def level_record(fld):
-    """A level solve's a, residual norm, convergence, tolerance, counts and fill."""
+    """A level solve's a, residual norm, convergence, tolerance, counts, fill and kernel."""
     return {"a": float(fld.a), "residual_norm": fld.residual_norm,
             "converged": fld.converged,
             **{k: fld.diagnostics[k] for k in
-               ("tolerance", "newton_iterations", "factorizations", "chord_steps", "fill")}}
+               ("tolerance", "newton_iterations", "factorizations", "chord_steps", "fill",
+                "factor", "half_bandwidth")}}
 
 
 def _continue(schedule, solve_level, interior):
@@ -1046,7 +1167,7 @@ def _continue(schedule, solve_level, interior):
     solves (see solve_disc), which only a cold first level makes.
     """
     schedule = tuple(schedule)
-    if len(schedule) == 0 or any(s <= 0 for s in schedule) or \
+    if len(schedule) == 0 or not all(s > 0 and math.isfinite(s) for s in schedule) or \
             any(schedule[i + 1] >= schedule[i] for i in range(len(schedule) - 1)):
         raise ValueError("schedule must be a decreasing positive sequence")
     factor = FactorSlot()

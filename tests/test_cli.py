@@ -187,6 +187,23 @@ def test_sl_check_rejects_fewer_than_one_frame(frames, capsys):
     assert "--frames must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_sl_check_rejects_a_tolerance_that_is_not_finite_and_positive(tol, tmp_path, capsys):
+    assert run(["sl-check", "--frames", "1", "--tol", tol, "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "--tol must be finite and positive" in lines[0]
+
+
+@pytest.mark.parametrize("schedule", ["1,nan", "nan", "inf,1"])
+def test_solve_rejects_a_non_finite_schedule_level(schedule, tmp_path, capsys):
+    assert run(["solve", "--kind", "disc", "--a", "0", "--nx", "16", "--ny", "32",
+                "--cos", "1=1", "--schedule", schedule, "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["schedule must be a decreasing positive sequence"]
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--kind", "disc", "--a", "0.5", "--nx", "16", "--ny", "32", "--cos", "1=nan"],
     ["solve", "--kind", "disc", "--a", "0.5", "--nx", "16", "--ny", "32", "--cos", "1=inf"],
@@ -397,3 +414,5 @@ def test_solve_diag_lists_the_coarse_solves_apart_from_the_fine_totals(tmp_path)
     for key in ("newton_iterations", "factorizations", "chord_steps"):
         assert diag[key] == level[key]
     assert diag["fill"] == level["fill"]
+    # the fine system, the (64, 128) quarter, is narrow enough for the band LU
+    assert (diag["factor"], diag["half_bandwidth"]) == (level["factor"], 33) == ("band", 33)

@@ -201,7 +201,7 @@ def test_newton_divergence_payload(max_iter, monkeypatch):
 
     def build_jac(x):
         jac = sp.diags(2.0 * x.ravel()).tocsc()
-        return jac, np.arange(x.size), np.max(abs(jac) @ np.abs(x.ravel()))
+        return jac, np.arange(x.size), np.max(abs(jac) @ np.abs(x.ravel())), None
 
     with pytest.raises(SolverDiverged) as err:
         _newton(np.full((2, 3), 3.0), eval_res, build_jac)
@@ -221,7 +221,8 @@ def test_stall_bound_follows_the_roundoff_floor():
         return 2e8 * (x - 1.0) + 5e-8
 
     def build_jac(x):
-        return sp.diags(np.full(x.size, -2e8)).tocsc(), np.arange(x.size), 2e8 * np.max(np.abs(x))
+        return (sp.diags(np.full(x.size, -2e8)).tocsc(), np.arange(x.size),
+                2e8 * np.max(np.abs(x)), None)
 
     _, norm, _, diag = _newton(np.ones(3), eval_res, build_jac)
     assert norm == 5e-8 > FLOOR_ACCEPT
@@ -467,7 +468,7 @@ def test_jacobian_matches_central_differences(kind, a):
         spec = BoundarySpec.make(0.2, cos={1: 1.0, 3: -1.0}, sin={2: 0.3})
         phi = spec.sample(grid.theta)
         x = grid.harmonic_extension(spec) + 1e-2 * rng.standard_normal((15, 16))
-        jac, pos, scale = grid.jacobian(x, phi, a)
+        jac, pos, scale, _ = grid.jacobian(x, phi, a)
         n = x.size
         # the bordered Jacobian over the unknowns, then g: its Schur complement
         # eliminates g and is the Jacobian of the residual in f_int
@@ -481,7 +482,7 @@ def test_jacobian_matches_central_differences(kind, a):
         top = BoundarySpec.make(0.3, cos={1: 0.5}).sample_x(grid.x, 2 * np.pi)
         bot = BoundarySpec.make(0.3, sin={1: 0.4}).sample_x(grid.x, 2 * np.pi)
         x = 0.3 + 0.2 * rng.standard_normal((15, 16))
-        jac, pos, scale = grid.jacobian(x, top, bot, a)
+        jac, pos, scale, _ = grid.jacobian(x, top, bot, a)
         ana = jac.toarray()[np.ix_(pos, pos)]
         assert scale == np.max(abs(jac) @ np.abs(x.ravel()[np.argsort(pos)]))
         num = _differenced(lambda v: grid.residual(v, top, bot, a), x)
@@ -643,7 +644,8 @@ def test_chord_step_that_reaches_the_tolerance_is_kept():
         return x.copy()
 
     def build_jac(x):
-        return sp.diags(np.full(x.size, 2.5)).tocsc(), np.arange(x.size), 2.5 * np.max(np.abs(x))
+        return (sp.diags(np.full(x.size, 2.5)).tocsc(), np.arange(x.size),
+                2.5 * np.max(np.abs(x)), None)
 
     _, norm, iters, diag = _newton(np.full(3, 2.5e-10), eval_res, build_jac)
     history = diag["history"]
@@ -749,7 +751,7 @@ def test_quotient_jacobian_matches_central_differences(case):
         q = grid.quotient(grid.reflections(edge, edge))
         x = 0.3 + 0.2 * rng.standard_normal(q.shape)
         args = (top, bot, a)
-    jac, pos, scale = q.jacobian(x, *args)
+    jac, pos, scale, _ = q.jacobian(x, *args)
     n = x.size
     full = jac.toarray()[np.ix_(np.append(pos, np.arange(n, jac.shape[0])),
                                 np.append(pos, np.arange(n, jac.shape[0])))]
@@ -760,3 +762,112 @@ def test_quotient_jacobian_matches_central_differences(case):
     assert np.max(np.abs(full - num)) <= 1e-7 * np.max(np.abs(full))
     # the round-off floor is taken from the full grid's Jacobian at the unfolded iterate
     assert scale == pytest.approx(grid.jacobian(q.unfold(x), *args)[2], rel=1e-12)
+
+
+# -- the band LU of narrow systems -----------------------------------------------
+
+def _system(kind, n_x, n_y, *edges):
+    """A system of the data's reflections and its Jacobian (J, pos, scale, band) at a = 0.05."""
+    if kind == "disc":
+        grid = disc_grid(n_x, n_y)
+        q = grid.quotient(grid.reflections(*edges))
+        return q, q.jacobian(q.fold(grid.harmonic_extension(*edges)),
+                             edges[0].sample(grid.theta), 0.05)
+    grid = strip_grid(n_x, n_y, 1.0, 2 * np.pi)
+    top, bot = (edge.sample_x(grid.x, 2 * np.pi) for edge in edges)
+    w = (grid.y[1:-1, None] + 1.0) / 2.0
+    q = grid.quotient(grid.reflections(*edges))
+    return q, q.jacobian(q.fold(bot * (1 - w) + top * w), top, bot, 0.05)
+
+
+_EDGE_Y_SINE = BoundarySpec.make(-0.16, cos={1: 0.5}, sin={2: 0.1})
+BAND_SYSTEMS = {
+    # (kind, n_x, n_y, edges): odd in x; even in x with the ghost; even in y only; no
+    # reflection; the strip even in x and y, in x only, in y only
+    "disc-odd": ("disc", 32, 64, BoundarySpec.make(cos={1: 1.0, 3: -1.0})),
+    "disc-even": ("disc", 32, 64, BoundarySpec.make(0.3, cos={2: 1.0, 4: -0.5})),
+    "disc-y": ("disc", 32, 64, BoundarySpec.make(0.3, cos={1: 1.0, 2: 0.5})),
+    "disc-full": ("disc", 32, 64, BoundarySpec.make(cos={1: 1.0, 3: -1.0}, sin={2: 0.1})),
+    "strip-xy": ("strip", 64, 33, _strip_family_edge(), _strip_family_edge()),
+    "strip-x": ("strip", 64, 33, _strip_family_edge(), BoundarySpec.make(-0.16, cos={2: 0.3})),
+    "strip-y": ("strip", 64, 33, _EDGE_Y_SINE, _EDGE_Y_SINE),
+}
+
+
+@pytest.mark.parametrize("name", list(BAND_SYSTEMS))
+def test_band_solve_matches_superlu(name, monkeypatch):
+    from slfib import elliptic
+    from slfib.elliptic import FactorSlot
+
+    _, (jac, pos, _, band) = _system(*BAND_SYSTEMS[name])
+    rhs = np.random.default_rng(4).standard_normal(pos.size)
+    monkeypatch.setattr(elliptic, "BAND_MAX", jac.shape[0])   # the band LU for every system
+    banded, superlu = FactorSlot(), FactorSlot()
+    banded.load(jac, pos, band)
+    superlu.load(jac, pos, None)
+    assert (banded.kernel(), superlu.kernel()) == ("band", "superlu")
+    ldab = 2 * band.kl + band.ku + 1
+    assert banded.lu.nnz == ldab * jac.shape[0]
+    got, ref = banded.solve(rhs), superlu.solve(rhs)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("system, half_bandwidth, kernel", [
+    (("disc", 32, 64, BoundarySpec.make(cos={1: 1.0, 3: -1.0})), 17, "band"),
+    (("disc", 64, 128, BoundarySpec.make(cos={1: 1.0, 3: -1.0})), 33, "band"),
+    (("disc", 64, 128, na_potential_circle(0.05)), 34, "band"),
+    (("strip", 64, 33, _strip_family_edge(), _strip_family_edge()), 16, "band"),
+    (("strip", 128, 65, _strip_family_edge(), _strip_family_edge()), 32, "band"),
+    (("disc", 128, 256, na_potential_circle(0.05)), 66, "superlu"),
+    (BAND_SYSTEMS["disc-full"], 127, "superlu"),
+    (BAND_SYSTEMS["strip-y"], 64, "superlu"),
+    (("strip", 64, 33, _EDGE_Y_SINE, BoundarySpec.make(-0.16, cos={2: 0.3})), 64, "superlu"),
+], ids=["disc-32-quarter", "disc-64-quarter", "disc-64-even-quarter", "strip-64-quarter",
+        "strip-128-quarter", "disc-128-even-quarter", "disc-32-full", "strip-64-y",
+        "strip-64-full"])
+def test_band_selection(system, half_bandwidth, kernel):
+    from slfib.elliptic import FactorSlot
+
+    q, (jac, pos, _, band) = _system(*system)
+    assert band.width == max(band.kl, band.ku) == half_bandwidth
+    slot = FactorSlot()
+    slot.load(jac, pos, band)
+    assert (slot.kernel(), slot.half_bandwidth) == (kernel, half_bandwidth)
+    assert q._band is band                                # kept on the system
+
+
+@pytest.mark.parametrize("kind", ["disc", "strip"])
+def test_superlu_everywhere_agrees_with_the_band_path(kind, monkeypatch):
+    from slfib import elliptic
+
+    if kind == "disc":
+        def solve():
+            return solve_disc_limit(disc_family().boundary(1.25), DomainSpec.disc(32, 64),
+                                    DEFAULT_SCHEDULE)
+    else:
+        def solve():
+            edge = _strip_family_edge()
+            return solve_strip_limit(edge, edge, DomainSpec.strip(64, 33), DEFAULT_SCHEDULE)
+    banded = solve()
+    monkeypatch.setattr(elliptic, "BAND_MAX", 0)
+    superlu = solve()
+    assert {lev["factor"] for lev in banded.diagnostics["levels"]} == {"band"}
+    assert {lev["factor"] for lev in superlu.diagnostics["levels"]} == {"superlu"}
+    tol = max(banded.diagnostics["tolerance"], superlu.diagnostics["tolerance"])
+    assert banded.converged and superlu.converged
+    for name in ("u", "v"):
+        assert np.max(np.abs(getattr(banded, name) - getattr(superlu, name))) <= tol
+
+
+def test_a_quotient_does_not_inherit_its_grids_band():
+    from slfib.elliptic import DiscGrid
+
+    grid = DiscGrid(32, 64)                   # uncached: none of its quotients exists yet
+    bands = []
+    for name in ("disc-full", "disc-odd"):    # the full grid builds its band first
+        spec = BAND_SYSTEMS[name][3]
+        q = grid.quotient(grid.reflections(spec))
+        bands.append(q.jacobian(q.fold(grid.harmonic_extension(spec)),
+                                spec.sample(grid.theta), 0.05)[3])
+    assert grid._band is bands[0] and bands[1] is not bands[0]
+    assert (bands[0].width, bands[1].width) == (127, 17)
