@@ -33,7 +33,6 @@ from .models import (
     hl_map,
     na_oracle,
     na_oracle_grid,
-    na_slice_formulas,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

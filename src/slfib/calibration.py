@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import disc_grid
+from .elliptic import disc_grid, strip_grid
 from .errors import DegenerateFrame, OutOfDomain
 
 FD_STEP = 1e-4
@@ -180,7 +180,7 @@ def field_equation_residual(field):
 
     The equations are u_x = v_y and v_x = -2 sqrt(v^2 + y^2 + a^2) u_y,
     evaluated with second-order central differences on the field's grid
-    (on the disc, the solver's own stencils in DiscGrid.extract_uv).
+    (the grid's own stencils: DiscGrid.extract_uv, StripGrid.gradient).
     At level a = 0, nodes within EXCLUDE_RADIUS_CELLS grid cells of an
     axis point with |v| below SINGULAR_V_THRESHOLD are excluded, since
     the graph functions need not be differentiable there.  On disc grids the
@@ -195,12 +195,9 @@ def field_equation_residual(field):
         uy, ux, *_ = grid.extract_uv(u[:-1], u[-1])
         vy, vx, *_ = grid.extract_uv(v[:-1], v[-1])
     else:
-        dx = xg[0, 1] - xg[0, 0]
-        dy = yg[1, 0] - yg[0, 0]
-        ux = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2 * dx)
-        vx = (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2 * dx)
-        uy = np.gradient(u, dy, axis=0, edge_order=2)
-        vy = np.gradient(v, dy, axis=0, edge_order=2)
+        grid = strip_grid(field.domain.n_x, field.domain.n_y, field.domain.R, field.domain.P)
+        ux, uy = grid.gradient(u)
+        vx, vy = grid.gradient(v)
 
     r1 = np.abs(ux - vy)
     r2 = np.abs(vx + 2.0 * np.sqrt(v * v + yg * yg + a * a) * uy)

@@ -140,10 +140,10 @@ class _LenientParser(argparse.ArgumentParser):
 def _domain_from_args(args):
     kind = args.kind
     if kind == "disc":
-        n_r = args.nx or args.n or 128
+        n_r = args.nx or 128
         n_t = args.ny or (2 * n_r)
         return DomainSpec.disc(n_r, n_t)
-    n_x = args.nx or args.n or 256
+    n_x = args.nx or 256
     n_y = args.ny or 129
     return DomainSpec.strip(n_x, n_y, args.R, args.P)
 
@@ -167,7 +167,6 @@ def _add_solve_args(p, required):
     """The solve flags; ``required(dest)`` tells whether --kind / --a must be given."""
     p.add_argument("--kind", choices=("disc", "strip"), required=required("kind"))
     p.add_argument("--a", type=float, required=required("a"))
-    p.add_argument("--n", type=int, default=None, help="base resolution")
     p.add_argument("--nx", type=int, default=None)
     p.add_argument("--ny", type=int, default=None)
     p.add_argument("--R", type=float, default=1.0)

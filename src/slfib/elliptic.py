@@ -168,10 +168,6 @@ class BoundarySpec:
     def sample_x(self, x, period):
         return self.sample(np.asarray(x) * (2.0 * np.pi / period))
 
-    def max_abs(self):
-        thetas = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-        return float(np.max(np.abs(self.sample(thetas))))
-
     def to_json(self):
         return {
             "constant": self.constant,
@@ -239,9 +235,6 @@ def geometric_schedule(a_start=1.0, factor=0.5, a_min=DEFAULT_A_MIN):
 
 # ---------------------------------------------------------------------------
 # disc grid and operators
-
-_GRID_CACHE = {}
-
 
 def _nonuniform_weights(hm, hp):
     """First/second derivative 3-point weights on spacings hm, hp.
@@ -427,7 +420,13 @@ class _Reflections:
 
 
 class DiscGrid(_Reflections):
-    """Polar tensor grid on the unit disc with its sparse difference operators."""
+    """Polar tensor grid on the unit disc with its sparse difference operators.
+
+    ``angular`` holds the 3-point angular stencils on angles j-1, j, j+1:
+    "id", "d1" (f_theta, over 2 sin h) and "d2" (f_thetatheta, over
+    2 - 2 cos h), h = 2 pi / M.  ops64 builds its operators from them and
+    extract_uv takes f_theta from "d1" on shifted copies of the rings.
+    """
 
     def __init__(self, n_r, n_theta):
         self.N = int(n_r)
@@ -440,12 +439,9 @@ class DiscGrid(_Reflections):
         self.theta = h * np.arange(M)
         self.cos = np.cos(self.theta)
         self.sin = np.sin(self.theta)
-        shift = sp.eye(M, k=1) + sp.eye(M, k=1 - M)  # (shift f)_j = f_(j+1 mod M)
-        self.angular = {
-            "id": sp.eye(M),
-            "d1": (shift - shift.T) / (2 * np.sin(h)),
-            "d2": (shift + shift.T - 2 * sp.eye(M)) / (2 - 2 * np.cos(h)),
-        }
+        self.angular = {"id": np.array([0.0, 1.0, 0.0]),
+                        "d1": np.array([-1.0, 0.0, 1.0]) / (2 * np.sin(h)),
+                        "d2": np.array([1.0, -2.0, 1.0]) / (2 - 2 * np.cos(h))}
 
         # radial weights at interior rings 1..N-1 (array index 0..N-2)
         r_ext = np.concatenate(([0.0], self.r))      # rings 0(=centre)..N
@@ -482,8 +478,7 @@ class DiscGrid(_Reflections):
         radial = {"id": np.tile([0.0, 1.0, 0.0], (N - 1, 1)),
                   "dr": np.column_stack([self.wm, self.w0, self.wp]),
                   "drr": np.column_stack([self.vm, self.v0, self.vp])}
-        # row 1 of each circulant holds its stencil in columns 0..2
-        angular = {name: op.tocsr()[1, :3].toarray().ravel() for name, op in self.angular.items()}
+        angular = self.angular                       # on angles j-1..j+1
 
         def stencil(*terms):
             """Values per interior node and stencil point, then ring 1's coupling to g."""
@@ -621,7 +616,8 @@ class DiscGrid(_Reflections):
         rings = np.vstack([np.full(self.M, f_c), f_int, phi])    # rings 0..N
         f_r = np.vstack([self.wm[:, None] * rings[:-2] + self.w0[:, None] * rings[1:-1]
                          + self.wp[:, None] * rings[2:], np.dot(self.bnd_w, rings[-3:])])
-        f_t = rings[1:] @ self.angular["d1"].T
+        w_minus, _, w_plus = self.angular["d1"]
+        f_t = np.roll(rings[1:], -1, 1) * w_plus + np.roll(rings[1:], 1, 1) * w_minus
         c, s, r = self.cos, self.sin, self.r[:, None]
         u = s * f_r + c / r * f_t
         v = c * f_r - s / r * f_t
@@ -640,12 +636,9 @@ class DiscGrid(_Reflections):
         return f
 
 
+@functools.lru_cache(maxsize=None)
 def disc_grid(n_r, n_theta):
-    key = ("disc", n_r, n_theta)
-    grid = _GRID_CACHE.get(key)
-    if grid is None:
-        grid = _GRID_CACHE[key] = DiscGrid(n_r, n_theta)
-    return grid
+    return DiscGrid(n_r, n_theta)
 
 
 def _prolong(c):
@@ -715,6 +708,15 @@ class StripGrid(_Reflections):
         ids = sp.csc_matrix((source + 1.0, (self.pos[rows], self.pos[cols])), shape=(n, n))
         self._pattern = ids.indices, ids.indptr
         self._source = ids.data.astype(np.intp) - 1
+
+    def gradient(self, w):
+        """(w_x, w_y) of an array on the grid's nodes, rows bottom to top.
+
+        w_x is the periodic central difference; w_y is np.gradient's,
+        central inside and second-order one-sided on the edge rows.
+        """
+        return ((np.roll(w, -1, axis=1) - np.roll(w, 1, axis=1)) / (2 * self.hx),
+                np.gradient(w, self.hy, axis=0, edge_order=2))
 
     def _halo_index(self, src, n_rows, n_cols):
         """Index into [bottom edge, box values, top edge] of the box widened by one node."""
@@ -792,12 +794,9 @@ class StripGrid(_Reflections):
                                      v_int.ravel()[self._src])
 
 
+@functools.lru_cache(maxsize=None)
 def strip_grid(n_x, n_y, R, P):
-    key = ("strip", n_x, n_y, R, P)
-    grid = _GRID_CACHE.get(key)
-    if grid is None:
-        grid = _GRID_CACHE[key] = StripGrid(n_x, n_y, R, P)
-    return grid
+    return StripGrid(n_x, n_y, R, P)
 
 
 # ---------------------------------------------------------------------------
@@ -970,7 +969,6 @@ class SolutionField:
     have shape (n_y, n_x), rows ordered bottom (y = -R) to top.
     """
 
-    kind: str
     domain: DomainSpec
     a: float
     u: np.ndarray
@@ -988,6 +986,11 @@ class SolutionField:
 
     def __post_init__(self):
         self._interp = {}
+
+    @property
+    def kind(self):
+        """The domain's kind, "disc" or "periodic-strip"; read-only."""
+        return self.domain.kind
 
     # -- geometry ----------------------------------------------------------
 
@@ -1138,7 +1141,7 @@ def field_from_callables(domain, a, u_fn, v_fn):
     else:
         g = strip_grid(domain.n_x, domain.n_y, domain.R, domain.P)
         xg, yg = np.meshgrid(g.x, g.y)
-    return SolutionField(domain.kind, domain, float(a), np.asarray(u_fn(xg, yg), float),
+    return SolutionField(domain, float(a), np.asarray(u_fn(xg, yg), float),
                          np.asarray(v_fn(xg, yg), float), converged=True, residual_norm=0.0,
                          is_limit=float(a) == 0.0, **disc)
 
@@ -1190,7 +1193,6 @@ def _continue(schedule, solve_level, interior):
     fld.is_limit = True
     fld.cauchy_increments = tuple(increments_v)
     fld.diagnostics["cauchy_u"] = tuple(increments_u)
-    fld.diagnostics["cauchy_v"] = tuple(increments_v)
     fld.diagnostics["schedule"] = tuple(float(s) for s in schedule)
     fld.diagnostics["levels"] = tuple(levels)
     fld.diagnostics["coarse"] = tuple(coarse)
@@ -1257,7 +1259,7 @@ def solve_disc(boundary, a, domain, initial=None, factor=None):
     u, v, u_c, v_c, f_c = grid.extract_uv(f_sol, phi)
     f_full = np.vstack([f_sol, phi[None, :]])
     return SolutionField(
-        "disc", domain, a, u, v, f=f_full, f_center=f_c, u_center=u_c, v_center=v_c,
+        domain, a, u, v, f=f_full, f_center=f_c, u_center=u_c, v_center=v_c,
         boundary={"circle": boundary}, converged=not diag["stagnated"], residual_norm=norm,
         diagnostics={"newton_iterations": iters, "unknowns": system.unknowns, **diag,
                      "coarse": coarse},
@@ -1286,7 +1288,9 @@ def solve_strip(top, bottom, a, domain, initial=None, factor=None):
         raise ValueError(f"level a must be finite and nonzero, got {a} "
                          "(a = 0 is reached through solve_strip_limit)")
     a = abs(float(a))
-    scale = max(1.0, top.max_abs(), bottom.max_abs())
+    # |constant| + sum |coefficients| bounds each edge's sup norm
+    scale = max(1.0, *(abs(e.constant) + sum(abs(c) for _, c in e.cos_coeffs + e.sin_coeffs)
+                       for e in (top, bottom)))
     if abs(top.constant - bottom.constant) > 1e-12 * scale:
         raise IncompatibleBoundary("edge data must have equal means",
                                    top_mean=top.constant, bottom_mean=bottom.constant)
@@ -1307,7 +1311,7 @@ def solve_strip(top, bottom, a, domain, initial=None, factor=None):
     norm = float(np.max(np.abs(grid.residual(v_sol, top_v, bot_v, a))))
     v_full = np.vstack([bot_v, v_sol, top_v])
     fld = SolutionField(
-        "periodic-strip", domain, a, np.zeros_like(v_full), v_full,
+        domain, a, np.zeros_like(v_full), v_full,
         boundary={"top": top, "bottom": bottom}, converged=not diag["stagnated"],
         residual_norm=norm,
         diagnostics={"newton_iterations": iters, "unknowns": system.unknowns, **diag},
@@ -1339,8 +1343,7 @@ def reconstruct_u(field):
     v = field.v
     hx, hy, y = grid.hx, grid.hy, grid.y
     a = field.a
-    vx = (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2 * hx)
-    vy = np.gradient(v, hy, axis=0, edge_order=2)
+    vx, vy = grid.gradient(v)
 
     defects = hx * vy.sum(axis=1)
     worst = float(np.max(np.abs(defects)))
@@ -1426,14 +1429,13 @@ def load_field(path):
         header = json.loads(fh.readline())
         names = fh.readline().strip().split(",")
         body = np.loadtxt(fh, delimiter=",").reshape(-1, len(names))
-    kind = header["kind"]
     boundary = {k: BoundarySpec.from_json(o) for k, o in header["boundary"].items()}
     diagnostics = _tuples(header.get("diagnostics", {}))
     common = dict(boundary=boundary, converged=header["converged"],
                   residual_norm=header["residual_norm"], is_limit=header["is_limit"],
                   cauchy_increments=tuple(header.get("cauchy_increments", ())),
                   diagnostics=diagnostics)
-    if kind == "disc":
+    if header["kind"] == "disc":
         domain = DomainSpec.disc(header["n_x"], header["n_y"])
         n, m = domain.n_x, domain.n_y
         f_c, u_c, v_c = body[0, 2], body[0, 3], body[0, 4]
@@ -1441,9 +1443,9 @@ def load_field(path):
         f = rows[:, 2].reshape(n, m)
         u = rows[:, 3].reshape(n, m)
         v = rows[:, 4].reshape(n, m)
-        return SolutionField(kind, domain, header["a"], u, v, f=f, f_center=float(f_c),
+        return SolutionField(domain, header["a"], u, v, f=f, f_center=float(f_c),
                              u_center=float(u_c), v_center=float(v_c), **common)
     domain = DomainSpec.strip(header["n_x"], header["n_y"], header["R"], header["P"])
     u = body[:, 2].reshape(domain.n_y, domain.n_x)
     v = body[:, 3].reshape(domain.n_y, domain.n_x)
-    return SolutionField(kind, domain, header["a"], u, v, **common)
+    return SolutionField(domain, header["a"], u, v, **common)

@@ -100,18 +100,6 @@ def v_slice(a, s):
     return s * np.sqrt(s * s + 2.0 * abs(a))
 
 
-def na_slice_formulas(a, s, which):
-    """Closed-form axis slices of the graph functions.
-
-    which="u" returns u_a(0, s); which="v" returns v_a(s, 0).
-    """
-    if which == "u":
-        return float(u_slice(a, s))
-    if which == "v":
-        return float(v_slice(a, s))
-    raise ValueError(f"unknown axis selector {which!r}")
-
-
 def _b_and_root(a, x, y):
     """B = x^2 + 2|a| and sqrt(W), W = (B + sqrt(B^2 + 4 y^2)) / 2."""
     b = x * x + 2.0 * abs(float(a))

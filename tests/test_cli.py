@@ -19,7 +19,7 @@ def run(args):
 
 def test_solve_disc_smoke(tmp_path, capsys):
     code = run(["solve", "--kind", "disc", "--a", "1.0", "--cos", "1=1",
-                "--cos", "3=-1", "--n", "24", "--out", str(tmp_path)])
+                "--cos", "3=-1", "--nx", "24", "--out", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "field.csv").exists()
     diag = json.loads((tmp_path / "field.csv.diag.json").read_text())
@@ -46,7 +46,7 @@ def test_solve_extreme_alpha_is_recorded(tmp_path):
     # a huge first harmonic keeps the field far from the singular regime:
     # the run must finish with a recorded outcome either way
     code = run(["solve", "--kind", "disc", "--a", "0", "--cos", "1=9999",
-                "--n", "16", "--schedule", "0.5,0.125,0.03125,0.0078125,0.0001",
+                "--nx", "16", "--schedule", "0.5,0.125,0.03125,0.0078125,0.0001",
                 "--out", str(tmp_path)])
     assert code in (0, 4)
     if code == 0:
@@ -316,7 +316,7 @@ def test_config_does_not_override_a_flag_at_its_default(tmp_path):
 def test_config_list_gives_way_to_a_repeated_flag(tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"cos": ["3=-1"], "a": 0.5}))
-    code = run(["solve", "--kind", "disc", "--a", "1.0", "--n", "16", "--cos", "1=1",
+    code = run(["solve", "--kind", "disc", "--a", "1.0", "--nx", "16", "--cos", "1=1",
                 "--config", str(conf), "--out", str(tmp_path)])
     assert code == 0
     from slfib.elliptic import load_field

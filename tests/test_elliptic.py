@@ -314,6 +314,14 @@ def test_reconstruct_u_column_is_the_outward_trapezoid_loop():
     assert fld.u[:, 0].tobytes() == ref.tobytes()
 
 
+def test_strip_gradient_stencils():
+    grid = strip_grid(64, 33, 1.0, 2 * np.pi)
+    x, y = np.meshgrid(grid.x, grid.y)
+    w_x, w_y = grid.gradient(np.sin(x) + y**2)
+    assert np.max(np.abs(w_y - 2 * y)) < 1e-12          # exact on quadratics, edges included
+    assert np.max(np.abs(w_x - np.cos(x))) <= grid.hx**2 / 6
+
+
 def test_reconstruct_is_strip_only(disc_field_alpha1):
     with pytest.raises(ValueError):
         reconstruct_u(disc_field_alpha1)
@@ -336,6 +344,15 @@ def test_incompatible_edges():
     with pytest.raises(IncompatibleBoundary) as info:
         solve_strip(top, bottom, 0.5, DomainSpec.strip(32, 17))
     assert info.value.data == {"top_mean": 0.2, "bottom_mean": 0.3}
+    top, bottom = BoundarySpec.make(0.2, cos={1: 1.0}), BoundarySpec.make(0.2 + 1e-9, cos={1: 1.0})
+    with pytest.raises(IncompatibleBoundary):
+        solve_strip(top, bottom, 0.5, DomainSpec.strip(32, 17))
+
+
+def test_edges_whose_means_agree_to_roundoff_are_compatible():
+    top, bottom = BoundarySpec.make(0.1 + 0.2, cos={1: 5.0}), BoundarySpec.make(0.3, cos={1: 5.0})
+    assert top.constant != bottom.constant
+    assert solve_strip(top, bottom, 0.5, DomainSpec.strip(32, 17)).converged
 
 
 def test_reconstruct_u_rejects_a_field_whose_u_does_not_close():
@@ -437,6 +454,20 @@ def test_dump_roundtrip_disc(tmp_path, disc_field_alpha1):
     u1, v1 = back.uv(0.3, 0.2)
     u2, v2 = disc_field_alpha1.uv(0.3, 0.2)
     assert abs(u1 - u2) < 1e-14 and abs(v1 - v2) < 1e-14
+
+
+def test_a_fields_kind_is_its_domains(tmp_path, disc_field_alpha1, strip_field_cos):
+    for fld in (disc_field_alpha1, strip_field_cos):
+        path = tmp_path / f"{fld.kind}.csv"
+        save_field(fld, path)
+        back = load_field(path)
+        assert fld.kind == back.kind == back.domain.kind == fld.domain.kind
+    domain = DomainSpec.strip(32, 17)
+    assert field_from_callables(domain, 0.5, lambda x, y: 0 * x, lambda x, y: 0 * x).kind \
+        == domain.kind == "periodic-strip"
+    assert disc_field_alpha1.kind == "disc"
+    with pytest.raises(AttributeError):
+        disc_field_alpha1.kind = "periodic-strip"
 
 
 def test_interpolation_matches_nodes(disc_field_alpha1):

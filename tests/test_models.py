@@ -15,7 +15,6 @@ from slfib.models import (
     na_oracle,
     na_oracle_grid,
     na_potential_circle,
-    na_slice_formulas,
     u_slice,
     v_slice,
 )
@@ -59,7 +58,7 @@ def test_oracle_vertical_slice_value():
 def test_oracle_horizontal_slice_value():
     u, v = na_oracle(0.0, 1.0, 0.0)
     assert (u, v) == (0.0, 1.0)
-    assert abs(na_slice_formulas(1.0, 1.0, "v") - np.sqrt(3.0)) < 1e-14
+    assert abs(v_slice(1.0, 1.0) - np.sqrt(3.0)) < 1e-14
 
 
 def test_oracle_origin():
@@ -76,11 +75,9 @@ def test_oracle_rejects_non_finite_input(a, x, y):
 
 
 def test_slice_formulas():
-    assert na_slice_formulas(0.0, 1.0, "u") == -1.0
-    assert na_slice_formulas(0.7, 0.0, "v") == 0.0
-    assert na_slice_formulas(2.0, -0.3, "v") == -na_slice_formulas(2.0, 0.3, "v")
-    with pytest.raises(ValueError):
-        na_slice_formulas(1.0, 1.0, "w")
+    assert u_slice(0.0, 1.0) == -1.0
+    assert v_slice(0.7, 0.0) == 0.0
+    assert v_slice(2.0, -0.3) == -v_slice(2.0, 0.3)
 
 
 @given(
