@@ -318,7 +318,13 @@ def _model_field(args):
     raise ValueError(f"unknown model {args.model!r}")
 
 
+def _check_extent(args):
+    if not (math.isfinite(args.extent) and args.extent >= 0):
+        raise ValueError(f"--extent must be finite and non-negative, got {args.extent}")
+
+
 def cmd_fiber_sample(args):
+    _check_extent(args)
     rng = np.random.default_rng(args.seed)
     field = _model_field(args)
     os.makedirs(args.out, exist_ok=True)
@@ -344,6 +350,7 @@ def cmd_sl_check(args):
         raise ValueError(f"--frames must be at least 1, got {args.frames}")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be finite and positive, got {args.tol}")
+    _check_extent(args)
     rng = np.random.default_rng(args.seed)
     field = _model_field(args)
     worst_omega = 0.0

@@ -34,22 +34,22 @@ grid fixes one fill-reducing order of its unknowns: a nested dissection
 of the index box (interior rings x angles on the disc, interior rows x
 x nodes on the strip), periodic in the angle or in x, with the disc's
 border unknown last.  The Jacobian is assembled straight into a CSC
-pattern in that order, fixed per grid.  One of two kernels factors it.
-A system whose box is thin has a narrow band order: on the disc ring by
-ring with the angles inner and the pole ghost first, on the strip column
-by column with the rows inner when the box is not periodic in x, else
-row by row.  When that order's half-bandwidth is at most BAND_MAX,
-LAPACK's band LU (``dgbtrf``) factors the Jacobian in it.  Otherwise
+pattern in that order, fixed per grid, and the system factors it with
+one of two kernels.  Each system also has a band order: on the disc ring
+by ring with the angles inner and the pole ghost first, on the strip
+column by column with the rows inner when the box is not periodic in x,
+else row by row.  When that order's half-bandwidth is at most BAND_MAX,
+LAPACK's band LU (``dgbtrf``) factors the Jacobian in it; otherwise
 SuperLU factors it in the nested-dissection order as given
-(``permc_spec="NATURAL"``).  Each solve is mapped back to the unknowns.
-That factor is reused for full chord steps as long as each one cuts the
-sup-norm residual to at most CHORD_CONTRACTION times its previous value,
-or below the tolerance.  A chord step that does neither is discarded;
-the Jacobian is then rebuilt and factored at the current iterate and a
-damped Newton step with a sup-norm line search is taken.  At most one
-factor is alive at a time: the stale one is dropped before the next is
-allocated, and the factor is never stored on a field.  A continuation
-hands its factor from one level to the next.
+(``permc_spec="NATURAL"``).  That factor is reused for full chord steps
+as long as each one cuts the sup-norm residual to at most
+CHORD_CONTRACTION times its previous value, or below the tolerance.  A
+chord step that does neither is discarded; the Jacobian is then rebuilt
+and factored at the current iterate and a damped Newton step with a
+sup-norm line search is taken.  At most one factor is alive at a time:
+the stale one is dropped before the next is allocated, and the factor is
+never stored on a field.  A continuation hands its factor from one level
+to the next.
 
 Newton solves on the representative nodes of the data's reflections
 (see solve_disc and solve_strip).  A quotient, built once per grid and
@@ -116,12 +116,12 @@ MAXPRIN_SLACK = 1e-8         # validate: slack of the maximum principle
 # Part of every SolverCache key: change it whenever solver output changes,
 # so that fields cached on disk by an older solver are not reused.
 SOLVER_VERSION = "chord-newton-6"
-# Widest half-bandwidth that LAPACK's band LU factors; SuperLU takes the rest.  Per
-# factorisation (2 cores, one BLAS thread), dgbtrf against splu: half-bandwidth 16-17
-# (the (32, 64) and (64, 33) quarters) 0.11-0.15 ms against 0.64-0.87 ms; 32-34 (the
-# (64, 128) and (128, 65) quarters) 0.8-1.6 ms against 3.1-5.0 ms; 66 (the (128, 256)
-# even quarter) 16 ms against 21-24 ms, but with 13.1 MB of band storage.  Periodic full
-# grids run along their period (63 or more), so 48 separates them.
+# The band LU's widest half-bandwidth (see _Reflections.factor).  Per factorisation
+# (2 cores, one BLAS thread), dgbtrf against splu: half-bandwidth 16-17 (the (32, 64)
+# and (64, 33) quarters) 0.11-0.15 ms against 0.64-0.87 ms; 32-34 (the (64, 128) and
+# (128, 65) quarters) 0.8-1.6 ms against 3.1-5.0 ms; 66 (the (128, 256) even quarter)
+# 16 ms against 21-24 ms, but with 13.1 MB of band storage.  Periodic full grids run
+# along their period (63 or more), so 48 separates them.
 BAND_MAX = 48
 
 
@@ -297,10 +297,11 @@ def _positions(order):
 
 
 def _fold(indices, indptr, shape, rows, col_to, col_sign):
-    """(take, sub, (map, indices, indptr)): a CSC pattern's ``rows``, first columns folded.
+    """(take, sub, fold, pattern): a CSC pattern's ``rows``, first columns folded.
 
     ``sub``, canonical, holds the rows, ``take`` their entries' numbers;
-    ``map`` adds col_sign[c] times column c of sub to column col_to[c].
+    ``fold`` adds col_sign[c] times column c of sub to column col_to[c] of
+    the folded ``pattern``, (indices, indptr).
     """
     sub = sp.csc_matrix((np.arange(indices.size) + 1.0, indices, indptr), shape=shape)[rows]
     sub.sort_indices()                # canonical, so no later use reorders it in place
@@ -309,70 +310,44 @@ def _fold(indices, indptr, shape, rows, col_to, col_sign):
     kept = np.flatnonzero(col_sign[cols] != 0)
     keys, slot = np.unique(col_to[cols[kept]] * n + sub.indices[kept], return_inverse=True)
     fold = sp.csr_matrix((col_sign[cols[kept]], (slot, kept)), shape=(keys.size, cols.size))
-    return (sub.data.astype(np.intp) - 1, sub,
-            (fold, keys % n, np.searchsorted(keys // n, np.arange(n + 1))))
+    return (sub.data.astype(np.intp) - 1, sub, fold,
+            (keys % n, np.searchsorted(keys // n, np.arange(n + 1))))
 
 
-class _BandLU:
-    """LAPACK's band LU of one Jacobian, with SuperLU's ``shape``, ``nnz`` and ``solve``.
+class _LU:
+    """One LU factor of a system's Jacobian, as ``_Reflections.factor`` makes it.
 
-    ``nnz`` counts the entries stored: the band array's size.
+    ``kernel`` is "band" or "superlu", ``half_bandwidth`` the system's in its
+    band order, ``fill`` the entries the factor stores (SuperLU's L and U, or
+    the band array) and ``floor`` the residual's round-off floor,
+    ROUNDOFF_SAFETY * eps * scale with scale = || |J| |z| ||_inf at the
+    iterate z where J was taken.  ``lu_solve`` solves in the factor's order of
+    n rows, ``index`` holds each unknown's row there.
     """
 
-    __slots__ = ("lu", "piv", "kl", "ku", "shape", "nnz")
+    __slots__ = ("_lu_solve", "_index", "_n", "kernel", "half_bandwidth", "fill", "floor")
 
-    def __init__(self, lu, piv, kl, ku):
-        self.lu, self.piv, self.kl, self.ku = lu, piv, kl, ku
-        self.shape, self.nnz = (lu.shape[1],) * 2, lu.size
+    def __init__(self, lu_solve, index, n, kernel, half_bandwidth, fill, scale):
+        self._lu_solve, self._index, self._n = lu_solve, index, n
+        self.kernel, self.half_bandwidth, self.fill = kernel, half_bandwidth, fill
+        self.floor = ROUNDOFF_SAFETY * np.finfo(float).eps * scale
 
-    def solve(self, b):
-        return dgbtrs(self.lu, self.kl, self.ku, b, self.piv, overwrite_b=1)[0]
-
-
-class _Band:
-    """A system's band order and its Jacobian pattern's place in LAPACK band storage.
-
-    ``index`` is the band index of each unknown in the Jacobian's order; ``kl`` and
-    ``ku`` are the pattern's lower and upper bandwidths there, ``width`` the larger.
-    Band storage has shape (2 kl + ku + 1, n) in Fortran order; ``_slot``, the flat
-    slot of every entry of the pattern, is built on the first band factorisation.
-    """
-
-    __slots__ = ("index", "kl", "ku", "width", "_slot")
-
-    def __init__(self, index, rows, indptr):
-        self.index = index
-        i, j = self._entries(rows, indptr)
-        self.kl, self.ku = int(np.max(i - j)), int(np.max(j - i))
-        self.width = max(self.kl, self.ku)
-        self._slot = None
-
-    def _entries(self, rows, indptr):
-        """Band row and column of every entry of a CSC pattern in the Jacobian's order."""
-        cols = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-        return self.index[rows], self.index[cols]
-
-    def factor(self, jac):
-        """dgbtrf's LU of jac, on the system's pattern, in a freshly zeroed band array."""
-        n, kl, ku = self.index.size, self.kl, self.ku
-        ldab = 2 * kl + ku + 1
-        if self._slot is None:
-            i, j = self._entries(jac.indices, jac.indptr)
-            self._slot = j * ldab + kl + ku + i - j
-        ab = np.zeros(n * ldab)
-        ab[self._slot] = jac.data
-        lu, piv, info = dgbtrf(ab.reshape(n, ldab).T, kl, ku, overwrite_ab=1)
-        if info != 0:
-            raise RuntimeError(f"band LU failed: dgbtrf info {info}")
-        return _BandLU(lu, piv, kl, ku)
+    def solve(self, rhs):
+        """J^-1 rhs for the unknowns: border rows get a zero right-hand side."""
+        b = np.zeros(self._n)
+        b[self._index] = rhs
+        return self._lu_solve(b)[self._index]
 
 
 class _Reflections:
     """A grid's systems on the representative nodes of its data's reflections.
 
-    A quotient is a shallow copy of its grid with its own ``shape``, ``pos``, ``_fold``,
-    ``unknowns`` and ``_src``, ``_sgn``: the box node and sign of each full-grid unknown.
-    Each system keeps its band layout, a _Band, in ``_band`` once it is built.
+    Each system has its square Jacobian ``pattern``, (indices, indptr) in
+    factor order, and factors Jacobians on it (``factor``).  A quotient is a
+    shallow copy of its grid with its own ``shape``, ``pos``, ``pattern``,
+    ``_fold``, ``unknowns`` and ``_src``, ``_sgn``: the box node and sign of
+    each full-grid unknown.  Each system keeps its band layout in ``_band``
+    once it is built.
     """
 
     _band = None
@@ -393,26 +368,51 @@ class _Reflections:
         return (self._sgn * x.ravel()[self._src])[self._full_pos].reshape(self._full_shape)
 
     def _folded_jacobian(self, data, rows, indptr, z):
-        """(J, pos, scale, band) for ``_newton`` from the full grid's columns of J in CSC form.
+        """(data, scale) on ``pattern`` from the full grid's columns of J in CSC form.
 
         scale, || |J| |z| ||_inf at the iterate z, is summed in entry order, as the CSC
-        product |J| @ |z| sums it, and before the fold, which can cancel.  band is the
-        system's _Band, built on the first call: the border unknowns first, then the
-        box nodes in ``_band_order``.
+        product |J| @ |z| sums it, and before the fold, which can cancel.
         """
         z_col = np.repeat(np.abs(z[: indptr.size - 1]), np.diff(indptr))   # per entry
         scale = float(np.max(np.bincount(rows, np.abs(data) * z_col)))
-        if self._fold is not None:
-            fold, rows, indptr = self._fold
-            data = fold @ data
+        return (data if self._fold is None else self._fold @ data), scale
+
+    def factor(self, data, scale):
+        """The _LU of the Jacobian with entries ``data`` on ``pattern``, floor from scale.
+
+        The band order puts the border unknowns first, then the box nodes in
+        ``_band_order``; the unknowns' rows in it, the pattern's lower and
+        upper bandwidths kl and ku there, and each entry's slot in
+        (2 kl + ku + 1, n) band storage are built on the first call.  When
+        the half-bandwidth max(kl, ku) is at most BAND_MAX, LAPACK's band LU
+        (``dgbtrf``) factors J in band order and ``dgbtrs`` solves;
+        otherwise SuperLU factors J in the factor order as given
+        (``permc_spec="NATURAL"``).
+        """
+        indices, indptr = self.pattern
         n = indptr.size - 1
         if self._band is None:
             border = n - self.pos.size
             index = np.empty(n, np.intp)
             index[self.pos] = border + self._band_order()
             index[self.pos.size:] = np.arange(border)
-            self._band = _Band(index, rows, indptr)
-        return sp.csc_matrix((data, rows, indptr), shape=(n, n)), self.pos, scale, self._band
+            i, j = index[indices], index[np.repeat(np.arange(n), np.diff(indptr))]
+            kl, ku = int(np.max(i - j)), int(np.max(j - i))
+            self._band = index[self.pos], kl, ku, j * (2 * kl + ku + 1) + kl + ku + i - j
+        rows, kl, ku, slot = self._band
+        width = max(kl, ku)
+        if width > BAND_MAX:
+            lu = spla.splu(sp.csc_matrix((data, indices, indptr), shape=(n, n)),
+                           permc_spec="NATURAL")
+            return _LU(lu.solve, self.pos, n, "superlu", width, lu.nnz, scale)
+        ldab = 2 * kl + ku + 1
+        ab = np.zeros(n * ldab)
+        ab[slot] = data
+        lu, piv, info = dgbtrf(ab.reshape(n, ldab).T, kl, ku, overwrite_ab=1)
+        if info != 0:
+            raise RuntimeError(f"band LU failed: dgbtrf info {info}")
+        return _LU(lambda b: dgbtrs(lu, kl, ku, b, piv, overwrite_b=1)[0], rows, n, "band",
+                   width, lu.size, scale)
 
     def _band_order(self):
         """The band index of each node of the box: row by row, on the disc ring by ring."""
@@ -467,7 +467,7 @@ class DiscGrid(_Reflections):
         "yy" give f_x, r^2 f_xx and 2 r^2 f_yy at the interior rings, rows
         in factor order; the row scaling r^2 desingularises the pole.  They
         are CSC matrices on one shared pattern.  Its square leading block,
-        up to g's column, is the pattern of the bordered Jacobian, and
+        up to g's column, is ``pattern``, the bordered Jacobian's, and
         "yy" also holds the border row g - mean(ring 1).
         """
         if self._ops is not None:
@@ -522,6 +522,7 @@ class DiscGrid(_Reflections):
               place[np.concatenate([cols[points], np.full(M, g), np.append(np.arange(M), g)])])),
             shape=(n + 1, n + 1 + M))
         source = ids.data.astype(np.intp) - 1
+        self.pattern = ids.indices[: ids.indptr[n + 1]], ids.indptr[: n + 2]
         self._ops = {name: sp.csc_matrix((np.concatenate([vals, ghost, border[name]],
                                                          axis=None)[source],
                                           ids.indices, ids.indptr), shape=ids.shape)
@@ -553,9 +554,9 @@ class DiscGrid(_Reflections):
         view._src = (np.arange(N - 1)[:, None] * width + rep).ravel()[self._src]
         view._sgn = np.tile(sign, N - 1)[self._src]
         rows = np.append(self.pos[box // width * M + box % width], n)[: box.size + (sx >= 0)]
-        take, sub, view._fold = _fold(ops["x"].indices, ops["x"].indptr, ops["x"].shape, rows,
-                                      np.append(view.pos[view._src], box.size),
-                                      np.append(view._sgn, float(sx >= 0)))
+        take, sub, view._fold, view.pattern = _fold(
+            ops["x"].indices, ops["x"].indptr, ops["x"].shape, rows,
+            np.append(view.pos[view._src], box.size), np.append(view._sgn, float(sx >= 0)))
         view._ops = {name: sp.csc_matrix((op.data[take], sub.indices, sub.indptr), shape=sub.shape)
                      for name, op in ops.items()}
         view._y2, view.unknowns = self._y2[rows], rows.size
@@ -586,11 +587,11 @@ class DiscGrid(_Reflections):
         return res[self.pos].reshape(f_int.shape)
 
     def jacobian(self, f_int, phi, a):
-        """The bordered Jacobian in factor order, as ``_newton`` takes it.
+        """The bordered Jacobian on ``pattern``: (data, scale) of ``_folded_jacobian``.
 
-        Returns (J, pos, scale, band) of ``_folded_jacobian``, J's data one
-        gather-multiply-add over the shared pattern.  On the full grid the
-        Schur complement of g's row and column is the Jacobian of ``residual``.
+        Its data are one gather-multiply-add over the operators' shared
+        pattern.  On the full grid the Schur complement of g's row and column
+        is the Jacobian of ``residual``.
         """
         z = self._lift(f_int, phi)
         x, xx, yy = (self._ops[name] for name in ("x", "xx", "yy"))
@@ -677,7 +678,8 @@ class StripGrid(_Reflections):
     The unknowns are v at the interior rows, row by row.  Their factor
     order is _factor_order over (interior rows x x nodes), periodic in x;
     ``pos`` holds each node's position.  The Jacobian's five-point
-    pattern is fixed in that order: its entry e is coefficient
+    pattern is fixed in that order (``_unfolded``; on a quotient, the
+    representative rows before the fold): its entry e is coefficient
     ``_source[e]`` of the centre, right and left couplings of every node,
     then the constant coupling across rows.  Residual and coefficients
     are read off the box widened by one node, gathered through ``_halo``.
@@ -706,7 +708,7 @@ class StripGrid(_Reflections):
         source = np.concatenate([k, k + n, k + 2 * n, np.full(2 * (n - nx), 3 * n)], axis=None)
         # entry numbers + 1 through the COO -> CSC conversion
         ids = sp.csc_matrix((source + 1.0, (self.pos[rows], self.pos[cols])), shape=(n, n))
-        self._pattern = ids.indices, ids.indptr
+        self.pattern = self._unfolded = ids.indices, ids.indptr
         self._source = ids.data.astype(np.intp) - 1
 
     def gradient(self, w):
@@ -743,12 +745,12 @@ class StripGrid(_Reflections):
         view._band = None
         view._halo = self._halo_index(src, n_rows, n_cols)
         view._y2, view.unknowns = self.y[1:n_rows + 1, None] ** 2, box.size
-        take, sub, view._fold = _fold(*self._pattern, (ny * nx,) * 2,
-                                      self.pos[box // n_cols * nx + box % n_cols],
-                                      view.pos[view._src], np.ones(ny * nx))
+        take, sub, view._fold, view.pattern = _fold(*self._unfolded, (ny * nx,) * 2,
+                                                    self.pos[box // n_cols * nx + box % n_cols],
+                                                    view.pos[view._src], np.ones(ny * nx))
         kind, node = np.divmod(self._source[take], ny * nx)
         view._source = kind * box.size + node // nx * n_cols + node % nx
-        view._pattern = sub.indices, sub.indptr
+        view._unfolded = sub.indices, sub.indptr
         return view
 
     def _band_order(self):
@@ -777,7 +779,7 @@ class StripGrid(_Reflections):
         return (rx + ry).reshape(v_int.shape)
 
     def jacobian(self, v_int, top, bot, a):
-        """The Jacobian in factor order, as ``_newton`` takes it: (J, pos, scale, band)."""
+        """The Jacobian on ``pattern``: (data, scale) of ``_folded_jacobian``."""
         hx2 = self.hx * self.hx
         hy2 = self.hy * self.hy
         mid, d, q = self._faces(np.concatenate([bot, v_int.ravel(), top])[self._halo], a)
@@ -790,7 +792,7 @@ class StripGrid(_Reflections):
         c_xm = -left[:, :-1] / hx2
         c_0 = (left[:, 1:] - right[:, :-1]) / hx2 - 4.0 / hy2
         coeffs = np.concatenate([c_0, c_xp, c_xm, 2.0 / hy2], axis=None)
-        return self._folded_jacobian(coeffs[self._source], *self._pattern,
+        return self._folded_jacobian(coeffs[self._source], *self._unfolded,
                                      v_int.ravel()[self._src])
 
 
@@ -803,78 +805,34 @@ def strip_grid(n_x, n_y, R, P):
 # Newton driver
 
 class FactorSlot:
-    """Holds the one live LU factor of a solve, or of a whole continuation.
+    """Holds the one live _LU of a solve, or of a whole continuation, as ``lu``."""
 
-    ``lu`` factors a Jacobian that its grid assembled in the grid's fixed
-    factor order: a _BandLU in the system's band order when its
-    half-bandwidth ``half_bandwidth`` is at most BAND_MAX, else SuperLU's
-    factor in the factor order as given.  ``pos`` is the position of each
-    unknown in the factor's order.  ``floor`` is
-    the residual's round-off floor, ROUNDOFF_SAFETY * eps * || |J| |x| ||_inf,
-    taken when that factor's Jacobian J was factored at the iterate x.
-    """
-
-    __slots__ = ("lu", "pos", "floor", "half_bandwidth")
+    __slots__ = ("lu",)
 
     def __init__(self):
         self.lu = None
-        self.pos = None
-        self.floor = 0.0
-        self.half_bandwidth = None
-
-    def load(self, jac, pos, band):
-        """Factor jac, with pos and the system's _Band (or None) as build_jac gives them."""
-        self.half_bandwidth = band.width if band is not None else None
-        if band is not None and band.width <= BAND_MAX:
-            self.lu, self.pos = band.factor(jac), band.index[pos]
-        else:
-            self.lu, self.pos = spla.splu(jac, permc_spec="NATURAL"), pos
-
-    def kernel(self):
-        """"band" or "superlu" for the live factor, None while there is none."""
-        if self.lu is None:
-            return None
-        return "band" if isinstance(self.lu, _BandLU) else "superlu"
-
-    def solve(self, rhs):
-        """J^-1 rhs for the unknowns: border rows get a zero right-hand side."""
-        b = np.zeros(self.lu.shape[0])
-        b[self.pos] = rhs
-        return self.lu.solve(b)[self.pos]
 
 
-def _newton(x0, eval_res, build_jac, factor=None):
+def _newton(x0, eval_res, factorize, factor=None):
     """Chord Newton with sup-norm line search.
 
-    Each iteration first tries a full chord step with the factor held in
+    Each iteration first tries a full chord step with the _LU held in
     ``factor`` (a FactorSlot; a fresh one when None), which may come from
     an earlier iterate or an earlier continuation level.  The step is
     kept if it cuts the sup-norm residual to at most CHORD_CONTRACTION
     times its previous value, or below the tolerance, since a step that
     converges needs no new factor.  Otherwise it is discarded, the slot
-    is emptied, the Jacobian at the current iterate is factored into the
-    slot (FactorSlot.load), and a damped Newton step is taken with
+    is emptied, ``factorize(x)`` puts the _LU of the Jacobian at the
+    current iterate into the slot, and a damped Newton step is taken with
     a halving line search.  Emptying the slot before the Jacobian is
     built keeps at most one factor alive; the caller keeps the slot, and
     with it the last factor, for the next solve.
 
-    ``build_jac(x)`` returns the Jacobian at x as (J, pos, scale, band):
-    J in the grid's factor order; pos, where each unknown sits in it,
-    with any border unknowns after the others; scale, || |J| |z| ||_inf
-    of the full grid's Jacobian at the iterate z with its border values;
-    and band, the system's _Band or None.  The kernel follows band's
-    half-bandwidth: at most BAND_MAX, LAPACK's ``dgbtrf`` factors J
-    scattered into band storage in band order and ``dgbtrs`` solves;
-    otherwise, or without a band, ``spla.splu`` factors J in its factor
-    order (``permc_spec="NATURAL"``).
-    A border row's right-hand side is zero, as its equation holds at
-    every iterate, and each solve is read back at pos.
-
     The solve is converged once the sup-norm residual is below the
-    tolerance max(NEWTON_TOL, floor), with the slot's round-off floor,
-    which is recomputed at every factorisation.
-    Below that floor float64 residuals are round-off, and iterating
-    further only refactors without progress.
+    tolerance max(NEWTON_TOL, floor), with the live factor's round-off
+    floor (none before the first factor).  Below that floor float64
+    residuals are round-off, and iterating further only refactors
+    without progress.
 
     Every kept step counts as an iteration, as does a Newton step whose
     line search failed.  A run of steps that fail to cut the residual by
@@ -887,9 +845,8 @@ def _newton(x0, eval_res, build_jac, factor=None):
     above it.  Returns (x, residual norm, iterations, diagnostics) with
     the residual history, ``stagnated``, the ``tolerance`` applied, the
     counts ``factorizations`` and ``chord_steps``, the ``fill`` of each
-    factorisation (the entries SuperLU stores for L and U, or the band
-    array's size), and the slot's last factor: its ``factor``, "band" or
-    "superlu" (None if there was none), and the band's ``half_bandwidth``.
+    factorisation, and the live factor's ``factor`` (its kernel, None
+    without one) and ``half_bandwidth``.
     """
     factor = factor if factor is not None else FactorSlot()
     x = np.asarray(x0, float)
@@ -901,13 +858,14 @@ def _newton(x0, eval_res, build_jac, factor=None):
     counts = {"factorizations": 0, "chord_steps": 0}
 
     def tolerance():
-        return max(NEWTON_TOL, factor.floor)
+        return max(NEWTON_TOL, factor.lu.floor) if factor.lu is not None else NEWTON_TOL
 
     def outcome(iters, stagnated):
+        lu = factor.lu
         return x, norm, iters, {"history": tuple(history), "stagnated": stagnated,
                                 "tolerance": tolerance(), "fill": tuple(fill), **counts,
-                                "factor": factor.kernel(),
-                                "half_bandwidth": factor.half_bandwidth}
+                                "factor": lu and lu.kernel,
+                                "half_bandwidth": lu and lu.half_bandwidth}
 
     def stalled(iters, reason):
         if norm < tolerance():
@@ -922,7 +880,7 @@ def _newton(x0, eval_res, build_jac, factor=None):
         accepted = False
         rhs = -res.ravel()
         if factor.lu is not None:
-            x_new = x + factor.solve(rhs).reshape(x.shape)
+            x_new = x + factor.lu.solve(rhs).reshape(x.shape)
             res_new = eval_res(x_new)
             norm_new = float(np.max(np.abs(res_new)))
             if norm_new <= CHORD_CONTRACTION * norm or norm_new < tolerance():
@@ -930,13 +888,11 @@ def _newton(x0, eval_res, build_jac, factor=None):
                 accepted = True
                 counts["chord_steps"] += 1
         if not accepted:
-            factor.lu = None
-            jac, pos, scale, band = build_jac(x)
-            factor.floor = ROUNDOFF_SAFETY * np.finfo(float).eps * scale
-            factor.load(jac, pos, band)
+            factor.lu = None                 # the stale factor goes before the next is built
+            factor.lu = factorize(x)
             counts["factorizations"] += 1
-            fill.append(factor.lu.nnz)
-            delta = factor.solve(rhs).reshape(x.shape)
+            fill.append(factor.lu.fill)
+            delta = factor.lu.solve(rhs).reshape(x.shape)
             lam = 1.0
             while lam >= 2.0**-14:
                 x_new = x + lam * delta
@@ -1252,7 +1208,7 @@ def solve_disc(boundary, a, domain, initial=None, factor=None):
     system = grid.quotient(grid.reflections(boundary))
     x, _, iters, diag = _newton(
         system.fold(f0), lambda x: system.residual(x, phi, a),
-        lambda x: system.jacobian(x, phi, a), factor=factor)
+        lambda x: system.factor(*system.jacobian(x, phi, a)), factor=factor)
     f_sol = system.unfold(x)
     # on a quotient the mirrored rows' residuals differ from the solved ones by round-off
     norm = float(np.max(np.abs(grid.residual(f_sol, phi, a))))
@@ -1306,7 +1262,7 @@ def solve_strip(top, bottom, a, domain, initial=None, factor=None):
     system = grid.quotient(grid.reflections(top, bottom))
     x, _, iters, diag = _newton(
         system.fold(v0), lambda x: system.residual(x, top_v, bot_v, a),
-        lambda x: system.jacobian(x, top_v, bot_v, a), factor=factor)
+        lambda x: system.factor(*system.jacobian(x, top_v, bot_v, a)), factor=factor)
     v_sol = system.unfold(x)
     norm = float(np.max(np.abs(grid.residual(v_sol, top_v, bot_v, a))))
     v_full = np.vstack([bot_v, v_sol, top_v])

@@ -196,6 +196,23 @@ def test_sl_check_rejects_a_tolerance_that_is_not_finite_and_positive(tol, tmp_p
     assert len(lines) == 1 and "--tol must be finite and positive" in lines[0]
 
 
+@pytest.mark.parametrize("extent", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["fiber-sample", "sl-check"])
+def test_extent_that_is_not_finite_and_non_negative_exits_1(command, extent, tmp_path, capsys):
+    assert run([command, "--extent", extent, "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "--extent must be finite and non-negative" in lines[0]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["fiber-sample", "sl-check"])
+def test_extent_zero_is_valid(command, tmp_path):
+    count = ["--frames", "1"] if command == "sl-check" else ["--count", "2"]
+    assert run([command, "--extent", "0", "--out", str(tmp_path)] + count) == 0
+
+
 @pytest.mark.parametrize("schedule", ["1,nan", "nan", "inf,1"])
 def test_solve_rejects_a_non_finite_schedule_level(schedule, tmp_path, capsys):
     assert run(["solve", "--kind", "disc", "--a", "0", "--nx", "16", "--ny", "32",

@@ -25,6 +25,25 @@ from slfib.fibrations import DEFAULT_SCHEDULE, disc_family
 from slfib.models import na_oracle, na_oracle_grid, na_potential_circle
 
 
+def _plain_lu(jac, scale):
+    """An _LU of jac from a plain SuperLU factor, as the toy _newton tests hand it over."""
+    import scipy.sparse.linalg as spla
+
+    from slfib.elliptic import _LU
+
+    lu = spla.splu(jac, permc_spec="NATURAL")
+    return _LU(lu.solve, np.arange(jac.shape[0]), jac.shape[0], "superlu", None, lu.nnz, scale)
+
+
+def _matrix(system, data):
+    """The Jacobian with entries ``data`` on ``system.pattern`` as a CSC matrix."""
+    import scipy.sparse as sp
+
+    indices, indptr = system.pattern
+    n = indptr.size - 1
+    return sp.csc_matrix((data, indices, indptr), shape=(n, n))
+
+
 def test_domain_normalisation():
     d = DomainSpec.disc(20, 30)
     assert d.n_y == 32  # rounded to a multiple of 4
@@ -199,12 +218,12 @@ def test_newton_divergence_payload(max_iter, monkeypatch):
     def eval_res(x):
         return x * x + 1
 
-    def build_jac(x):
+    def factorize(x):
         jac = sp.diags(2.0 * x.ravel()).tocsc()
-        return jac, np.arange(x.size), np.max(abs(jac) @ np.abs(x.ravel())), None
+        return _plain_lu(jac, np.max(abs(jac) @ np.abs(x.ravel())))
 
     with pytest.raises(SolverDiverged) as err:
-        _newton(np.full((2, 3), 3.0), eval_res, build_jac)
+        _newton(np.full((2, 3), 3.0), eval_res, factorize)
     assert err.value.data["residual"] >= 1.0
     assert 1 <= err.value.data["iterations"] <= max_iter
 
@@ -220,11 +239,10 @@ def test_stall_bound_follows_the_roundoff_floor():
     def eval_res(x):
         return 2e8 * (x - 1.0) + 5e-8
 
-    def build_jac(x):
-        return (sp.diags(np.full(x.size, -2e8)).tocsc(), np.arange(x.size),
-                2e8 * np.max(np.abs(x)), None)
+    def factorize(x):
+        return _plain_lu(sp.diags(np.full(x.size, -2e8)).tocsc(), 2e8 * np.max(np.abs(x)))
 
-    _, norm, _, diag = _newton(np.ones(3), eval_res, build_jac)
+    _, norm, _, diag = _newton(np.ones(3), eval_res, factorize)
     assert norm == 5e-8 > FLOOR_ACCEPT
     assert diag["stagnated"]
     assert diag["tolerance"] == pytest.approx(0.5 * np.finfo(float).eps * 2e8)
@@ -499,7 +517,8 @@ def test_jacobian_matches_central_differences(kind, a):
         spec = BoundarySpec.make(0.2, cos={1: 1.0, 3: -1.0}, sin={2: 0.3})
         phi = spec.sample(grid.theta)
         x = grid.harmonic_extension(spec) + 1e-2 * rng.standard_normal((15, 16))
-        jac, pos, scale, _ = grid.jacobian(x, phi, a)
+        data, scale = grid.jacobian(x, phi, a)
+        jac, pos = _matrix(grid, data), grid.pos
         n = x.size
         # the bordered Jacobian over the unknowns, then g: its Schur complement
         # eliminates g and is the Jacobian of the residual in f_int
@@ -513,7 +532,8 @@ def test_jacobian_matches_central_differences(kind, a):
         top = BoundarySpec.make(0.3, cos={1: 0.5}).sample_x(grid.x, 2 * np.pi)
         bot = BoundarySpec.make(0.3, sin={1: 0.4}).sample_x(grid.x, 2 * np.pi)
         x = 0.3 + 0.2 * rng.standard_normal((15, 16))
-        jac, pos, scale, _ = grid.jacobian(x, top, bot, a)
+        data, scale = grid.jacobian(x, top, bot, a)
+        jac, pos = _matrix(grid, data), grid.pos
         ana = jac.toarray()[np.ix_(pos, pos)]
         assert scale == np.max(abs(jac) @ np.abs(x.ravel()[np.argsort(pos)]))
         num = _differenced(lambda v: grid.residual(v, top, bot, a), x)
@@ -542,7 +562,7 @@ def jacobian_128():
     grid = disc_grid(128, 256)
     spec = na_potential_circle(0.5)
     phi = spec.sample(grid.theta)
-    return grid.jacobian(grid.harmonic_extension(spec), phi, 0.5)[0]
+    return _matrix(grid, grid.jacobian(grid.harmonic_extension(spec), phi, 0.5)[0])
 
 
 def test_factor_order_fill_is_below_minimum_degree(jacobian_128):
@@ -674,11 +694,10 @@ def test_chord_step_that_reaches_the_tolerance_is_kept():
     def eval_res(x):
         return x.copy()
 
-    def build_jac(x):
-        return (sp.diags(np.full(x.size, 2.5)).tocsc(), np.arange(x.size),
-                2.5 * np.max(np.abs(x)), None)
+    def factorize(x):
+        return _plain_lu(sp.diags(np.full(x.size, 2.5)).tocsc(), 2.5 * np.max(np.abs(x)))
 
-    _, norm, iters, diag = _newton(np.full(3, 2.5e-10), eval_res, build_jac)
+    _, norm, iters, diag = _newton(np.full(3, 2.5e-10), eval_res, factorize)
     history = diag["history"]
     assert history[2] / history[1] > CHORD_CONTRACTION
     assert norm == history[-1] < NEWTON_TOL == diag["tolerance"]
@@ -782,7 +801,8 @@ def test_quotient_jacobian_matches_central_differences(case):
         q = grid.quotient(grid.reflections(edge, edge))
         x = 0.3 + 0.2 * rng.standard_normal(q.shape)
         args = (top, bot, a)
-    jac, pos, scale, _ = q.jacobian(x, *args)
+    data, scale = q.jacobian(x, *args)
+    jac, pos = _matrix(q, data), q.pos
     n = x.size
     full = jac.toarray()[np.ix_(np.append(pos, np.arange(n, jac.shape[0])),
                                 np.append(pos, np.arange(n, jac.shape[0])))]
@@ -792,13 +812,13 @@ def test_quotient_jacobian_matches_central_differences(case):
     assert jac.has_canonical_format and jac.shape[0] == q.unknowns
     assert np.max(np.abs(full - num)) <= 1e-7 * np.max(np.abs(full))
     # the round-off floor is taken from the full grid's Jacobian at the unfolded iterate
-    assert scale == pytest.approx(grid.jacobian(q.unfold(x), *args)[2], rel=1e-12)
+    assert scale == pytest.approx(grid.jacobian(q.unfold(x), *args)[1], rel=1e-12)
 
 
 # -- the band LU of narrow systems -----------------------------------------------
 
 def _system(kind, n_x, n_y, *edges):
-    """A system of the data's reflections and its Jacobian (J, pos, scale, band) at a = 0.05."""
+    """A system of the data's reflections and its Jacobian (data, scale) at a = 0.05."""
     if kind == "disc":
         grid = disc_grid(n_x, n_y)
         q = grid.quotient(grid.reflections(*edges))
@@ -828,17 +848,17 @@ BAND_SYSTEMS = {
 @pytest.mark.parametrize("name", list(BAND_SYSTEMS))
 def test_band_solve_matches_superlu(name, monkeypatch):
     from slfib import elliptic
-    from slfib.elliptic import FactorSlot
 
-    _, (jac, pos, _, band) = _system(*BAND_SYSTEMS[name])
-    rhs = np.random.default_rng(4).standard_normal(pos.size)
-    monkeypatch.setattr(elliptic, "BAND_MAX", jac.shape[0])   # the band LU for every system
-    banded, superlu = FactorSlot(), FactorSlot()
-    banded.load(jac, pos, band)
-    superlu.load(jac, pos, None)
-    assert (banded.kernel(), superlu.kernel()) == ("band", "superlu")
-    ldab = 2 * band.kl + band.ku + 1
-    assert banded.lu.nnz == ldab * jac.shape[0]
+    q, jac = _system(*BAND_SYSTEMS[name])
+    rhs = np.random.default_rng(4).standard_normal(q.pos.size)
+    n = q.pattern[1].size - 1
+    monkeypatch.setattr(elliptic, "BAND_MAX", n)   # the band LU for every system
+    banded = q.factor(*jac)
+    monkeypatch.setattr(elliptic, "BAND_MAX", 0)   # SuperLU for every system
+    superlu = q.factor(*jac)
+    assert (banded.kernel, superlu.kernel) == ("band", "superlu")
+    _, kl, ku, _ = q._band
+    assert banded.fill == (2 * kl + ku + 1) * n
     got, ref = banded.solve(rhs), superlu.solve(rhs)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -857,14 +877,13 @@ def test_band_solve_matches_superlu(name, monkeypatch):
         "strip-128-quarter", "disc-128-even-quarter", "disc-32-full", "strip-64-y",
         "strip-64-full"])
 def test_band_selection(system, half_bandwidth, kernel):
-    from slfib.elliptic import FactorSlot
-
-    q, (jac, pos, _, band) = _system(*system)
-    assert band.width == max(band.kl, band.ku) == half_bandwidth
-    slot = FactorSlot()
-    slot.load(jac, pos, band)
-    assert (slot.kernel(), slot.half_bandwidth) == (kernel, half_bandwidth)
-    assert q._band is band                                # kept on the system
+    q, jac = _system(*system)
+    lu = q.factor(*jac)
+    assert (lu.kernel, lu.half_bandwidth) == (kernel, half_bandwidth)
+    layout = q._band
+    _, kl, ku, _ = layout
+    assert max(kl, ku) == half_bandwidth
+    assert q.factor(*jac).half_bandwidth == half_bandwidth and q._band is layout   # kept
 
 
 @pytest.mark.parametrize("kind", ["disc", "strip"])
@@ -894,11 +913,36 @@ def test_a_quotient_does_not_inherit_its_grids_band():
     from slfib.elliptic import DiscGrid
 
     grid = DiscGrid(32, 64)                   # uncached: none of its quotients exists yet
-    bands = []
-    for name in ("disc-full", "disc-odd"):    # the full grid builds its band first
+    lus = []
+    for name in ("disc-full", "disc-odd"):    # the full grid builds its band layout first
         spec = BAND_SYSTEMS[name][3]
         q = grid.quotient(grid.reflections(spec))
-        bands.append(q.jacobian(q.fold(grid.harmonic_extension(spec)),
-                                spec.sample(grid.theta), 0.05)[3])
-    assert grid._band is bands[0] and bands[1] is not bands[0]
-    assert (bands[0].width, bands[1].width) == (127, 17)
+        lus.append(q.factor(*q.jacobian(q.fold(grid.harmonic_extension(spec)),
+                                        spec.sample(grid.theta), 0.05)))
+    assert max(grid._band[1:3]) == 127                # kept on the full grid
+    assert [(lu.kernel, lu.half_bandwidth) for lu in lus] == [("superlu", 127), ("band", 17)]
+
+
+def test_a_warm_strip_solve_builds_no_sparse_matrix(monkeypatch):
+    import scipy.sparse as sp
+
+    from slfib import elliptic
+
+    edge = _strip_family_edge()
+    domain = DomainSpec.strip(64, 33)
+    cold = solve_strip(edge, edge, 0.05, domain)      # builds the grid and its quarter
+    calls = []
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(sp, name)
+
+        def csc_matrix(self, *args, **kwargs):
+            calls.append(kwargs.get("shape"))
+            return sp.csc_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(elliptic, "sp", Counting())
+    warm = solve_strip(edge, edge, 0.04, domain, initial=cold.v[1:-1])
+    assert warm.converged and warm.diagnostics["factor"] == "band"
+    assert warm.diagnostics["factorizations"] >= 1
+    assert calls == []
