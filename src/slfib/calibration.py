@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import disc_grid, strip_grid
 from .errors import DegenerateFrame, OutOfDomain
 
 FD_STEP = 1e-4
@@ -180,7 +179,7 @@ def field_equation_residual(field):
 
     The equations are u_x = v_y and v_x = -2 sqrt(v^2 + y^2 + a^2) u_y,
     evaluated with second-order central differences on the field's grid
-    (the grid's own stencils: DiscGrid.extract_uv, StripGrid.gradient).
+    (the grid's own stencils, its ``gradient``).
     At level a = 0, nodes within EXCLUDE_RADIUS_CELLS grid cells of an
     axis point with |v| below SINGULAR_V_THRESHOLD are excluded, since
     the graph functions need not be differentiable there.  On disc grids the
@@ -190,25 +189,16 @@ def field_equation_residual(field):
     """
     xg, yg, u, v = field.node_arrays()
     a = field.a
-    if field.kind == "disc":
-        grid = disc_grid(field.domain.n_x, field.domain.n_y)
-        uy, ux, *_ = grid.extract_uv(u[:-1], u[-1])
-        vy, vx, *_ = grid.extract_uv(v[:-1], v[-1])
-    else:
-        grid = strip_grid(field.domain.n_x, field.domain.n_y, field.domain.R, field.domain.P)
-        ux, uy = grid.gradient(u)
-        vx, vy = grid.gradient(v)
+    ux, uy = field.grid.gradient(u)
+    vx, vy = field.grid.gradient(v)
 
     r1 = np.abs(ux - vy)
     r2 = np.abs(vx + 2.0 * np.sqrt(v * v + yg * yg + a * a) * uy)
-    mask = field.interior_mask()
-    if field.kind == "disc":
-        mask[:2, :] = False
-        mask[-2:, :] = False
+    mask = np.zeros(v.shape, bool)
+    mask[slice(2, -2) if field.kind == "disc" else slice(1, -1)] = True
 
     if abs(a) < 1e-12:
-        cell = field.cell_scale()
-        radius = EXCLUDE_RADIUS_CELLS * cell
+        radius = EXCLUDE_RADIUS_CELLS * field.grid.cell()
         singular = (np.abs(v) < SINGULAR_V_THRESHOLD) & (np.abs(yg) <= radius)
         for sx, sy in zip(xg[singular], yg[singular]):
             dist = np.hypot(xg - sx, yg - sy)

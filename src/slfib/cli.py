@@ -152,15 +152,14 @@ def _solve_from_args(args):
     domain = _domain_from_args(args)
     schedule = _parse_schedule(args.schedule) or geometric_schedule()
     if args.kind == "disc":
-        spec = BoundarySpec.make(args.const, _parse_kv(args.cos), _parse_kv(args.sin))
-        if args.a == 0.0:
-            return solve_disc_limit(spec, domain, schedule)
-        return solve_disc(spec, args.a, domain)
-    top = _parse_edge(args.top)
-    bottom = _parse_edge(args.bottom)
+        data = (BoundarySpec.make(args.const, _parse_kv(args.cos), _parse_kv(args.sin)),)
+        solve, solve_limit = solve_disc, solve_disc_limit
+    else:
+        data = (_parse_edge(args.top), _parse_edge(args.bottom))
+        solve, solve_limit = solve_strip, solve_strip_limit
     if args.a == 0.0:
-        return solve_strip_limit(top, bottom, domain, schedule)
-    return solve_strip(top, bottom, args.a, domain)
+        return solve_limit(*data, domain, schedule)
+    return solve(*data, args.a, domain)
 
 
 def _add_solve_args(p, required):
@@ -324,6 +323,8 @@ def _check_extent(args):
 
 
 def cmd_fiber_sample(args):
+    if args.count < 0:
+        raise ValueError(f"--count must be non-negative, got {args.count}")
     _check_extent(args)
     rng = np.random.default_rng(args.seed)
     field = _model_field(args)
@@ -465,9 +466,12 @@ def build_parser(supplied=()):
     def command(name, summary):
         return sub.add_parser(name, help=summary, add_help=not lenient)
 
-    def common(p):
-        p.add_argument("--out", default=".", help="output directory")
+    def config(p):
         p.add_argument("--config", default=None, help="JSON config file; flags win")
+
+    def common(p):                    # a subcommand that writes into --out
+        p.add_argument("--out", default=".", help="output directory")
+        config(p)
 
     p = command("solve", "solve one Dirichlet problem and dump the field")
     _add_solve_args(p, required)
@@ -503,7 +507,7 @@ def build_parser(supplied=()):
     p.add_argument("--nx", type=int, default=None)
     p.add_argument("--ny", type=int, default=None)
     p.add_argument("--schedule", default="")
-    common(p)
+    config(p)
     p.set_defaults(fn=cmd_project)
 
     p = command("fiber-sample", "sample points of a model fibre")
@@ -525,7 +529,7 @@ def build_parser(supplied=()):
     p.add_argument("--extent", type=float, default=1.5)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
+    config(p)
     p.set_defaults(fn=cmd_sl_check)
 
     p = command("monodromy", "lattice checks and ribbon figure data")

@@ -211,6 +211,12 @@ class DomainSpec:
             if self.n_y % 2 == 0:
                 object.__setattr__(self, "n_y", int(self.n_y) + 1)
 
+    def grid(self):
+        """The domain's memoised grid, a DiscGrid or a StripGrid."""
+        if self.kind == "disc":
+            return disc_grid(self.n_x, self.n_y)
+        return strip_grid(self.n_x, self.n_y, self.R, self.P)
+
     @staticmethod
     def disc(n_r, n_theta):
         return DomainSpec("disc", 1.0, 2.0 * np.pi, n_r, n_theta)
@@ -257,6 +263,20 @@ def _one_sided_weights(d, e):
     d = x1 - x0 and e = x2 - x1.
     """
     return e / (d * (d + e)), -(d + e) / (d * e), (d + 2 * e) / (e * (d + e))
+
+
+def _periodic_spline(rows, cols, period, w):
+    """The bicubic interpolating spline of w on rows x cols, periodic in the columns.
+
+    Four columns are wrapped onto each side so that it stays smooth across the seam.
+    """
+    # local: scipy.interpolate loads scipy.optimize, which a solve never needs
+    from scipy.interpolate import RectBivariateSpline
+
+    pad = 4
+    cols = np.concatenate([cols[-pad:] - period, cols, cols[:pad] + period])
+    w = np.concatenate([w[:, -pad:], w, w[:, :pad]], axis=1)
+    return RectBivariateSpline(rows, cols, w, kx=3, ky=3, s=0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -422,6 +442,8 @@ class _Reflections:
 class DiscGrid(_Reflections):
     """Polar tensor grid on the unit disc with its sparse difference operators.
 
+    A disc field's geometry lives here: its nodes (rings 1..N by angles),
+    cell size, domain test, axis samples, interpolant and gradient.
     ``angular`` holds the 3-point angular stencils on angles j-1, j, j+1:
     "id", "d1" (f_theta, over 2 sin h) and "d2" (f_thetatheta, over
     2 - 2 cos h), h = 2 pi / M.  ops64 builds its operators from them and
@@ -605,7 +627,37 @@ class DiscGrid(_Reflections):
         data = ((dw * (xx @ z))[rows] * x.data[:k] + w[rows] * xx.data[:k] + yy.data[:k])
         return self._folded_jacobian(data, rows, xx.indptr[:m + 1], z)
 
-    # -- derived fields ----------------------------------------------------
+    # -- field geometry and derived fields ---------------------------------
+
+    def nodes(self):
+        """Cartesian coordinates (x, y) of the nodes, rings by angles."""
+        return self.r[:, None] * self.cos, self.r[:, None] * self.sin
+
+    def cell(self):
+        """The widest radial spacing, the pole's included."""
+        return float(max(np.max(np.diff(self.r)), self.r[0]))
+
+    def contains(self, x, y):
+        return np.hypot(np.asarray(x, float), np.asarray(y, float)) <= 1.0 + 1e-12
+
+    def axis(self, w, centre):
+        """Positions and values of nodal w on y = 0, from -1 through the centre to 1."""
+        return (np.concatenate([-self.r[::-1], [0.0], self.r]),
+                np.concatenate([w[::-1, self.M // 2], [centre], w[:, 0]]))
+
+    def interpolant(self, w, centre):
+        """(x, y) -> the bicubic interpolant in (r, theta) of nodal w, centre at the pole."""
+        spline = _periodic_spline(np.concatenate([[0.0], self.r]), self.theta, 2 * np.pi,
+                                  np.vstack([np.full(self.M, centre), w]))
+        return lambda x, y: spline.ev(np.hypot(x, y), np.mod(np.arctan2(y, x), 2.0 * np.pi))
+
+    def gradient(self, w):
+        """(w_x, w_y) of nodal w, by extract_uv's stencils."""
+        w_y, w_x, *_ = self.extract_uv(w[:-1], w[-1])
+        return w_x, w_y
+
+    def interior(self, fld):                     # the iterate of a solve: f off the boundary ring
+        return fld.f[:-1]
 
     def extract_uv(self, f_int, phi):
         """u = f_y and v = f_x on all rings, plus the centre values.
@@ -675,6 +727,7 @@ def _prolong(c):
 class StripGrid(_Reflections):
     """Uniform periodic-in-x grid on the strip |y| <= R.
 
+    A strip field's geometry lives here, as a disc field's on DiscGrid.
     The unknowns are v at the interior rows, row by row.  Their factor
     order is _factor_order over (interior rows x x nodes), periodic in x;
     ``pos`` holds each node's position.  The Jacobian's five-point
@@ -711,6 +764,26 @@ class StripGrid(_Reflections):
         self.pattern = self._unfolded = ids.indices, ids.indptr
         self._source = ids.data.astype(np.intp) - 1
 
+    def nodes(self):
+        """Cartesian coordinates (x, y) of the nodes, rows bottom to top."""
+        return np.meshgrid(self.x, self.y)
+
+    def cell(self):
+        return float(max(self.x[1] - self.x[0], self.y[1] - self.y[0]))
+
+    def contains(self, x, y):
+        return np.abs(np.asarray(y, float)) <= self.R + 1e-12
+
+    def axis(self, w, centre):
+        """Positions and values of nodal w on y = 0 over [0, P], the seam value repeated."""
+        j0 = (self.n_y - 1) // 2
+        return np.append(self.x, self.P), np.append(w[j0], w[j0, 0])
+
+    def interpolant(self, w, centre):
+        """(x, y) -> the bicubic interpolant of nodal w, periodic in x; ``centre`` is unused."""
+        spline = _periodic_spline(self.y, self.x, self.P, w)
+        return lambda x, y: spline.ev(y, np.mod(x, self.P))
+
     def gradient(self, w):
         """(w_x, w_y) of an array on the grid's nodes, rows bottom to top.
 
@@ -719,6 +792,9 @@ class StripGrid(_Reflections):
         """
         return ((np.roll(w, -1, axis=1) - np.roll(w, 1, axis=1)) / (2 * self.hx),
                 np.gradient(w, self.hy, axis=0, edge_order=2))
+
+    def interior(self, fld):                     # the iterate of a solve: v off the edge rows
+        return fld.v[1:-1]
 
     def _halo_index(self, src, n_rows, n_cols):
         """Index into [bottom edge, box values, top edge] of the box widened by one node."""
@@ -922,7 +998,9 @@ class SolutionField:
 
     Disc grids have shape (n_r, n_theta) over rings 1..n_r (the last ring
     is the boundary circle) plus explicit centre values.  Strip grids
-    have shape (n_y, n_x), rows ordered bottom (y = -R) to top.
+    have shape (n_y, n_x), rows ordered bottom (y = -R) to top.  The
+    field's geometry (nodes, domain test, interpolants) lives on its
+    ``grid``, the domain's.
     """
 
     domain: DomainSpec
@@ -948,126 +1026,44 @@ class SolutionField:
         """The domain's kind, "disc" or "periodic-strip"; read-only."""
         return self.domain.kind
 
-    # -- geometry ----------------------------------------------------------
-
-    def grid_axes(self):
-        if self.kind == "disc":
-            g = disc_grid(self.domain.n_x, self.domain.n_y)
-            return g.r, g.theta
-        g = strip_grid(self.domain.n_x, self.domain.n_y, self.domain.R, self.domain.P)
-        return g.x, g.y
+    @property
+    def grid(self):
+        """The domain's grid, which holds the field's geometry."""
+        return self.domain.grid()
 
     def node_arrays(self):
         """Cartesian node coordinates and the u, v grids."""
-        if self.kind == "disc":
-            r, th = self.grid_axes()
-            xg = r[:, None] * np.cos(th)[None, :]
-            yg = r[:, None] * np.sin(th)[None, :]
-            return xg, yg, self.u, self.v
-        x, y = self.grid_axes()
-        xg = np.broadcast_to(x[None, :], self.v.shape)
-        yg = np.broadcast_to(y[:, None], self.v.shape)
-        return xg, yg, self.u, self.v
-
-    def interior_mask(self):
-        mask = np.zeros(self.v.shape, dtype=bool)
-        if self.kind == "disc":
-            mask[:-1, :] = True
-        else:
-            mask[1:-1, :] = True
-        return mask
-
-    def cell_scale(self):
-        if self.kind == "disc":
-            r, th = self.grid_axes()
-            return float(max(np.max(np.diff(r)), r[0]))
-        x, y = self.grid_axes()
-        return float(max(x[1] - x[0], y[1] - y[0]))
+        return (*self.grid.nodes(), self.u, self.v)
 
     def contains(self, x, y):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        if self.kind == "disc":
-            return np.hypot(x, y) <= 1.0 + 1e-12
-        return np.abs(y) <= self.domain.R + 1e-12
+        return self.grid.contains(x, y)
 
     @property
     def is_singular_level(self):
         return self.is_limit or self.a == 0.0
 
-    # -- interpolation -----------------------------------------------------
-
-    def _interpolator(self, grid, center_value):
-        # local: scipy.interpolate loads scipy.optimize, which a solve never needs
-        from scipy.interpolate import RectBivariateSpline
-
-        pad = 4  # wrap columns so the periodic coordinate stays smooth
-        if self.kind == "disc":
-            r, th = self.grid_axes()
-            th_ext = np.concatenate([th[-pad:] - 2 * np.pi, th, th[:pad] + 2 * np.pi])
-            vals = np.concatenate([grid[:, -pad:], grid, grid[:, :pad]], axis=1)
-            r_ext = np.concatenate([[0.0], r])
-            centre_row = np.full((1, vals.shape[1]), center_value)
-            vals = np.concatenate([centre_row, vals], axis=0)
-            return RectBivariateSpline(r_ext, th_ext, vals, kx=3, ky=3, s=0)
-        x, y = self.grid_axes()
-        x_ext = np.concatenate([x[-pad:] - self.domain.P, x, x[:pad] + self.domain.P])
-        vals = np.concatenate([grid[:, -pad:], grid, grid[:, :pad]], axis=1)
-        return RectBivariateSpline(y, x_ext, vals, kx=3, ky=3, s=0)
-
-    def _get_interp(self, name):
-        if name not in self._interp:
-            grid = getattr(self, name)
-            center = {"u": self.u_center, "v": self.v_center}[name]
-            self._interp[name] = self._interpolator(grid, center)
-        return self._interp[name]
-
     def _eval(self, name, x, y):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        shape = np.broadcast(x, y).shape
-        x = np.broadcast_to(x, shape).ravel()
-        y = np.broadcast_to(y, shape).ravel()
-        if self.kind == "disc":
-            out = self._get_interp(name).ev(np.hypot(x, y),
-                                            np.mod(np.arctan2(y, x), 2.0 * np.pi))
-        else:
-            out = self._get_interp(name).ev(y, np.mod(x, self.domain.P))
-        return out.reshape(shape)
+        """The interpolant of u or v (``name``) at points (x, y), built on first use."""
+        if name not in self._interp:
+            self._interp[name] = self.grid.interpolant(getattr(self, name),
+                                                       getattr(self, name + "_center"))
+        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+        return self._interp[name](x.ravel(), y.ravel()).reshape(x.shape)
 
     def uv(self, x, y):
         return self._eval("u", x, y), self._eval("v", x, y)
-
-    # -- axis sampling -------------------------------------------------------
-
-    def axis_samples(self):
-        """Positions x and values (u, v) along the y = 0 axis segment."""
-        if self.kind == "disc":
-            r, _ = self.grid_axes()
-            jpi = self.domain.n_y // 2
-            xs = np.concatenate([-r[::-1], [0.0], r])
-            vs = np.concatenate([self.v[::-1, jpi], [self.v_center], self.v[:, 0]])
-            us = np.concatenate([self.u[::-1, jpi], [self.u_center], self.u[:, 0]])
-            return xs, us, vs
-        x, y = self.grid_axes()
-        j0 = (self.domain.n_y - 1) // 2
-        xs = np.concatenate([x, [self.domain.P]])
-        vs = np.concatenate([self.v[j0], [self.v[j0, 0]]])
-        us = np.concatenate([self.u[j0], [self.u[j0, 0]]])
-        return xs, us, vs
 
     # -- diagnostics ---------------------------------------------------------
 
     def validate(self):
         """Check the container invariants; raises AssertionError on failure."""
+        g = self.grid
         if self.kind == "disc":
-            g = disc_grid(self.domain.n_x, self.domain.n_y)
             phi = self.boundary["circle"].sample(g.theta)
             assert np.max(np.abs(self.f[-1] - phi)) <= BOUNDARY_TOL, "boundary mismatch"
             v_bnd = self.v[-1]
             interior = self.v[:-1]
         else:
-            g = strip_grid(self.domain.n_x, self.domain.n_y, self.domain.R, self.domain.P)
             top = self.boundary["top"].sample_x(g.x, self.domain.P)
             bot = self.boundary["bottom"].sample_x(g.x, self.domain.P)
             assert np.max(np.abs(self.v[-1] - top)) <= BOUNDARY_TOL, "top boundary mismatch"
@@ -1088,15 +1084,9 @@ class SolutionField:
 
 def field_from_callables(domain, a, u_fn, v_fn):
     """Sample callables u(x, y), v(x, y) into a SolutionField container."""
-    disc = {}
-    if domain.kind == "disc":
-        g = disc_grid(domain.n_x, domain.n_y)
-        xg, yg = g.r[:, None] * g.cos, g.r[:, None] * g.sin
-        disc = dict(f=np.zeros(xg.shape), u_center=float(u_fn(0.0, 0.0)),
-                    v_center=float(v_fn(0.0, 0.0)))
-    else:
-        g = strip_grid(domain.n_x, domain.n_y, domain.R, domain.P)
-        xg, yg = np.meshgrid(g.x, g.y)
+    xg, yg = domain.grid().nodes()
+    disc = dict(f=np.zeros(xg.shape), u_center=float(u_fn(0.0, 0.0)),
+                v_center=float(v_fn(0.0, 0.0))) if domain.kind == "disc" else {}
     return SolutionField(domain, float(a), np.asarray(u_fn(xg, yg), float),
                          np.asarray(v_fn(xg, yg), float), converged=True, residual_norm=0.0,
                          is_limit=float(a) == 0.0, **disc)
@@ -1114,12 +1104,12 @@ def level_record(fld):
                 "factor", "half_bandwidth")}}
 
 
-def _continue(schedule, solve_level, interior):
+def _continue(schedule, solve_level):
     """Solve along a decreasing level schedule; returns the a_min proxy.
 
     ``solve_level(a, initial, factor)`` solves one level, warm-started
-    from ``interior`` of the previous level's field and sharing one
-    FactorSlot with every level.  The returned field records the Cauchy
+    from the grid's ``interior`` of the previous level's field and sharing
+    one FactorSlot with every level.  The returned field records the Cauchy
     increments of u and v between consecutive levels and, under
     ``diagnostics["levels"]``, each level's a, residual norm, tolerance
     and counts; ``diagnostics["coarse"]`` gathers the levels' coarse
@@ -1145,7 +1135,7 @@ def _continue(schedule, solve_level, interior):
         levels.append(level_record(nxt))
         coarse.extend(nxt.diagnostics.get("coarse", ()))
         fld = nxt
-        prev = interior(fld)
+        prev = fld.grid.interior(fld)
     fld.is_limit = True
     fld.cauchy_increments = tuple(increments_v)
     fld.diagnostics["cauchy_u"] = tuple(increments_u)
@@ -1202,7 +1192,7 @@ def solve_disc(boundary, a, domain, initial=None, factor=None):
         raise ValueError(f"level a must be finite and nonzero, got {a} "
                          "(a = 0 is reached through solve_disc_limit)")
     a = abs(float(a))  # solutions at a and -a coincide
-    grid = disc_grid(domain.n_x, domain.n_y)
+    grid = domain.grid()
     phi = boundary.sample(grid.theta)
     f0, coarse = (initial, ()) if initial is not None else _cold_start(grid, boundary, a)
     system = grid.quotient(grid.reflections(boundary))
@@ -1227,8 +1217,7 @@ def solve_disc_limit(boundary, domain, schedule):
     return _continue(
         schedule,
         lambda a_k, initial, factor: solve_disc(boundary, a_k, domain, initial=initial,
-                                                factor=factor),
-        lambda fld: fld.f[:-1])
+                                                factor=factor))
 
 
 # ---------------------------------------------------------------------------
@@ -1250,7 +1239,7 @@ def solve_strip(top, bottom, a, domain, initial=None, factor=None):
     if abs(top.constant - bottom.constant) > 1e-12 * scale:
         raise IncompatibleBoundary("edge data must have equal means",
                                    top_mean=top.constant, bottom_mean=bottom.constant)
-    grid = strip_grid(domain.n_x, domain.n_y, domain.R, domain.P)
+    grid = domain.grid()
     top_v = top.sample_x(grid.x, domain.P)
     bot_v = bottom.sample_x(grid.x, domain.P)
     if initial is not None:
@@ -1280,8 +1269,7 @@ def solve_strip_limit(top, bottom, domain, schedule):
     return _continue(
         schedule,
         lambda a_k, initial, factor: solve_strip(top, bottom, a_k, domain, initial=initial,
-                                                 factor=factor),
-        lambda fld: fld.v[1:-1])
+                                                 factor=factor))
 
 
 def reconstruct_u(field):
@@ -1295,7 +1283,7 @@ def reconstruct_u(field):
     """
     if field.kind != "periodic-strip":
         raise ValueError("reconstruct_u applies to strip fields")
-    grid = strip_grid(field.domain.n_x, field.domain.n_y, field.domain.R, field.domain.P)
+    grid = field.grid
     v = field.v
     hx, hy, y = grid.hx, grid.hy, grid.y
     a = field.a
@@ -1352,18 +1340,13 @@ def save_field(field, path):
         "cauchy_increments": list(field.cauchy_increments),
         "diagnostics": field.diagnostics,
     }
-    lines = [json.dumps(header, sort_keys=True)]
+    names = "xyfuv" if field.kind == "disc" else "xyuv"
+    lines = [json.dumps(header, sort_keys=True), ",".join(names)]
     if field.kind == "disc":
-        lines.append("x,y,f,u,v")
         lines.append("0.0,0.0," + ",".join(
             repr(float(v)) for v in (field.f_center, field.u_center, field.v_center)))
-        xg, yg, u, v = field.node_arrays()
-        cols = (xg, yg, field.f, u, v)
-    else:
-        lines.append("x,y,u,v")
-        xg, yg, u, v = field.node_arrays()
-        cols = (xg, yg, u, v)
-    flat = [np.asarray(c, float).ravel() for c in cols]
+    cols = dict(zip("xy", field.grid.nodes()), f=field.f, u=field.u, v=field.v)
+    flat = [np.asarray(cols[name], float).ravel() for name in names]
     for row in zip(*flat):
         lines.append(",".join(repr(val) for val in map(float, row)))
     with open(path, "w") as fh:
@@ -1391,17 +1374,10 @@ def load_field(path):
                   residual_norm=header["residual_norm"], is_limit=header["is_limit"],
                   cauchy_increments=tuple(header.get("cauchy_increments", ())),
                   diagnostics=diagnostics)
-    if header["kind"] == "disc":
-        domain = DomainSpec.disc(header["n_x"], header["n_y"])
-        n, m = domain.n_x, domain.n_y
-        f_c, u_c, v_c = body[0, 2], body[0, 3], body[0, 4]
-        rows = body[1:]
-        f = rows[:, 2].reshape(n, m)
-        u = rows[:, 3].reshape(n, m)
-        v = rows[:, 4].reshape(n, m)
-        return SolutionField(domain, header["a"], u, v, f=f, f_center=float(f_c),
-                             u_center=float(u_c), v_center=float(v_c), **common)
-    domain = DomainSpec.strip(header["n_x"], header["n_y"], header["R"], header["P"])
-    u = body[:, 2].reshape(domain.n_y, domain.n_x)
-    v = body[:, 3].reshape(domain.n_y, domain.n_x)
-    return SolutionField(domain, header["a"], u, v, **common)
+    domain = DomainSpec(header["kind"], header["R"], header["P"], header["n_x"], header["n_y"])
+    if domain.kind == "disc":            # the first row holds the centre values
+        common.update({f"{name}_center": float(val) for name, val in zip(names[2:], body[0, 2:])})
+        body = body[1:]
+    shape = domain.grid().nodes()[0].shape
+    arrays = {name: body[:, k].reshape(shape) for k, name in enumerate(names) if k >= 2}
+    return SolutionField(domain, header["a"], **arrays, **common)

@@ -41,7 +41,6 @@ from .elliptic import (
     SOLVER_VERSION,
     BoundarySpec,
     DomainSpec,
-    disc_grid,
     geometric_schedule,
     level_record,
     load_field,
@@ -234,55 +233,29 @@ def solve_family_member(family, a, b, resolution=None, schedule=None, cache=None
     b = float(b)
     level = schedule[-1] if a == 0.0 else a      # the level a warm start solves at
     res, domain = _family_domain(family, resolution)
-    if family.kind == "disc-sweep":
-        spec = family.boundary(b)
-
-        def cold():
-            if a == 0.0:
-                return solve_disc_limit(spec, domain, schedule)
-            return solve_disc(spec, a, domain)
-
-        def interior(fld):
-            return fld.f[:-1]
-
-        def shift(db):                    # harmonic extension of db cos(theta)
-            grid = disc_grid(*res)
-            return db * grid.r[:-1, None] * np.cos(grid.theta)
-
-        def warm(initial):
-            return solve_disc(spec, level, domain, initial=initial)
-    else:
-        top, bottom = family.boundary(b)
-
-        def cold():
-            if a == 0.0:
-                return solve_strip_limit(top, bottom, domain, schedule)
-            return solve_strip(top, bottom, a, domain)
-
-        def interior(fld):
-            return fld.v[1:-1]
-
-        def shift(db):                    # harmonic extension of the constant db
-            return db
-
-        def warm(initial):
-            return solve_strip(top, bottom, level, domain, initial=initial)
-
+    disc = family.kind == "disc-sweep"
+    data = (family.boundary(b),) if disc else family.boundary(b)
+    # module globals, read at call time, so that a patched solver is the one called
+    solve_level, solve_limit = ((solve_disc, solve_disc_limit) if disc
+                                else (solve_strip, solve_strip_limit))
     lane = (family.kind, family.t, round(float(a), 15), res, schedule if a == 0 else None)
 
     def starts(seeds):
+        grid = domain.grid()
         if len(seeds) == 2:
             (b1, f1), (b2, f2) = sorted(seeds, key=lambda s: s[0])
             w = (b - b1) / (b2 - b1)
-            yield (b1, b2), (1.0 - w) * interior(f1) + w * interior(f2)
+            yield (b1, b2), (1.0 - w) * grid.interior(f1) + w * grid.interior(f2)
+        # the harmonic extension of a unit step in b: r cos(theta) on the disc, 1 on the strip
+        r, cos = (grid.r[:-1, None], np.cos(grid.theta)) if disc else (1.0, 1.0)
         for seed_b, seed in seeds:
-            yield seed_b, interior(seed) + shift(b - seed_b)
+            yield seed_b, grid.interior(seed) + (b - seed_b) * r * cos
 
     def solve():
         seeds = cache.nearest(lane, b)
         for seed_id, initial in starts(seeds):
             try:
-                fld = warm(initial)
+                fld = solve_level(*data, level, domain, initial=initial)
             except SolverDiverged:
                 continue
             if fld.converged:
@@ -294,7 +267,9 @@ def solve_family_member(family, a, b, resolution=None, schedule=None, cache=None
                 return fld
         if seeds:
             cache.warm_fallbacks += 1
-        return cold()
+        if a == 0.0:
+            return solve_limit(*data, domain, schedule)
+        return solve_level(*data, a, domain)
 
     return cache.get_or_solve((lane, b), solve)
 

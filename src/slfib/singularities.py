@@ -65,10 +65,9 @@ def _axis_spline(field):
     # local: importing slfib should not load scipy.interpolate and scipy.optimize
     from scipy.interpolate import CubicSpline
 
-    xs, us, vs = field.axis_samples()
-    if field.kind == "periodic-strip":
-        return CubicSpline(xs, vs, bc_type="periodic"), xs
-    return CubicSpline(xs, vs), xs
+    xs, vs = field.grid.axis(field.v, field.v_center)
+    periodic = field.kind == "periodic-strip"
+    return CubicSpline(xs, vs, bc_type="periodic" if periodic else "not-a-knot"), xs
 
 
 def is_axis_degenerate(field):
@@ -304,7 +303,7 @@ def analyze_field(field, l=None):
             period = field.domain.P
             gaps = [min(abs(w - z), period - abs(w - z)) for w in others] + [field.domain.R]
         radius = min(0.45 * min(gaps), 0.3 * scale)
-        radius = max(radius, 4.0 * field.cell_scale())
+        radius = max(radius, 4.0 * field.grid.cell())
         label = _sign_label(field, spline, xs, z, interior)
         mult, samples, rad = winding_multiplicity(field, z, radius)
         records.append(SingularPointRecord(z, label, mult, samples, rad))

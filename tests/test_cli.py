@@ -153,11 +153,11 @@ def test_sweep_empty_t_usage_error(tmp_path):
     assert code == 2
 
 
-def test_project_trivial_strip(tmp_path, capsys):
+def test_project_trivial_strip(capsys):
     code = run(["project", "--family", "section7", "--t", "0",
                 "--z1", "1", "--z2", "1", "--z3", "1j",
                 "--nx", "48", "--ny", "25",
-                "--schedule", "0.5,0.125,0.0001", "--out", str(tmp_path)])
+                "--schedule", "0.5,0.125,0.0001"])
     assert code == 0
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert abs(out["a"]) < 1e-9
@@ -175,9 +175,9 @@ def test_fiber_sample(tmp_path):
     assert abs((z1r**2 + z1i**2) - (z2r**2 + z2i**2) - 1.0) < 1e-9
 
 
-def test_sl_check(tmp_path):
+def test_sl_check():
     code = run(["sl-check", "--model", "Fprime", "--a", "0.4", "--c", "0.2+0.1j",
-                "--frames", "40", "--out", str(tmp_path)])
+                "--frames", "40"])
     assert code == 0
 
 
@@ -188,8 +188,8 @@ def test_sl_check_rejects_fewer_than_one_frame(frames, capsys):
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
-def test_sl_check_rejects_a_tolerance_that_is_not_finite_and_positive(tol, tmp_path, capsys):
-    assert run(["sl-check", "--frames", "1", "--tol", tol, "--out", str(tmp_path)]) == 1
+def test_sl_check_rejects_a_tolerance_that_is_not_finite_and_positive(tol, capsys):
+    assert run(["sl-check", "--frames", "1", "--tol", tol]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
@@ -199,7 +199,8 @@ def test_sl_check_rejects_a_tolerance_that_is_not_finite_and_positive(tol, tmp_p
 @pytest.mark.parametrize("extent", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("command", ["fiber-sample", "sl-check"])
 def test_extent_that_is_not_finite_and_non_negative_exits_1(command, extent, tmp_path, capsys):
-    assert run([command, "--extent", extent, "--out", str(tmp_path)]) == 1
+    out = ["--out", str(tmp_path)] if command == "fiber-sample" else []
+    assert run([command, "--extent", extent] + out) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
@@ -209,8 +210,32 @@ def test_extent_that_is_not_finite_and_non_negative_exits_1(command, extent, tmp
 
 @pytest.mark.parametrize("command", ["fiber-sample", "sl-check"])
 def test_extent_zero_is_valid(command, tmp_path):
-    count = ["--frames", "1"] if command == "sl-check" else ["--count", "2"]
-    assert run([command, "--extent", "0", "--out", str(tmp_path)] + count) == 0
+    count = ["--frames", "1"] if command == "sl-check" else ["--count", "2", "--out", str(tmp_path)]
+    assert run([command, "--extent", "0"] + count) == 0
+
+
+def test_negative_count_exits_1_and_writes_nothing(tmp_path, capsys):
+    assert run(["fiber-sample", "--count", "-2", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "--count must be non-negative" in lines[0]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_count_zero_writes_the_header_only(tmp_path):
+    assert run(["fiber-sample", "--count", "0", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "fiber.csv").read_text() == "z1_re,z1_im,z2_re,z2_im,z3_re,z3_im\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["project", "--family", "section7", "--z1", "1", "--z2", "1", "--z3", "1j"],
+    ["sl-check", "--frames", "1"],
+], ids=["project", "sl-check"])
+def test_commands_that_write_nothing_take_no_out(argv, capsys):
+    with pytest.raises(SystemExit):
+        run(argv + ["--out", "."])
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("schedule", ["1,nan", "nan", "inf,1"])
@@ -245,7 +270,7 @@ def test_incompatible_strip_edges_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("incompatible-boundary: ")
 
 
-def test_sl_check_stops_when_every_draw_is_excluded(tmp_path):
+def test_sl_check_stops_when_every_draw_is_excluded():
     # at a = 0 every draw this close to the origin lies in the cone-point
     # exclusion ball; a fresh interpreter with a timeout turns a loop that
     # never ends into a failure instead of a hung test run
@@ -253,7 +278,7 @@ def test_sl_check_stops_when_every_draw_is_excluded(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "slfib.cli", "sl-check", "--a", "0",
-                           "--extent", "1e-5", "--frames", "3", "--out", str(tmp_path)],
+                           "--extent", "1e-5", "--frames", "3"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     assert "cone-point exclusion" in proc.stderr

@@ -347,7 +347,7 @@ def test_reconstruct_is_strip_only(disc_field_alpha1):
 
 def test_cross_derivative_consistency(strip_field_cos):
     fld = strip_field_cos
-    x, y = fld.grid_axes()
+    x, y = fld.grid.x, fld.grid.y
     hx, hy = x[1] - x[0], y[1] - y[0]
     ux = (np.roll(fld.u, -1, axis=1) - np.roll(fld.u, 1, axis=1)) / (2 * hx)
     vy = np.gradient(fld.v, hy, axis=0, edge_order=2)
@@ -401,7 +401,7 @@ def test_disc_monotone_in_alpha():
 
 def test_apriori_bounds(strip_field_cos):
     fld = strip_field_cos
-    x, _ = fld.grid_axes()
+    x = fld.grid.x
     edges = np.concatenate([fld.v[0], fld.v[-1]])
     assert abs(np.max(np.abs(fld.v)) - np.max(np.abs(edges))) < 1e-8
     hx = x[1] - x[0]
@@ -461,6 +461,9 @@ def test_dump_roundtrip_strip(tmp_path, strip_field_cos):
     path2 = tmp_path / "strip2.csv"
     save_field(strip_field_cos, path2)
     assert path.read_bytes() == path2.read_bytes()
+    # save -> load -> save is byte-identical
+    save_field(back, path2)
+    assert path.read_bytes() == path2.read_bytes()
 
 
 def test_dump_roundtrip_disc(tmp_path, disc_field_alpha1):
@@ -472,6 +475,10 @@ def test_dump_roundtrip_disc(tmp_path, disc_field_alpha1):
     u1, v1 = back.uv(0.3, 0.2)
     u2, v2 = disc_field_alpha1.uv(0.3, 0.2)
     assert abs(u1 - u2) < 1e-14 and abs(v1 - v2) < 1e-14
+    # save -> load -> save is byte-identical
+    path2 = tmp_path / "disc2.csv"
+    save_field(back, path2)
+    assert path.read_bytes() == path2.read_bytes()
 
 
 def test_a_fields_kind_is_its_domains(tmp_path, disc_field_alpha1, strip_field_cos):
@@ -488,11 +495,25 @@ def test_a_fields_kind_is_its_domains(tmp_path, disc_field_alpha1, strip_field_c
         disc_field_alpha1.kind = "periodic-strip"
 
 
-def test_interpolation_matches_nodes(disc_field_alpha1):
-    xg, yg, u, v = disc_field_alpha1.node_arrays()
-    iu, iv = disc_field_alpha1.uv(xg[10, 7], yg[10, 7])
-    assert abs(iu - u[10, 7]) < 1e-12
-    assert abs(iv - v[10, 7]) < 1e-12
+def test_interpolation_matches_nodes(disc_field_alpha1, strip_field_cos):
+    for fld in (disc_field_alpha1, strip_field_cos):
+        xg, yg, u, v = fld.node_arrays()
+        iu, iv = fld.uv(xg, yg)
+        assert np.max(np.abs(iu - u)) < 1e-12
+        assert np.max(np.abs(iv - v)) < 1e-12
+    cu, cv = disc_field_alpha1.uv(0.0, 0.0)
+    assert abs(cu - disc_field_alpha1.u_center) < 1e-12
+    assert abs(cv - disc_field_alpha1.v_center) < 1e-12
+
+
+@pytest.mark.parametrize("n_r, n_theta", [(32, 64), (64, 128)])
+def test_disc_gradient_is_exact_on_affine_potentials(n_r, n_theta):
+    grid = disc_grid(n_r, n_theta)
+    x, y = grid.nodes()
+    w_x, w_y = grid.gradient(0.7 * x - 1.3 * y + 0.25)
+    assert w_x.shape == w_y.shape == x.shape
+    assert np.max(np.abs(w_x - 0.7)) < 1e-12          # every ring, the boundary included
+    assert np.max(np.abs(w_y + 1.3)) < 1e-12
 
 
 # Jacobians and the factor order

@@ -229,14 +229,17 @@ def _max_diff(f1, f2):
     return max(np.max(np.abs(f1.u - f2.u)), np.max(np.abs(f1.v - f2.v)))
 
 
-@pytest.mark.parametrize("kind, seed_b, b", [
-    ("disc", 1.25, 0.625), ("disc", 2.5, 2.1875), ("strip", 0.25, 0.125)])
-def test_warm_start_matches_the_full_continuation(kind, seed_b, b):
+@pytest.mark.parametrize("kind, seed_b, b, res", [
+    ("disc", 1.25, 0.625, (32, 64)), ("disc", 2.5, 2.1875, (32, 64)),
+    ("disc", 1.25, 0.625, (32, 62)),          # the domain rounds 62 angles up to 64
+    ("strip", 0.25, 0.125, (64, 33))],
+    ids=["disc-1.25-0.625", "disc-2.5-2.1875", "disc-1.25-0.625-62-angles", "strip-0.25-0.125"])
+def test_warm_start_matches_the_full_continuation(kind, seed_b, b, res):
     if kind == "disc":
-        fam, res = disc_family(), (32, 64)
+        fam = disc_family()
         ref = solve_disc_limit(fam.boundary(b), DomainSpec.disc(*res), DEFAULT_SCHEDULE)
     else:
-        fam, res = strip_family(0.5), (64, 33)
+        fam = strip_family(0.5)
         ref = solve_strip_limit(*fam.boundary(b), DomainSpec.strip(*res), DEFAULT_SCHEDULE)
     cache = SolverCache()
     seed = solve_family_member(fam, 0.0, seed_b, res, cache=cache)
@@ -320,7 +323,7 @@ def test_warm_attempts_run_interpolant_then_nearer_then_farther(monkeypatch):
     fld = solve_family_member(fam, 0.0, b, res, cache=cache)
     ref = solve_disc_limit(fam.boundary(b), DomainSpec.disc(*res), DEFAULT_SCHEDULE)
 
-    r, theta = lo.grid_axes()
+    r, theta = lo.grid.r, lo.grid.theta
     shift = r[:-1, None] * np.cos(theta)
     expected = [0.75 * lo.f[:-1] + 0.25 * hi.f[:-1],      # interpolant, w = 0.25
                 lo.f[:-1] + b * shift,                    # nearer neighbour, b' = 0
