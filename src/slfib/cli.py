@@ -54,25 +54,29 @@ def _parse_kv(pairs):
 
 
 def _parse_edge(text):
-    """Parse strip edge data: 'const=1,cos 1=0.5,sin 2=-1'."""
+    """Parse strip edge data: 'const=1,cos 1=0.5,sin 2=-1'.
+
+    Each token is exactly const=V, cos K=V or sin K=V; any other token
+    raises a ValueError that names it.
+    """
     const = 0.0
-    cos = {}
-    sin = {}
+    coeffs = {"cos": {}, "sin": {}}
     for token in (text or "").split(","):
         token = token.strip()
         if not token:
             continue
         head, _, val = token.partition("=")
-        head = head.strip()
-        if head == "const":
-            const = float(val)
-        elif head.startswith("cos"):
-            cos[int(head.split()[1])] = float(val)
-        elif head.startswith("sin"):
-            sin[int(head.split()[1])] = float(val)
-        else:
-            raise ValueError(f"cannot parse edge token {token!r}")
-    return BoundarySpec.make(const, cos, sin)
+        words = head.split()
+        try:
+            if words == ["const"]:
+                const = float(val)
+            elif len(words) == 2 and words[0] in coeffs:
+                coeffs[words[0]][int(words[1])] = float(val)
+            else:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"cannot parse edge token {token!r}") from None
+    return BoundarySpec.make(const, coeffs["cos"], coeffs["sin"])
 
 
 def _parse_schedule(text):
@@ -261,7 +265,7 @@ def cmd_sweep(args):
             for t, a_t, b_t in rows:
                 fh.write(f"{t!r},{a_t!r},{b_t!r}\n")
     else:
-        alpha0, alpha1 = fibrations.find_alpha0_alpha1(schedule, resolution)
+        alpha0, alpha1 = fibrations.find_alpha0_alpha1(resolution, schedule)
         ribbon = fibrations.ribbon_report(fibrations.disc_family(), (alpha0, alpha1))
         grid_n = args.alpha_grid or 0
         counts = []
@@ -272,8 +276,8 @@ def cmd_sweep(args):
                 fld = fibrations.solve_family_member(
                     fibrations.disc_family(), 0.0, float(al), resolution, schedule)
                 try:
-                    zeros = singularities.detect_axis_zeros(fld)
-                    counts.append((float(al), len(zeros)))
+                    interior, _ = singularities.detect_axis_zeros(fld)
+                    counts.append((float(al), len(interior)))
                 except LabError as exc:
                     records.append({"alpha": float(al), "error": exc.token})
                     counts.append((float(al), -1))

@@ -133,21 +133,22 @@ class BoundarySpec:
     """Finite trigonometric boundary data.
 
     Disc: a function of theta on the unit circle.  Strip: a function of
-    2*pi*x/P on one edge.  Coefficient maps are harmonic index -> value,
-    stored as sorted tuples so specs hash and compare by value, all finite.
+    2*pi*x/P on one edge.  Coefficient maps are harmonic index k >= 0 ->
+    value, stored as sorted tuples so specs hash and compare by value, all
+    finite.  Built by ``make``.
     """
 
-    constant: float = 0.0
-    cos_coeffs: tuple = ()
-    sin_coeffs: tuple = ()
+    constant: float
+    cos_coeffs: tuple
+    sin_coeffs: tuple
 
     @staticmethod
     def make(constant=0.0, cos=None, sin=None):
         def norm(d):
-            if not d:
-                return ()
-            items = dict(d).items()
-            return tuple(sorted((int(k), float(v)) for k, v in items if float(v) != 0.0))
+            pairs = [(int(k), float(v)) for k, v in dict(d or {}).items()]
+            if any(k < 0 for k, _ in pairs):
+                raise ValueError(f"harmonic indices must be non-negative, got {dict(pairs)}")
+            return tuple(sorted((k, v) for k, v in pairs if v != 0.0))
 
         spec = BoundarySpec(float(constant), norm(cos), norm(sin))
         values = [spec.constant] + [v for _, v in spec.cos_coeffs + spec.sin_coeffs]
@@ -889,7 +890,7 @@ class FactorSlot:
         self.lu = None
 
 
-def _newton(x0, eval_res, factorize, factor=None):
+def _newton(x0, eval_res, factorize, factor):
     """Chord Newton with sup-norm line search.
 
     Each iteration first tries a full chord step with the _LU held in
@@ -1007,13 +1008,13 @@ class SolutionField:
     a: float
     u: np.ndarray
     v: np.ndarray
+    converged: bool
+    residual_norm: float
     f: np.ndarray = None
     f_center: float = 0.0
     u_center: float = 0.0
     v_center: float = 0.0
     boundary: dict = dc_field(default_factory=dict)
-    converged: bool = False
-    residual_norm: float = np.inf
     is_limit: bool = False
     cauchy_increments: tuple = ()
     diagnostics: dict = dc_field(default_factory=dict)

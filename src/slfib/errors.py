@@ -10,9 +10,9 @@ class LabError(Exception):
 
     token = "lab-error"
 
-    def __init__(self, message="", **data):
+    def __init__(self, message, **data):
         self.data = data
-        super().__init__(message or self.token)
+        super().__init__(message)
 
 
 def _make(token_str, doc):

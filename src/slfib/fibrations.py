@@ -81,7 +81,7 @@ class DiscriminantRibbon:
     c_range: str                      # "all-reals" for both families here
     endpoint_kind: tuple              # kind at (b_lo, b_hi)
     counts: tuple                     # singular points per fibre: (exterior, edge, interior)
-    degenerate: bool = False
+    degenerate: bool
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ class FamilySpec:
     """One of the two concrete sweep families."""
 
     kind: str                         # "disc-sweep" | "strip-sweep"
-    t: float = 0.0                    # strip deformation parameter
+    t: float                          # strip deformation parameter
 
     def __post_init__(self):
         if self.kind not in ("disc-sweep", "strip-sweep"):
@@ -104,7 +104,7 @@ class FamilySpec:
 
 
 def disc_family():
-    return FamilySpec("disc-sweep")
+    return FamilySpec("disc-sweep", 0.0)
 
 
 def strip_family(t):
@@ -198,13 +198,11 @@ _shared_cache = SolverCache()
 
 
 def _family_domain(family, resolution):
-    """The resolution (the family default when None) and domain of family fields."""
-    disc = family.kind == "disc-sweep"
-    res = resolution or (DEFAULT_DISC_RESOLUTION if disc else DEFAULT_STRIP_RESOLUTION)
-    return res, (DomainSpec.disc if disc else DomainSpec.strip)(*res)
+    """The domain of family fields at ``resolution``."""
+    return (DomainSpec.disc if family.kind == "disc-sweep" else DomainSpec.strip)(*resolution)
 
 
-def solve_family_member(family, a, b, resolution=None, schedule=None, cache=None):
+def solve_family_member(family, a, b, resolution, schedule=None, cache=None):
     """Solve (or fetch) the family field at level a and parameter b.
 
     A field is cached under its lane, the family kind, t, level a,
@@ -232,13 +230,13 @@ def solve_family_member(family, a, b, resolution=None, schedule=None, cache=None
     schedule = tuple(schedule) if schedule is not None else DEFAULT_SCHEDULE
     b = float(b)
     level = schedule[-1] if a == 0.0 else a      # the level a warm start solves at
-    res, domain = _family_domain(family, resolution)
+    domain = _family_domain(family, resolution)
     disc = family.kind == "disc-sweep"
     data = (family.boundary(b),) if disc else family.boundary(b)
     # module globals, read at call time, so that a patched solver is the one called
     solve_level, solve_limit = ((solve_disc, solve_disc_limit) if disc
                                 else (solve_strip, solve_strip_limit))
-    lane = (family.kind, family.t, round(float(a), 15), res, schedule if a == 0 else None)
+    lane = (family.kind, family.t, round(float(a), 15), resolution, schedule if a == 0 else None)
 
     def starts(seeds):
         grid = domain.grid()
@@ -314,18 +312,18 @@ def _bisect(fn, lo, hi, tol):
     return 0.5 * (lo + hi)
 
 
-def find_alpha0_alpha1(schedule=None, resolution=None, bracket=(-20.0, 20.0),
-                       tol=ROOT_TOL, cache=None):
+def find_alpha0_alpha1(resolution, schedule=None, bracket=(-20.0, 20.0), cache=None):
     """The two bifurcation values of the disc sweep at level zero.
 
     alpha0 is the unique root of alpha -> v(0,0) and alpha1 of
-    alpha -> v(1,0); both probes are strictly increasing in alpha.
+    alpha -> v(1,0); both probes are strictly increasing in alpha.  Each
+    is bisected over ``bracket`` to ROOT_TOL, read at call time.
     """
     fam = disc_family()
     alpha0 = _bisect(_probe(fam, 0.0, (0.0, 0.0), resolution, schedule, cache),
-                     bracket[0], bracket[1], tol)
+                     bracket[0], bracket[1], ROOT_TOL)
     alpha1 = _bisect(_probe(fam, 0.0, (1.0, 0.0), resolution, schedule, cache),
-                     bracket[0], bracket[1], tol)
+                     bracket[0], bracket[1], ROOT_TOL)
     if not alpha0 < alpha1:
         raise BracketFailed("bifurcation values out of order",
                             alpha0=alpha0, alpha1=alpha1)
@@ -342,13 +340,13 @@ def _grown_bracket(fn, tol):
     raise BracketFailed("no sign change up to the maximal bracket", b_max=BRACKET_MAX)
 
 
-def project_to_base(p, family, resolution=None, schedule=None, cache=None,
-                    tol=ROOT_TOL):
+def project_to_base(p, family, resolution, schedule=None, cache=None):
     """Base coordinates of a total-space point under the family fibration.
 
     The level is read off the moment map; the family parameter b is the
     unique root of the strictly increasing map b -> v_(a,b)(x, y) minus
-    Re(z1 z2); the translation c is Im z3 - u_(a,b)(x, y).
+    Re(z1 z2), bisected to ROOT_TOL (read at call time); the translation
+    c is Im z3 - u_(a,b)(x, y).
     """
     z1, z2, z3 = p.z1, p.z2, p.z3
     x = z3.real
@@ -359,11 +357,11 @@ def project_to_base(p, family, resolution=None, schedule=None, cache=None,
         if x * x + y * y >= 1.0:
             raise OutsideTotalSpace("(Re z3)^2 + (Im z1 z2)^2 must be below 1",
                                     x=x, y=y)
-    elif abs(y) >= _family_domain(family, resolution)[1].R:
+    elif abs(y) >= _family_domain(family, resolution).R:
         raise OutsideTotalSpace("|Im z1 z2| must be below the strip's R", y=y)
 
     probe = _probe(family, a, (x, y), resolution, schedule, cache)
-    b = _grown_bracket(lambda b: probe(b) - target, tol)
+    b = _grown_bracket(lambda b: probe(b) - target, ROOT_TOL)
     fld = solve_family_member(family, a, b, resolution, schedule, cache)
     if family.kind == "disc-sweep" and x == 0.0 and y == 0.0:
         u_val = float(fld.u_center)
@@ -374,18 +372,20 @@ def project_to_base(p, family, resolution=None, schedule=None, cache=None,
     return FiberCoordinates(float(a), float(b), float(c))
 
 
-def alpha_beta_curves(t_grid, resolution=None, schedule=None, tol=CURVE_TOL,
-                      cache=None):
+def alpha_beta_curves(t_grid, resolution, schedule=None, cache=None):
     """Edge curves of the strip-sweep discriminant band over a t grid.
 
     alpha(t) and beta(t) are the roots in b of the level-zero probes
-    v(0,0) and v(pi,0); alpha <= beta because v(., 0) peaks at x = 0.
+    v(0,0) and v(pi,0), bisected to CURVE_TOL (read at call time);
+    alpha <= beta because v(., 0) peaks at x = 0.
     """
     out = []
     for t in t_grid:
         fam = strip_family(t)
-        alpha_t = _grown_bracket(_probe(fam, 0.0, (0.0, 0.0), resolution, schedule, cache), tol)
-        beta_t = _grown_bracket(_probe(fam, 0.0, (np.pi, 0.0), resolution, schedule, cache), tol)
+        alpha_t = _grown_bracket(_probe(fam, 0.0, (0.0, 0.0), resolution, schedule, cache),
+                                 CURVE_TOL)
+        beta_t = _grown_bracket(_probe(fam, 0.0, (np.pi, 0.0), resolution, schedule, cache),
+                                CURVE_TOL)
         out.append((float(t), alpha_t, beta_t))
     return out
 
@@ -396,17 +396,17 @@ def ribbon_report(family, params):
     Disc sweep: params = (alpha0, alpha1); the lower end is a fold edge
     (a fused double point), the upper end is where the singular points
     reach the domain boundary.  Strip sweep: params = (alpha_t, beta_t);
-    at t = 0 the band degenerates to the codimension-two line b = 0.
+    at t = 0 the band degenerates to the codimension-two line b = 0,
+    flagged ``degenerate`` when the edges lie within CURVE_TOL of each other.
     """
     if family.kind == "disc-sweep":
         alpha0, alpha1 = params
         return DiscriminantRibbon(
             a_plane=0.0, b_interval=(float(alpha0), float(alpha1)),
             c_range="all-reals", endpoint_kind=("fold-boundary", "domain-boundary"),
-            counts=(0, 1, 2))
+            counts=(0, 1, 2), degenerate=False)
     alpha_t, beta_t = params
-    degenerate = abs(beta_t - alpha_t) < 1e-7
     return DiscriminantRibbon(
         a_plane=0.0, b_interval=(float(alpha_t), float(beta_t)),
         c_range="all-reals", endpoint_kind=("fold-boundary", "fold-boundary"),
-        counts=(0, 1, 2), degenerate=degenerate)
+        counts=(0, 1, 2), degenerate=abs(beta_t - alpha_t) < CURVE_TOL)

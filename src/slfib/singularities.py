@@ -41,10 +41,10 @@ class SingularPointRecord:
     """One detected singular point of an axis field."""
 
     x_location: float
-    type: str = None                    # one of TYPES, or None at the boundary
-    multiplicity: int = None            # positive integer; None when undefined
-    winding_samples: int = 0
-    radius_used: float = 0.0
+    type: str                           # one of TYPES, or None at the boundary
+    multiplicity: int                   # positive integer; None when undefined
+    winding_samples: int
+    radius_used: float
     boundary: bool = False
 
     def to_json(self):
@@ -90,7 +90,7 @@ def is_axis_degenerate(field):
     return False
 
 
-def detect_axis_zeros(field, include_boundary=False):
+def detect_axis_zeros(field):
     """Locate the zeros of the cubic-interpolated v(., 0).
 
     The axis spline is piecewise cubic, so its zeros are the exact roots
@@ -99,8 +99,8 @@ def detect_axis_zeros(field, include_boundary=False):
     than twice the median axis spacing merge into a single location (a
     fused even-multiplicity point seen at finite level-proxy accuracy);
     |v| < TANGENTIAL_THRESHOLD on a longer stretch is nonisolated.
-    Returns sorted interior locations; with ``include_boundary`` a second
-    list of boundary zeros (disc only).
+    Returns (interior, boundary): the sorted interior locations and the
+    sorted boundary zeros, x = -1 or 1 (disc only; empty on the strip).
     """
     if not field.is_singular_level:
         raise ValueError("axis zero detection expects a singular-level field")
@@ -157,15 +157,13 @@ def detect_axis_zeros(field, include_boundary=False):
         locations = [z % field.domain.P for z in locations]
         locations.sort()
 
-    if include_boundary:
-        return locations, boundary_zeros
-    return locations
+    return locations, boundary_zeros
 
 
 def classify_type(field, x_location):
     """Sign-pattern label of v(., 0) on the two sides of an isolated zero."""
     spline, xs = _axis_spline(field)
-    return _sign_label(field, spline, xs, x_location, detect_axis_zeros(field))
+    return _sign_label(field, spline, xs, x_location, detect_axis_zeros(field)[0])
 
 
 def _sign_label(field, spline, xs, x_location, zeros):
@@ -291,7 +289,7 @@ def boundary_extrema_count(spec):
 
 def analyze_field(field, l=None):
     """Full singularity report: records, the l value and the bound verdict."""
-    interior, boundary = detect_axis_zeros(field, include_boundary=True)
+    interior, boundary = detect_axis_zeros(field)
     spline, xs = _axis_spline(field)
     records = []
     scale = 1.0 if field.kind == "disc" else field.domain.P / (2.0 * np.pi)

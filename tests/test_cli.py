@@ -264,6 +264,28 @@ def test_non_finite_input_exits_1_with_one_line(argv, tmp_path, capsys):
     assert len(lines) == 1 and "finite" in lines[0]
 
 
+@pytest.mark.parametrize("token", ["cos=0.5", "sin=0.5", "cosine 1=0.5", "sinh 2=1",
+                                   "cos 1 2=0.5", "const 1=0.5", "cos x=0.5", "cos 1"])
+def test_malformed_strip_edge_token_exits_1_with_one_line(token, tmp_path, capsys):
+    assert run(["solve", "--kind", "strip", "--a", "0.5", "--nx", "32", "--ny", "17",
+                "--top", token, "--bottom", token, "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"cannot parse edge token {token!r}"]
+    assert not (tmp_path / "field.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "disc", "--nx", "32", "--ny", "64", "--cos=-1=1", "--cos", "3=-1"],
+    ["--kind", "strip", "--nx", "32", "--ny", "17", "--top", "cos -3=0.5",
+     "--bottom", "cos -3=0.5"],
+], ids=["disc", "strip"])
+def test_negative_harmonic_index_exits_1_with_one_line(argv, tmp_path, capsys):
+    assert run(["solve", "--a", "0.5", *argv, "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "non-negative" in lines[0]
+    assert not (tmp_path / "field.csv").exists()
+
+
 def test_incompatible_strip_edges_exit_1(tmp_path, capsys):
     assert run(["solve", "--kind", "strip", "--a", "0.5", "--nx", "16", "--ny", "17",
                 "--top", "const=1", "--bottom", "const=0.5", "--out", str(tmp_path)]) == 1

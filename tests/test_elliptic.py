@@ -75,6 +75,20 @@ def test_boundary_data_must_be_finite(field, value):
         BoundarySpec.make(**{field: value if field == "constant" else {1: value}})
 
 
+@pytest.mark.parametrize("make", [
+    lambda: BoundarySpec.make(cos={-1: 1.0}),
+    lambda: BoundarySpec.make(sin={-3: 0.5}),
+    lambda: BoundarySpec.from_json({"constant": 0.0, "cos": {"-3": 0.5}, "sin": {}}),
+], ids=["cos", "sin", "from-json"])
+def test_boundary_data_reject_a_negative_harmonic_index(make):
+    with pytest.raises(ValueError, match="non-negative"):
+        make()
+
+
+def test_boundary_data_keep_the_harmonic_index_zero():
+    assert BoundarySpec.make(cos={0: 0.5}).cos_coeffs == ((0, 0.5),)
+
+
 def test_schedule():
     s = geometric_schedule(1.0, 0.5, 1e-4)
     assert s[0] == 1.0 and s[-1] == 1e-4
@@ -223,7 +237,7 @@ def test_newton_divergence_payload(max_iter, monkeypatch):
         return _plain_lu(jac, np.max(abs(jac) @ np.abs(x.ravel())))
 
     with pytest.raises(SolverDiverged) as err:
-        _newton(np.full((2, 3), 3.0), eval_res, factorize)
+        _newton(np.full((2, 3), 3.0), eval_res, factorize, None)
     assert err.value.data["residual"] >= 1.0
     assert 1 <= err.value.data["iterations"] <= max_iter
 
@@ -242,7 +256,7 @@ def test_stall_bound_follows_the_roundoff_floor():
     def factorize(x):
         return _plain_lu(sp.diags(np.full(x.size, -2e8)).tocsc(), 2e8 * np.max(np.abs(x)))
 
-    _, norm, _, diag = _newton(np.ones(3), eval_res, factorize)
+    _, norm, _, diag = _newton(np.ones(3), eval_res, factorize, None)
     assert norm == 5e-8 > FLOOR_ACCEPT
     assert diag["stagnated"]
     assert diag["tolerance"] == pytest.approx(0.5 * np.finfo(float).eps * 2e8)
@@ -718,7 +732,7 @@ def test_chord_step_that_reaches_the_tolerance_is_kept():
     def factorize(x):
         return _plain_lu(sp.diags(np.full(x.size, 2.5)).tocsc(), 2.5 * np.max(np.abs(x)))
 
-    _, norm, iters, diag = _newton(np.full(3, 2.5e-10), eval_res, factorize)
+    _, norm, iters, diag = _newton(np.full(3, 2.5e-10), eval_res, factorize, None)
     history = diag["history"]
     assert history[2] / history[1] > CHORD_CONTRACTION
     assert norm == history[-1] < NEWTON_TOL == diag["tolerance"]

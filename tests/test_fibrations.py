@@ -35,7 +35,7 @@ STRIP_RES = (48, 25)
 
 def test_family_validation():
     with pytest.raises(ValueError):
-        FamilySpec("circle-sweep")
+        FamilySpec("circle-sweep", 0.0)
 
 
 def test_disc_family_boundary():
@@ -94,7 +94,9 @@ def test_project_outside_total_space():
         project_to_base(big_y, strip_family(0.0), STRIP_RES)
 
 
-def test_project_roundtrip_strip_deformed():
+def test_project_roundtrip_strip_deformed(monkeypatch):
+    import slfib.fibrations as fib
+
     cache = SolverCache()
     fam = strip_family(0.4)
     a, b = 0.3, 0.25
@@ -102,7 +104,8 @@ def test_project_roundtrip_strip_deformed():
     chart = FiberChartPoint(0.7, 0.15, 1.1, a)
     u, v = fld.uv(chart.x, chart.y)
     p = fiber_points(fld, chart)
-    coords = project_to_base(p, fam, STRIP_RES, cache=cache, tol=1e-7)
+    monkeypatch.setattr(fib, "ROOT_TOL", 1e-7)
+    coords = project_to_base(p, fam, STRIP_RES, cache=cache)
     assert abs(coords.a - a) < 1e-12
     assert abs(coords.b - b) < 1e-6
     assert abs(coords.c - 0.0) < 1e-6
@@ -138,14 +141,22 @@ def test_ribbon_reports():
     assert not wide.degenerate and wide.endpoint_kind == ("fold-boundary",) * 2
 
 
-def test_singular_count_profile_across_the_band():
+def test_strip_ribbon_within_the_edge_tolerance_is_degenerate():
+    # edges bisected to CURVE_TOL cannot tell a band narrower than it from a line
+    assert ribbon_report(strip_family(1e-5), (-4e-6, 4e-6)).degenerate
+
+
+def test_singular_count_profile_across_the_band(monkeypatch):
+    import slfib.fibrations as fib
+
     # axis-zero counts just outside the band, at both edges and at its midpoint
     res, schedule, cache = (32, 17), geometric_schedule(0.5, 0.25, 1e-3), SolverCache()
-    (_, alpha, beta), = alpha_beta_curves([0.5], res, schedule, tol=1e-9, cache=cache)
+    monkeypatch.setattr(fib, "CURVE_TOL", 1e-9)
+    (_, alpha, beta), = alpha_beta_curves([0.5], res, schedule, cache=cache)
     delta = max(0.05 * (beta - alpha), 1e-3)
     samples = [alpha - delta, alpha, 0.5 * (alpha + beta), beta, beta + delta]
     counts = [len(detect_axis_zeros(
-        solve_family_member(strip_family(0.5), 0.0, b, res, schedule, cache)))
+        solve_family_member(strip_family(0.5), 0.0, b, res, schedule, cache))[0])
         for b in samples]
     assert counts == [0, 1, 2, 1, 0]
     assert alpha < 0.0 < beta

@@ -31,7 +31,7 @@ def oracle_disc_field(negate=False):
 
 
 def test_cone_field_single_zero():
-    zeros = detect_axis_zeros(oracle_disc_field())
+    zeros = detect_axis_zeros(oracle_disc_field())[0]
     assert len(zeros) == 1
     assert abs(zeros[0]) < 1e-8
 
@@ -41,7 +41,7 @@ def test_cone_field_single_zero():
     ids=["disc", "strip"])
 def test_interior_zeros_are_roots_of_the_axis_spline(family, b, resolution):
     fld = solve_family_member(family, 0.0, b, resolution, cache=SolverCache())
-    zeros = detect_axis_zeros(fld)
+    zeros = detect_axis_zeros(fld)[0]
     spline = _axis_spline(fld)[0]
     assert len(zeros) == 2
     assert max(abs(float(spline(z))) for z in zeros) <= 1e-14
@@ -49,7 +49,7 @@ def test_interior_zeros_are_roots_of_the_axis_spline(family, b, resolution):
 
 def test_constant_field_no_zeros():
     fld = field_from_callables(STRIP, 0.0, lambda x, y: 0 * x, lambda x, y: 0 * x + 1.0)
-    assert detect_axis_zeros(fld) == []
+    assert detect_axis_zeros(fld)[0] == []
 
 
 def test_cone_increasing_type():
@@ -63,7 +63,7 @@ def test_mirror_cone_decreasing_type():
 def test_parabola_maximum_type():
     fld = field_from_callables(DISC, 0.0, lambda x, y: -y,
                                lambda x, y: -(x * x) - 0.05 * y * y)
-    zeros = detect_axis_zeros(fld)
+    zeros = detect_axis_zeros(fld)[0]
     assert len(zeros) == 1 and abs(zeros[0]) < 1e-6
     assert classify_type(fld, zeros[0]) == "maximum"
 
@@ -71,14 +71,14 @@ def test_parabola_maximum_type():
 def test_reflection_swaps_min_max():
     fld = field_from_callables(DISC, 0.0, lambda x, y: -y,
                                lambda x, y: x * x + 0.05 * y * y)
-    assert classify_type(fld, detect_axis_zeros(fld)[0]) == "minimum"
+    assert classify_type(fld, detect_axis_zeros(fld)[0][0]) == "minimum"
 
 
 def test_probe_too_close():
     fld = field_from_callables(DISC, 0.0, lambda x, y: -y,
                                lambda x, y: 0 * x + 1e-12)
     with pytest.raises((ProbeTooClose, NonisolatedSingularities)):
-        zeros = detect_axis_zeros(fld)
+        zeros = detect_axis_zeros(fld)[0]
         classify_type(fld, zeros[0] if zeros else 0.0)
 
 
@@ -133,13 +133,13 @@ def test_nonisolated_detection_on_a_stretch_of_the_axis(kind):
 def test_tangential_zero_between_spline_roots():
     # v > 0 on the axis, so PPoly.roots finds nothing: the zero is the critical point
     fld = field_from_callables(DISC, 0.0, lambda x, y: -y, lambda x, y: (x - 0.3) ** 2 + 1e-7)
-    zeros = detect_axis_zeros(fld)
+    zeros = detect_axis_zeros(fld)[0]
     assert len(zeros) == 1 and zeros[0] == pytest.approx(0.3, abs=1e-12)
 
 
 def test_boundary_zeros_are_listed_apart():
     fld = field_from_callables(DISC, 0.0, lambda x, y: -y, lambda x, y: x * x - 1.0)
-    assert detect_axis_zeros(fld, include_boundary=True) == ([], [-1.0, 1.0])
+    assert detect_axis_zeros(fld) == ([], [-1.0, 1.0])
 
 
 def test_degenerate_disc_boundary_spec():
@@ -154,23 +154,23 @@ def test_requires_singular_level(disc_field_alpha1):
 
 
 def test_bound_check_cases():
-    two_simple = [SingularPointRecord(-0.3, "increasing", 1),
-                  SingularPointRecord(0.3, "decreasing", 1)]
+    two_simple = [SingularPointRecord(-0.3, "increasing", 1, 0, 0.0),
+                  SingularPointRecord(0.3, "decreasing", 1, 0, 0.0)]
     assert bound_check(two_simple, 3)
-    fused = [SingularPointRecord(0.0, "maximum", 2)]
+    fused = [SingularPointRecord(0.0, "maximum", 2, 0, 0.0)]
     assert bound_check(fused, 3)
-    three = two_simple + [SingularPointRecord(0.7, "increasing", 1)]
+    three = two_simple + [SingularPointRecord(0.7, "increasing", 1, 0, 0.0)]
     assert not bound_check(three, 3)
     with pytest.raises(ValueError):
         bound_check([], 0)
 
 
 def test_parity_invariant():
-    assert SingularPointRecord(0.0, "increasing", 1).parity_ok()
-    assert not SingularPointRecord(0.0, "increasing", 2).parity_ok()
-    assert SingularPointRecord(0.0, "maximum", 2).parity_ok()
-    assert not SingularPointRecord(0.0, "minimum", 3).parity_ok()
-    assert SingularPointRecord(1.0, None, None, boundary=True).parity_ok()
+    assert SingularPointRecord(0.0, "increasing", 1, 0, 0.0).parity_ok()
+    assert not SingularPointRecord(0.0, "increasing", 2, 0, 0.0).parity_ok()
+    assert SingularPointRecord(0.0, "maximum", 2, 0, 0.0).parity_ok()
+    assert not SingularPointRecord(0.0, "minimum", 3, 0, 0.0).parity_ok()
+    assert SingularPointRecord(1.0, None, None, 0, 0.0, boundary=True).parity_ok()
 
 
 def test_boundary_extrema_count():
@@ -191,7 +191,7 @@ def test_analyze_cone_field():
 
 
 def test_boundary_record_json():
-    rec = SingularPointRecord(1.0, None, None, boundary=True)
+    rec = SingularPointRecord(1.0, None, None, 0, 0.0, boundary=True)
     assert rec.to_json()["multiplicity"] == "undefined-at-boundary"
 
 
