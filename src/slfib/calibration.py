@@ -123,21 +123,25 @@ def fiber_points(field, chart):
     v = float(v)
     z3 = chart.x + 1j * u
     w = v + 1j * chart.y
-    m = v * v + chart.y * chart.y
+    # |w| by hypot, never |w|^2: squaring a tiny |w| underflows to a
+    # subnormal and loses most of its digits
+    rho = float(np.hypot(v, chart.y))
     if a >= 0.0:
-        r2 = a + np.sqrt(a * a + m)
+        r2 = a + np.hypot(a, rho)
+        if r2 > 0.0:
+            z1 = np.sqrt(r2) * np.exp(1j * chart.phase)
+            z2 = w / z1
+        else:
+            z1 = 0.0 + 0.0j
+            z2 = 0.0 + 0.0j
     else:
-        # conjugate form: stable where the positive root nearly cancels
-        r2 = m / (abs(a) + np.sqrt(a * a + m)) if m > 0.0 else 0.0
-    if r2 > 0.0:
-        z1 = np.sqrt(r2) * np.exp(1j * chart.phase)
-        z2 = w / z1
-    elif a < 0.0:
-        z1 = 0.0 + 0.0j
-        z2 = np.sqrt(-2.0 * a) * np.exp(-1j * chart.phase)
-    else:
-        z1 = 0.0 + 0.0j
-        z2 = 0.0 + 0.0j
+        # conjugate form |z1| = |w| / sqrt(s), |z2| = sqrt(s): stable where
+        # the positive root nearly cancels, and z2 keeps full precision
+        # when |z1| is subnormal
+        s = abs(a) + np.hypot(a, rho)
+        unit = w / rho if rho > 0.0 else 1.0 + 0.0j
+        z1 = rho / np.sqrt(s) * np.exp(1j * chart.phase)
+        z2 = unit * np.sqrt(s) * np.exp(-1j * chart.phase)
     return ComplexPoint3(complex(z1), complex(z2), complex(z3))
 
 

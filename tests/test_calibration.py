@@ -95,6 +95,14 @@ def test_chart_invariants(a, x, y, phase):
     assert abs(w.real - float(v)) < 1e-12 * max(1.0, abs(float(v)))
 
 
+def test_subnormal_w_keeps_level():
+    # |w|^2 underflows to a subnormal here; the level must not drift
+    for a, y in ((-1.0, 1.9681663861036142e-160), (-0.5, 1e-320), (0.0, 1e-320)):
+        p = fiber_points(NaSlice(a), FiberChartPoint(0.0, y, 0.3, a))
+        assert abs(abs(p.z1) ** 2 - abs(p.z2) ** 2 - 2 * a) < 1e-12
+        assert abs((p.z1 * p.z2).imag - y) < 1e-12
+
+
 def test_mirror_level_gives_z2_circle():
     p = fiber_points(NaSlice(-0.5), FiberChartPoint(0.0, 0.0, 0.25, -0.5))
     assert p.z1 == 0 and abs(abs(p.z2) ** 2 - 1.0) < 1e-14
