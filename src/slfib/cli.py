@@ -45,19 +45,24 @@ _SOLVER_TOKENS = ("solver-diverged", "continuation-failed")
 SL_CHECK_DRAWS_PER_FRAME = 100
 
 
-def _parse_kv(pairs):
-    out = {}
-    for item in pairs or []:
-        k, _, v = item.partition("=")
-        out[int(k)] = float(v)
-    return out
+def _coefficient(item, where):
+    """(K, V) of a 'K=V' item, K an integer; a ValueError naming ``where`` otherwise."""
+    k, _, v = item.partition("=")
+    try:
+        return int(k), float(v)
+    except ValueError:
+        raise ValueError(f"cannot parse {where}") from None
+
+
+def _parse_kv(flag, items):
+    return dict(_coefficient(item, f"--{flag} item {item!r}") for item in items or [])
 
 
 def _parse_edge(text):
     """Parse strip edge data: 'const=1,cos 1=0.5,sin 2=-1'.
 
-    Each token is exactly const=V, cos K=V or sin K=V; any other token
-    raises a ValueError that names it.
+    Each token is exactly const=V, cos K=V or sin K=V, K=V read as a
+    --cos item is; any other token raises a ValueError that names it.
     """
     const = 0.0
     coeffs = {"cos": {}, "sin": {}}
@@ -66,12 +71,12 @@ def _parse_edge(text):
         if not token:
             continue
         head, _, val = token.partition("=")
-        words = head.split()
+        word, *item = token.split(None, 1)
         try:
-            if words == ["const"]:
+            if head.split() == ["const"]:
                 const = float(val)
-            elif len(words) == 2 and words[0] in coeffs:
-                coeffs[words[0]][int(words[1])] = float(val)
+            elif word in coeffs and item:
+                k, coeffs[word][k] = _coefficient(item[0], f"edge token {token!r}")
             else:
                 raise ValueError
         except ValueError:
@@ -156,7 +161,8 @@ def _solve_from_args(args):
     domain = _domain_from_args(args)
     schedule = _parse_schedule(args.schedule) or geometric_schedule()
     if args.kind == "disc":
-        data = (BoundarySpec.make(args.const, _parse_kv(args.cos), _parse_kv(args.sin)),)
+        data = (BoundarySpec.make(args.const, _parse_kv("cos", args.cos),
+                                  _parse_kv("sin", args.sin)),)
         solve, solve_limit = solve_disc, solve_disc_limit
     else:
         data = (_parse_edge(args.top), _parse_edge(args.bottom))

@@ -368,10 +368,13 @@ class _Reflections:
     shallow copy of its grid with its own ``shape``, ``pos``, ``pattern``,
     ``_fold``, ``unknowns`` and ``_src``, ``_sgn``: the box node and sign of
     each full-grid unknown.  Each system keeps its band layout in ``_band``
-    once it is built.
+    once it is built.  ``contains`` reads the grid's ``margin``.
     """
 
     _band = None
+
+    def contains(self, x, y):
+        return self.margin(x, y) >= -1e-12
 
     def quotient(self, sym):
         """The system for data of parities sym = (sx, sy): 1 even, -1 odd, 0 neither."""
@@ -444,7 +447,7 @@ class DiscGrid(_Reflections):
     """Polar tensor grid on the unit disc with its sparse difference operators.
 
     A disc field's geometry lives here: its nodes (rings 1..N by angles),
-    cell size, domain test, axis samples, interpolant and gradient.
+    cell size, margin to the boundary, axis samples, interpolant and gradient.
     ``angular`` holds the 3-point angular stencils on angles j-1, j, j+1:
     "id", "d1" (f_theta, over 2 sin h) and "d2" (f_thetatheta, over
     2 - 2 cos h), h = 2 pi / M.  ops64 builds its operators from them and
@@ -638,8 +641,9 @@ class DiscGrid(_Reflections):
         """The widest radial spacing, the pole's included."""
         return float(max(np.max(np.diff(self.r)), self.r[0]))
 
-    def contains(self, x, y):
-        return np.hypot(np.asarray(x, float), np.asarray(y, float)) <= 1.0 + 1e-12
+    def margin(self, x, y):
+        """The distance from (x, y) to the unit circle, negative outside."""
+        return 1.0 - np.hypot(np.asarray(x, float), np.asarray(y, float))
 
     def axis(self, w, centre):
         """Positions and values of nodal w on y = 0, from -1 through the centre to 1."""
@@ -772,8 +776,9 @@ class StripGrid(_Reflections):
     def cell(self):
         return float(max(self.x[1] - self.x[0], self.y[1] - self.y[0]))
 
-    def contains(self, x, y):
-        return np.abs(np.asarray(y, float)) <= self.R + 1e-12
+    def margin(self, x, y):
+        """The distance from (x, y) to the strip's edges, negative outside."""
+        return self.R - np.abs(np.asarray(y, float))
 
     def axis(self, w, centre):
         """Positions and values of nodal w on y = 0 over [0, P], the seam value repeated."""

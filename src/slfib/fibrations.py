@@ -353,12 +353,8 @@ def project_to_base(p, family, resolution, schedule=None, cache=None):
     y = (z1 * z2).imag
     target = (z1 * z2).real
     a = 0.5 * (abs(z1) ** 2 - abs(z2) ** 2)
-    if family.kind == "disc-sweep":
-        if x * x + y * y >= 1.0:
-            raise OutsideTotalSpace("(Re z3)^2 + (Im z1 z2)^2 must be below 1",
-                                    x=x, y=y)
-    elif abs(y) >= _family_domain(family, resolution).R:
-        raise OutsideTotalSpace("|Im z1 z2| must be below the strip's R", y=y)
+    if _family_domain(family, resolution).grid().margin(x, y) <= 0.0:
+        raise OutsideTotalSpace(f"({x!r}, {y!r}) is outside the family's domain", x=x, y=y)
 
     probe = _probe(family, a, (x, y), resolution, schedule, cache)
     b = _grown_bracket(lambda b: probe(b) - target, ROOT_TOL)

@@ -12,6 +12,9 @@ record the sign of v(., 0) on either side:
 
 Increasing/decreasing types force odd multiplicity, maximum/minimum
 types force even multiplicity.
+
+The domain's shape comes from ``field.grid``, whose ``margin`` bounds
+the winding circles and marks the disc's boundary zeros.
 """
 
 from dataclasses import dataclass, asdict
@@ -31,6 +34,7 @@ PROBE_SIGN_FLOOR = 1e-9
 MIN_CIRCLE_NORM = 1e-7
 WINDING_DEFECT = 0.1
 MIN_CIRCLE_SAMPLES = 128
+CIRCLE_MARGIN = 1e-9               # a winding circle stays this far inside the domain
 MAX_CIRCLE_SAMPLES = 2**16
 
 TYPES = ("increasing", "decreasing", "maximum", "minimum")
@@ -70,26 +74,6 @@ def _axis_spline(field):
     return CubicSpline(xs, vs, bc_type="periodic" if periodic else "not-a-knot"), xs
 
 
-def is_axis_degenerate(field):
-    """Whether the boundary data force v to vanish along the whole axis.
-
-    This happens exactly when the field coincides with its own reflection:
-    pure-sine potential data on the disc, or strip edges with
-    bottom = -top.  Such fields are singular along the axis and their
-    singular points are nonisolated.
-    """
-    b = field.boundary or {}
-    if field.kind == "disc" and "circle" in b:
-        spec = b["circle"]
-        return spec.constant == 0.0 and not spec.cos_coeffs
-    if field.kind == "periodic-strip" and "top" in b and "bottom" in b:
-        top, bot = b["top"], b["bottom"]
-        return (bot.constant == -top.constant
-                and bot.cos_coeffs == tuple((k, -c) for k, c in top.cos_coeffs)
-                and bot.sin_coeffs == tuple((k, -c) for k, c in top.sin_coeffs))
-    return False
-
-
 def detect_axis_zeros(field):
     """Locate the zeros of the cubic-interpolated v(., 0).
 
@@ -104,8 +88,6 @@ def detect_axis_zeros(field):
     """
     if not field.is_singular_level:
         raise ValueError("axis zero detection expects a singular-level field")
-    if is_axis_degenerate(field):
-        raise NonisolatedSingularities("field equals its own reflection")
 
     spline, xs = _axis_spline(field)
     lo, hi = float(xs[0]), float(xs[-1])
@@ -143,12 +125,9 @@ def detect_axis_zeros(field):
 
     boundary_zeros = []
     if field.kind == "disc":
-        locations, interior_locs = [], locations
-        for z in interior_locs:
-            if 1.0 - abs(z) < max(cluster_tol, 1e-6):
-                boundary_zeros.append(float(np.sign(z)))
-            else:
-                locations.append(z)
+        edge = max(cluster_tol, 1e-6)
+        boundary_zeros = [float(np.sign(z)) for z in locations if field.grid.margin(z, 0.0) < edge]
+        locations = [z for z in locations if field.grid.margin(z, 0.0) >= edge]
         for xb in (-1.0, 1.0):
             if abs(float(spline(xb))) < TANGENTIAL_THRESHOLD and xb not in boundary_zeros:
                 boundary_zeros.append(xb)
@@ -221,12 +200,12 @@ def winding_multiplicity(field, x_location, radius):
     Samples the difference field on the circle, accumulates wrapped angle
     increments and divides by 2 pi.  The sample count doubles (from
     MIN_CIRCLE_SAMPLES up to MAX_CIRCLE_SAMPLES) and the radius shrinks
-    when samples come too close to zero or the total fails to settle on
-    an integer.
+    when samples come too close to zero, the total fails to settle on an
+    integer or the circle is not CIRCLE_MARGIN inside ``field.grid``'s domain.
     """
     rad = float(radius)
     for shrink in range(6):
-        if not _circle_in_domain(field, x_location, rad):
+        if not 0 < rad < field.grid.margin(x_location, 0.0) - CIRCLE_MARGIN:
             rad *= 0.6
             continue
         m = MIN_CIRCLE_SAMPLES
@@ -251,14 +230,6 @@ def winding_multiplicity(field, x_location, radius):
                              x=x_location, radius=rad)
     raise WindingUnresolved("angle accumulation did not settle", x=x_location,
                             radius=rad)
-
-
-def _circle_in_domain(field, x0, radius):
-    if radius <= 0:
-        return False
-    if field.kind == "disc":
-        return abs(x0) + radius < 1.0 - 1e-9
-    return radius < field.domain.R - 1e-12
 
 
 def bound_check(records, l):
@@ -294,13 +265,10 @@ def analyze_field(field, l=None):
     records = []
     scale = 1.0 if field.kind == "disc" else field.domain.P / (2.0 * np.pi)
     for z in interior:
-        others = [w for w in interior if w != z] + [b for b in boundary]
-        if field.kind == "disc":
-            gaps = [abs(w - z) for w in others] + [1.0 - abs(z)]
-        else:
-            period = field.domain.P
-            gaps = [min(abs(w - z), period - abs(w - z)) for w in others] + [field.domain.R]
-        radius = min(0.45 * min(gaps), 0.3 * scale)
+        gaps = [abs(w - z) for w in interior + boundary if w != z]
+        if field.kind != "disc":
+            gaps = [min(g, field.domain.P - g) for g in gaps]
+        radius = min(0.45 * min(gaps + [field.grid.margin(z, 0.0)]), 0.3 * scale)
         radius = max(radius, 4.0 * field.grid.cell())
         label = _sign_label(field, spline, xs, z, interior)
         mult, samples, rad = winding_multiplicity(field, z, radius)
@@ -312,7 +280,7 @@ def analyze_field(field, l=None):
         "l": l,
         "parity_ok": all(r.parity_ok() for r in records),
     }
-    if l is None and field.kind == "disc" and "circle" in (field.boundary or {}):
+    if l is None and "circle" in (field.boundary or {}):
         report["l"] = boundary_extrema_count(field.boundary["circle"])
     if report["l"] is not None:
         report["bound_ok"] = bound_check(records, report["l"])

@@ -274,6 +274,16 @@ def test_malformed_strip_edge_token_exits_1_with_one_line(token, tmp_path, capsy
     assert not (tmp_path / "field.csv").exists()
 
 
+@pytest.mark.parametrize("flag", ["--cos", "--sin"])
+@pytest.mark.parametrize("item", ["1", "x=1", "1.5=1", "=2"])
+def test_malformed_disc_item_exits_1_with_one_line_naming_it(flag, item, tmp_path, capsys):
+    assert run(["solve", "--kind", "disc", "--a", "0.5", "--nx", "16", "--ny", "32",
+                flag, item, "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"cannot parse {flag} item {item!r}"]
+    assert not (tmp_path / "field.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["--kind", "disc", "--nx", "32", "--ny", "64", "--cos=-1=1", "--cos", "3=-1"],
     ["--kind", "strip", "--nx", "32", "--ny", "17", "--top", "cos -3=0.5",

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from slfib.elliptic import BoundarySpec, DomainSpec, field_from_callables
+from slfib.elliptic import (
+    BoundarySpec,
+    DomainSpec,
+    field_from_callables,
+    geometric_schedule,
+    solve_disc_limit,
+    solve_strip_limit,
+)
 from slfib.errors import NonisolatedSingularities, ProbeTooClose
 from slfib.fibrations import SolverCache, disc_family, solve_family_member, strip_family
 from slfib.models import na_oracle_grid
@@ -13,7 +20,6 @@ from slfib.singularities import (
     boundary_extrema_count,
     classify_type,
     detect_axis_zeros,
-    is_axis_degenerate,
     winding_multiplicity,
 )
 
@@ -100,13 +106,21 @@ def test_winding_on_cone_field():
     assert mult_half == 1
 
 
+def test_winding_circle_that_leaves_the_domain_shrinks():
+    # 1.2 leaves the unit disc and 1.5 the strip |y| <= 1; one shrink by 0.6 brings each inside
+    assert winding_multiplicity(oracle_disc_field(), 0.0, 1.2) == (1, 128, 0.72)
+    fld = field_from_callables(STRIP, 0.0, lambda x, y: y * np.sin(x),
+                               lambda x, y: np.cos(x) + 0 * y)
+    mult, samples, radius = winding_multiplicity(fld, 0.5 * np.pi, 1.5)
+    assert (mult, samples) == (1, 128) and radius == pytest.approx(0.9, abs=1e-12)
+
+
 def test_nonisolated_detection_by_symmetry():
     fld = field_from_callables(STRIP, 0.0, lambda x, y: 0 * x, lambda x, y: 0.1 * y)
     fld.boundary = {
         "top": BoundarySpec.make(constant=0.1),
         "bottom": BoundarySpec.make(constant=-0.1),
     }
-    assert is_axis_degenerate(fld)
     with pytest.raises(NonisolatedSingularities):
         detect_axis_zeros(fld)
 
@@ -142,10 +156,20 @@ def test_boundary_zeros_are_listed_apart():
     assert detect_axis_zeros(fld) == ([], [-1.0, 1.0])
 
 
-def test_degenerate_disc_boundary_spec():
-    fld = oracle_disc_field()
-    fld.boundary = {"circle": BoundarySpec.make(sin={1: 1.0})}
-    assert is_axis_degenerate(fld)
+@pytest.mark.parametrize("kind", ["disc", "strip"])
+def test_solved_self_reflecting_data_are_nonisolated(kind):
+    # pure-sine disc data and strip edges with bottom = -top: the solved v
+    # vanishes along the whole axis, which the stretch test reports
+    schedule = geometric_schedule(1.0, 0.25)
+    if kind == "disc":
+        fld = solve_disc_limit(BoundarySpec.make(sin={1: 1.0, 2: 0.3}),
+                               DomainSpec.disc(32, 64), schedule)
+    else:
+        fld = solve_strip_limit(BoundarySpec.make(cos={1: 0.5}, sin={2: 0.2}),
+                                BoundarySpec.make(cos={1: -0.5}, sin={2: -0.2}),
+                                STRIP, schedule)
+    with pytest.raises(NonisolatedSingularities):
+        detect_axis_zeros(fld)
 
 
 def test_requires_singular_level(disc_field_alpha1):
@@ -193,6 +217,17 @@ def test_analyze_cone_field():
 def test_boundary_record_json():
     rec = SingularPointRecord(1.0, None, None, 0, 0.0, boundary=True)
     assert rec.to_json()["multiplicity"] == "undefined-at-boundary"
+
+
+def test_analyze_boundary_zeros_and_the_bound_from_circle_data():
+    # v vanishes only where the axis meets the circle; l counts the maxima of the data
+    fld = field_from_callables(DISC, 0.0, lambda x, y: -y, lambda x, y: x * x - 1.0)
+    fld.boundary = {"circle": BoundarySpec.make(cos={1: 1.25, 3: -1.0})}
+    report = analyze_field(fld)
+    recs = [r.to_json() for r in report["records"]]
+    assert [(r["x_location"], r["boundary"], r["multiplicity"]) for r in recs] == [
+        (-1.0, True, "undefined-at-boundary"), (1.0, True, "undefined-at-boundary")]
+    assert report["l"] == 3 and report["bound_ok"] is True and report["parity_ok"] is True
 
 
 def test_analyze_detects_axis_zeros_once(monkeypatch):
