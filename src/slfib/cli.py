@@ -90,60 +90,46 @@ def _parse_schedule(text):
     return tuple(float(tok) for tok in text.split(","))
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if hasattr(obj, "to_json"):
-        return obj.to_json()
-    if hasattr(obj, "__dict__"):
-        return obj.__dict__
-    raise TypeError(f"not serialisable: {type(obj)}")
-
-
 def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1, default=_json_default)
+        json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+# the options that a subcommand cannot run without, given as flags or by --config
+REQUIRED = {"solve": ("kind", "a"), "sweep": ("family",),
+            "project": ("family", "z1", "z2", "z3"), "oracle": ("a",)}
 
 
 def _parse_args(argv):
     """Parse argv; config-file values replace the defaults, explicit flags win.
 
-    A lenient parse, in which nothing is required, finds the subcommand
-    and its --config.  The config keys that name an option of that
-    subcommand become its defaults (numbers as strings, so that the
-    option's type applies), a required option that the config gives is
-    required no more, and argv is parsed again, so a flag given at its
-    default value still wins.  A key whose option the lenient parse
-    already moved off its default is dropped, so a repeatable flag
-    such as --cos replaces the config's list instead of extending it.
-    Without a config, or when the lenient parse fails, argv is parsed by
-    the strict parser, which reports any error.
+    With --config, the config keys that name an option of the subcommand
+    become its defaults (numbers as strings, so that the option's type
+    applies) and argv is parsed again, so a flag given at its default
+    value still wins.  A key whose option argv already moved off its
+    default is dropped, so a repeatable flag such as --cos replaces the
+    config's list instead of extending it.  An option of REQUIRED that
+    neither argv nor the config gives is an error.
     """
-    try:
-        args, _ = build_parser(supplied=None)[0].parse_known_args(argv)
-    except argparse.ArgumentError:
-        args = None
-    if args is None or not args.config:
-        return build_parser()[0].parse_args(argv)
-    with open(args.config) as fh:
-        conf = {key.replace("-", "_"): value for key, value in json.load(fh).items()}
-    parser, commands = build_parser(supplied=conf)
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)
     sub = commands[args.command]
-    # a JSON number goes in as a string, which argparse converts by the option's type
-    sub.set_defaults(**{
-        dest: str(value) if type(value) in (int, float) else value
-        for dest, value in conf.items()
-        if hasattr(args, dest) and dest not in ("command", "fn", "config")
-        and getattr(args, dest) == sub.get_default(dest)})
-    return parser.parse_args(argv)
-
-
-class _LenientParser(argparse.ArgumentParser):
-    """A parser that raises ArgumentError where argparse would exit."""
-
-    def error(self, message):
-        raise argparse.ArgumentError(None, message)
+    if args.config:
+        with open(args.config) as fh:
+            conf = {key.replace("-", "_"): value for key, value in json.load(fh).items()}
+        # a JSON number goes in as a string, which argparse converts by the option's type
+        sub.set_defaults(**{
+            dest: str(value) if type(value) in (int, float) else value
+            for dest, value in conf.items()
+            if hasattr(args, dest) and dest not in ("command", "fn", "config")
+            and getattr(args, dest) == sub.get_default(dest)})
+        args = parser.parse_args(argv)
+    missing = [f"--{dest}" for dest in REQUIRED.get(args.command, ())
+               if getattr(args, dest) is None]
+    if missing:
+        sub.error(f"the following arguments are required: {', '.join(missing)}")
+    return args
 
 
 def _domain_from_args(args):
@@ -172,10 +158,9 @@ def _solve_from_args(args):
     return solve(*data, args.a, domain)
 
 
-def _add_solve_args(p, required):
-    """The solve flags; ``required(dest)`` tells whether --kind / --a must be given."""
-    p.add_argument("--kind", choices=("disc", "strip"), required=required("kind"))
-    p.add_argument("--a", type=float, required=required("a"))
+def _add_solve_args(p):
+    p.add_argument("--kind", choices=("disc", "strip"))
+    p.add_argument("--a", type=float)
     p.add_argument("--nx", type=int, default=None)
     p.add_argument("--ny", type=int, default=None)
     p.add_argument("--R", type=float, default=1.0)
@@ -231,7 +216,7 @@ def cmd_classify(args):
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, args.report)
     _write_json(path, payload)
-    print(json.dumps(payload, sort_keys=True, default=_json_default))
+    print(json.dumps(payload, sort_keys=True))
     return EXIT_OK
 
 
@@ -242,6 +227,8 @@ def _sweep_point_section7(task):
 
 
 def cmd_sweep(args):
+    if args.alpha_grid < 0:
+        raise ValueError(f"--alpha-grid must be non-negative, got {args.alpha_grid}")
     os.makedirs(args.out, exist_ok=True)
     schedule = _parse_schedule(args.schedule)
     default = (fibrations.DEFAULT_STRIP_RESOLUTION if args.family == "section7"
@@ -273,11 +260,10 @@ def cmd_sweep(args):
     else:
         alpha0, alpha1 = fibrations.find_alpha0_alpha1(resolution, schedule)
         ribbon = fibrations.ribbon_report(fibrations.disc_family(), (alpha0, alpha1))
-        grid_n = args.alpha_grid or 0
         counts = []
-        if grid_n:
+        if args.alpha_grid:
             spread = 0.5 * (alpha1 - alpha0)
-            alphas = np.linspace(alpha0 - spread, alpha1 + spread, grid_n)
+            alphas = np.linspace(alpha0 - spread, alpha1 + spread, args.alpha_grid)
             for al in alphas:
                 fld = fibrations.solve_family_member(
                     fibrations.disc_family(), 0.0, float(al), resolution, schedule)
@@ -295,7 +281,7 @@ def cmd_sweep(args):
     nd_path = os.path.join(args.out, "sweep.ndjson")
     with open(nd_path, "w") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True, default=_json_default) + "\n")
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
     print(f"sweep written to {nd_path}")
     return EXIT_OK
 
@@ -410,7 +396,7 @@ def cmd_monodromy(args):
         return EXIT_OK
     if args.show_fixed:
         model = pos if args.vertex == "positive" else neg
-        print(json.dumps(model.fixed, sort_keys=True, default=_json_default))
+        print(json.dumps(model.fixed, sort_keys=True))
         return EXIT_OK
     os.makedirs(args.out, exist_ok=True)
     for name, model in (("positive", pos), ("negative", neg)):
@@ -430,15 +416,23 @@ def cmd_monodromy(args):
     return EXIT_OK if all_ok else EXIT_ERROR
 
 
+def _grid_axis(part):
+    lo, hi, n = part.split(":")
+    return np.linspace(float(lo), float(hi), int(n))     # a negative n is a ValueError
+
+
+def _parse_grid(text):
+    """The x and y axes of an 'x0:x1:n;y0:y1:n' --grid; a ValueError naming it otherwise."""
+    try:
+        part_x, part_y = text.split(";")
+        return _grid_axis(part_x), _grid_axis(part_y)
+    except ValueError:
+        raise ValueError(f"cannot parse --grid {text!r}") from None
+
+
 def cmd_oracle(args):
     if args.grid:
-        part_x, part_y = args.grid.split(";")
-
-        def parse_axis(part):
-            lo, hi, n = part.split(":")
-            return np.linspace(float(lo), float(hi), int(n))
-
-        x, y = np.meshgrid(parse_axis(part_x), parse_axis(part_y))   # rows: y outer, x inner
+        x, y = np.meshgrid(*_parse_grid(args.grid))   # rows: y outer, x inner
         u, v = na_oracle_grid(args.a, x, y)
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, args.out_file)
@@ -453,28 +447,20 @@ def cmd_oracle(args):
     return EXIT_OK
 
 
-def build_parser(supplied=()):
+def build_parser():
     """The argument parser and its subcommand parsers by name.
 
-    An option whose dest is in ``supplied``, the keys of a config file,
-    is not required.  ``supplied=None`` builds the lenient parser of
-    _parse_args: nothing is required, there is no --help, and an error
-    raises ArgumentError instead of exiting.
+    No option is marked required, so that --config can supply it;
+    _parse_args checks the options of REQUIRED.
     """
-    lenient = supplied is None
-
-    def required(dest):
-        return not lenient and dest not in supplied
-
-    parser = (_LenientParser if lenient else argparse.ArgumentParser)(
+    parser = argparse.ArgumentParser(
         prog="slfib",
         description="Numerical laboratory for invariant special Lagrangian fibrations",
-        add_help=not lenient,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, summary):
-        return sub.add_parser(name, help=summary, add_help=not lenient)
+        return sub.add_parser(name, help=summary)
 
     def config(p):
         p.add_argument("--config", default=None, help="JSON config file; flags win")
@@ -484,13 +470,13 @@ def build_parser(supplied=()):
         config(p)
 
     p = command("solve", "solve one Dirichlet problem and dump the field")
-    _add_solve_args(p, required)
+    _add_solve_args(p)
     p.add_argument("--out-field", default="field.csv")
     common(p)
     p.set_defaults(fn=cmd_solve)
 
     p = command("classify", "singularity report for a field")
-    _add_solve_args(p, lambda dest: False)
+    _add_solve_args(p)
     p.add_argument("--field", default=None, help="load a field dump instead of solving")
     p.add_argument("--l", type=int, default=None, help="boundary extrema count override")
     p.add_argument("--report", default="report.json")
@@ -498,7 +484,7 @@ def build_parser(supplied=()):
     p.set_defaults(fn=cmd_classify, kind="disc", a=0.0)
 
     p = command("sweep", "parameter sweep of a fibration family")
-    p.add_argument("--family", choices=("section6", "section7"), required=required("family"))
+    p.add_argument("--family", choices=("section6", "section7"))
     p.add_argument("--t", default="", help="comma list of t values (section7)")
     p.add_argument("--alpha-grid", type=int, default=0, help="alpha count (section6)")
     p.add_argument("--nx", type=int, default=None)
@@ -509,11 +495,11 @@ def build_parser(supplied=()):
     p.set_defaults(fn=cmd_sweep)
 
     p = command("project", "project a point of C^3 to base coordinates")
-    p.add_argument("--family", choices=("section6", "section7"), required=required("family"))
+    p.add_argument("--family", choices=("section6", "section7"))
     p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--z1", required=required("z1"))
-    p.add_argument("--z2", required=required("z2"))
-    p.add_argument("--z3", required=required("z3"))
+    p.add_argument("--z1")
+    p.add_argument("--z2")
+    p.add_argument("--z3")
     p.add_argument("--nx", type=int, default=None)
     p.add_argument("--ny", type=int, default=None)
     p.add_argument("--schedule", default="")
@@ -550,7 +536,7 @@ def build_parser(supplied=()):
     p.set_defaults(fn=cmd_monodromy)
 
     p = command("oracle", "evaluate the algebraic slice oracle")
-    p.add_argument("--a", type=float, required=required("a"))
+    p.add_argument("--a", type=float)
     p.add_argument("--x", type=float, default=0.0)
     p.add_argument("--y", type=float, default=0.0)
     p.add_argument("--grid", default="", help="'x0:x1:n;y0:y1:n' grid evaluation")

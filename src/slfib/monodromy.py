@@ -12,7 +12,7 @@ Everything here is exact integer arithmetic; lattice kernels come from
 Hermite-style unimodular row reduction.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 SPINE_LENGTH = 2.0               # length of each ribbon piece's spine past the vertex
 RIBBON_WIDTH = 0.5               # width of each ribbon piece across its spine
@@ -76,7 +76,11 @@ class VertexModel:
     kind: str                          # "positive" | "negative"
     edge_matrices: tuple
     euler_characteristic: int
-    fixed: dict = dc_field(default_factory=dict, compare=False)
+
+    @property
+    def fixed(self):
+        """The vertex's invariant_lattice."""
+        return invariant_lattice(self)
 
 
 def standard_edge():
@@ -93,9 +97,7 @@ def standard_positive_vertex():
         MonodromyMatrix.make([[1, 0, 0], [0, 1, 0], [-1, 0, 1]]),
         MonodromyMatrix.make([[1, 0, 0], [-1, 1, 0], [1, 0, 1]]),
     )
-    model = VertexModel("positive", mats, +1)
-    model.fixed.update(invariant_lattice(model))
-    return model
+    return VertexModel("positive", mats, +1)
 
 
 def standard_negative_vertex():
@@ -105,9 +107,7 @@ def standard_negative_vertex():
         MonodromyMatrix.make([[1, 0, -1], [0, 1, 0], [0, 0, 1]]),
         MonodromyMatrix.make([[1, -1, 1], [0, 1, 0], [0, 0, 1]]),
     )
-    model = VertexModel("negative", mats, -1)
-    model.fixed.update(invariant_lattice(model))
-    return model
+    return VertexModel("negative", mats, -1)
 
 
 def vertex_consistency(vertex):

@@ -7,14 +7,30 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slfib import cli
+from slfib import cli, fibrations
 from slfib.cli import main
-from slfib.elliptic import DomainSpec, field_from_callables, save_field
+from slfib.elliptic import DomainSpec, field_from_callables, load_field, save_field
 from slfib.models import na_oracle_grid
 
 
 def run(args):
     return main(args)
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    """The family solves of a sweep start from an empty cache, whatever ran before."""
+    monkeypatch.setattr(fibrations, "_shared_cache", fibrations.SolverCache())
+
+
+def full_grid_residual(path):
+    """The largest residual of the dumped field on its full grid."""
+    fld = load_field(path)
+    if fld.kind == "disc":
+        res = fld.grid.residual(fld.f[:-1], fld.f[-1], fld.a)
+    else:
+        res = fld.grid.residual(fld.v[1:-1], fld.v[-1], fld.v[0], fld.a)
+    return np.max(np.abs(res))
 
 
 def test_solve_disc_smoke(tmp_path, capsys):
@@ -36,8 +52,6 @@ def test_solve_strip_constant_limit(tmp_path):
                 "--bottom", "const=1", "--nx", "32", "--ny", "17",
                 "--out", str(tmp_path)])
     assert code == 0
-    from slfib.elliptic import load_field
-
     fld = load_field(tmp_path / "field.csv")
     assert np.max(np.abs(fld.v - 1.0)) < 1e-12
 
@@ -81,6 +95,36 @@ def test_classify_cone_field(tmp_path, capsys):
     assert abs(interior[0]["x_location"]) < 1e-6
 
 
+def interior_records(report):
+    return [(r["type"], r["multiplicity"], r["x_location"])
+            for r in report["records"] if not r["boundary"]]
+
+
+def test_classify_level_zero_disc(tmp_path):
+    code = run(["classify", "--kind", "disc", "--a", "0", "--nx", "32", "--ny", "64",
+                "--cos", "1=1.25", "--cos", "3=-1", "--out", str(tmp_path)])
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert interior_records(report) == [("increasing", 1, pytest.approx(-0.6091748, abs=1e-6)),
+                                        ("decreasing", 1, pytest.approx(0.6091748, abs=1e-6))]
+    assert report["l"] == 3
+    assert report["bound_ok"] is True and report["parity_ok"] is True
+
+
+def test_classify_level_zero_strip_dump(tmp_path):
+    # the dump goes through load_field, grid.axis and grid.interpolant
+    assert run(["solve", "--kind", "strip", "--a", "0", "--nx", "64", "--ny", "33",
+                "--top", "cos 1=0.5", "--bottom", "cos 1=0.5", "--out", str(tmp_path)]) == 0
+    code = run(["classify", "--field", str(tmp_path / "field.csv"), "--out", str(tmp_path)])
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert interior_records(report) == [
+        ("decreasing", 1, pytest.approx(np.pi / 2, abs=1e-6)),
+        ("increasing", 1, pytest.approx(3 * np.pi / 2, abs=1e-6))]
+    assert report["parity_ok"] is True
+    assert report["l"] is None
+
+
 def test_classify_constant_field_empty(tmp_path):
     code = run(["classify", "--kind", "strip", "--a", "0", "--top", "const=1",
                 "--bottom", "const=1", "--nx", "32", "--ny", "17",
@@ -97,17 +141,47 @@ def test_classify_nonisolated_exit_code(tmp_path):
     assert code == 3
 
 
-def test_sweep_section7_t0(tmp_path):
-    code = run(["sweep", "--family", "section7", "--t", "0",
-                "--nx", "48", "--ny", "25",
-                "--schedule", "0.5,0.125,0.03125,0.0078125,0.0001",
-                "--out", str(tmp_path)])
+@pytest.mark.parametrize("argv, alpha, tol", [
+    (["--t", "0", "--nx", "48", "--ny", "25",
+      "--schedule", "0.5,0.125,0.03125,0.0078125,0.0001"], 0.0, 1e-4),
+    (["--t", "0.5", "--nx", "64", "--ny", "33"], -0.168392181, 1e-5),
+], ids=["t=0", "t=0.5"])
+def test_sweep_section7_band_edges(argv, alpha, tol, tmp_path, fresh_cache):
+    # the band [alpha(t), beta(t)] is symmetric about b = 0
+    code = run(["sweep", "--family", "section7", *argv, "--out", str(tmp_path)])
     assert code == 0
-    rows = [json.loads(line) for line in
-            (tmp_path / "sweep.ndjson").read_text().splitlines()]
-    assert abs(rows[0]["alpha"]) < 1e-4 and abs(rows[0]["beta"]) < 1e-4
-    csv = (tmp_path / "curves.csv").read_text().splitlines()
-    assert csv[0] == "t,alpha_t,beta_t"
+    (rec,) = [json.loads(line) for line in
+              (tmp_path / "sweep.ndjson").read_text().splitlines()]
+    assert abs(rec["alpha"] - alpha) < tol and abs(rec["beta"] + alpha) < tol
+    assert abs(rec["alpha"] + rec["beta"]) < tol
+    header, row = (tmp_path / "curves.csv").read_text().splitlines()
+    assert header == "t,alpha_t,beta_t"
+    assert [float(val) for val in row.split(",")[1:]] == [rec["alpha"], rec["beta"]]
+
+
+def test_sweep_section6_roots_and_zero_counts(tmp_path, fresh_cache):
+    code = run(["sweep", "--family", "section6", "--nx", "32", "--ny", "64",
+                "--alpha-grid", "5", "--out", str(tmp_path)])
+    assert code == 0
+    records = [json.loads(line) for line in
+               (tmp_path / "sweep.ndjson").read_text().splitlines()]
+    (roots,) = [rec for rec in records if "alpha0" in rec]
+    assert abs(roots["alpha0"] - 0.176115334) <= 1e-5
+    assert abs(roots["alpha1"] - 2.241532505) <= 1e-5
+    lines = (tmp_path / "zero_counts.csv").read_text().splitlines()
+    assert lines[0] == "alpha,zero_count" and len(lines) == 6
+    # below alpha0, between the roots and above alpha1: no, two and no interior zeros
+    assert [lines[k].split(",")[1] for k in (1, 3, 5)] == ["0", "2", "0"]
+
+
+def test_negative_alpha_grid_exits_1_before_any_solve(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(fibrations, "find_alpha0_alpha1", None)   # a root search would fail
+    assert run(["sweep", "--family", "section6", "--nx", "32", "--ny", "64",
+                "--alpha-grid", "-2", "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["--alpha-grid must be non-negative, got -2"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_jobs_matches_the_serial_run(tmp_path):
@@ -163,6 +237,17 @@ def test_project_trivial_strip(capsys):
     assert abs(out["a"]) < 1e-9
     assert abs(out["b"] - 1.0) < 1e-5
     assert abs(out["c"] - 1.0) < 1e-5
+
+
+@pytest.mark.parametrize("argv", [
+    # (Re z3, Im z1 z2) = (3, 0) lies off the unit disc and (0, 4) off the strip |y| < 1
+    ["--family", "section6", "--z1", "1", "--z2", "1", "--z3", "3+2j"],
+    ["--family", "section7", "--t", "0", "--z1", "2", "--z2", "2j", "--z3", "0"],
+], ids=["section6", "section7"])
+def test_project_outside_the_total_space_exits_1(argv, capsys):
+    assert run(["project", *argv]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("outside-total-space:")
 
 
 def test_fiber_sample(tmp_path):
@@ -341,11 +426,19 @@ def test_monodromy_duality_flag(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "true"
 
 
-def test_oracle_single(capsys):
-    code = run(["oracle", "--a", "1", "--x", "0", "--y", "1"])
+@pytest.mark.parametrize("point, want", [
+    (["--a", "1", "--x", "0", "--y", "1"], {"u": (-(1 + np.sqrt(2)) ** -0.5, 1e-12)}),
+    # a point of 1e-11 scale: each value to 1e-15 relative
+    (["--a", "0.001", "--x", "3.1622776601683794e-11", "--y", "3.1622776601683794e-11"],
+     {"u": (-7.071067811865474e-10, 1e-15 * 7.071067811865474e-10),
+      "v": (1.4142135623730954e-12, 1e-15 * 1.4142135623730954e-12)}),
+], ids=["unit-scale", "1e-11-scale"])
+def test_oracle_single(point, want, capsys):
+    code = run(["oracle", *point])
     assert code == 0
     out = json.loads(capsys.readouterr().out)
-    assert abs(out["u"] + (1 + np.sqrt(2)) ** -0.5) < 1e-12
+    for name, (ref, tol) in want.items():
+        assert abs(out[name] - ref) < tol
 
 
 def test_oracle_grid(tmp_path):
@@ -361,6 +454,20 @@ def test_oracle_grid(tmp_path):
     x, y = np.meshgrid(np.linspace(-1, 1, 5), np.linspace(-1, 1, 5))
     u, v = na_oracle_grid(0.5, x, y)
     assert np.array_equal(rows, np.column_stack([x.ravel(), y.ravel(), u.ravel(), v.ravel()]))
+
+
+@pytest.mark.parametrize("grid", ["1:2", "-1:1:x;0:1:2", "-1:1:-3;0:1:2", "-1:1:3;0:1:2;0:1:2"])
+def test_malformed_oracle_grid_exits_1_with_one_line_naming_it(grid, tmp_path, capsys):
+    assert run(["oracle", "--a", "0.5", f"--grid={grid}", "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"cannot parse --grid {grid!r}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_oracle_grid_of_no_points_writes_the_header_only(tmp_path):
+    assert run(["oracle", "--a", "0.5", "--grid=-1:1:0;-1:1:5", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "oracle.csv").read_text() == "x,y,u,v\n"
 
 
 def test_config_file_merging(tmp_path, capsys):
@@ -393,8 +500,6 @@ def test_config_list_gives_way_to_a_repeated_flag(tmp_path):
     code = run(["solve", "--kind", "disc", "--a", "1.0", "--nx", "16", "--cos", "1=1",
                 "--config", str(conf), "--out", str(tmp_path)])
     assert code == 0
-    from slfib.elliptic import load_field
-
     fld = load_field(tmp_path / "field.csv")
     assert fld.boundary["circle"].cos_coeffs == ((1, 1.0),)
     assert fld.a == 1.0
@@ -414,8 +519,6 @@ def test_config_supplies_the_required_flags_of_solve(tmp_path):
     conf.write_text(json.dumps({"kind": "disc", "a": 1.0, "cos": ["1=1"], "n": 16}))
     code = run(["solve", "--config", str(conf), "--out", str(tmp_path)])
     assert code == 0
-    from slfib.elliptic import load_field
-
     fld = load_field(tmp_path / "field.csv")
     assert fld.kind == "disc" and fld.a == 1.0
     assert fld.boundary["circle"].cos_coeffs == ((1, 1.0),)
@@ -472,6 +575,7 @@ def test_solve_limit_diag_totals_its_levels(tmp_path):
     assert diag["newton_iterations"] > levels[-1]["newton_iterations"]
     assert diag["fill"] == [fill for lev in levels for fill in lev["fill"]]
     assert len(diag["fill"]) == diag["factorizations"]
+    assert all(len(lev["fill"]) == lev["factorizations"] for lev in levels)
 
 
 def test_solve_diag_lists_the_coarse_solves_apart_from_the_fine_totals(tmp_path):
@@ -490,3 +594,24 @@ def test_solve_diag_lists_the_coarse_solves_apart_from_the_fine_totals(tmp_path)
     assert diag["fill"] == level["fill"]
     # the fine system, the (64, 128) quarter, is narrow enough for the band LU
     assert (diag["factor"], diag["half_bandwidth"]) == (level["factor"], 33) == ("band", 33)
+    assert diag["factorizations"] <= 2
+    # odd cosines: Newton solved on the quarter 0 <= theta < pi/2, 63 rings x 32 angles
+    assert diag["unknowns"] == 63 * 32
+    assert full_grid_residual(tmp_path / "field.csv") <= diag["tolerance"]
+
+
+@pytest.mark.parametrize("argv, want", [
+    # a sine term leaves no reflection: the full periodic grid, wider than the band LU takes
+    (["--kind", "disc", "--a", "0.05", "--nx", "32", "--ny", "64", "--cos", "1=1.25",
+      "--cos", "3=-1", "--sin", "2=0.1"], {"factor": "superlu", "half_bandwidth": 127}),
+    # even in x and in y: Newton solved on 0 <= x <= pi, y <= 0, 16 rows x 33 nodes
+    (["--kind", "strip", "--a", "0.05", "--nx", "64", "--ny", "33",
+      "--top", "const=-0.16,cos 1=0.5", "--bottom", "const=-0.16,cos 1=0.5"],
+     {"unknowns": 16 * 33}),
+], ids=["disc-sine-full-grid", "strip-quarter"])
+def test_solved_dump_solves_its_full_grid(argv, want, tmp_path):
+    assert run(["solve", *argv, "--out", str(tmp_path)]) == 0
+    diag = json.loads((tmp_path / "field.csv.diag.json").read_text())
+    assert diag["converged"] is True
+    assert {key: diag[key] for key in want} == want
+    assert full_grid_residual(tmp_path / "field.csv") <= diag["tolerance"]
