@@ -8,6 +8,7 @@ All output files are deterministic for a fixed config and seed.
 """
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -229,6 +230,10 @@ def _sweep_point_section7(task):
 def cmd_sweep(args):
     if args.alpha_grid < 0:
         raise ValueError(f"--alpha-grid must be non-negative, got {args.alpha_grid}")
+    if args.alpha_grid and args.family == "section7":
+        raise ValueError(f"--alpha-grid is for section6 only, got {args.alpha_grid} for section7")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     os.makedirs(args.out, exist_ok=True)
     schedule = _parse_schedule(args.schedule)
     default = (fibrations.DEFAULT_STRIP_RESOLUTION if args.family == "section7"
@@ -286,14 +291,21 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
-def _complex(text):
-    return complex(text.replace(" ", ""))
+def _complex(flag, text):
+    """The finite complex number that --flag gives; a ValueError naming both otherwise."""
+    try:
+        z = complex(text.replace(" ", ""))
+        if cmath.isfinite(z):
+            return z
+    except ValueError:
+        pass
+    raise ValueError(f"--{flag} must be a finite complex number, got {text!r}")
 
 
 def cmd_project(args):
     from .calibration import ComplexPoint3
 
-    p = ComplexPoint3(_complex(args.z1), _complex(args.z2), _complex(args.z3))
+    p = ComplexPoint3(*(_complex(flag, getattr(args, flag)) for flag in ("z1", "z2", "z3")))
     if args.family == "section6":
         fam, default = fibrations.disc_family(), fibrations.DEFAULT_DISC_RESOLUTION
     else:
@@ -307,9 +319,9 @@ def cmd_project(args):
 
 def _model_field(args):
     if args.model in ("na", "F"):
-        return NaSlice(args.a, _complex(args.c))
+        return NaSlice(args.a, _complex("c", args.c))
     if args.model == "Fprime":
-        return NaSlice(args.a, _complex(args.c), negate=True)
+        return NaSlice(args.a, _complex("c", args.c), negate=True)
     raise ValueError(f"unknown model {args.model!r}")
 
 

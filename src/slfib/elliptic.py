@@ -115,7 +115,7 @@ BOUNDARY_TOL = 1e-12         # validate: stored boundary values against the data
 MAXPRIN_SLACK = 1e-8         # validate: slack of the maximum principle
 # Part of every SolverCache key: change it whenever solver output changes,
 # so that fields cached on disk by an older solver are not reused.
-SOLVER_VERSION = "chord-newton-6"
+SOLVER_VERSION = "chord-newton-7"
 # The band LU's widest half-bandwidth (see _Reflections.factor).  Per factorisation
 # (2 cores, one BLAS thread), dgbtrf against splu: half-bandwidth 16-17 (the (32, 64)
 # and (64, 33) quarters) 0.11-0.15 ms against 0.64-0.87 ms; 32-34 (the (64, 128) and
@@ -367,8 +367,10 @@ class _Reflections:
     factor order, and factors Jacobians on it (``factor``).  A quotient is a
     shallow copy of its grid with its own ``shape``, ``pos``, ``pattern``,
     ``_fold``, ``unknowns`` and ``_src``, ``_sgn``: the box node and sign of
-    each full-grid unknown.  Each system keeps its band layout in ``_band``
-    once it is built.  ``contains`` reads the grid's ``margin``.
+    each full-grid unknown.  A disc quotient also has ``_stacked``, the one
+    operator its residual applies (see DiscGrid).  Each system keeps its band
+    layout in ``_band`` once it is built.  ``contains`` reads the grid's
+    ``margin``.
     """
 
     _band = None
@@ -452,7 +454,16 @@ class DiscGrid(_Reflections):
     "id", "d1" (f_theta, over 2 sin h) and "d2" (f_thetatheta, over
     2 - 2 cos h), h = 2 pi / M.  ops64 builds its operators from them and
     extract_uv takes f_theta from "d1" on shifted copies of the rings.
+
+    The full grid's residual applies ops64's three operators to the lifted
+    iterate (``_lift``).  A quotient's residual applies ``_stacked``, one CSR
+    matrix that _folded builds from the quotient's rows of those operators:
+    row 3k + (0, 1, 2) gives f_x, r^2 f_xx and 2 r^2 f_yy at box node k, and
+    its columns are the box values, then phi, with _lift composed into them.
+    The Jacobian lifts on both.
     """
+
+    _stacked = None
 
     def __init__(self, n_r, n_theta):
         self.N = int(n_r)
@@ -494,7 +505,9 @@ class DiscGrid(_Reflections):
         in factor order; the row scaling r^2 desingularises the pole.  They
         are CSC matrices on one shared pattern.  Its square leading block,
         up to g's column, is ``pattern``, the bordered Jacobian's, and
-        "yy" also holds the border row g - mean(ring 1).
+        "yy" also holds the border row g - mean(ring 1).  The full grid's
+        residual and every Jacobian apply them; a quotient's residual applies
+        its ``_stacked`` instead (see the class).
         """
         if self._ops is not None:
             return self._ops
@@ -554,7 +567,8 @@ class DiscGrid(_Reflections):
                                           ids.indices, ids.indptr), shape=ids.shape)
                      for name, (vals, ghost) in stencils.items()}
         y = np.repeat(self.r[: N - 1], M) * np.tile(self.sin, N - 1)
-        self._y2 = np.append(y * y, 0.0)[np.append(order, n)]   # y^2 per row in factor order
+        self._node_y2 = y * y                                   # y^2 per interior node
+        self._y2 = np.append(self._node_y2, 0.0)[np.append(order, n)]   # per row in factor order
         return self._ops
 
     @staticmethod
@@ -586,6 +600,26 @@ class DiscGrid(_Reflections):
         view._ops = {name: sp.csc_matrix((op.data[take], sub.indices, sub.indptr), shape=sub.shape)
                      for name, op in ops.items()}
         view._y2, view.unknowns = self._y2[rows], rows.size
+        view._node_y2 = self._node_y2.reshape(N - 1, M)[:, :width].ravel()
+        # _stacked = S L, built as (L^T S^T)^T so that sub's CSC arrays serve as S^T's.
+        # S holds the box's rows of x, xx and yy, row 3k + t operator t's at box node k
+        # (g's row is the Jacobian's only).  L is _lift as a matrix: each full-grid
+        # unknown its box value times its sign, g the mean of ring 1, then phi.  The
+        # factors go before the CSR copy is made, to bound the build's peak memory.
+        nb, ring1 = box.size, self._full_pos[:M]
+        keep = sub.indices < nb
+        s_t = sp.csr_matrix(
+            (np.column_stack([view._ops[name].data[keep] for name in ("x", "xx", "yy")]).ravel(),
+             (3 * box[sub.indices[keep]][:, None] + np.arange(3)).ravel(),
+             3 * np.append(0, np.cumsum(keep))[sub.indptr]), shape=(sub.shape[1], 3 * nb))
+        l_t = sp.csr_matrix(
+            (np.concatenate([view._sgn, view._sgn[ring1] / M, np.ones(M)]),
+             (np.concatenate([view._src, view._src[ring1], nb + np.arange(M)]),
+              np.concatenate([np.arange(n), np.full(M, n), n + 1 + np.arange(M)]))),
+            shape=(nb + M, n + 1 + M))
+        product = l_t @ s_t
+        del s_t, l_t
+        view._stacked = product.T.tocsr()
         return view
 
     def _lift(self, f_int, phi):
@@ -599,18 +633,20 @@ class DiscGrid(_Reflections):
         z[n + 1:] = phi
         return z
 
-    def _coefficient(self, z, a):
-        """f_x and q = f_x^2 + y^2 + a^2 per row in factor order."""
-        fx = self._ops["x"] @ z
-        return fx, fx * fx + self._y2 + a * a
-
     def residual(self, f_int, phi, a):
-        """Scaled residual r^2 (W f_xx + 2 f_yy) at the nodes of f_int's box."""
-        z = self._lift(f_int, phi)
-        _, q = self._coefficient(z, a)
-        w = 1.0 / np.sqrt(np.maximum(q, COEFF_FLOOR))
-        res = w * (self._ops["xx"] @ z) + self._ops["yy"] @ z
-        return res[self.pos].reshape(f_int.shape)
+        """Scaled residual r^2 (W f_xx + 2 f_yy) at the nodes of f_int's box.
+
+        A quotient takes f_x, r^2 f_xx and 2 r^2 f_yy of every box node from one
+        product, ``_stacked`` @ (box values, phi).  The full grid lifts f_int and
+        applies ops64's three operators.
+        """
+        if self._stacked is None:
+            z = self._lift(f_int, phi)
+            fx, fxx, fyy = ((self._ops[name] @ z)[self.pos] for name in ("x", "xx", "yy"))
+        else:
+            fx, fxx, fyy = (self._stacked @ np.concatenate([f_int.ravel(), phi])).reshape(-1, 3).T
+        w = 1.0 / np.sqrt(np.maximum(fx * fx + self._node_y2 + a * a, COEFF_FLOOR))
+        return (w * fxx + fyy).reshape(f_int.shape)
 
     def jacobian(self, f_int, phi, a):
         """The bordered Jacobian on ``pattern``: (data, scale) of ``_folded_jacobian``.
@@ -621,7 +657,8 @@ class DiscGrid(_Reflections):
         """
         z = self._lift(f_int, phi)
         x, xx, yy = (self._ops[name] for name in ("x", "xx", "yy"))
-        fx, q = self._coefficient(z, a)
+        fx = x @ z
+        q = fx * fx + self._y2 + a * a
         qe = np.maximum(q, COEFF_FLOOR)
         w = 1.0 / np.sqrt(qe)
         dw = np.where(q > COEFF_FLOOR, -fx * qe**-1.5, 0.0)

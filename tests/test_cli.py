@@ -184,6 +184,24 @@ def test_negative_alpha_grid_exits_1_before_any_solve(tmp_path, monkeypatch, cap
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["--family", "section7", "--t", "0.5", "--jobs", "-3"], "--jobs must be at least 1, got -3"),
+    (["--family", "section7", "--t", "0.5", "--jobs", "0"], "--jobs must be at least 1, got 0"),
+    (["--family", "section7", "--t", "0.5", "--alpha-grid", "3"],
+     "--alpha-grid is for section6 only, got 3 for section7"),
+], ids=["jobs-negative", "jobs-zero", "alpha-grid-section7"])
+def test_sweep_flag_out_of_range_exits_1_before_any_solve(argv, line, tmp_path, monkeypatch,
+                                                          capsys):
+    # a solve would fail: neither root search nor strip curve may be reached
+    monkeypatch.setattr(fibrations, "find_alpha0_alpha1", None)
+    monkeypatch.setattr(fibrations, "alpha_beta_curves", None)
+    assert run(["sweep", *argv, "--nx", "32", "--ny", "17", "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_jobs_matches_the_serial_run(tmp_path):
     # --jobs 2 solves each t in a worker process; the curves must not change
     for jobs in ("1", "2"):
@@ -248,6 +266,25 @@ def test_project_outside_the_total_space_exits_1(argv, capsys):
     assert run(["project", *argv]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("outside-total-space:")
+
+
+@pytest.mark.parametrize("argv, flag, text", [
+    (["fiber-sample", "--count", "1", "--c", "nanj"], "c", "nanj"),
+    (["fiber-sample", "--count", "1", "--c", "1+xj"], "c", "1+xj"),
+    (["sl-check", "--frames", "1", "--c", "inf"], "c", "inf"),
+    (["project", "--family", "section6", "--z1", "1", "--z2", "1", "--z3", "nan"], "z3", "nan"),
+    (["project", "--family", "section6", "--z1", "1j+", "--z2", "1", "--z3", "0"], "z1", "1j+"),
+    (["project", "--family", "section7", "--z1", "1", "--z2", "1-infj", "--z3", "0"],
+     "z2", "1-infj"),
+], ids=["c-nan", "c-malformed", "sl-check-c-inf", "z3-nan", "z1-malformed", "z2-inf"])
+def test_complex_flag_that_is_malformed_or_not_finite_exits_1(argv, flag, text, tmp_path,
+                                                             monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"--{flag} must be a finite complex number, got {text!r}"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fiber_sample(tmp_path):

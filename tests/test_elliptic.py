@@ -850,6 +850,27 @@ def test_quotient_jacobian_matches_central_differences(case):
     assert scale == pytest.approx(grid.jacobian(q.unfold(x), *args)[1], rel=1e-12)
 
 
+@pytest.mark.parametrize("n_r, n_theta", [(32, 64), (64, 128)])
+@pytest.mark.parametrize("spec", [
+    BoundarySpec.make(cos={1: 1.0, 3: -1.0}),
+    BoundarySpec.make(0.3, cos={2: 1.0, 4: -0.5}),
+    BoundarySpec.make(0.3, cos={1: 1.0, 2: 0.5}),
+], ids=["odd", "even", "y"])
+def test_quotient_residual_is_the_full_grids_on_its_box(spec, n_r, n_theta):
+    # the quotient's one product against the full grid's lift and three products,
+    # at an iterate far from any solution
+    grid = disc_grid(n_r, n_theta)
+    q = grid.quotient(grid.reflections(spec))
+    assert q._stacked is not None and grid._stacked is None
+    phi = spec.sample(grid.theta)
+    x = q.fold(grid.harmonic_extension(spec))
+    x = x + 1e-2 * np.random.default_rng(5).standard_normal(q.shape)
+    res = q.residual(x, phi, 0.05)
+    full = grid.residual(q.unfold(x), phi, 0.05)
+    assert res.shape == q.shape
+    assert np.max(np.abs(res - q.fold(full))) <= 1e-13 * np.max(np.abs(res))
+
+
 # -- the band LU of narrow systems -----------------------------------------------
 
 def _system(kind, n_x, n_y, *edges):
@@ -981,3 +1002,26 @@ def test_a_warm_strip_solve_builds_no_sparse_matrix(monkeypatch):
     assert warm.converged and warm.diagnostics["factor"] == "band"
     assert warm.diagnostics["factorizations"] >= 1
     assert calls == []
+
+
+def test_a_warm_disc_solve_builds_no_sparse_matrix(monkeypatch):
+    import scipy.sparse as sp
+
+    from slfib import elliptic
+
+    domain = DomainSpec.disc(32, 64)
+    spec = disc_family().boundary(1.25)               # odd in x: the quarter
+    cold = solve_disc(spec, 0.05, domain)             # builds the grid and its quarter
+    used = []
+
+    class Recording:                                  # every use of scipy.sparse by elliptic
+        def __getattr__(self, name):
+            used.append(name)
+            return getattr(sp, name)
+
+    monkeypatch.setattr(elliptic, "sp", Recording())
+    warm = solve_disc(spec, 0.04, domain, initial=cold.f[:-1])
+    assert warm.converged and warm.diagnostics["factor"] == "band"
+    assert warm.diagnostics["unknowns"] == 31 * 16
+    assert warm.diagnostics["factorizations"] >= 1
+    assert used == []
