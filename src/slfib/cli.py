@@ -85,10 +85,19 @@ def _parse_edge(text):
     return BoundarySpec.make(const, coeffs["cos"], coeffs["sin"])
 
 
+def _floats(flag, text):
+    """The comma list of numbers that --flag gives; a ValueError naming an item that is not one."""
+    out = []
+    for item in text.split(","):
+        try:
+            out.append(float(item))
+        except ValueError:
+            raise ValueError(f"--{flag} item {item!r} is not a number") from None
+    return tuple(out)
+
+
 def _parse_schedule(text):
-    if not text:
-        return None
-    return tuple(float(tok) for tok in text.split(","))
+    return _floats("schedule", text) if text else None
 
 
 def _write_json(path, payload):
@@ -234,17 +243,22 @@ def cmd_sweep(args):
         raise ValueError(f"--alpha-grid is for section6 only, got {args.alpha_grid} for section7")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    os.makedirs(args.out, exist_ok=True)
+    if args.jobs > 1 and args.family == "section6":
+        raise ValueError(f"--jobs is for section7 only, got {args.jobs} for section6")
+    ts = _floats("t", args.t) if args.t else ()
+    for t in ts:
+        if not math.isfinite(t):
+            raise ValueError(f"--t items must be finite, got {t!r}")
     schedule = _parse_schedule(args.schedule)
+    if args.family == "section7" and not ts:
+        print("empty t list", file=sys.stderr)
+        return 2
+    os.makedirs(args.out, exist_ok=True)
     default = (fibrations.DEFAULT_STRIP_RESOLUTION if args.family == "section7"
                else fibrations.DEFAULT_DISC_RESOLUTION)
     resolution = (args.nx or default[0], args.ny or default[1])
     records = []
     if args.family == "section7":
-        ts = [float(v) for v in args.t.split(",")] if args.t else []
-        if not ts:
-            print("empty t list", file=sys.stderr)
-            return 2
         tasks = [(t, resolution, schedule) for t in ts]
         # a fork-started pool starts every worker at the first submit
         workers = min(args.jobs, len(tasks))

@@ -27,7 +27,9 @@ where
     d/dx[ (v^2 + y^2 + a^2)^(-1/2) v_x ] + 2 v_yy = 0
 
 in conservative form, so the discrete row integral of v is exactly
-y-independent.  u is then reconstructed from v_x, v_y with u(0,0) = 0.
+y-independent.  u is then reconstructed from v_x, v_y with u(0,0) = 0,
+on the first read of a solved field's u; the periodic closure of u,
+which needs v_y alone, is checked when the field is solved.
 
 Both solvers run chord (Shamanskii) Newton with a sparse Jacobian.  Each
 grid fixes one fill-reducing order of its unknowns: a nested dissection
@@ -110,7 +112,7 @@ CHORD_CONTRACTION = 0.5      # a chord step must cut the residual to this fracti
 ROUNDOFF_SAFETY = 0.5        # share of eps * || |J| |x| ||_inf taken as the residual floor
 GRADING = 0.4                # radial grading strength toward r = 1
 DEFAULT_A_MIN = 1e-4
-CLOSURE_DEFECT_TOL = 1e-6    # largest periodic closure defect of u that reconstruct_u accepts
+CLOSURE_DEFECT_TOL = 1e-6    # largest periodic closure defect of u that a strip field accepts
 BOUNDARY_TOL = 1e-12         # validate: stored boundary values against the data
 MAXPRIN_SLACK = 1e-8         # validate: slack of the maximum principle
 # Part of every SolverCache key: change it whenever solver output changes,
@@ -1044,6 +1046,9 @@ class SolutionField:
     have shape (n_y, n_x), rows ordered bottom (y = -R) to top.  The
     field's geometry (nodes, domain test, interpolants) lives on its
     ``grid``, the domain's.
+
+    A strip field made with ``u=None`` (solve_strip's) builds u from v
+    on first read, by reconstruct_u, and keeps it.
     """
 
     domain: DomainSpec
@@ -1063,6 +1068,14 @@ class SolutionField:
 
     def __post_init__(self):
         self._interp = {}
+        if self.u is None and self.kind == "periodic-strip":
+            del self.u                   # __getattr__ builds it on first read
+
+    def __getattr__(self, name):
+        # reached only when normal lookup fails: a strip field's u not read yet
+        if name != "u":
+            raise AttributeError(name)
+        return reconstruct_u(self).u
 
     @property
     def kind(self):
@@ -1271,6 +1284,9 @@ def solve_strip(top, bottom, a, domain, initial=None, factor=None):
 
     Edges without sine terms are even in x, equal edges even in y.
     ``diagnostics["unknowns"]``, the tolerance and ``factor`` are as for solve_disc.
+    The periodic closure of u is checked here (see reconstruct_u) and its
+    defect recorded as ``diagnostics["closure_defect"]``; u itself is
+    built on the field's first read of it.
     """
     if a == 0.0 or not math.isfinite(a):
         raise ValueError(f"level a must be finite and nonzero, got {a} "
@@ -1298,13 +1314,14 @@ def solve_strip(top, bottom, a, domain, initial=None, factor=None):
     v_sol = system.unfold(x)
     norm = float(np.max(np.abs(grid.residual(v_sol, top_v, bot_v, a))))
     v_full = np.vstack([bot_v, v_sol, top_v])
-    fld = SolutionField(
-        domain, a, np.zeros_like(v_full), v_full,
+    closure = _closure_defect(grid.hx, grid.gradient(v_full)[1])
+    return SolutionField(
+        domain, a, None, v_full,
         boundary={"top": top, "bottom": bottom}, converged=not diag["stagnated"],
         residual_norm=norm,
-        diagnostics={"newton_iterations": iters, "unknowns": system.unknowns, **diag},
+        diagnostics={"newton_iterations": iters, "unknowns": system.unknowns, **diag,
+                     "closure_defect": closure},
     )
-    return reconstruct_u(fld)
 
 
 def solve_strip_limit(top, bottom, domain, schedule):
@@ -1315,14 +1332,26 @@ def solve_strip_limit(top, bottom, domain, schedule):
                                                  factor=factor))
 
 
+def _closure_defect(hx, v_y):
+    """The largest periodic closure defect hx * sum(v_y) over the rows of u.
+
+    Row j of u integrates u_x = v_y around the period, so it closes when
+    row j of v_y sums to zero.  A defect above CLOSURE_DEFECT_TOL signals
+    an unconverged v or incompatible data and raises MonodromyDefect.
+    """
+    worst = float(np.max(np.abs(hx * v_y.sum(axis=1))))
+    if worst > CLOSURE_DEFECT_TOL:
+        raise MonodromyDefect("periodic closure of u failed", defect=worst)
+    return worst
+
+
 def reconstruct_u(field):
     """Rebuild u from v on a strip via u_x = v_y and the x = 0 column.
 
     u(0, y) comes from integrating u_y = -(1/2)(v^2+y^2+a^2)^(-1/2) v_x up
     the column x = 0 from the anchor u(0,0) = 0, then each row integrates
-    u_x = v_y.  The periodic closure defect of every row is recorded; a
-    defect above CLOSURE_DEFECT_TOL signals an unconverged v or
-    incompatible data.
+    u_x = v_y.  The worst periodic closure defect of the rows is recorded
+    as ``diagnostics["closure_defect"]`` (see _closure_defect).
     """
     if field.kind != "periodic-strip":
         raise ValueError("reconstruct_u applies to strip fields")
@@ -1331,11 +1360,7 @@ def reconstruct_u(field):
     hx, hy, y = grid.hx, grid.hy, grid.y
     a = field.a
     vx, vy = grid.gradient(v)
-
-    defects = hx * vy.sum(axis=1)
-    worst = float(np.max(np.abs(defects)))
-    if worst > CLOSURE_DEFECT_TOL:
-        raise MonodromyDefect("periodic closure of u failed", defect=worst)
+    worst = _closure_defect(hx, vy)
 
     q = v**2 + y[:, None] ** 2 + a * a
     uy = -0.5 * vx / np.sqrt(np.maximum(q, COEFF_FLOOR))

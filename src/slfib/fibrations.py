@@ -17,10 +17,13 @@ and beta(t) are the roots in b of v(0,0) and v(pi,0); at t = 0 the band
 degenerates to the codimension-two line b = 0.
 
 All parameter searches use bisection on solver probes, justified by the
-strict monotonicity of v in the boundary data.  Solved fields are cached
-in memory (and on disk when SLFIB_CACHE_DIR is set).  A probe that
-misses the cache starts from solved neighbours in the family parameter
-when they are cached: one Newton solve at the final level replaces the
+strict monotonicity of v in the boundary data.  A probe reads v alone,
+and at a grid node it reads the node: at the disc sweep's (1, 0), and at
+the strip sweep's (0, 0) and (pi, 0) on the default grids, a probe
+builds neither u nor an interpolant.  Solved fields are cached in memory
+(and on disk when SLFIB_CACHE_DIR is set).  A probe that misses the
+cache starts from solved neighbours in the family parameter when they
+are cached: one Newton solve at the final level replaces the
 continuation in a.  Bisection always holds solved b1 < b < b2, and the
 field depends continuously on the data, so the first start is the linear
 interpolant of the two fields; each neighbour on its own, shifted by the
@@ -276,14 +279,22 @@ def solve_family_member(family, a, b, resolution, schedule=None, cache=None):
 # probes and root searches
 
 def _probe(family, a, point, resolution, schedule, cache):
-    """The map b -> v at ``point`` of the family field at level a."""
+    """The map b -> v at ``point`` of the family field at level a.
+
+    A probe reads v only.  At a grid node (exact equality, checked once
+    here), the disc centre included, it returns the field's nodal value;
+    elsewhere it evaluates v's interpolant, built once per field.
+    """
     x, y = point
     centre = family.kind == "disc-sweep" and x == 0.0 and y == 0.0
+    xg, yg = _family_domain(family, resolution).grid().nodes()
+    node = np.flatnonzero((xg == x) & (yg == y))
 
     def probe(b):
         fld = solve_family_member(family, a, b, resolution, schedule, cache)
-        # v only: a probe never reads u, so it builds no u interpolant
-        return float(fld.v_center if centre else fld._eval("v", x, y))
+        if centre:
+            return float(fld.v_center)
+        return float(fld.v.flat[node[0]] if node.size else fld._eval("v", x, y))
 
     return probe
 

@@ -189,7 +189,15 @@ def test_negative_alpha_grid_exits_1_before_any_solve(tmp_path, monkeypatch, cap
     (["--family", "section7", "--t", "0.5", "--jobs", "0"], "--jobs must be at least 1, got 0"),
     (["--family", "section7", "--t", "0.5", "--alpha-grid", "3"],
      "--alpha-grid is for section6 only, got 3 for section7"),
-], ids=["jobs-negative", "jobs-zero", "alpha-grid-section7"])
+    (["--family", "section6", "--jobs", "4"], "--jobs is for section7 only, got 4 for section6"),
+    (["--family", "section7", "--t", "0.5,x"], "--t item 'x' is not a number"),
+    (["--family", "section7", "--t", "0.5", "--schedule", "1,0.5,x"],
+     "--schedule item 'x' is not a number"),
+    (["--family", "section6", "--schedule", "1,,0.5"], "--schedule item '' is not a number"),
+    (["--family", "section7", "--t", "nan"], "--t items must be finite, got nan"),
+    (["--family", "section7", "--t", "0.5,-inf"], "--t items must be finite, got -inf"),
+], ids=["jobs-negative", "jobs-zero", "alpha-grid-section7", "jobs-section6", "t-malformed",
+        "schedule-malformed", "schedule-empty-item", "t-nan", "t-inf"])
 def test_sweep_flag_out_of_range_exits_1_before_any_solve(argv, line, tmp_path, monkeypatch,
                                                           capsys):
     # a solve would fail: neither root search nor strip curve may be reached
@@ -241,8 +249,9 @@ def test_sweep_jobs_never_exceed_the_t_values(tmp_path, monkeypatch):
 
 
 def test_sweep_empty_t_usage_error(tmp_path):
-    code = run(["sweep", "--family", "section7", "--t", "", "--out", str(tmp_path)])
+    code = run(["sweep", "--family", "section7", "--t", "", "--out", str(tmp_path / "out")])
     assert code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_project_trivial_strip(capsys):

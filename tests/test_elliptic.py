@@ -387,6 +387,30 @@ def test_edges_whose_means_agree_to_roundoff_are_compatible():
     assert solve_strip(top, bottom, 0.5, DomainSpec.strip(32, 17)).converged
 
 
+def test_a_strip_field_builds_u_on_first_read_as_reconstruct_u_does():
+    spec = BoundarySpec.make(constant=0.1, cos={1: 0.5})
+    fld = solve_strip(spec, spec, 0.05, DomainSpec.strip(64, 33))
+    assert "u" not in vars(fld)
+    defect = fld.diagnostics["closure_defect"]
+    eager = reconstruct_u(SolutionField(fld.domain, fld.a, np.zeros_like(fld.v), fld.v.copy(),
+                                        converged=True, residual_norm=0.0))
+    u = fld.u
+    assert u is fld.u                                   # built once, then kept
+    assert u.tobytes() == eager.u.tobytes()
+    assert fld.diagnostics["closure_defect"] == defect == eager.diagnostics["closure_defect"]
+
+
+def test_solve_strip_checks_the_closure_of_u(monkeypatch):
+    from slfib import elliptic
+
+    spec = BoundarySpec.make(constant=0.1, cos={1: 0.5})
+    assert solve_strip(spec, spec, 0.05, DomainSpec.strip(64, 33)).diagnostics[
+        "closure_defect"] > 0.0
+    monkeypatch.setattr(elliptic, "CLOSURE_DEFECT_TOL", 0.0)
+    with pytest.raises(MonodromyDefect):
+        solve_strip(spec, spec, 0.05, DomainSpec.strip(64, 33))
+
+
 def test_reconstruct_u_rejects_a_field_whose_u_does_not_close():
     # v = y: u_x = v_y = 1, so every row of u gains P around the period
     fld = field_from_callables(DomainSpec.strip(32, 17), 0.5, lambda x, y: 0 * x,

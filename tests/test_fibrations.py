@@ -71,8 +71,39 @@ def test_probe_evaluates_only_v(kind, point):
     val = _probe(fam, 0.0, point, res, FAST_SCHEDULE, cache)(0.25)
     fld = solve_family_member(fam, 0.0, 0.25, res, FAST_SCHEDULE, cache)
     assert (cache.misses, cache.hits) == (1, 1)
-    assert "u" not in fld._interp  # the probe built no u interpolant
+    # the point is a node: the probe read it and built no interpolant
+    assert "u" not in fld._interp and "v" not in fld._interp
+    xg, yg = fld.grid.nodes()
+    node = (xg == point[0]) & (yg == point[1])
+    assert np.count_nonzero(node) == 1
+    assert val == float(fld.v[node][0])
+    # the interpolant passes through the node up to round-off
+    assert val == pytest.approx(float(fld.uv(*point)[1]), rel=1e-14, abs=0.0)
+
+
+def test_probe_off_the_nodes_evaluates_the_interpolant():
+    fam, point = strip_family(0.5), (1.0, 0.1)
+    cache = SolverCache()
+    val = _probe(fam, 0.0, point, STRIP_RES, FAST_SCHEDULE, cache)(0.25)
+    fld = solve_family_member(fam, 0.0, 0.25, STRIP_RES, FAST_SCHEDULE, cache)
+    assert "u" not in fld._interp and "v" in fld._interp
     assert val == float(fld.uv(*point)[1])
+
+
+def test_a_warm_strip_probe_builds_no_u(monkeypatch):
+    from slfib import elliptic
+
+    calls = []
+    eager = elliptic.reconstruct_u
+    monkeypatch.setattr(elliptic, "reconstruct_u", lambda fld: calls.append(fld) or eager(fld))
+    fam, cache = strip_family(0.5), SolverCache()
+    probe = _probe(fam, 0.0, (0.0, 0.0), STRIP_RES, FAST_SCHEDULE, cache)
+    probe(0.25)                   # the continuation compares u between its levels
+    calls.clear()
+    probe(0.125)
+    fld = solve_family_member(fam, 0.0, 0.125, STRIP_RES, FAST_SCHEDULE, cache)
+    assert cache.warm_starts == 1 and calls == []
+    assert "u" not in vars(fld)
 
 
 def test_project_strip_trivial_family():
