@@ -216,7 +216,7 @@ def cmd_classify(args):
         fld = load_field(args.field)
     else:
         fld = _solve_from_args(args)
-    report = singularities.analyze_field(fld, l=args.l)
+    report = singularities.analyze_field(fld)
     payload = {
         "records": [r.to_json() for r in report["records"]],
         "l": report["l"],
@@ -504,7 +504,6 @@ def build_parser():
     p = command("classify", "singularity report for a field")
     _add_solve_args(p)
     p.add_argument("--field", default=None, help="load a field dump instead of solving")
-    p.add_argument("--l", type=int, default=None, help="boundary extrema count override")
     p.add_argument("--report", default="report.json")
     common(p)
     p.set_defaults(fn=cmd_classify, kind="disc", a=0.0)

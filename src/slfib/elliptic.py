@@ -54,7 +54,8 @@ never stored on a field.  A continuation hands its factor from one level
 to the next.
 
 Newton solves on the representative nodes of the data's reflections
-(see solve_disc and solve_strip).  A quotient, built once per grid and
+(see solve_disc and solve_strip), in one level-solve path for both
+domains (_quotient_solve).  A quotient, built once per grid and
 reflections, orders its box of representatives by nested dissection,
 maps node -> (representative, sign), folds the Jacobian's columns into
 a fixed pattern and evaluates residuals on its own rows.  Starts are
@@ -81,8 +82,8 @@ the floor taken from the last Jacobian that was factored.
 
 The level a = 0 is reached by geometric continuation a_k -> a_min with
 warm starts; the a_min field is returned as the singular-level proxy and
-the sup-norm increments between consecutive steps are recorded as a
-Cauchy diagnostic.
+the sup-norm increments of v between consecutive steps are recorded as
+a Cauchy diagnostic.
 """
 
 import copy
@@ -1034,6 +1035,34 @@ def _newton(x0, eval_res, factorize, factor):
     return stalled(NEWTON_MAX_ITER, "newton iteration budget exhausted")
 
 
+def _checked_level(a, limit):
+    """|a| for a finite nonzero level a: solutions at a and -a coincide."""
+    if a == 0.0 or not math.isfinite(a):
+        raise ValueError(f"level a must be finite and nonzero, got {a} "
+                         f"(a = 0 is reached through {limit})")
+    return abs(float(a))
+
+
+def _quotient_solve(grid, sym, start, edges, a, factor):
+    """One level of solve_disc or solve_strip: fold, _newton on ``grid.quotient(sym)``, unfold.
+
+    ``edges`` are the sampled data the grid's residual takes: (phi,) or (top, bottom).
+    Returns the full interior solution and the SolutionField entries every
+    solved field shares: ``converged``, the full grid's ``residual_norm`` and
+    ``diagnostics`` (``newton_iterations``, ``unknowns`` and _newton's).
+    """
+    system = grid.quotient(sym)
+    x, _, iters, diag = _newton(
+        system.fold(start), lambda x: system.residual(x, *edges, a),
+        lambda x: system.factor(*system.jacobian(x, *edges, a)), factor=factor)
+    sol = system.unfold(x)
+    # on a quotient the mirrored rows' residuals differ from the solved ones by round-off
+    norm = float(np.max(np.abs(grid.residual(sol, *edges, a))))
+    return sol, {"converged": not diag["stagnated"], "residual_norm": norm,
+                 "diagnostics": {"newton_iterations": iters, "unknowns": system.unknowns,
+                                 **diag}}
+
+
 # ---------------------------------------------------------------------------
 # solution container
 
@@ -1048,7 +1077,7 @@ class SolutionField:
     ``grid``, the domain's.
 
     A strip field made with ``u=None`` (solve_strip's) builds u from v
-    on first read, by reconstruct_u, and keeps it.
+    by reconstruct_u only when a caller reads it, and keeps it.
     """
 
     domain: DomainSpec
@@ -1166,7 +1195,8 @@ def _continue(schedule, solve_level):
     ``solve_level(a, initial, factor)`` solves one level, warm-started
     from the grid's ``interior`` of the previous level's field and sharing
     one FactorSlot with every level.  The returned field records the Cauchy
-    increments of u and v between consecutive levels and, under
+    increments of v between consecutive levels (``cauchy_increments``; u is
+    not read, so a strip level's u is never built here) and, under
     ``diagnostics["levels"]``, each level's a, residual norm, tolerance
     and counts; ``diagnostics["coarse"]`` gathers the levels' coarse
     solves (see solve_disc), which only a cold first level makes.
@@ -1178,7 +1208,7 @@ def _continue(schedule, solve_level):
     factor = FactorSlot()
     fld = None
     prev = None
-    increments_u, increments_v, levels, coarse = [], [], [], []
+    increments, levels, coarse = [], [], []
     for a_k in schedule:
         try:
             nxt = solve_level(a_k, prev, factor)
@@ -1186,15 +1216,13 @@ def _continue(schedule, solve_level):
             raise ContinuationFailed(f"continuation step failed at a={a_k}",
                                      a=a_k, residual=exc.data.get("residual")) from exc
         if fld is not None:
-            increments_u.append(float(np.max(np.abs(nxt.u - fld.u))))
-            increments_v.append(float(np.max(np.abs(nxt.v - fld.v))))
+            increments.append(float(np.max(np.abs(nxt.v - fld.v))))
         levels.append(level_record(nxt))
         coarse.extend(nxt.diagnostics.get("coarse", ()))
         fld = nxt
         prev = fld.grid.interior(fld)
     fld.is_limit = True
-    fld.cauchy_increments = tuple(increments_v)
-    fld.diagnostics["cauchy_u"] = tuple(increments_u)
+    fld.cauchy_increments = tuple(increments)
     fld.diagnostics["schedule"] = tuple(float(s) for s in schedule)
     fld.diagnostics["levels"] = tuple(levels)
     fld.diagnostics["coarse"] = tuple(coarse)
@@ -1244,28 +1272,15 @@ def solve_disc(boundary, a, domain, initial=None, factor=None):
     The tolerance is _newton's.  ``factor`` is a FactorSlot whose LU factor
     Newton may reuse and replaces; a continuation passes it to every level.
     """
-    if a == 0.0 or not math.isfinite(a):
-        raise ValueError(f"level a must be finite and nonzero, got {a} "
-                         "(a = 0 is reached through solve_disc_limit)")
-    a = abs(float(a))  # solutions at a and -a coincide
+    a = _checked_level(a, "solve_disc_limit")
     grid = domain.grid()
     phi = boundary.sample(grid.theta)
     f0, coarse = (initial, ()) if initial is not None else _cold_start(grid, boundary, a)
-    system = grid.quotient(grid.reflections(boundary))
-    x, _, iters, diag = _newton(
-        system.fold(f0), lambda x: system.residual(x, phi, a),
-        lambda x: system.factor(*system.jacobian(x, phi, a)), factor=factor)
-    f_sol = system.unfold(x)
-    # on a quotient the mirrored rows' residuals differ from the solved ones by round-off
-    norm = float(np.max(np.abs(grid.residual(f_sol, phi, a))))
+    f_sol, solved = _quotient_solve(grid, grid.reflections(boundary), f0, (phi,), a, factor)
     u, v, u_c, v_c, f_c = grid.extract_uv(f_sol, phi)
-    f_full = np.vstack([f_sol, phi[None, :]])
-    return SolutionField(
-        domain, a, u, v, f=f_full, f_center=f_c, u_center=u_c, v_center=v_c,
-        boundary={"circle": boundary}, converged=not diag["stagnated"], residual_norm=norm,
-        diagnostics={"newton_iterations": iters, "unknowns": system.unknowns, **diag,
-                     "coarse": coarse},
-    )
+    solved["diagnostics"]["coarse"] = coarse
+    return SolutionField(domain, a, u, v, f=np.vstack([f_sol, phi[None, :]]), f_center=f_c,
+                         u_center=u_c, v_center=v_c, boundary={"circle": boundary}, **solved)
 
 
 def solve_disc_limit(boundary, domain, schedule):
@@ -1286,12 +1301,9 @@ def solve_strip(top, bottom, a, domain, initial=None, factor=None):
     ``diagnostics["unknowns"]``, the tolerance and ``factor`` are as for solve_disc.
     The periodic closure of u is checked here (see reconstruct_u) and its
     defect recorded as ``diagnostics["closure_defect"]``; u itself is
-    built on the field's first read of it.
+    built only when a caller reads it, by reconstruct_u.
     """
-    if a == 0.0 or not math.isfinite(a):
-        raise ValueError(f"level a must be finite and nonzero, got {a} "
-                         "(a = 0 is reached through solve_strip_limit)")
-    a = abs(float(a))
+    a = _checked_level(a, "solve_strip_limit")
     # |constant| + sum |coefficients| bounds each edge's sup norm
     scale = max(1.0, *(abs(e.constant) + sum(abs(c) for _, c in e.cos_coeffs + e.sin_coeffs)
                        for e in (top, bottom)))
@@ -1301,27 +1313,14 @@ def solve_strip(top, bottom, a, domain, initial=None, factor=None):
     grid = domain.grid()
     top_v = top.sample_x(grid.x, domain.P)
     bot_v = bottom.sample_x(grid.x, domain.P)
-    if initial is not None:
-        v0 = initial
-    else:
-        # linear blend between the edges
-        w = (grid.y[1:-1, None] + domain.R) / (2 * domain.R)
-        v0 = bot_v[None, :] * (1 - w) + top_v[None, :] * w
-    system = grid.quotient(grid.reflections(top, bottom))
-    x, _, iters, diag = _newton(
-        system.fold(v0), lambda x: system.residual(x, top_v, bot_v, a),
-        lambda x: system.factor(*system.jacobian(x, top_v, bot_v, a)), factor=factor)
-    v_sol = system.unfold(x)
-    norm = float(np.max(np.abs(grid.residual(v_sol, top_v, bot_v, a))))
+    w = (grid.y[1:-1, None] + domain.R) / (2 * domain.R)     # cold: the edges' linear blend
+    v0 = initial if initial is not None else bot_v[None, :] * (1 - w) + top_v[None, :] * w
+    v_sol, solved = _quotient_solve(grid, grid.reflections(top, bottom), v0, (top_v, bot_v), a,
+                                 factor)
     v_full = np.vstack([bot_v, v_sol, top_v])
-    closure = _closure_defect(grid.hx, grid.gradient(v_full)[1])
-    return SolutionField(
-        domain, a, None, v_full,
-        boundary={"top": top, "bottom": bottom}, converged=not diag["stagnated"],
-        residual_norm=norm,
-        diagnostics={"newton_iterations": iters, "unknowns": system.unknowns, **diag,
-                     "closure_defect": closure},
-    )
+    solved["diagnostics"]["closure_defect"] = _closure_defect(grid.hx, grid.gradient(v_full)[1])
+    return SolutionField(domain, a, None, v_full, boundary={"top": top, "bottom": bottom},
+                         **solved)
 
 
 def solve_strip_limit(top, bottom, domain, schedule):
@@ -1391,8 +1390,8 @@ def save_field(field, path):
 
     Disc rows: centre first, then rings inner to outer, angles ascending;
     columns x, y, f, u, v.  Strip rows: y ascending then x ascending;
-    columns x, y, u, v.  The header also carries the Cauchy increments
-    and the diagnostics.
+    columns x, y, u, v.  The header also carries the Cauchy increments of
+    v and the diagnostics.
     """
     header = {
         "kind": field.kind,

@@ -258,8 +258,12 @@ def boundary_extrema_count(spec):
     return int(np.sum((g > left) & (g >= right)))
 
 
-def analyze_field(field, l=None):
-    """Full singularity report: records, the l value and the bound verdict."""
+def analyze_field(field):
+    """Full singularity report: records, the l value and the bound verdict.
+
+    l is the boundary extrema count of a disc field's circle data; a strip
+    field has none, so its l is None and its report has no bound verdict.
+    """
     interior, boundary = detect_axis_zeros(field)
     spline, xs = _axis_spline(field)
     records = []
@@ -275,13 +279,9 @@ def analyze_field(field, l=None):
         records.append(SingularPointRecord(z, label, mult, samples, rad))
     for xb in boundary:
         records.append(SingularPointRecord(float(xb), None, None, 0, 0.0, boundary=True))
-    report = {
-        "records": records,
-        "l": l,
-        "parity_ok": all(r.parity_ok() for r in records),
-    }
-    if l is None and "circle" in (field.boundary or {}):
-        report["l"] = boundary_extrema_count(field.boundary["circle"])
-    if report["l"] is not None:
-        report["bound_ok"] = bound_check(records, report["l"])
+    circle = (field.boundary or {}).get("circle")
+    l = boundary_extrema_count(circle) if circle is not None else None
+    report = {"records": records, "l": l, "parity_ok": all(r.parity_ok() for r in records)}
+    if l is not None:
+        report["bound_ok"] = bound_check(records, l)
     return report

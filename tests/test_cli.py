@@ -56,6 +56,19 @@ def test_solve_strip_constant_limit(tmp_path):
     assert np.max(np.abs(fld.v - 1.0)) < 1e-12
 
 
+def test_solve_strip_takes_the_half_width_and_the_period(tmp_path):
+    edge = "const=-0.16,cos 1=0.5"
+    assert run(["solve", "--kind", "strip", "--R", "2", "--P", "4", "--a", "0.05",
+                "--nx", "32", "--ny", "17", "--top", edge, "--bottom", edge,
+                "--out", str(tmp_path)]) == 0
+    fld = load_field(tmp_path / "field.csv")
+    x, y = fld.grid.nodes()
+    assert (y.min(), y.max()) == (-2.0, 2.0)
+    assert (x.min(), x.max()) == (0.0, 4.0 - 4.0 / 32)
+    diag = json.loads((tmp_path / "field.csv.diag.json").read_text())
+    assert full_grid_residual(tmp_path / "field.csv") <= diag["tolerance"]
+
+
 def test_solve_extreme_alpha_is_recorded(tmp_path):
     # a huge first harmonic keeps the field far from the singular regime:
     # the run must finish with a recorded outcome either way
@@ -172,6 +185,30 @@ def test_sweep_section6_roots_and_zero_counts(tmp_path, fresh_cache):
     assert lines[0] == "alpha,zero_count" and len(lines) == 6
     # below alpha0, between the roots and above alpha1: no, two and no interior zeros
     assert [lines[k].split(",")[1] for k in (1, 3, 5)] == ["0", "2", "0"]
+
+
+def test_sweep_alpha_grid_row_whose_classification_raises(tmp_path, monkeypatch, fresh_cache):
+    from slfib import singularities
+    from slfib.errors import NonisolatedSingularities
+
+    detect, calls = singularities.detect_axis_zeros, []
+
+    def second_raises(fld):
+        calls.append(fld)
+        if len(calls) == 2:
+            raise NonisolatedSingularities("v vanishes on a stretch of the axis")
+        return detect(fld)
+
+    monkeypatch.setattr(singularities, "detect_axis_zeros", second_raises)
+    assert run(["sweep", "--family", "section6", "--nx", "32", "--ny", "64",
+                "--alpha-grid", "3", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "zero_counts.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    assert [count for _, count in rows] == ["0", "-1", "0"]
+    records = [json.loads(line) for line in
+               (tmp_path / "sweep.ndjson").read_text().splitlines()]
+    assert [rec for rec in records if "error" in rec] == [
+        {"alpha": float(rows[1][0]), "error": "nonisolated-singularities"}]
 
 
 def test_negative_alpha_grid_exits_1_before_any_solve(tmp_path, monkeypatch, capsys):

@@ -488,6 +488,21 @@ def test_limit_strip_cauchy_decays():
     assert fld.is_limit
 
 
+def test_a_strip_continuation_builds_u_only_when_it_is_read(monkeypatch):
+    from slfib import elliptic
+
+    calls = []
+    eager = elliptic.reconstruct_u
+    monkeypatch.setattr(elliptic, "reconstruct_u", lambda fld: calls.append(fld) or eager(fld))
+    top = BoundarySpec.make(constant=0.2, cos={1: 0.5})
+    fld = solve_strip_limit(top, top, DomainSpec.strip(48, 25), geometric_schedule(0.5, 0.25))
+    assert calls == [] and "u" not in vars(fld)
+    assert "cauchy_u" not in fld.diagnostics
+    assert len(fld.cauchy_increments) == len(fld.diagnostics["levels"]) - 1
+    fld.u
+    assert calls == [fld]
+
+
 def test_dump_roundtrip_strip(tmp_path, strip_field_cos):
     path = tmp_path / "strip.csv"
     save_field(strip_field_cos, path)

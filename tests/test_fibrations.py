@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,14 @@ from slfib.elliptic import (
 )
 from slfib.errors import BracketFailed, OutsideTotalSpace, SolverDiverged
 from slfib.fibrations import (
+    BISECT_MAX_ITER,
+    BRACKET_MAX,
     DEFAULT_SCHEDULE,
     DiscriminantRibbon,
     FamilySpec,
     SolverCache,
+    _bisect,
+    _grown_bracket,
     _probe,
     alpha_beta_curves,
     disc_family,
@@ -98,7 +104,7 @@ def test_a_warm_strip_probe_builds_no_u(monkeypatch):
     monkeypatch.setattr(elliptic, "reconstruct_u", lambda fld: calls.append(fld) or eager(fld))
     fam, cache = strip_family(0.5), SolverCache()
     probe = _probe(fam, 0.0, (0.0, 0.0), STRIP_RES, FAST_SCHEDULE, cache)
-    probe(0.25)                   # the continuation compares u between its levels
+    probe(0.25)                   # a cold continuation
     calls.clear()
     probe(0.125)
     fld = solve_family_member(fam, 0.0, 0.125, STRIP_RES, FAST_SCHEDULE, cache)
@@ -212,6 +218,56 @@ def test_bisect_bracket_failure():
 
     with pytest.raises(BracketFailed):
         _bisect(lambda b: 1.0 + 0.0 * b, -1.0, 1.0, 1e-6)
+
+
+def _counted(fn):
+    """fn, and the list of the points it was called at."""
+    calls = []
+    return (lambda b: calls.append(b) or fn(b)), calls
+
+
+def test_grown_bracket_grows_past_its_first_half_width():
+    fn, calls = _counted(lambda b: b - 5.0)
+    root = _grown_bracket(fn, 1e-9)
+    assert abs(root - 5.0) < 1e-9
+    # [-2, 2] and [-4, 4] hold no sign change; [-8, 8] is bisected
+    assert calls[:6] == [-2.0, 2.0, -4.0, 4.0, -8.0, 8.0]
+
+
+def test_grown_bracket_fails_at_the_largest_bracket():
+    fn, calls = _counted(lambda b: 1.0)
+    with pytest.raises(BracketFailed) as info:
+        _grown_bracket(fn, 1e-9)
+    assert info.value.data["b_max"] == BRACKET_MAX
+    assert max(calls) == BRACKET_MAX and min(calls) == -BRACKET_MAX
+
+
+@pytest.mark.parametrize("root", [-1.0, 1.0])
+def test_bisect_returns_an_endpoint_that_is_an_exact_zero(root):
+    fn, calls = _counted(lambda b: b - root)
+    assert _bisect(fn, -1.0, 1.0, 1e-6) == root
+    assert calls == [-1.0, 1.0]
+
+
+def test_bisect_stops_after_its_iteration_budget_within_one_ulp():
+    # no float squares to exactly 2, so with tol = 0 only the budget ends the search
+    fn, calls = _counted(lambda b: b * b - 2.0)
+    root = _bisect(fn, 1.0, 2.0, 0.0)
+    assert len(calls) == 2 + BISECT_MAX_ITER
+    assert abs(root - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
+
+
+def test_project_at_the_disc_pole_reads_the_centre_value():
+    # z1 = z2 = 1, z3 = 0: the pole (0, 0) at level 0, where v(0, 0) = Re z1 z2 = 1
+    cache = SolverCache()
+    coords = project_to_base(ComplexPoint3(1 + 0j, 1 + 0j, 0j), disc_family(), (32, 64),
+                             cache=cache)
+    fld = solve_family_member(disc_family(), 0.0, coords.b, (32, 64), cache=cache)
+    assert coords.a == 0.0
+    assert abs(coords.b - 1.05264) < 1e-5
+    assert abs(fld.v_center - 1.0) < 1e-5
+    assert coords.c == -fld.u_center
+    assert "u" not in fld._interp               # the centre value, not the interpolant
 
 
 def test_cache_disk_layer(tmp_path, monkeypatch):

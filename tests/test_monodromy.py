@@ -1,10 +1,14 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slfib.monodromy import (
     MonodromyMatrix,
+    _hermite_kernel,
     duality_check,
     invariant_lattice,
     ribbon_figure_data,
@@ -128,3 +132,46 @@ def test_zero_width_collapses_to_graph_skeleton(monkeypatch):
 
 def test_matrix_json():
     assert json.dumps(standard_edge().to_json()) == "[[1, 1, 0], [0, 1, 0], [0, 0, 1]]"
+
+
+def _det(m):
+    """The determinant of a small square integer matrix, by Leibniz's formula."""
+    return sum((-1) ** sum(p[i] > p[j] for i, j in itertools.combinations(range(len(p)), 2))
+               * math.prod(row[k] for row, k in zip(m, p))
+               for p in itertools.permutations(range(len(m))))
+
+
+def _minors(rows, k):
+    """Every k x k minor of an integer matrix with 3 columns (the 0 x 0 one is 1)."""
+    return [_det([[row[c] for c in cols] for row in sub])
+            for sub in itertools.combinations(rows, k)
+            for cols in itertools.combinations(range(3), k)]
+
+
+_ENTRY = st.integers(-9, 9)
+_ROW = st.lists(_ENTRY, min_size=3, max_size=3)
+
+
+@st.composite
+def _integer_matrices(draw):
+    """1-9 rows of 3 integers: drawn freely, or integer combinations of at most two rows."""
+    n = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        return [draw(_ROW) for _ in range(n)]
+    gens = draw(st.lists(_ROW, min_size=1, max_size=2))
+    weights = [draw(st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)))
+               for _ in range(n)]
+    return [[sum(w * g[c] for w, g in zip(ws, gens)) for c in range(3)] for ws in weights]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_integer_matrices())
+def test_hermite_kernel_is_a_saturated_oriented_kernel_basis(rows):
+    basis = _hermite_kernel(rows)
+    rank = max(k for k in range(4) if any(_minors(rows, k)))
+    assert len(basis) == 3 - rank
+    for vec in basis:
+        assert all(sum(r * x for r, x in zip(row, vec)) == 0 for row in rows)
+        assert next(x for x in vec if x != 0) > 0
+    # saturated: the basis spans every integer kernel vector, so its maximal minors are coprime
+    assert math.gcd(*_minors(basis, len(basis))) == 1
