@@ -137,9 +137,10 @@ def fiber_points(field, chart):
     else:
         # conjugate form |z1| = |w| / sqrt(s), |z2| = sqrt(s): stable where
         # the positive root nearly cancels, and z2 keeps full precision
-        # when |z1| is subnormal
+        # when |z1| is subnormal.  w's direction comes from its angle: w / rho
+        # is not of unit length when rho is subnormal
         s = abs(a) + np.hypot(a, rho)
-        unit = w / rho if rho > 0.0 else 1.0 + 0.0j
+        unit = np.exp(1j * np.arctan2(chart.y, v)) if rho > 0.0 else 1.0 + 0.0j
         z1 = rho / np.sqrt(s) * np.exp(1j * chart.phase)
         z2 = unit * np.sqrt(s) * np.exp(-1j * chart.phase)
     return ComplexPoint3(complex(z1), complex(z2), complex(z3))
