@@ -319,6 +319,10 @@ def _complex(flag, text):
 def cmd_project(args):
     from .calibration import ComplexPoint3
 
+    if args.t and args.family == "section6":
+        raise ValueError(f"--t is for section7 only, got {args.t} for section6")
+    if not math.isfinite(args.t):
+        raise ValueError(f"--t must be finite, got {args.t}")
     p = ComplexPoint3(*(_complex(flag, getattr(args, flag)) for flag in ("z1", "z2", "z3")))
     if args.family == "section6":
         fam, default = fibrations.disc_family(), fibrations.DEFAULT_DISC_RESOLUTION

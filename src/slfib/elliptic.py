@@ -373,13 +373,27 @@ class _Reflections:
     each full-grid unknown.  A disc quotient also has ``_stacked``, the one
     operator its residual applies (see DiscGrid).  Each system keeps its band
     layout in ``_band`` once it is built.  ``contains`` reads the grid's
-    ``margin``.
+    ``margin``, ``reader`` its nodes and ``pole``.
     """
 
     _band = None
+    pole = None                                  # the disc's centre, a point but not a node
 
     def contains(self, x, y):
         return self.margin(x, y) >= -1e-12
+
+    def reader(self, name, x, y):
+        """fld -> u or v (``name``) at the point (x, y), located once here.
+
+        At a node or the pole (exact equality) it reads the nodal value, elsewhere the interpolant.
+        """
+        if self.pole == (x, y):
+            return lambda fld: float(getattr(fld, name + "_center"))
+        xg, yg = self.nodes()
+        node = np.flatnonzero((xg == x) & (yg == y))
+        if node.size:
+            return lambda fld: float(getattr(fld, name).flat[node[0]])
+        return lambda fld: float(fld._eval(name, x, y))
 
     def quotient(self, sym):
         """The system for data of parities sym = (sx, sy): 1 even, -1 odd, 0 neither."""
@@ -467,6 +481,7 @@ class DiscGrid(_Reflections):
     """
 
     _stacked = None
+    pole = (0.0, 0.0)
 
     def __init__(self, n_r, n_theta):
         self.N = int(n_r)
@@ -841,6 +856,12 @@ class StripGrid(_Reflections):
 
     def interior(self, fld):                     # the iterate of a solve: v off the edge rows
         return fld.v[1:-1]
+
+    def harmonic_extension(self, top, bottom):
+        """Initial guess: the edges' linear blend in y, harmonic when both are constant."""
+        w = (self.y[1:-1, None] + self.R) / (2 * self.R)
+        return (bottom.sample_x(self.x, self.P)[None, :] * (1 - w)
+                + top.sample_x(self.x, self.P)[None, :] * w)
 
     def _halo_index(self, src, n_rows, n_cols):
         """Index into [bottom edge, box values, top edge] of the box widened by one node."""
@@ -1313,8 +1334,7 @@ def solve_strip(top, bottom, a, domain, initial=None, factor=None):
     grid = domain.grid()
     top_v = top.sample_x(grid.x, domain.P)
     bot_v = bottom.sample_x(grid.x, domain.P)
-    w = (grid.y[1:-1, None] + domain.R) / (2 * domain.R)     # cold: the edges' linear blend
-    v0 = initial if initial is not None else bot_v[None, :] * (1 - w) + top_v[None, :] * w
+    v0 = initial if initial is not None else grid.harmonic_extension(top, bottom)
     v_sol, solved = _quotient_solve(grid, grid.reflections(top, bottom), v0, (top_v, bot_v), a,
                                  factor)
     v_full = np.vstack([bot_v, v_sol, top_v])

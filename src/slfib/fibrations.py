@@ -1,6 +1,7 @@
 """Assembly of the solver-backed fibration families and their discriminants.
 
-Two concrete families are built.
+A family is data (FamilySpec): a domain kind and the data tuples base and
+step, with data base + b * step at parameter b.  Two such families are built.
 
 Disc sweep: potential data phi_alpha = alpha cos(theta) - cos(3 theta) on
 the unit circle, fibres indexed by (a, alpha, beta) where beta only
@@ -17,25 +18,18 @@ and beta(t) are the roots in b of v(0,0) and v(pi,0); at t = 0 the band
 degenerates to the codimension-two line b = 0.
 
 All parameter searches use bisection on solver probes, justified by the
-strict monotonicity of v in the boundary data.  A probe reads v alone,
-and at a grid node it reads the node: at the disc sweep's (1, 0), and at
-the strip sweep's (0, 0) and (pi, 0) on the default grids, a probe
-builds neither u nor an interpolant.  Solved fields are cached in memory
-(and on disk when SLFIB_CACHE_DIR is set).  A probe that misses the
-cache starts from solved neighbours in the family parameter when they
-are cached: one Newton solve at the final level replaces the
-continuation in a.  Bisection always holds solved b1 < b < b2, and the
-field depends continuously on the data, so the first start is the linear
-interpolant of the two fields; each neighbour on its own, shifted by the
-harmonic extension of the data difference, follows, the closer first.
-The continuation runs only for the first probe of a search or when no
-start leads to a converged field (see solve_family_member).
+strict monotonicity of v in the boundary data.  A probe reads v alone; at
+a grid node or the disc pole (every probe point of both sweeps on the
+default grids) it builds neither u nor an interpolant.  Solved fields are
+cached in memory (and on disk when SLFIB_CACHE_DIR is set), and a probe
+that misses the cache starts from its solved neighbours in b: one Newton
+solve at the final level replaces the continuation in a, which runs only
+when no start converges (see solve_family_member).
 """
 
 import hashlib
 import os
 import tempfile
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,29 +83,49 @@ class DiscriminantRibbon:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """One of the two concrete sweep families."""
+    """A family affine in its parameter b: data base + b * step.
 
-    kind: str                         # "disc-sweep" | "strip-sweep"
-    t: float                          # strip deformation parameter
+    ``kind`` is a DomainSpec kind; ``base`` and ``step`` are the solver's
+    data tuples of BoundarySpecs, (phi,) on the disc and (top, bottom) on
+    the strip.  Equal families share their cache lane (see solve_family_member).
+    """
+
+    kind: str
+    base: tuple
+    step: tuple
 
     def __post_init__(self):
-        if self.kind not in ("disc-sweep", "strip-sweep"):
+        if self.kind not in ("disc", "periodic-strip"):
             raise ValueError(f"unknown family kind {self.kind!r}")
 
+    def domain(self, resolution):
+        """The domain of the family's fields at ``resolution``."""
+        return DomainSpec(self.kind, 1.0, 2.0 * np.pi, *resolution)
+
     def boundary(self, b):
-        """Boundary data at family parameter b (alpha for the disc sweep)."""
-        if self.kind == "disc-sweep":
-            return BoundarySpec.make(cos={1: b, 3: -1.0})
-        spec = BoundarySpec.make(constant=b, cos={1: self.t} if self.t else None)
-        return spec, spec
+        """The data tuple at family parameter b (alpha for the disc sweep)."""
+        return _affine(self.base, b, self.step)
+
+
+def _affine(base, b, step):
+    """The data tuple base + b * step, coefficient by coefficient."""
+    def plus(d0, d1):
+        terms = [dict(d0.cos_coeffs), dict(d0.sin_coeffs)]
+        for coeffs, pairs in zip(terms, (d1.cos_coeffs, d1.sin_coeffs)):
+            coeffs.update((k, coeffs.get(k, 0.0) + b * v) for k, v in pairs)
+        return BoundarySpec.make(d0.constant + b * d1.constant, *terms)
+
+    return tuple(map(plus, base, step))
 
 
 def disc_family():
-    return FamilySpec("disc-sweep", 0.0)
+    return FamilySpec("disc", (BoundarySpec.make(cos={3: -1.0}),),
+                      (BoundarySpec.make(cos={1: 1.0}),))
 
 
 def strip_family(t):
-    return FamilySpec("strip-sweep", t=float(t))
+    return FamilySpec("periodic-strip", (BoundarySpec.make(cos={1: t}),) * 2,
+                      (BoundarySpec.make(1.0),) * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +148,8 @@ class SolverCache:
     """
 
     def __init__(self):
-        self._store = OrderedDict()
+        # a plain dict in use order: iterating an OrderedDict's items hashes every key twice
+        self._store = {}
         self.hits = 0
         self.misses = 0
         self.warm_starts = 0
@@ -152,8 +167,8 @@ class SolverCache:
         key = (SOLVER_VERSION, key)
         if key in self._store:
             self.hits += 1
-            self._store.move_to_end(key)
-            return self._store[key]
+            self._store[key] = fld = self._store.pop(key)
+            return fld
         path = self._disk_path(key)
         fld = None
         if path and os.path.exists(path):
@@ -166,7 +181,7 @@ class SolverCache:
                 _save_atomic(fld, path)
         self._store[key] = fld
         while len(self._store) > CACHE_SIZE:
-            self._store.popitem(last=False)
+            del self._store[next(iter(self._store))]
         return fld
 
     def nearest(self, lane, b):
@@ -200,28 +215,23 @@ def _save_atomic(fld, path):
 _shared_cache = SolverCache()
 
 
-def _family_domain(family, resolution):
-    """The domain of family fields at ``resolution``."""
-    return (DomainSpec.disc if family.kind == "disc-sweep" else DomainSpec.strip)(*resolution)
-
-
 def solve_family_member(family, a, b, resolution, schedule=None, cache=None):
     """Solve (or fetch) the family field at level a and parameter b.
 
-    A field is cached under its lane, the family kind, t, level a,
-    resolution and (at a = 0) schedule, and its parameter b.  On a miss
-    the probe is warm-started in b: the Dirichlet problem at a != 0 has a
-    unique solution, so a start built from solved neighbours in the same
-    lane runs one Newton solve at the lane's final level (``schedule[-1]``
-    at a = 0, else a).  The starts are tried in this order, and the first
-    converged field is kept:
+    A field is cached under its lane, the family's kind and coefficients
+    as plain tuples (cheap to hash and compare), level a, resolution and
+    (at a = 0) schedule, and its parameter b.  On a miss the probe is
+    warm-started in b: the Dirichlet problem at a != 0 has a unique
+    solution, so a start built from solved neighbours in the same lane runs
+    one Newton solve at the lane's final level (``schedule[-1]`` at a = 0,
+    else a).  The starts are tried in this order, the first converged kept:
 
     - with a solved b1 < b and b2 > b, the linear interpolant
       (1 - w) F1 + w F2 of their interiors, w = (b - b1) / (b2 - b1);
-      both families' data are affine in b, so it carries the data at b;
-    - each neighbour b' on its own, the closer first, plus the harmonic
-      extension of the data difference ((b - b') r cos(theta) on the
-      disc, the constant b - b' on the strip).
+      the data are affine in b, so it carries the data at b;
+    - each neighbour b' on its own, the closer first, plus the grid's
+      ``harmonic_extension`` of (b - b') * step, scaled coefficient-wise
+      first: (b - b') r cos(theta) on the disc, b - b' on the strip.
 
     A kept field records its seed as ``diagnostics["warm_seed"]``, the
     pair (b1, b2) for the interpolant and b' for a one-sided start, and,
@@ -233,13 +243,13 @@ def solve_family_member(family, a, b, resolution, schedule=None, cache=None):
     schedule = tuple(schedule) if schedule is not None else DEFAULT_SCHEDULE
     b = float(b)
     level = schedule[-1] if a == 0.0 else a      # the level a warm start solves at
-    domain = _family_domain(family, resolution)
-    disc = family.kind == "disc-sweep"
-    data = (family.boundary(b),) if disc else family.boundary(b)
+    domain = family.domain(resolution)
     # module globals, read at call time, so that a patched solver is the one called
-    solve_level, solve_limit = ((solve_disc, solve_disc_limit) if disc
+    solve_level, solve_limit = ((solve_disc, solve_disc_limit) if family.kind == "disc"
                                 else (solve_strip, solve_strip_limit))
-    lane = (family.kind, family.t, round(float(a), 15), resolution, schedule if a == 0 else None)
+    lane = (family.kind, *((d.constant, d.cos_coeffs, d.sin_coeffs)
+                           for d in family.base + family.step),
+            round(float(a), 15), resolution, schedule if a == 0 else None)
 
     def starts(seeds):
         grid = domain.grid()
@@ -247,12 +257,13 @@ def solve_family_member(family, a, b, resolution, schedule=None, cache=None):
             (b1, f1), (b2, f2) = sorted(seeds, key=lambda s: s[0])
             w = (b - b1) / (b2 - b1)
             yield (b1, b2), (1.0 - w) * grid.interior(f1) + w * grid.interior(f2)
-        # the harmonic extension of a unit step in b: r cos(theta) on the disc, 1 on the strip
-        r, cos = (grid.r[:-1, None], np.cos(grid.theta)) if disc else (1.0, 1.0)
+        zero = (BoundarySpec.make(),) * len(family.step)
         for seed_b, seed in seeds:
-            yield seed_b, grid.interior(seed) + (b - seed_b) * r * cos
+            shift = _affine(zero, b - seed_b, family.step)
+            yield seed_b, grid.interior(seed) + grid.harmonic_extension(*shift)
 
     def solve():
+        data = family.boundary(b)
         seeds = cache.nearest(lane, b)
         for seed_id, initial in starts(seeds):
             try:
@@ -279,24 +290,9 @@ def solve_family_member(family, a, b, resolution, schedule=None, cache=None):
 # probes and root searches
 
 def _probe(family, a, point, resolution, schedule, cache):
-    """The map b -> v at ``point`` of the family field at level a.
-
-    A probe reads v only.  At a grid node (exact equality, checked once
-    here), the disc centre included, it returns the field's nodal value;
-    elsewhere it evaluates v's interpolant, built once per field.
-    """
-    x, y = point
-    centre = family.kind == "disc-sweep" and x == 0.0 and y == 0.0
-    xg, yg = _family_domain(family, resolution).grid().nodes()
-    node = np.flatnonzero((xg == x) & (yg == y))
-
-    def probe(b):
-        fld = solve_family_member(family, a, b, resolution, schedule, cache)
-        if centre:
-            return float(fld.v_center)
-        return float(fld.v.flat[node[0]] if node.size else fld._eval("v", x, y))
-
-    return probe
+    """The map b -> v at ``point`` of the family field at level a, by the grid's ``reader``."""
+    read = family.domain(resolution).grid().reader("v", *point)
+    return lambda b: read(solve_family_member(family, a, b, resolution, schedule, cache))
 
 
 def _bisect(fn, lo, hi, tol):
@@ -330,11 +326,8 @@ def find_alpha0_alpha1(resolution, schedule=None, bracket=(-20.0, 20.0), cache=N
     alpha -> v(1,0); both probes are strictly increasing in alpha.  Each
     is bisected over ``bracket`` to ROOT_TOL, read at call time.
     """
-    fam = disc_family()
-    alpha0 = _bisect(_probe(fam, 0.0, (0.0, 0.0), resolution, schedule, cache),
-                     bracket[0], bracket[1], ROOT_TOL)
-    alpha1 = _bisect(_probe(fam, 0.0, (1.0, 0.0), resolution, schedule, cache),
-                     bracket[0], bracket[1], ROOT_TOL)
+    alpha0, alpha1 = (_bisect(_probe(disc_family(), 0.0, point, resolution, schedule, cache),
+                              *bracket, ROOT_TOL) for point in ((0.0, 0.0), (1.0, 0.0)))
     if not alpha0 < alpha1:
         raise BracketFailed("bifurcation values out of order",
                             alpha0=alpha0, alpha1=alpha1)
@@ -357,25 +350,21 @@ def project_to_base(p, family, resolution, schedule=None, cache=None):
     The level is read off the moment map; the family parameter b is the
     unique root of the strictly increasing map b -> v_(a,b)(x, y) minus
     Re(z1 z2), bisected to ROOT_TOL (read at call time); the translation
-    c is Im z3 - u_(a,b)(x, y).
+    c is Im z3 - u_(a,b)(x, y), read as the probe reads v.
     """
     z1, z2, z3 = p.z1, p.z2, p.z3
     x = z3.real
     y = (z1 * z2).imag
     target = (z1 * z2).real
     a = 0.5 * (abs(z1) ** 2 - abs(z2) ** 2)
-    if _family_domain(family, resolution).grid().margin(x, y) <= 0.0:
+    grid = family.domain(resolution).grid()
+    if grid.margin(x, y) <= 0.0:
         raise OutsideTotalSpace(f"({x!r}, {y!r}) is outside the family's domain", x=x, y=y)
 
     probe = _probe(family, a, (x, y), resolution, schedule, cache)
     b = _grown_bracket(lambda b: probe(b) - target, ROOT_TOL)
     fld = solve_family_member(family, a, b, resolution, schedule, cache)
-    if family.kind == "disc-sweep" and x == 0.0 and y == 0.0:
-        u_val = float(fld.u_center)
-    else:
-        u_val, _ = fld.uv(x, y)
-        u_val = float(u_val)
-    c = z3.imag - u_val
+    c = z3.imag - grid.reader("u", x, y)(fld)
     return FiberCoordinates(float(a), float(b), float(c))
 
 
@@ -389,10 +378,8 @@ def alpha_beta_curves(t_grid, resolution, schedule=None, cache=None):
     out = []
     for t in t_grid:
         fam = strip_family(t)
-        alpha_t = _grown_bracket(_probe(fam, 0.0, (0.0, 0.0), resolution, schedule, cache),
-                                 CURVE_TOL)
-        beta_t = _grown_bracket(_probe(fam, 0.0, (np.pi, 0.0), resolution, schedule, cache),
-                                CURVE_TOL)
+        alpha_t, beta_t = (_grown_bracket(_probe(fam, 0.0, point, resolution, schedule, cache),
+                                          CURVE_TOL) for point in ((0.0, 0.0), (np.pi, 0.0)))
         out.append((float(t), alpha_t, beta_t))
     return out
 
@@ -400,20 +387,14 @@ def alpha_beta_curves(t_grid, resolution, schedule=None, cache=None):
 def ribbon_report(family, params):
     """Discriminant ribbon data for a family.
 
-    Disc sweep: params = (alpha0, alpha1); the lower end is a fold edge
-    (a fused double point), the upper end is where the singular points
-    reach the domain boundary.  Strip sweep: params = (alpha_t, beta_t);
-    at t = 0 the band degenerates to the codimension-two line b = 0,
-    flagged ``degenerate`` when the edges lie within CURVE_TOL of each other.
+    params are the edges in b, (alpha0, alpha1) or (alpha_t, beta_t).  The
+    lower end is a fold edge (a fused double point); the upper end is where
+    the singular points reach the disc's boundary, or a fold edge on the strip.
+    Edges within CURVE_TOL of each other (the strip's t = 0) are ``degenerate``.
     """
-    if family.kind == "disc-sweep":
-        alpha0, alpha1 = params
-        return DiscriminantRibbon(
-            a_plane=0.0, b_interval=(float(alpha0), float(alpha1)),
-            c_range="all-reals", endpoint_kind=("fold-boundary", "domain-boundary"),
-            counts=(0, 1, 2), degenerate=False)
-    alpha_t, beta_t = params
+    lo, hi = params
+    upper = "domain-boundary" if family.kind == "disc" else "fold-boundary"
     return DiscriminantRibbon(
-        a_plane=0.0, b_interval=(float(alpha_t), float(beta_t)),
-        c_range="all-reals", endpoint_kind=("fold-boundary", "fold-boundary"),
-        counts=(0, 1, 2), degenerate=abs(beta_t - alpha_t) < CURVE_TOL)
+        a_plane=0.0, b_interval=(float(lo), float(hi)), c_range="all-reals",
+        endpoint_kind=("fold-boundary", upper), counts=(0, 1, 2),
+        degenerate=abs(hi - lo) < CURVE_TOL)

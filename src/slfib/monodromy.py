@@ -153,15 +153,10 @@ def _hermite_kernel(rows):
                 pivot_row += 1
                 break
     kernel = []
-    from math import gcd
     for r in range(n):
         if all(work[r][c] == 0 for c in range(m)):
+            # primitive already: the identity block saw only unimodular row operations
             vec = work[r][m:]
-            g = 0
-            for x in vec:
-                g = gcd(g, abs(x))
-            if g > 1:
-                vec = [x // g for x in vec]
             # fix an orientation: first nonzero entry positive
             lead = next((x for x in vec if x != 0), 1)
             if lead < 0:

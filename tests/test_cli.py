@@ -247,6 +247,20 @@ def test_sweep_flag_out_of_range_exits_1_before_any_solve(argv, line, tmp_path, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["--family", "section6", "--t", "0.5"], "--t is for section7 only, got 0.5 for section6"),
+    (["--family", "section7", "--t", "nan"], "--t must be finite, got nan"),
+    (["--family", "section7", "--t", "inf"], "--t must be finite, got inf"),
+], ids=["t-section6", "t-nan", "t-inf"])
+def test_project_flag_out_of_range_exits_1_before_any_solve(argv, line, monkeypatch, capsys):
+    # a solve would fail: the projection may not be reached
+    monkeypatch.setattr(fibrations, "project_to_base", None)
+    assert run(["project", *argv, "--z1", "1", "--z2", "1", "--z3", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
+
+
 def test_sweep_jobs_matches_the_serial_run(tmp_path):
     # --jobs 2 solves each t in a worker process; the curves must not change
     for jobs in ("1", "2"):

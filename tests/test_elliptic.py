@@ -196,7 +196,7 @@ def test_stagnation_is_not_converged(monkeypatch):
 @pytest.mark.parametrize("kind", ["disc", "strip"])
 def test_residual_norm_is_that_of_the_stored_field(kind):
     if kind == "disc":
-        fld = solve_disc(disc_family().boundary(1.25), 1e-3, DomainSpec.disc(32, 64))
+        fld = solve_disc(*disc_family().boundary(1.25), 1e-3, DomainSpec.disc(32, 64))
         res = disc_grid(32, 64).residual(fld.f[:-1], fld.f[-1], fld.a)
     else:
         edge = BoundarySpec.make(cos={1: 0.5})
@@ -209,7 +209,7 @@ def test_residual_norm_is_that_of_the_stored_field(kind):
 
 def test_deep_levels_converge_at_the_roundoff_floor():
     # at this grid the float64 residual floor passes NEWTON_TOL on the way to a_min
-    fld = solve_disc_limit(disc_family().boundary(2.24), DomainSpec.disc(64, 128),
+    fld = solve_disc_limit(*disc_family().boundary(2.24), DomainSpec.disc(64, 128),
                            DEFAULT_SCHEDULE)
     levels = fld.diagnostics["levels"]
     assert len(levels) == len(DEFAULT_SCHEDULE)
@@ -787,7 +787,7 @@ def _strip_family_edge():
 
 QUOTIENT_PROBLEMS = {
     # (solve, unknowns of the quotient): odd in x, even in x with the ghost, the strip quarter
-    "disc-odd": (lambda: solve_disc(disc_family().boundary(1.25), 0.05, DomainSpec.disc(32, 64)),
+    "disc-odd": (lambda: solve_disc(*disc_family().boundary(1.25), 0.05, DomainSpec.disc(32, 64)),
                  31 * 16),
     "disc-even": (lambda: solve_disc(na_potential_circle(0.05), 0.05, DomainSpec.disc(32, 64)),
                   31 * 17 + 1),
@@ -843,7 +843,7 @@ def test_unknowns_follow_the_data_reflections(kind, edges, unknowns):
 def test_a_small_sine_term_moves_the_field_little(kind):
     # the sine term sends the solve to the full grid; the field moves by about its size
     if kind == "disc":
-        spec = disc_family().boundary(1.25)
+        spec, = disc_family().boundary(1.25)
         ref = solve_disc(spec, 0.05, DomainSpec.disc(32, 64))
         fld = solve_disc(BoundarySpec.make(spec.constant, dict(spec.cos_coeffs), {1: 1e-6}),
                          0.05, DomainSpec.disc(32, 64))
@@ -987,7 +987,7 @@ def test_superlu_everywhere_agrees_with_the_band_path(kind, monkeypatch):
 
     if kind == "disc":
         def solve():
-            return solve_disc_limit(disc_family().boundary(1.25), DomainSpec.disc(32, 64),
+            return solve_disc_limit(*disc_family().boundary(1.25), DomainSpec.disc(32, 64),
                                     DEFAULT_SCHEDULE)
     else:
         def solve():
@@ -1049,7 +1049,7 @@ def test_a_warm_disc_solve_builds_no_sparse_matrix(monkeypatch):
     from slfib import elliptic
 
     domain = DomainSpec.disc(32, 64)
-    spec = disc_family().boundary(1.25)               # odd in x: the quarter
+    spec, = disc_family().boundary(1.25)              # odd in x: the quarter
     cold = solve_disc(spec, 0.05, domain)             # builds the grid and its quarter
     used = []
 

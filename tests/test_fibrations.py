@@ -5,7 +5,9 @@ import pytest
 
 from slfib.calibration import ComplexPoint3, FiberChartPoint, fiber_points
 from slfib.elliptic import (
+    BoundarySpec,
     DomainSpec,
+    StripGrid,
     disc_grid,
     geometric_schedule,
     solve_disc,
@@ -41,18 +43,38 @@ STRIP_RES = (48, 25)
 
 def test_family_validation():
     with pytest.raises(ValueError):
-        FamilySpec("circle-sweep", 0.0)
+        FamilySpec("circle-sweep", (), ())
 
 
 def test_disc_family_boundary():
-    spec = disc_family().boundary(2.0)
+    spec, = disc_family().boundary(2.0)
     assert dict(spec.cos_coeffs) == {1: 2.0, 3: -1.0}
 
 
 def test_strip_family_boundary():
     top, bottom = strip_family(0.5).boundary(1.0)
-    assert top is bottom
+    assert top == bottom and StripGrid.reflections(top, bottom)[1] == 1
     assert top.constant == 1.0 and dict(top.cos_coeffs) == {1: 0.5}
+
+
+@pytest.mark.parametrize("b", [0.0, -0.0, 1.25, -3.5])
+@pytest.mark.parametrize("t", [0.0, 0.5])
+def test_family_data_are_the_sweeps_data(b, t):
+    # the data as the sweeps wrote them before families were affine data
+    assert disc_family().boundary(b) == (BoundarySpec.make(cos={1: b, 3: -1.0}),)
+    spec = BoundarySpec.make(constant=b, cos={1: t} if t else None)
+    assert strip_family(t).boundary(b) == (spec, spec)
+
+
+def test_equal_families_share_a_lane():
+    first, second = strip_family(0.5), strip_family(0.5)
+    assert first == second and first is not second
+    cache = SolverCache()
+    solve_family_member(first, 0.0, 0.25, STRIP_RES, FAST_SCHEDULE, cache)
+    solve_family_member(second, 0.0, 0.25, STRIP_RES, FAST_SCHEDULE, cache)
+    fld = solve_family_member(second, 0.0, 0.125, STRIP_RES, FAST_SCHEDULE, cache)
+    assert (cache.misses, cache.hits, cache.warm_starts) == (2, 1, 1)
+    assert fld.diagnostics["warm_seed"] == 0.25
 
 
 def test_vhat_probe_boundary_value():
@@ -308,6 +330,17 @@ def test_cache_lru_eviction(monkeypatch):
     assert len(cache._store) == 2
 
 
+def test_cache_evicts_the_least_recently_used(monkeypatch):
+    import slfib.fibrations as fib
+
+    monkeypatch.setattr(fib, "CACHE_SIZE", 2)
+    cache, fam = SolverCache(), strip_family(0.0)
+    for b in (0.1, 0.2, 0.1, 0.3):             # the hit on 0.1 makes 0.2 the oldest
+        solve_family_member(fam, 0.5, b, STRIP_RES, cache=cache)
+    assert sorted(b for _, (_, b) in cache._store) == [0.1, 0.3]
+    assert (cache.hits, cache.misses) == (1, 3)
+
+
 def test_cache_disk_keeps_diagnostics(tmp_path, monkeypatch):
     monkeypatch.setenv("SLFIB_CACHE_DIR", str(tmp_path))
     fam = strip_family(0.5)
@@ -335,7 +368,7 @@ def _max_diff(f1, f2):
 def test_warm_start_matches_the_full_continuation(kind, seed_b, b, res):
     if kind == "disc":
         fam = disc_family()
-        ref = solve_disc_limit(fam.boundary(b), DomainSpec.disc(*res), DEFAULT_SCHEDULE)
+        ref = solve_disc_limit(*fam.boundary(b), DomainSpec.disc(*res), DEFAULT_SCHEDULE)
     else:
         fam = strip_family(0.5)
         ref = solve_strip_limit(*fam.boundary(b), DomainSpec.strip(*res), DEFAULT_SCHEDULE)
@@ -373,7 +406,7 @@ def test_warm_start_falls_back_to_the_full_schedule(failure, monkeypatch):
     solve_family_member(fam, 0.0, 0.0, res, cache=cache)
     monkeypatch.setattr(fib, "solve_disc", failing_solve_disc)
     fld = solve_family_member(fam, 0.0, 0.3125, res, cache=cache)
-    ref = solve_disc_limit(fam.boundary(0.3125), DomainSpec.disc(*res), DEFAULT_SCHEDULE)
+    ref = solve_disc_limit(*fam.boundary(0.3125), DomainSpec.disc(*res), DEFAULT_SCHEDULE)
     assert len(attempts) == 1
     assert (cache.misses, cache.warm_starts, cache.warm_fallbacks) == (2, 0, 1)
     assert "warm_seed" not in fld.diagnostics
@@ -389,7 +422,7 @@ def test_two_sided_start_matches_the_full_continuation(kind, b1, b2, b):
     # disc: the one-sided start from 1.25 diverges, the interpolant converges
     if kind == "disc":
         fam, res = disc_family(), (32, 64)
-        ref = solve_disc_limit(fam.boundary(b), DomainSpec.disc(*res), DEFAULT_SCHEDULE)
+        ref = solve_disc_limit(*fam.boundary(b), DomainSpec.disc(*res), DEFAULT_SCHEDULE)
     else:
         fam, res = strip_family(0.5), (64, 33)
         ref = solve_strip_limit(*fam.boundary(b), DomainSpec.strip(*res), DEFAULT_SCHEDULE)
@@ -419,7 +452,7 @@ def test_warm_attempts_run_interpolant_then_nearer_then_farther(monkeypatch):
     fallbacks = cache.warm_fallbacks
     monkeypatch.setattr(fib, "solve_disc", failing_solve_disc)
     fld = solve_family_member(fam, 0.0, b, res, cache=cache)
-    ref = solve_disc_limit(fam.boundary(b), DomainSpec.disc(*res), DEFAULT_SCHEDULE)
+    ref = solve_disc_limit(*fam.boundary(b), DomainSpec.disc(*res), DEFAULT_SCHEDULE)
 
     r, theta = lo.grid.r, lo.grid.theta
     shift = r[:-1, None] * np.cos(theta)
@@ -437,6 +470,44 @@ def test_warm_attempts_run_interpolant_then_nearer_then_farther(monkeypatch):
     assert len(fld.cauchy_increments) == len(DEFAULT_SCHEDULE) - 1
 
 
+def test_a_one_sided_disc_start_is_the_scaled_unit_step(monkeypatch):
+    import slfib.fibrations as fib
+
+    class Attempted(Exception):
+        pass
+
+    starts = []
+
+    def recording_solve_disc(*args, **kwargs):
+        starts.append(kwargs["initial"])
+        raise Attempted
+
+    fam, res, cache = disc_family(), (32, 64), SolverCache()
+    seed = solve_family_member(fam, 0.0, 1.25, res, cache=cache)
+    monkeypatch.setattr(fib, "solve_disc", recording_solve_disc)
+    with pytest.raises(Attempted):
+        solve_family_member(fam, 0.0, 0.625, res, cache=cache)
+    r, theta = seed.grid.r, seed.grid.theta
+    # the step's coefficient is scaled first, then extended: ((b - b') r) cos(theta)
+    assert np.array_equal(starts[0], seed.f[:-1] + (0.625 - 1.25) * r[:-1, None] * np.cos(theta))
+
+
+def test_a_family_given_only_as_data_solves_warm_and_probes():
+    # the disc sweep's data plus 0.1 cos(2 theta): neither even nor odd in x
+    fam = FamilySpec("disc", (BoundarySpec.make(cos={2: 0.1, 3: -1.0}),),
+                     (BoundarySpec.make(cos={1: 1.0}),))
+    res, cache = (32, 64), SolverCache()
+    cold = solve_family_member(fam, 0.0, 2.5, res, cache=cache)
+    warm = solve_family_member(fam, 0.0, 2.25, res, cache=cache)
+    assert "warm_seed" not in cold.diagnostics and warm.diagnostics["warm_seed"] == 2.5
+    for b, fld in ((2.5, cold), (2.25, warm)):
+        ref = solve_disc_limit(*fam.boundary(b), DomainSpec.disc(*res), DEFAULT_SCHEDULE)
+        assert _max_diff(fld, ref) <= 1e-11
+        for point, want in (((0.0, 0.0), ref.v_center), ((1.0, 0.0), ref.v[-1, 0])):
+            assert abs(_probe(fam, 0.0, point, res, None, cache)(b) - want) <= 1e-11
+    assert (cache.misses, cache.warm_starts) == (2, 1)
+
+
 def test_predictor_converged_field_reports_its_residual():
     # near alpha0 two seeds 2e-6 apart: the interpolant meets the tolerance as it is
     fam, res, b = disc_family(), (32, 64), 0.176115334
@@ -448,7 +519,7 @@ def test_predictor_converged_field_reports_its_residual():
     assert diag["warm_seed"] == (b - 1e-6, b + 1e-6)
     assert diag["newton_iterations"] == 0 and diag["factorizations"] == 0
     grid = disc_grid(*res)
-    phi = fam.boundary(b).sample(grid.theta)
+    phi = fam.boundary(b)[0].sample(grid.theta)
     recomputed = float(np.max(np.abs(grid.residual(fld.f[:-1], phi, fld.a))))
     assert fld.residual_norm == recomputed
     assert fld.residual_norm < diag["tolerance"]
