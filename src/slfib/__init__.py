@@ -5,10 +5,10 @@ from .calibration import (
     FiberChartPoint,
     TangentFrame,
     fiber_points,
-    field_equation_residual,
     frame_from_chart,
     imomega_residual,
     omega_residual,
+    sl_defect,
 )
 from .elliptic import (
     BoundarySpec,

@@ -4,7 +4,9 @@ C^3 carries the flat Kaehler form w' = sum_k dx_k ^ dy_k and the
 holomorphic volume form O' = dz1 ^ dz2 ^ dz3.  A real 3-dimensional
 submanifold is special Lagrangian exactly when both w' and Im O' vanish
 on its tangent planes, so the two residuals below measure the failure of
-that condition on a sampled tangent frame.
+that condition on a sampled tangent frame.  ``sl_defect`` takes their
+worst over random frames; it is the lab's one check of the condition,
+for the algebraic models and for solved fields alike.
 
 For U(1)-invariant graphs the chart (x, y, phase) with moment level a
 parametrises points of C^3 via
@@ -15,6 +17,7 @@ and tangent frames are produced by central differences of that
 parametrisation.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +26,9 @@ from .errors import DegenerateFrame, OutOfDomain
 
 FD_STEP = 1e-4
 SINGULAR_EXCLUSION_FACTOR = 4.0  # frames are skipped within 4h of a cone point
-EXCLUDE_RADIUS_CELLS = 1.0       # field_equation_residual's exclusion radius, in cells
-SINGULAR_V_THRESHOLD = 1e-6      # |v| below this marks an axis node as singular
+# sl_defect gives up after this many draws per requested frame; for
+# extent >= 0.02 the cone-point exclusion takes at most about 2% of draws
+SL_DRAWS_PER_FRAME = 100
 _GRAM_TOL = 1e-12
 
 
@@ -179,36 +183,38 @@ def near_cone_point(field, x, y):
     return bool(np.hypot(float(v), y) < rad) and abs(y) < rad
 
 
-def field_equation_residual(field):
-    """Max interior residual of the two first-order graph equations.
+def chart_points(field, rng, extent):
+    """Endless chart points of the field's level, drawn from ``rng``.
 
-    The equations are u_x = v_y and v_x = -2 sqrt(v^2 + y^2 + a^2) u_y,
-    evaluated with second-order central differences on the field's grid
-    (the grid's own stencils, its ``gradient``).
-    At level a = 0, nodes within EXCLUDE_RADIUS_CELLS grid cells of an
-    axis point with |v| below SINGULAR_V_THRESHOLD are excluded, since
-    the graph functions need not be differentiable there.  On disc grids the
-    two rings nearest the pole and the ring adjacent to the boundary are
-    also excluded: the derived grids switch stencils there and the
-    crossover rings carry first-order artefacts rather than field error.
+    Each draws x, then y, uniform in [-extent, extent], then a phase
+    uniform in [0, 2 pi).
     """
-    xg, yg, u, v = field.node_arrays()
-    a = field.a
-    ux, uy = field.grid.gradient(u)
-    vx, vy = field.grid.gradient(v)
+    while True:
+        x = rng.uniform(-extent, extent)
+        y = rng.uniform(-extent, extent)
+        yield FiberChartPoint(x, y, rng.uniform(0.0, 2.0 * np.pi), field.a)
 
-    r1 = np.abs(ux - vy)
-    r2 = np.abs(vx + 2.0 * np.sqrt(v * v + yg * yg + a * a) * uy)
-    mask = np.zeros(v.shape, bool)
-    mask[slice(2, -2) if field.kind == "disc" else slice(1, -1)] = True
 
-    if abs(a) < 1e-12:
-        radius = EXCLUDE_RADIUS_CELLS * field.grid.cell()
-        singular = (np.abs(v) < SINGULAR_V_THRESHOLD) & (np.abs(yg) <= radius)
-        for sx, sy in zip(xg[singular], yg[singular]):
-            dist = np.hypot(xg - sx, yg - sy)
-            mask = mask & (dist > radius)
+def sl_defect(field, frames, rng, extent):
+    """(worst omega_residual, worst imomega_residual) over ``frames`` frames.
 
-    if not mask.any():
-        return 0.0
-    return float(max(r1[mask].max(), r2[mask].max()))
+    The frames sit at chart_points outside the cone points' exclusion
+    balls; after SL_DRAWS_PER_FRAME draws per frame a ValueError says how
+    many were found.
+    """
+    worst_omega = worst_imomega = 0.0
+    tried = 0
+    draws = SL_DRAWS_PER_FRAME * frames
+    for chart in itertools.islice(chart_points(field, rng, extent), draws):
+        if near_cone_point(field, chart.x, chart.y):
+            continue
+        frame = frame_from_chart(field, chart)
+        worst_omega = max(worst_omega, omega_residual(frame))
+        worst_imomega = max(worst_imomega, imomega_residual(frame))
+        tried += 1
+        if tried == frames:
+            break
+    if tried < frames:
+        raise ValueError(f"only {tried} of {frames} frames in {draws} draws: "
+                         "the rest fell within the cone-point exclusion ball")
+    return worst_omega, worst_imomega

@@ -9,6 +9,7 @@ All output files are deterministic for a fixed config and seed.
 
 import argparse
 import cmath
+import itertools
 import json
 import math
 import os
@@ -18,8 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import fibrations, monodromy, singularities
-from .calibration import FiberChartPoint, fiber_points, frame_from_chart, \
-    imomega_residual, near_cone_point, omega_residual
+from .calibration import chart_points, fiber_points, sl_defect
 from .elliptic import (
     BoundarySpec,
     DomainSpec,
@@ -41,9 +41,8 @@ EXIT_NONISOLATED = 3
 EXIT_SOLVER = 4
 
 _SOLVER_TOKENS = ("solver-diverged", "continuation-failed")
-# sl-check gives up after this many draws per requested frame; for
-# --extent >= 0.02 the cone-point exclusion takes at most about 2% of draws
-SL_CHECK_DRAWS_PER_FRAME = 100
+# the data flags of each --kind; a solve of the other kind refuses them
+_DATA_FLAGS = {"disc": ("cos", "sin", "const"), "strip": ("top", "bottom", "R", "P")}
 
 
 def _coefficient(item, where):
@@ -142,22 +141,29 @@ def _parse_args(argv):
     return args
 
 
+def _or_default(value, default):
+    """A flag's value, or ``default`` when the flag was not given (0 is given)."""
+    return default if value is None else value
+
+
 def _domain_from_args(args):
-    kind = args.kind
-    if kind == "disc":
-        n_r = args.nx or 128
-        n_t = args.ny or (2 * n_r)
-        return DomainSpec.disc(n_r, n_t)
-    n_x = args.nx or 256
-    n_y = args.ny or 129
-    return DomainSpec.strip(n_x, n_y, args.R, args.P)
+    if args.kind == "disc":
+        n_r = _or_default(args.nx, 128)
+        return DomainSpec.disc(n_r, _or_default(args.ny, 2 * n_r))
+    return DomainSpec.strip(_or_default(args.nx, 256), _or_default(args.ny, 129),
+                            _or_default(args.R, 1.0), _or_default(args.P, 2.0 * np.pi))
 
 
 def _solve_from_args(args):
+    other = "strip" if args.kind == "disc" else "disc"
+    for flag in _DATA_FLAGS[other]:
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} is for --kind {other} only, "
+                             f"got {getattr(args, flag)} for --kind {args.kind}")
     domain = _domain_from_args(args)
     schedule = _parse_schedule(args.schedule) or geometric_schedule()
     if args.kind == "disc":
-        data = (BoundarySpec.make(args.const, _parse_kv("cos", args.cos),
+        data = (BoundarySpec.make(_or_default(args.const, 0.0), _parse_kv("cos", args.cos),
                                   _parse_kv("sin", args.sin)),)
         solve, solve_limit = solve_disc, solve_disc_limit
     else:
@@ -173,13 +179,13 @@ def _add_solve_args(p):
     p.add_argument("--a", type=float)
     p.add_argument("--nx", type=int, default=None)
     p.add_argument("--ny", type=int, default=None)
-    p.add_argument("--R", type=float, default=1.0)
-    p.add_argument("--P", type=float, default=2.0 * np.pi)
+    p.add_argument("--R", type=float, help="strip half-width (default 1)")
+    p.add_argument("--P", type=float, help="strip period (default 2 pi)")
     p.add_argument("--cos", action="append", metavar="K=V")
     p.add_argument("--sin", action="append", metavar="K=V")
-    p.add_argument("--const", type=float, default=0.0)
-    p.add_argument("--top", default="")
-    p.add_argument("--bottom", default="")
+    p.add_argument("--const", type=float, help="disc data constant (default 0)")
+    p.add_argument("--top")
+    p.add_argument("--bottom")
     p.add_argument("--schedule", default="", help="comma list for the a=0 continuation")
 
 
@@ -253,10 +259,8 @@ def cmd_sweep(args):
     if args.family == "section7" and not ts:
         print("empty t list", file=sys.stderr)
         return 2
+    family, resolution = _family_from_args(args, 0.0)
     os.makedirs(args.out, exist_ok=True)
-    default = (fibrations.DEFAULT_STRIP_RESOLUTION if args.family == "section7"
-               else fibrations.DEFAULT_DISC_RESOLUTION)
-    resolution = (args.nx or default[0], args.ny or default[1])
     records = []
     if args.family == "section7":
         tasks = [(t, resolution, schedule) for t in ts]
@@ -278,14 +282,14 @@ def cmd_sweep(args):
                 fh.write(f"{t!r},{a_t!r},{b_t!r}\n")
     else:
         alpha0, alpha1 = fibrations.find_alpha0_alpha1(resolution, schedule)
-        ribbon = fibrations.ribbon_report(fibrations.disc_family(), (alpha0, alpha1))
+        ribbon = fibrations.ribbon_report(family, (alpha0, alpha1))
         counts = []
         if args.alpha_grid:
             spread = 0.5 * (alpha1 - alpha0)
             alphas = np.linspace(alpha0 - spread, alpha1 + spread, args.alpha_grid)
             for al in alphas:
-                fld = fibrations.solve_family_member(
-                    fibrations.disc_family(), 0.0, float(al), resolution, schedule)
+                fld = fibrations.solve_family_member(family, 0.0, float(al), resolution,
+                                                     schedule)
                 try:
                     interior, _ = singularities.detect_axis_zeros(fld)
                     counts.append((float(al), len(interior)))
@@ -316,6 +320,17 @@ def _complex(flag, text):
     raise ValueError(f"--{flag} must be a finite complex number, got {text!r}")
 
 
+def _family_from_args(args, t):
+    """The --family (at t for section7) and its (--nx, --ny), refused here by DomainSpec if bad."""
+    if args.family == "section6":
+        family, default = fibrations.disc_family(), fibrations.DEFAULT_DISC_RESOLUTION
+    else:
+        family, default = fibrations.strip_family(t), fibrations.DEFAULT_STRIP_RESOLUTION
+    resolution = (_or_default(args.nx, default[0]), _or_default(args.ny, default[1]))
+    family.domain(resolution)
+    return family, resolution
+
+
 def cmd_project(args):
     from .calibration import ComplexPoint3
 
@@ -324,11 +339,7 @@ def cmd_project(args):
     if not math.isfinite(args.t):
         raise ValueError(f"--t must be finite, got {args.t}")
     p = ComplexPoint3(*(_complex(flag, getattr(args, flag)) for flag in ("z1", "z2", "z3")))
-    if args.family == "section6":
-        fam, default = fibrations.disc_family(), fibrations.DEFAULT_DISC_RESOLUTION
-    else:
-        fam, default = fibrations.strip_family(args.t), fibrations.DEFAULT_STRIP_RESOLUTION
-    resolution = (args.nx or default[0], args.ny or default[1])
+    fam, resolution = _family_from_args(args, args.t)
     coords = fibrations.project_to_base(p, fam, resolution,
                                         _parse_schedule(args.schedule))
     print(json.dumps({"a": coords.a, "b": coords.b, "c": coords.c}, sort_keys=True))
@@ -356,18 +367,13 @@ def cmd_fiber_sample(args):
     field = _model_field(args)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, args.out_file)
-    rows = []
-    for _ in range(args.count):
-        x = rng.uniform(-args.extent, args.extent)
-        y = rng.uniform(-args.extent, args.extent)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        pt = fiber_points(field, FiberChartPoint(x, y, phase, field.a))
-        rows.append((pt.z1, pt.z2, pt.z3))
+    charts = itertools.islice(chart_points(field, rng, args.extent), args.count)
+    points = [fiber_points(field, chart) for chart in charts]
     with open(path, "w") as fh:
         fh.write("z1_re,z1_im,z2_re,z2_im,z3_re,z3_im\n")
-        for z1, z2, z3 in rows:
-            fh.write(",".join(repr(v) for v in
-                              (z1.real, z1.imag, z2.real, z2.imag, z3.real, z3.imag)) + "\n")
+        for pt in points:
+            fh.write(",".join(repr(v) for z in (pt.z1, pt.z2, pt.z3)
+                              for v in (z.real, z.imag)) + "\n")
     print(f"samples written to {path}")
     return EXIT_OK
 
@@ -378,28 +384,9 @@ def cmd_sl_check(args):
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     _check_extent(args)
-    rng = np.random.default_rng(args.seed)
-    field = _model_field(args)
-    worst_omega = 0.0
-    worst_imomega = 0.0
-    tried = 0
-    draws = SL_CHECK_DRAWS_PER_FRAME * args.frames
-    for _ in range(draws):
-        if tried == args.frames:
-            break
-        x = rng.uniform(-args.extent, args.extent)
-        y = rng.uniform(-args.extent, args.extent)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        if near_cone_point(field, x, y):
-            continue
-        frame = frame_from_chart(field, FiberChartPoint(x, y, phase, field.a))
-        worst_omega = max(worst_omega, omega_residual(frame))
-        worst_imomega = max(worst_imomega, imomega_residual(frame))
-        tried += 1
-    if tried < args.frames:
-        raise ValueError(f"only {tried} of {args.frames} frames in {draws} draws: "
-                         "the rest fell within the cone-point exclusion ball")
-    payload = {"frames": tried, "omega_residual_max": worst_omega,
+    worst_omega, worst_imomega = sl_defect(_model_field(args), args.frames,
+                                           np.random.default_rng(args.seed), args.extent)
+    payload = {"frames": args.frames, "omega_residual_max": worst_omega,
                "imomega_residual_max": worst_imomega, "tol": args.tol}
     print(json.dumps(payload, sort_keys=True))
     ok = worst_omega < args.tol and worst_imomega < args.tol

@@ -466,7 +466,7 @@ class DiscGrid(_Reflections):
     """Polar tensor grid on the unit disc with its sparse difference operators.
 
     A disc field's geometry lives here: its nodes (rings 1..N by angles),
-    cell size, margin to the boundary, axis samples, interpolant and gradient.
+    cell size, margin to the boundary, axis samples and interpolant.
     ``angular`` holds the 3-point angular stencils on angles j-1, j, j+1:
     "id", "d1" (f_theta, over 2 sin h) and "d2" (f_thetatheta, over
     2 - 2 cos h), h = 2 pi / M.  ops64 builds its operators from them and
@@ -710,11 +710,6 @@ class DiscGrid(_Reflections):
         spline = _periodic_spline(np.concatenate([[0.0], self.r]), self.theta, 2 * np.pi,
                                   np.vstack([np.full(self.M, centre), w]))
         return lambda x, y: spline.ev(np.hypot(x, y), np.mod(np.arctan2(y, x), 2.0 * np.pi))
-
-    def gradient(self, w):
-        """(w_x, w_y) of nodal w, by extract_uv's stencils."""
-        w_y, w_x, *_ = self.extract_uv(w[:-1], w[-1])
-        return w_x, w_y
 
     def interior(self, fld):                     # the iterate of a solve: f off the boundary ring
         return fld.f[:-1]

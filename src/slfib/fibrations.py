@@ -58,6 +58,7 @@ CACHE_ENV = "SLFIB_CACHE_DIR"
 BISECT_MAX_ITER = 200
 BRACKET_MAX = 1024.0             # _grown_bracket doubles its half-width up to this
 CACHE_SIZE = 48                  # fields a SolverCache keeps in memory
+_ZERO = BoundarySpec.make()      # the base of solve_family_member's one-sided starts
 
 
 @dataclass(frozen=True)
@@ -108,14 +109,16 @@ class FamilySpec:
 
 
 def _affine(base, b, step):
-    """The data tuple base + b * step, coefficient by coefficient."""
+    """The data tuple base + b * step, coefficient by coefficient; a repeated pair is made once."""
     def plus(d0, d1):
         terms = [dict(d0.cos_coeffs), dict(d0.sin_coeffs)]
         for coeffs, pairs in zip(terms, (d1.cos_coeffs, d1.sin_coeffs)):
             coeffs.update((k, coeffs.get(k, 0.0) + b * v) for k, v in pairs)
         return BoundarySpec.make(d0.constant + b * d1.constant, *terms)
 
-    return tuple(map(plus, base, step))
+    pairs = tuple(zip(base, step))
+    made = {pair: plus(*pair) for pair in dict.fromkeys(pairs)}
+    return tuple(made[pair] for pair in pairs)
 
 
 def disc_family():
@@ -257,9 +260,8 @@ def solve_family_member(family, a, b, resolution, schedule=None, cache=None):
             (b1, f1), (b2, f2) = sorted(seeds, key=lambda s: s[0])
             w = (b - b1) / (b2 - b1)
             yield (b1, b2), (1.0 - w) * grid.interior(f1) + w * grid.interior(f2)
-        zero = (BoundarySpec.make(),) * len(family.step)
         for seed_b, seed in seeds:
-            shift = _affine(zero, b - seed_b, family.step)
+            shift = _affine((_ZERO,) * len(family.step), b - seed_b, family.step)
             yield seed_b, grid.interior(seed) + grid.harmonic_extension(*shift)
 
     def solve():

@@ -7,15 +7,15 @@ from slfib.calibration import (
     FiberChartPoint,
     TangentFrame,
     fiber_points,
-    field_equation_residual,
     frame_from_chart,
     imomega_residual,
     near_cone_point,
     omega_residual,
+    sl_defect,
 )
-from slfib.elliptic import DomainSpec, field_from_callables
+from slfib.elliptic import BoundarySpec, DomainSpec, field_from_callables, solve_disc, solve_strip
 from slfib.errors import DegenerateFrame, OutOfDomain
-from slfib.models import NaSlice
+from slfib.models import NaSlice, na_potential_circle
 
 ORIGIN = ComplexPoint3(0j, 0j, 0j)
 
@@ -144,24 +144,26 @@ def test_out_of_domain_chart(disc_field_alpha1):
                      FiberChartPoint(2.0, 0.0, 0.0, disc_field_alpha1.a))
 
 
-def test_field_equation_residual_constant():
+def test_sl_defect_of_a_constant_field():
     dom = DomainSpec.strip(32, 17)
     fld = field_from_callables(dom, 0.7, lambda x, y: 0 * x, lambda x, y: 0 * x + 0.8)
-    assert field_equation_residual(fld) == 0.0
+    assert max(sl_defect(fld, 200, np.random.default_rng(0), 0.9)) <= 1e-8
 
 
-def test_field_equation_residual_flags_non_solution():
+def test_sl_defect_flags_a_non_solution():
     dom = DomainSpec.strip(32, 17)
     fld = field_from_callables(dom, 0.5, lambda x, y: y, lambda x, y: x + 0 * y)
-    # v_x = 1 while -2 sqrt(v^2+y^2+a^2) u_y is at most -1: residual >= 1 somewhere
-    assert field_equation_residual(fld) >= 1.0
+    assert max(sl_defect(fld, 200, np.random.default_rng(0), 0.9)) >= 0.5
 
 
-def test_field_equation_residual_converges(disc_field_alpha1):
-    from slfib import BoundarySpec, solve_disc
-
-    spec = BoundarySpec.make(cos={1: 1.0, 3: -1.0})
-    r_coarse = field_equation_residual(solve_disc(spec, 1.0, DomainSpec.disc(24, 48)))
-    r_fine = field_equation_residual(disc_field_alpha1)  # 48 x 96
-    assert r_fine < r_coarse
-    assert r_coarse / r_fine > 2.0  # second order up to constants
+@pytest.mark.parametrize("solve, extent", [
+    (lambda n: solve_disc(na_potential_circle(0.5), 0.5, DomainSpec.disc(n, 2 * n)), 0.6),
+    (lambda n: solve_strip(*(BoundarySpec.make(0.3, cos={1: 0.5}),) * 2, 0.5,
+                           DomainSpec.strip(n, n // 2 + 1)), 0.9),
+], ids=["disc", "strip"])
+def test_sl_defect_of_solved_fields_converges_at_second_order(solve, extent):
+    # grids (32, 64) / (64, 128) / (128, 256) and (32, 17) / (64, 33) / (128, 65)
+    defects = np.array([sl_defect(solve(n), 200, np.random.default_rng(0), extent)
+                        for n in (32, 64, 128)])
+    orders = np.log2(defects[:-1] / defects[1:])      # per halving, for omega and Im Omega
+    assert np.all(orders >= 1.8), orders

@@ -261,6 +261,57 @@ def test_project_flag_out_of_range_exits_1_before_any_solve(argv, line, monkeypa
     assert captured.err.splitlines() == [line]
 
 
+def _no_solves(monkeypatch):
+    """Make every solve and search that the CLI can reach fail."""
+    for name in ("solve_disc", "solve_disc_limit", "solve_strip", "solve_strip_limit"):
+        monkeypatch.setattr(cli, name, None)
+    for name in ("find_alpha0_alpha1", "alpha_beta_curves", "project_to_base"):
+        monkeypatch.setattr(fibrations, name, None)
+
+
+@pytest.mark.parametrize("flag", ["--nx", "--ny"])
+@pytest.mark.parametrize("argv", [
+    ["solve", "--kind", "disc", "--a", "1", "--cos", "3=-1"],
+    ["solve", "--kind", "strip", "--a", "0"],
+    ["classify", "--kind", "disc"],
+    ["sweep", "--family", "section6"],
+    ["sweep", "--family", "section7", "--t", "0.5"],
+    ["project", "--family", "section7", "--z1", "1", "--z2", "1", "--z3", "0"],
+], ids=["solve-disc", "solve-strip", "classify", "sweep-section6", "sweep-section7", "project"])
+def test_zero_resolution_exits_1_before_any_solve(argv, flag, tmp_path, monkeypatch, capsys):
+    _no_solves(monkeypatch)
+    out = [] if argv[0] == "project" else ["--out", str(tmp_path / "out")]
+    assert run([*argv, flag, "0", *out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["resolutions must be at least 16"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["solve", "--kind", "strip", "--cos", "1=7", "--const", "2"],
+     "--cos is for --kind disc only, got ['1=7'] for --kind strip"),
+    (["solve", "--kind", "strip", "--sin", "2=1"],
+     "--sin is for --kind disc only, got ['2=1'] for --kind strip"),
+    (["classify", "--kind", "strip", "--const", "2"],
+     "--const is for --kind disc only, got 2.0 for --kind strip"),
+    (["solve", "--kind", "disc", "--top", "const=5", "--R", "3"],
+     "--top is for --kind strip only, got const=5 for --kind disc"),
+    (["solve", "--kind", "disc", "--bottom", "const=5"],
+     "--bottom is for --kind strip only, got const=5 for --kind disc"),
+    (["classify", "--R", "3"], "--R is for --kind strip only, got 3.0 for --kind disc"),
+    (["solve", "--kind", "disc", "--P", "3"], "--P is for --kind strip only, got 3.0 for --kind disc"),
+], ids=["cos", "sin", "const", "top", "bottom", "R", "P"])
+def test_the_other_kinds_data_flag_exits_1_before_any_solve(argv, line, tmp_path, monkeypatch,
+                                                            capsys):
+    _no_solves(monkeypatch)
+    assert run([*argv, "--a", "0.5", "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_jobs_matches_the_serial_run(tmp_path):
     # --jobs 2 solves each t in a worker process; the curves must not change
     for jobs in ("1", "2"):

@@ -563,7 +563,8 @@ def test_interpolation_matches_nodes(disc_field_alpha1, strip_field_cos):
 def test_disc_gradient_is_exact_on_affine_potentials(n_r, n_theta):
     grid = disc_grid(n_r, n_theta)
     x, y = grid.nodes()
-    w_x, w_y = grid.gradient(0.7 * x - 1.3 * y + 0.25)
+    w = 0.7 * x - 1.3 * y + 0.25
+    w_y, w_x, *_ = grid.extract_uv(w[:-1], w[-1])
     assert w_x.shape == w_y.shape == x.shape
     assert np.max(np.abs(w_x - 0.7)) < 1e-12          # every ring, the boundary included
     assert np.max(np.abs(w_y + 1.3)) < 1e-12

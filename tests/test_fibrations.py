@@ -235,6 +235,17 @@ def test_find_alpha0_alpha1_needs_a_sign_change():
         find_alpha0_alpha1(resolution=(32, 64), bracket=(5.0, 10.0), cache=SolverCache())
 
 
+def test_find_alpha0_alpha1_refuses_roots_out_of_order(monkeypatch):
+    import slfib.fibrations as fib
+
+    # probes whose root at the centre (b = 1) lies above the one at (1, 0) (b = -1)
+    monkeypatch.setattr(fib, "_probe",
+                        lambda family, a, point, *rest: lambda b: b - 1.0 + 2.0 * point[0])
+    with pytest.raises(BracketFailed, match="out of order") as info:
+        find_alpha0_alpha1(resolution=(32, 64))
+    assert info.value.data["alpha0"] > info.value.data["alpha1"]
+
+
 def test_bisect_bracket_failure():
     from slfib.fibrations import _bisect
 

@@ -9,12 +9,14 @@ from slfib.elliptic import (
     solve_disc_limit,
     solve_strip_limit,
 )
-from slfib.errors import NonisolatedSingularities, ProbeTooClose
+from slfib.errors import CircleHitsZero, NonisolatedSingularities, ProbeTooClose, WindingUnresolved
 from slfib.fibrations import SolverCache, disc_family, solve_family_member, strip_family
 from slfib.models import na_oracle_grid
 from slfib.singularities import (
+    MAX_CIRCLE_SAMPLES,
     SingularPointRecord,
     _axis_spline,
+    _sign_label,
     analyze_field,
     bound_check,
     boundary_extrema_count,
@@ -86,6 +88,59 @@ def test_probe_too_close():
     with pytest.raises((ProbeTooClose, NonisolatedSingularities)):
         zeros = detect_axis_zeros(fld)[0]
         classify_type(fld, zeros[0] if zeros else 0.0)
+
+
+def test_sign_probes_that_read_below_the_floor_raise():
+    # an isolated zero at 0 whose axis values stay below PROBE_SIGN_FLOOR at the probes
+    fld = field_from_callables(DISC, 0.0, lambda x, y: -y, lambda x, y: 1e-12 * x)
+    spline, xs = _axis_spline(fld)
+    with pytest.raises(ProbeTooClose):
+        _sign_label(fld, spline, xs, 0.0, [0.0])
+
+
+def _circle_samples(monkeypatch, samples):
+    """Make winding_multiplicity read samples(radius, m) in place of the field's difference."""
+    import slfib.singularities as sing
+
+    monkeypatch.setattr(sing, "_difference_on_circle",
+                        lambda field, x0, radius, m: samples(radius, m))
+
+
+def _turns(k):
+    """The samples of a difference field that turns k times around the circle."""
+    def samples(radius, m):
+        phis = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
+        return np.cos(k * phis), np.sin(k * phis)
+    return samples
+
+
+def test_winding_doubles_the_samples_when_a_step_is_too_large(monkeypatch):
+    # 50 turns in 128 samples step 2.45 > 0.75 pi; 256 samples step half that
+    _circle_samples(monkeypatch, _turns(50))
+    assert winding_multiplicity(oracle_disc_field(), 0.0, 0.3) == (50, 256, 0.3)
+
+
+def test_winding_shrinks_a_circle_that_meets_a_zero(monkeypatch):
+    once = _turns(1)
+    _circle_samples(monkeypatch, lambda radius, m: (np.zeros(m), np.zeros(m)) if radius > 0.2
+                    else once(radius, m))
+    assert winding_multiplicity(oracle_disc_field(), 0.0, 0.3) == (1, 128, 0.3 * 0.6)
+
+
+def test_winding_on_circles_that_all_meet_a_zero_raises(monkeypatch):
+    _circle_samples(monkeypatch, lambda radius, m: (np.zeros(m), np.zeros(m)))
+    with pytest.raises(CircleHitsZero):
+        winding_multiplicity(oracle_disc_field(), 0.0, 0.3)
+
+
+def test_winding_that_never_settles_raises(monkeypatch):
+    # the difference flips direction at every sample, on every circle and sample count
+    seen = []
+    _circle_samples(monkeypatch, lambda radius, m: seen.append(m) or (
+        np.resize([1.0, -1.0], m), np.zeros(m)))
+    with pytest.raises(WindingUnresolved):
+        winding_multiplicity(oracle_disc_field(), 0.0, 0.3)
+    assert max(seen) == MAX_CIRCLE_SAMPLES
 
 
 def test_winding_of_linear_model():
