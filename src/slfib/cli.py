@@ -21,6 +21,7 @@ import numpy as np
 from . import fibrations, monodromy, singularities
 from .calibration import chart_points, fiber_points, sl_defect
 from .elliptic import (
+    REFACTOR_REASONS,
     BoundarySpec,
     DomainSpec,
     geometric_schedule,
@@ -206,6 +207,7 @@ def cmd_solve(args):
         "half_bandwidth": fld.diagnostics.get("half_bandwidth"),
         **{k: sum(lev[k] for lev in levels)
            for k in ("newton_iterations", "factorizations", "chord_steps")},
+        "refactors": {r: sum(lev["refactors"][r] for lev in levels) for r in REFACTOR_REASONS},
         "fill": [fill for lev in levels for fill in lev["fill"]],
         "levels": list(levels),
         "coarse": list(fld.diagnostics.get("coarse", ())),
@@ -219,8 +221,16 @@ def cmd_solve(args):
 
 def cmd_classify(args):
     if args.field:
+        solve_flags = argparse.ArgumentParser(add_help=False)
+        _add_solve_args(solve_flags)
+        # a solve flag off its default was given, and the dump would silently ignore it
+        given = [f"--{dest}" for dest, default in vars(solve_flags.parse_args([])).items()
+                 if getattr(args, dest) != default]
+        if given:
+            raise ValueError(f"{', '.join(given)}: solve flags cannot be given with --field")
         fld = load_field(args.field)
     else:
+        args.kind, args.a = _or_default(args.kind, "disc"), _or_default(args.a, 0.0)
         fld = _solve_from_args(args)
     report = singularities.analyze_field(fld)
     payload = {
@@ -497,7 +507,7 @@ def build_parser():
     p.add_argument("--field", default=None, help="load a field dump instead of solving")
     p.add_argument("--report", default="report.json")
     common(p)
-    p.set_defaults(fn=cmd_classify, kind="disc", a=0.0)
+    p.set_defaults(fn=cmd_classify)
 
     p = command("sweep", "parameter sweep of a fibration family")
     p.add_argument("--family", choices=("section6", "section7"))

@@ -47,8 +47,11 @@ SuperLU factors it in the nested-dissection order as given
 as long as each one cuts the sup-norm residual to at most
 CHORD_CONTRACTION times its previous value, or below the tolerance.  A
 chord step that does neither is discarded; the Jacobian is then rebuilt
-and factored at the current iterate and a damped Newton step with a
-sup-norm line search is taken.  At most one factor is alive at a time:
+and factored at the current iterate and a Newton step with a sup-norm
+line search is taken.  The factor is also rebuilt, with no chord trial,
+after a damped Newton step and when the last chord step's rate would not
+reach the tolerance within the chord steps that one band refactorisation
+costs (see _newton).  At most one factor is alive at a time:
 the stale one is dropped before the next is allocated, and the factor is
 never stored on a field.  A continuation hands its factor from one level
 to the next.
@@ -118,7 +121,15 @@ BOUNDARY_TOL = 1e-12         # validate: stored boundary values against the data
 MAXPRIN_SLACK = 1e-8         # validate: slack of the maximum principle
 # Part of every SolverCache key: change it whenever solver output changes,
 # so that fields cached on disk by an older solver are not reused.
-SOLVER_VERSION = "chord-newton-7"
+SOLVER_VERSION = "chord-newton-8"
+# The chord steps that one band refactorisation costs (_LU.horizon).  Per call (2 cores,
+# one BLAS thread, medians at a = 1e-4) the Jacobian plus dgbtrf take 300-470 us on the
+# (32, 64) disc quotient and 260-320 us on the (64, 33) strip quotient, against 70-90 us
+# for dgbtrs plus one residual.  A SuperLU refactorisation of the (128, 256) quarter
+# costs 15-26 chord steps, so SuperLU factors have no horizon.
+BAND_HORIZON = 4
+# Why _newton factors: no live factor, a rejected chord step, the horizon rule, a damped step
+REFACTOR_REASONS = ("no_factor", "rejected_chord", "horizon", "damped")
 # The band LU's widest half-bandwidth (see _Reflections.factor).  Per factorisation
 # (2 cores, one BLAS thread), dgbtrf against splu: half-bandwidth 16-17 (the (32, 64)
 # and (64, 33) quarters) 0.11-0.15 ms against 0.64-0.87 ms; 32-34 (the (64, 128) and
@@ -345,16 +356,20 @@ class _LU:
     band order, ``fill`` the entries the factor stores (SuperLU's L and U, or
     the band array) and ``floor`` the residual's round-off floor,
     ROUNDOFF_SAFETY * eps * scale with scale = || |J| |z| ||_inf at the
-    iterate z where J was taken.  ``lu_solve`` solves in the factor's order of
-    n rows, ``index`` holds each unknown's row there.
+    iterate z where J was taken.  ``horizon`` is the number of chord steps that
+    one refactorisation costs, BAND_HORIZON for the band kernel and None for
+    SuperLU.  ``lu_solve`` solves in the factor's order of n rows, ``index``
+    holds each unknown's row there.
     """
 
-    __slots__ = ("_lu_solve", "_index", "_n", "kernel", "half_bandwidth", "fill", "floor")
+    __slots__ = ("_lu_solve", "_index", "_n", "kernel", "half_bandwidth", "fill", "floor",
+                 "horizon")
 
     def __init__(self, lu_solve, index, n, kernel, half_bandwidth, fill, scale):
         self._lu_solve, self._index, self._n = lu_solve, index, n
         self.kernel, self.half_bandwidth, self.fill = kernel, half_bandwidth, fill
         self.floor = ROUNDOFF_SAFETY * np.finfo(float).eps * scale
+        self.horizon = BAND_HORIZON if kernel == "band" else None
 
     def solve(self, rhs):
         """J^-1 rhs for the unknowns: border rows get a zero right-hand side."""
@@ -961,10 +976,24 @@ def _newton(x0, eval_res, factorize, factor):
     times its previous value, or below the tolerance, since a step that
     converges needs no new factor.  Otherwise it is discarded, the slot
     is emptied, ``factorize(x)`` puts the _LU of the Jacobian at the
-    current iterate into the slot, and a damped Newton step is taken with
-    a halving line search.  Emptying the slot before the Jacobian is
-    built keeps at most one factor alive; the caller keeps the slot, and
-    with it the last factor, for the next solve.
+    current iterate into the slot, and a Newton step is taken with a
+    halving line search.  Emptying the slot before the Jacobian is built
+    keeps at most one factor alive; the caller keeps the slot, and with
+    it the last factor, for the next solve.
+
+    Two rules refactor at the next iteration with no chord trial:
+
+    - the horizon rule: after a kept chord step that cut the residual by
+      the rate rho, when norm * rho^H is still above the tolerance.  H is
+      the factor's ``horizon``, the chord steps one refactorisation costs
+      (BAND_HORIZON = 4 for the band LU; SuperLU factors have none).  The
+      chord steps left would cost more than a new factor (Kelley,
+      *Solving Nonlinear Equations with Newton's Method*, SIAM 2003);
+    - after a damped Newton step (line-search lambda < 1), whose factor
+      was taken where the linear model was poor.
+
+    The live factor stays in the slot until then, so the convergence test
+    keeps its floor.
 
     The solve is converged once the sup-norm residual is below the
     tolerance max(NEWTON_TOL, floor), with the live factor's round-off
@@ -982,9 +1011,11 @@ def _newton(x0, eval_res, factorize, factor):
     is at most NEWTON_TOL and keeps the same margin over the tolerance
     above it.  Returns (x, residual norm, iterations, diagnostics) with
     the residual history, ``stagnated``, the ``tolerance`` applied, the
-    counts ``factorizations`` and ``chord_steps``, the ``fill`` of each
-    factorisation, and the live factor's ``factor`` (its kernel, None
-    without one) and ``half_bandwidth``.
+    counts ``factorizations`` and ``chord_steps``, ``refactors`` (the
+    factorisations by reason: ``no_factor``, ``rejected_chord``,
+    ``horizon`` and ``damped``), the ``fill`` of each factorisation, and
+    the live factor's ``factor`` (its kernel, None without one) and
+    ``half_bandwidth``.
     """
     factor = factor if factor is not None else FactorSlot()
     x = np.asarray(x0, float)
@@ -993,7 +1024,9 @@ def _newton(x0, eval_res, factorize, factor):
     history = [norm]
     fill = []
     stall = 0
-    counts = {"factorizations": 0, "chord_steps": 0}
+    chord_steps = 0
+    refactors = dict.fromkeys(REFACTOR_REASONS, 0)
+    refactor = None                  # the reason the next iteration refactors, if it must
 
     def tolerance():
         return max(NEWTON_TOL, factor.lu.floor) if factor.lu is not None else NEWTON_TOL
@@ -1001,7 +1034,9 @@ def _newton(x0, eval_res, factorize, factor):
     def outcome(iters, stagnated):
         lu = factor.lu
         return x, norm, iters, {"history": tuple(history), "stagnated": stagnated,
-                                "tolerance": tolerance(), "fill": tuple(fill), **counts,
+                                "tolerance": tolerance(), "fill": tuple(fill),
+                                "factorizations": sum(refactors.values()),
+                                "chord_steps": chord_steps, "refactors": refactors,
                                 "factor": lu and lu.kernel,
                                 "half_bandwidth": lu and lu.half_bandwidth}
 
@@ -1017,18 +1052,26 @@ def _newton(x0, eval_res, factorize, factor):
             return outcome(it, False)
         accepted = False
         rhs = -res.ravel()
-        if factor.lu is not None:
+        reason = refactor or (None if factor.lu is not None else "no_factor")
+        refactor = None
+        if reason is None:
             x_new = x + factor.lu.solve(rhs).reshape(x.shape)
             res_new = eval_res(x_new)
             norm_new = float(np.max(np.abs(res_new)))
             if norm_new <= CHORD_CONTRACTION * norm or norm_new < tolerance():
+                rate = norm_new / norm
                 x, res, norm = x_new, res_new, norm_new
                 accepted = True
-                counts["chord_steps"] += 1
+                chord_steps += 1
+                horizon = factor.lu.horizon
+                if horizon is not None and norm * rate ** horizon > tolerance():
+                    refactor = "horizon"
+            else:
+                reason = "rejected_chord"
         if not accepted:
             factor.lu = None                 # the stale factor goes before the next is built
             factor.lu = factorize(x)
-            counts["factorizations"] += 1
+            refactors[reason] += 1
             fill.append(factor.lu.fill)
             delta = factor.lu.solve(rhs).reshape(x.shape)
             lam = 1.0
@@ -1039,6 +1082,8 @@ def _newton(x0, eval_res, factorize, factor):
                 if norm_new <= (1.0 - 1e-4 * lam) * norm:
                     x, res, norm = x_new, res_new, norm_new
                     accepted = True
+                    if lam < 1.0:
+                        refactor = "damped"
                     break
                 lam *= 0.5
         history.append(norm)
@@ -1201,8 +1246,8 @@ def level_record(fld):
     return {"a": float(fld.a), "residual_norm": fld.residual_norm,
             "converged": fld.converged,
             **{k: fld.diagnostics[k] for k in
-               ("tolerance", "newton_iterations", "factorizations", "chord_steps", "fill",
-                "factor", "half_bandwidth")}}
+               ("tolerance", "newton_iterations", "factorizations", "chord_steps",
+                "refactors", "fill", "factor", "half_bandwidth")}}
 
 
 def _continue(schedule, solve_level):

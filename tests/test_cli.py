@@ -312,6 +312,55 @@ def test_the_other_kinds_data_flag_exits_1_before_any_solve(argv, line, tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--kind", "disc"], "--kind"), (["--kind", "strip"], "--kind"), (["--a", "0"], "--a"),
+    (["--a", "0.5"], "--a"), (["--nx", "16"], "--nx"), (["--ny", "32"], "--ny"),
+    (["--R", "2"], "--R"), (["--P", "3"], "--P"), (["--cos", "1=30"], "--cos"),
+    (["--sin", "2=1"], "--sin"), (["--const", "1"], "--const"), (["--top", "const=9"], "--top"),
+    (["--bottom", "const=9"], "--bottom"), (["--schedule", "1,0.5"], "--schedule"),
+    (["--cos", "1=30", "--kind", "strip", "--top", "const=9"], "--kind, --cos, --top"),
+])
+def test_classify_field_with_a_solve_flag_exits_1_before_reading_the_dump(flags, named, tmp_path,
+                                                                          monkeypatch, capsys):
+    _no_solves(monkeypatch)
+    monkeypatch.setattr(cli, "load_field", None)
+    missing = tmp_path / "no-such-dump.csv"
+    assert run(["classify", "--field", str(missing), *flags,
+                "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"{named}: solve flags cannot be given with --field"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_classify_without_kind_or_a_solves_the_disc_at_level_zero(monkeypatch):
+    seen = {}
+
+    def solve_disc_limit(boundary, domain, schedule):
+        seen["limit"] = domain.kind
+        raise ValueError("stop")
+
+    monkeypatch.setattr(cli, "solve_disc_limit", solve_disc_limit)
+    assert run(["classify", "--cos", "1=1"]) == 1
+    assert seen == {"limit": "disc"}
+
+
+def test_solve_diag_counts_each_factorisation_by_its_reason(tmp_path):
+    code = run(["solve", "--kind", "disc", "--a", "0", "--nx", "32", "--ny", "64",
+                "--cos", "1=2.2", "--cos", "3=-1", "--out", str(tmp_path)])
+    assert code == 0
+    diag = json.loads((tmp_path / "field.csv.diag.json").read_text())
+    reasons = ("no_factor", "rejected_chord", "horizon", "damped")
+    for record in (diag, *diag["levels"]):
+        assert sorted(record["refactors"]) == sorted(reasons)
+        assert sum(record["refactors"].values()) == record["factorizations"]
+    assert diag["refactors"] == {r: sum(lev["refactors"][r] for lev in diag["levels"])
+                                 for r in reasons}
+    # one factor serves the whole continuation: only the first level starts without one
+    assert [lev["refactors"]["no_factor"] for lev in diag["levels"]][:2] == [1, 0]
+    assert diag["refactors"]["horizon"] >= 1
+
+
 def test_sweep_jobs_matches_the_serial_run(tmp_path):
     # --jobs 2 solves each t in a worker process; the curves must not change
     for jobs in ("1", "2"):

@@ -780,6 +780,84 @@ def test_chord_step_that_reaches_the_tolerance_is_kept():
     assert (iters, diag["factorizations"], diag["chord_steps"]) == (2, 1, 1)
 
 
+def test_no_residual_between_a_damped_line_search_and_the_next_factorisation():
+    import scipy.sparse as sp
+
+    from slfib.elliptic import _newton
+
+    # Newton on arctan from x = 3 overshoots, so its first step is damped
+    events = []
+
+    def eval_res(x):
+        events.append(("residual", float(x[0])))
+        return np.arctan(x)
+
+    def factorize(x):
+        events.append(("factor", float(x[0])))
+        return _plain_lu(sp.diags(1.0 / (1.0 + x * x)).tocsc(), np.max(np.abs(x) / (1.0 + x * x)))
+
+    _, norm, _, diag = _newton(np.full(1, 3.0), eval_res, factorize, None)
+    assert norm < NEWTON_TOL and not diag["stagnated"]
+    damped = 0
+    for k, (kind, x_k) in enumerate(events):
+        if kind != "factor":
+            continue
+        after = []                   # the residual evaluations up to the next factorisation
+        for kind_next, x in events[k + 1:]:
+            if kind_next == "factor":
+                break
+            after.append(x)
+        # the line search evaluates at x_k + lam * delta, lam = 1, 1/2, 1/4, ...
+        delta = -np.arctan(x_k) * (1.0 + x_k * x_k)
+        searched = 0
+        while searched < len(after) and \
+                (after[searched] - x_k) / delta == pytest.approx(2.0**-searched, rel=1e-12):
+            searched += 1
+        if searched >= 2:            # a damped step: no chord trial before the next factor
+            damped += 1
+            assert len(after) == searched
+    assert damped >= 1 and damped == diag["refactors"]["damped"]
+    assert sum(diag["refactors"].values()) == diag["factorizations"]
+
+
+@pytest.mark.parametrize("kernel, counts", [("superlu", (1, 0)), ("band", (11, 10))])
+def test_band_factors_refactor_once_the_chord_rate_would_not_reach_the_tolerance(kernel, counts):
+    from slfib.elliptic import BAND_HORIZON, _LU, _newton
+
+    # every step, chord or Newton, leaves 0.4 of the residual: a kept chord
+    # step from norm predicts norm * 0.4^BAND_HORIZON after BAND_HORIZON more
+    def eval_res(x):
+        return x.copy()
+
+    def factorize(x):
+        return _LU(lambda b: 0.6 * b, np.arange(x.size), x.size, kernel, None, x.size,
+                   np.max(np.abs(x)))
+
+    _, norm, iters, diag = _newton(np.ones(3), eval_res, factorize, None)
+    history = np.array(diag["history"])
+    assert norm < NEWTON_TOL and np.allclose(history[1:] / history[:-1], 0.4)
+    assert (diag["factorizations"], diag["refactors"]["horizon"]) == counts
+    assert iters == diag["factorizations"] + diag["chord_steps"] == 26
+    if kernel == "band":
+        # factor and chord step alternate while norm * 0.4^BAND_HORIZON is above the
+        # tolerance after the chord step; the last such step is iteration 2 * horizon
+        last = 2 * diag["refactors"]["horizon"]
+        assert history[last] * 0.4**BAND_HORIZON > NEWTON_TOL
+        assert history[last + 2] * 0.4**BAND_HORIZON <= NEWTON_TOL
+
+
+def test_disc_family_continuation_refactors_before_a_slow_chord_run():
+    fld = solve_disc_limit(*disc_family().boundary(2.2), DomainSpec.disc(32, 64),
+                           DEFAULT_SCHEDULE)
+    levels = fld.diagnostics["levels"]
+    assert len(levels) == len(DEFAULT_SCHEDULE)
+    assert all(lev["converged"] for lev in levels)
+    # a level whose chord steps contract by just under CHORD_CONTRACTION refactors
+    # instead of running 30 chord steps
+    assert max(lev["newton_iterations"] for lev in levels) <= 12
+    assert fld.v_center == pytest.approx(3.36329415949, abs=1e-9)
+
+
 # -- solves on the symmetry quotient ---------------------------------------------
 
 def _strip_family_edge():

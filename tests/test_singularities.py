@@ -82,12 +82,12 @@ def test_reflection_swaps_min_max():
     assert classify_type(fld, detect_axis_zeros(fld)[0][0]) == "minimum"
 
 
-def test_probe_too_close():
+def test_axis_that_reads_below_the_threshold_throughout_is_nonisolated():
+    # v = 1e-12 on the whole disc: every axis value is below the zero threshold
     fld = field_from_callables(DISC, 0.0, lambda x, y: -y,
                                lambda x, y: 0 * x + 1e-12)
-    with pytest.raises((ProbeTooClose, NonisolatedSingularities)):
-        zeros = detect_axis_zeros(fld)[0]
-        classify_type(fld, zeros[0] if zeros else 0.0)
+    with pytest.raises(NonisolatedSingularities, match="along a stretch of the axis"):
+        detect_axis_zeros(fld)
 
 
 def test_sign_probes_that_read_below_the_floor_raise():
