@@ -3,8 +3,14 @@
 Subcommands: solve, classify, sweep, project, fiber-sample, sl-check,
 monodromy, oracle.  Boundary data are given as finite trigonometric sums
 (--cos k=v / --sin k=v on the disc, --top/--bottom token lists on the
-strip).  A JSON config file can mirror any flag; explicit flags win.
-All output files are deterministic for a fixed config and seed.
+strip) to ``solve``, the one command that turns data into a field;
+``classify`` reads the dump that ``solve`` writes:
+
+    slfib solve --kind disc --a 0 --cos 1=1.25 --cos 3=-1 --out D
+    slfib classify --field D/field.csv --out D
+
+A JSON config file can mirror any flag; explicit flags win.  All output
+files are deterministic for a fixed config and seed.
 """
 
 import argparse
@@ -24,7 +30,6 @@ from .elliptic import (
     REFACTOR_REASONS,
     BoundarySpec,
     DomainSpec,
-    geometric_schedule,
     level_record,
     load_field,
     save_field,
@@ -107,7 +112,7 @@ def _write_json(path, payload):
 
 
 # the options that a subcommand cannot run without, given as flags or by --config
-REQUIRED = {"solve": ("kind", "a"), "sweep": ("family",),
+REQUIRED = {"solve": ("kind", "a"), "classify": ("field",), "sweep": ("family",),
             "project": ("family", "z1", "z2", "z3"), "oracle": ("a",)}
 
 
@@ -162,7 +167,7 @@ def _solve_from_args(args):
             raise ValueError(f"--{flag} is for --kind {other} only, "
                              f"got {getattr(args, flag)} for --kind {args.kind}")
     domain = _domain_from_args(args)
-    schedule = _parse_schedule(args.schedule) or geometric_schedule()
+    schedule = _parse_schedule(args.schedule) or fibrations.DEFAULT_SCHEDULE
     if args.kind == "disc":
         data = (BoundarySpec.make(_or_default(args.const, 0.0), _parse_kv("cos", args.cos),
                                   _parse_kv("sin", args.sin)),)
@@ -173,21 +178,6 @@ def _solve_from_args(args):
     if args.a == 0.0:
         return solve_limit(*data, domain, schedule)
     return solve(*data, args.a, domain)
-
-
-def _add_solve_args(p):
-    p.add_argument("--kind", choices=("disc", "strip"))
-    p.add_argument("--a", type=float)
-    p.add_argument("--nx", type=int, default=None)
-    p.add_argument("--ny", type=int, default=None)
-    p.add_argument("--R", type=float, help="strip half-width (default 1)")
-    p.add_argument("--P", type=float, help="strip period (default 2 pi)")
-    p.add_argument("--cos", action="append", metavar="K=V")
-    p.add_argument("--sin", action="append", metavar="K=V")
-    p.add_argument("--const", type=float, help="disc data constant (default 0)")
-    p.add_argument("--top")
-    p.add_argument("--bottom")
-    p.add_argument("--schedule", default="", help="comma list for the a=0 continuation")
 
 
 def cmd_solve(args):
@@ -220,19 +210,7 @@ def cmd_solve(args):
 
 
 def cmd_classify(args):
-    if args.field:
-        solve_flags = argparse.ArgumentParser(add_help=False)
-        _add_solve_args(solve_flags)
-        # a solve flag off its default was given, and the dump would silently ignore it
-        given = [f"--{dest}" for dest, default in vars(solve_flags.parse_args([])).items()
-                 if getattr(args, dest) != default]
-        if given:
-            raise ValueError(f"{', '.join(given)}: solve flags cannot be given with --field")
-        fld = load_field(args.field)
-    else:
-        args.kind, args.a = _or_default(args.kind, "disc"), _or_default(args.a, 0.0)
-        fld = _solve_from_args(args)
-    report = singularities.analyze_field(fld)
+    report = singularities.analyze_field(load_field(args.field))
     payload = {
         "records": [r.to_json() for r in report["records"]],
         "l": report["l"],
@@ -418,13 +396,6 @@ def cmd_monodromy(args):
         "positive_fixed": pos.fixed,
         "negative_fixed": neg.fixed,
     }
-    if args.duality:
-        print(json.dumps(monodromy.duality_check(pos, neg)))
-        return EXIT_OK
-    if args.show_fixed:
-        model = pos if args.vertex == "positive" else neg
-        print(json.dumps(model.fixed, sort_keys=True))
-        return EXIT_OK
     os.makedirs(args.out, exist_ok=True)
     for name, model in (("positive", pos), ("negative", neg)):
         path = os.path.join(args.out, f"ribbon_{name}.csv")
@@ -497,14 +468,25 @@ def build_parser():
         config(p)
 
     p = command("solve", "solve one Dirichlet problem and dump the field")
-    _add_solve_args(p)
+    p.add_argument("--kind", choices=("disc", "strip"))
+    p.add_argument("--a", type=float)
+    p.add_argument("--nx", type=int, default=None)
+    p.add_argument("--ny", type=int, default=None)
+    p.add_argument("--R", type=float, help="strip half-width (default 1)")
+    p.add_argument("--P", type=float, help="strip period (default 2 pi)")
+    p.add_argument("--cos", action="append", metavar="K=V")
+    p.add_argument("--sin", action="append", metavar="K=V")
+    p.add_argument("--const", type=float, help="disc data constant (default 0)")
+    p.add_argument("--top")
+    p.add_argument("--bottom")
+    p.add_argument("--schedule", default="",
+                   help="comma list for the a=0 continuation (default 1, 1/4, ... down to 1e-4)")
     p.add_argument("--out-field", default="field.csv")
     common(p)
     p.set_defaults(fn=cmd_solve)
 
     p = command("classify", "singularity report for a field")
-    _add_solve_args(p)
-    p.add_argument("--field", default=None, help="load a field dump instead of solving")
+    p.add_argument("--field", help="the field dump that solve wrote")
     p.add_argument("--report", default="report.json")
     common(p)
     p.set_defaults(fn=cmd_classify)
@@ -555,9 +537,6 @@ def build_parser():
     p.set_defaults(fn=cmd_sl_check)
 
     p = command("monodromy", "lattice checks and ribbon figure data")
-    p.add_argument("--vertex", choices=("positive", "negative"), default="positive")
-    p.add_argument("--show-fixed", action="store_true")
-    p.add_argument("--duality", action="store_true")
     common(p)
     p.set_defaults(fn=cmd_monodromy)
 

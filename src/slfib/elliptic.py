@@ -241,7 +241,7 @@ class DomainSpec:
         return DomainSpec("periodic-strip", R, P, n_x, n_y)
 
 
-def geometric_schedule(a_start=1.0, factor=0.5, a_min=DEFAULT_A_MIN):
+def geometric_schedule(a_start, factor, a_min=DEFAULT_A_MIN):
     """Decreasing level schedule a_start * factor^k, clamped to end at a_min."""
     if not (0 < factor < 1 and 0 < a_min <= a_start):
         raise ValueError("need 0 < factor < 1 and 0 < a_min <= a_start")
@@ -1490,21 +1490,38 @@ def _tuples(obj):
 
 
 def load_field(path):
-    """Rebuild a SolutionField from a dump written by save_field."""
+    """Rebuild a SolutionField from a dump written by save_field.
+
+    A malformed dump (a header that is not JSON or lacks a key, a row of
+    the wrong length, a body that does not fill the header's grid) raises
+    a ValueError that names the path.
+    """
     with open(path) as fh:
-        header = json.loads(fh.readline())
-        names = fh.readline().strip().split(",")
-        body = np.loadtxt(fh, delimiter=",").reshape(-1, len(names))
-    boundary = {k: BoundarySpec.from_json(o) for k, o in header["boundary"].items()}
-    diagnostics = _tuples(header.get("diagnostics", {}))
-    common = dict(boundary=boundary, converged=header["converged"],
-                  residual_norm=header["residual_norm"], is_limit=header["is_limit"],
-                  cauchy_increments=tuple(header.get("cauchy_increments", ())),
-                  diagnostics=diagnostics)
-    domain = DomainSpec(header["kind"], header["R"], header["P"], header["n_x"], header["n_y"])
-    if domain.kind == "disc":            # the first row holds the centre values
+        try:
+            header = json.loads(fh.readline())
+            names = fh.readline().strip().split(",")
+            body = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    try:
+        boundary = {k: BoundarySpec.from_json(o) for k, o in header["boundary"].items()}
+        common = dict(boundary=boundary, converged=header["converged"],
+                      residual_norm=header["residual_norm"], is_limit=header["is_limit"],
+                      cauchy_increments=tuple(header.get("cauchy_increments", ())),
+                      diagnostics=_tuples(header.get("diagnostics", {})))
+        domain = DomainSpec(header["kind"], header["R"], header["P"], header["n_x"],
+                            header["n_y"])
+        a = header["a"]
+    except KeyError as exc:
+        raise ValueError(f"{path}: the dump's header lacks the key {exc}") from None
+    shape = domain.grid().nodes()[0].shape
+    rows = math.prod(shape) + (domain.kind == "disc")     # a disc dump leads with its centre
+    if body.shape != (rows, len(names)):
+        raise ValueError(f"{path}: the header's {domain.kind} grid needs {rows} rows of "
+                         f"{len(names)} values, the body has {body.shape[0]} rows of "
+                         f"{body.shape[1]}")
+    if domain.kind == "disc":
         common.update({f"{name}_center": float(val) for name, val in zip(names[2:], body[0, 2:])})
         body = body[1:]
-    shape = domain.grid().nodes()[0].shape
     arrays = {name: body[:, k].reshape(shape) for k, name in enumerate(names) if k >= 2}
-    return SolutionField(domain, header["a"], **arrays, **common)
+    return SolutionField(domain, a, **arrays, **common)

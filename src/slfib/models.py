@@ -86,20 +86,6 @@ def hl_discriminant_contains(b, tol):
     )
 
 
-def u_slice(a, s):
-    """Axis value u_a(0, s) = -s (|a| + sqrt(s^2 + a^2))^{-1/2}."""
-    s = np.asarray(s, dtype=float)
-    denom = np.sqrt(abs(a) + np.hypot(s, a))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(denom > 0.0, -s / np.where(denom > 0.0, denom, 1.0), 0.0)
-    return out if out.ndim else float(out)
-
-
-def v_slice(a, s):
-    """Axis value v_a(s, 0) = s (s^2 + 2|a|)^{1/2}."""
-    return s * np.sqrt(s * s + 2.0 * abs(a))
-
-
 def _b_and_root(a, x, y):
     """B = x^2 + 2|a| and sqrt(W), W = (B + sqrt(B^2 + 4 y^2)) / 2."""
     b = x * x + 2.0 * abs(float(a))

@@ -139,14 +139,8 @@ def detect_axis_zeros(field):
     return locations, boundary_zeros
 
 
-def classify_type(field, x_location):
-    """Sign-pattern label of v(., 0) on the two sides of an isolated zero."""
-    spline, xs = _axis_spline(field)
-    return _sign_label(field, spline, xs, x_location, detect_axis_zeros(field)[0])
-
-
 def _sign_label(field, spline, xs, x_location, zeros):
-    """The label of classify_type from the axis spline and the interior axis zeros.
+    """Sign-pattern label of v(., 0) on the two sides of the isolated zero x_location.
 
     The probes sit halfway to the nearest other zero or to the end of the
     axis segment (a quarter period on the strip).

@@ -113,9 +113,15 @@ def interior_records(report):
             for r in report["records"] if not r["boundary"]]
 
 
+def solve_and_classify(tmp_path, *solve_flags):
+    """The exit code of classify on the dump that solve writes from ``solve_flags``."""
+    assert run(["solve", *solve_flags, "--out", str(tmp_path)]) == 0
+    return run(["classify", "--field", str(tmp_path / "field.csv"), "--out", str(tmp_path)])
+
+
 def test_classify_level_zero_disc(tmp_path):
-    code = run(["classify", "--kind", "disc", "--a", "0", "--nx", "32", "--ny", "64",
-                "--cos", "1=1.25", "--cos", "3=-1", "--out", str(tmp_path)])
+    code = solve_and_classify(tmp_path, "--kind", "disc", "--a", "0", "--nx", "32", "--ny", "64",
+                              "--cos", "1=1.25", "--cos", "3=-1")
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert interior_records(report) == [("increasing", 1, pytest.approx(-0.6091748, abs=1e-6)),
@@ -126,9 +132,8 @@ def test_classify_level_zero_disc(tmp_path):
 
 def test_classify_level_zero_strip_dump(tmp_path):
     # the dump goes through load_field, grid.axis and grid.interpolant
-    assert run(["solve", "--kind", "strip", "--a", "0", "--nx", "64", "--ny", "33",
-                "--top", "cos 1=0.5", "--bottom", "cos 1=0.5", "--out", str(tmp_path)]) == 0
-    code = run(["classify", "--field", str(tmp_path / "field.csv"), "--out", str(tmp_path)])
+    code = solve_and_classify(tmp_path, "--kind", "strip", "--a", "0", "--nx", "64", "--ny", "33",
+                              "--top", "cos 1=0.5", "--bottom", "cos 1=0.5")
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert interior_records(report) == [
@@ -139,19 +144,40 @@ def test_classify_level_zero_strip_dump(tmp_path):
 
 
 def test_classify_constant_field_empty(tmp_path):
-    code = run(["classify", "--kind", "strip", "--a", "0", "--top", "const=1",
-                "--bottom", "const=1", "--nx", "32", "--ny", "17",
-                "--out", str(tmp_path)])
+    code = solve_and_classify(tmp_path, "--kind", "strip", "--a", "0", "--top", "const=1",
+                              "--bottom", "const=1", "--nx", "32", "--ny", "17")
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["records"] == []
 
 
 def test_classify_nonisolated_exit_code(tmp_path):
-    code = run(["classify", "--kind", "strip", "--a", "0",
-                "--top", "sin 1=0.5", "--bottom", "sin 1=-0.5",
-                "--nx", "32", "--ny", "17", "--out", str(tmp_path)])
+    code = solve_and_classify(tmp_path, "--kind", "strip", "--a", "0",
+                              "--top", "sin 1=0.5", "--bottom", "sin 1=-0.5",
+                              "--nx", "32", "--ny", "17")
     assert code == 3
+
+
+@pytest.mark.parametrize("damage, error", [
+    (lambda lines: ["{}", *lines[1:]], "the dump's header lacks the key 'boundary'"),
+    (lambda lines: lines[:-5],
+     "the header's disc grid needs 1025 rows of 5 values, the body has 1020 rows of 5"),
+    (lambda lines: [lines[0].replace('"n_x": 16', '"n_x": 32'), *lines[1:]],
+     "the header's disc grid needs 2049 rows of 5 values, the body has 1025 rows of 5"),
+    (lambda lines: [*lines[:-1], lines[-1][:lines[-1].rindex(",")]],
+     "the number of columns changed from 5 to 4"),
+], ids=["empty-header", "truncated-body", "wrong-n_x", "cut-row"])
+def test_malformed_dump_exits_1_with_one_line_naming_it(damage, error, tmp_path, capsys):
+    fld = field_from_callables(DomainSpec.disc(16, 64), 0.5, lambda x, y: -y, lambda x, y: x)
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    save_field(fld, good)
+    bad.write_text("\n".join(damage(good.read_text().splitlines())) + "\n")
+    assert run(["classify", "--field", str(bad), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{bad}: {error}")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, alpha, tol", [
@@ -273,11 +299,10 @@ def _no_solves(monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["solve", "--kind", "disc", "--a", "1", "--cos", "3=-1"],
     ["solve", "--kind", "strip", "--a", "0"],
-    ["classify", "--kind", "disc"],
     ["sweep", "--family", "section6"],
     ["sweep", "--family", "section7", "--t", "0.5"],
     ["project", "--family", "section7", "--z1", "1", "--z2", "1", "--z3", "0"],
-], ids=["solve-disc", "solve-strip", "classify", "sweep-section6", "sweep-section7", "project"])
+], ids=["solve-disc", "solve-strip", "sweep-section6", "sweep-section7", "project"])
 def test_zero_resolution_exits_1_before_any_solve(argv, flag, tmp_path, monkeypatch, capsys):
     _no_solves(monkeypatch)
     out = [] if argv[0] == "project" else ["--out", str(tmp_path / "out")]
@@ -293,13 +318,14 @@ def test_zero_resolution_exits_1_before_any_solve(argv, flag, tmp_path, monkeypa
      "--cos is for --kind disc only, got ['1=7'] for --kind strip"),
     (["solve", "--kind", "strip", "--sin", "2=1"],
      "--sin is for --kind disc only, got ['2=1'] for --kind strip"),
-    (["classify", "--kind", "strip", "--const", "2"],
+    (["solve", "--kind", "strip", "--const", "2"],
      "--const is for --kind disc only, got 2.0 for --kind strip"),
     (["solve", "--kind", "disc", "--top", "const=5", "--R", "3"],
      "--top is for --kind strip only, got const=5 for --kind disc"),
     (["solve", "--kind", "disc", "--bottom", "const=5"],
      "--bottom is for --kind strip only, got const=5 for --kind disc"),
-    (["classify", "--R", "3"], "--R is for --kind strip only, got 3.0 for --kind disc"),
+    (["solve", "--kind", "disc", "--R", "3"],
+     "--R is for --kind strip only, got 3.0 for --kind disc"),
     (["solve", "--kind", "disc", "--P", "3"], "--P is for --kind strip only, got 3.0 for --kind disc"),
 ], ids=["cos", "sin", "const", "top", "bottom", "R", "P"])
 def test_the_other_kinds_data_flag_exits_1_before_any_solve(argv, line, tmp_path, monkeypatch,
@@ -312,37 +338,21 @@ def test_the_other_kinds_data_flag_exits_1_before_any_solve(argv, line, tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("flags, named", [
-    (["--kind", "disc"], "--kind"), (["--kind", "strip"], "--kind"), (["--a", "0"], "--a"),
-    (["--a", "0.5"], "--a"), (["--nx", "16"], "--nx"), (["--ny", "32"], "--ny"),
-    (["--R", "2"], "--R"), (["--P", "3"], "--P"), (["--cos", "1=30"], "--cos"),
-    (["--sin", "2=1"], "--sin"), (["--const", "1"], "--const"), (["--top", "const=9"], "--top"),
-    (["--bottom", "const=9"], "--bottom"), (["--schedule", "1,0.5"], "--schedule"),
-    (["--cos", "1=30", "--kind", "strip", "--top", "const=9"], "--kind, --cos, --top"),
-])
-def test_classify_field_with_a_solve_flag_exits_1_before_reading_the_dump(flags, named, tmp_path,
-                                                                          monkeypatch, capsys):
-    _no_solves(monkeypatch)
+@pytest.mark.parametrize("flags", [
+    ["--kind", "disc"], ["--kind", "strip"], ["--a", "0"], ["--a", "0.5"], ["--nx", "16"],
+    ["--ny", "32"], ["--R", "2"], ["--P", "3"], ["--cos", "1=30"], ["--sin", "2=1"],
+    ["--const", "1"], ["--top", "const=9"], ["--bottom", "const=9"], ["--schedule", "1,0.5"],
+    ["--cos", "1=30", "--kind", "strip", "--top", "const=9"],
+], ids=lambda flags: "three-flags" if len(flags) > 2 else "-".join(flags))
+def test_classify_refuses_a_solve_flag(flags, tmp_path, monkeypatch, capsys):
+    # classify reads a dump only: the data flags belong to solve
     monkeypatch.setattr(cli, "load_field", None)
-    missing = tmp_path / "no-such-dump.csv"
-    assert run(["classify", "--field", str(missing), *flags,
-                "--out", str(tmp_path / "out")]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [f"{named}: solve flags cannot be given with --field"]
+    with pytest.raises(SystemExit) as exc:
+        run(["classify", "--field", str(tmp_path / "no-such-dump.csv"), *flags,
+             "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
-
-
-def test_classify_without_kind_or_a_solves_the_disc_at_level_zero(monkeypatch):
-    seen = {}
-
-    def solve_disc_limit(boundary, domain, schedule):
-        seen["limit"] = domain.kind
-        raise ValueError("stop")
-
-    monkeypatch.setattr(cli, "solve_disc_limit", solve_disc_limit)
-    assert run(["classify", "--cos", "1=1"]) == 1
-    assert seen == {"limit": "disc"}
 
 
 def test_solve_diag_counts_each_factorisation_by_its_reason(tmp_path):
@@ -609,18 +619,18 @@ def test_monodromy_default(tmp_path, capsys):
     assert header == "piece_id,x1,x2,x3"
 
 
-def test_monodromy_show_fixed(tmp_path, capsys):
-    code = run(["monodromy", "--vertex", "positive", "--show-fixed",
-                "--out", str(tmp_path)])
-    assert code == 0
-    fixed = json.loads(capsys.readouterr().out)
-    assert [0, 1, 0] in fixed["column_fixed"]
+def test_monodromy_checks_record_the_fixed_vectors(tmp_path):
+    assert run(["monodromy", "--out", str(tmp_path)]) == 0
+    checks = json.loads((tmp_path / "monodromy_checks.json").read_text())
+    assert [0, 1, 0] in checks["positive_fixed"]["column_fixed"]
+    assert checks["negative_fixed"] == {"column_fixed": [[1, 0, 0]],
+                                        "row_fixed": [[0, 0, 1], [0, 1, 0]]}
 
 
-def test_monodromy_duality_flag(tmp_path, capsys):
-    code = run(["monodromy", "--duality", "--out", str(tmp_path)])
-    assert code == 0
-    assert capsys.readouterr().out.strip() == "true"
+def test_monodromy_checks_record_transpose_duality(tmp_path):
+    assert run(["monodromy", "--out", str(tmp_path)]) == 0
+    checks = json.loads((tmp_path / "monodromy_checks.json").read_text())
+    assert checks["transpose_duality"] is True
 
 
 @pytest.mark.parametrize("point, want", [
@@ -741,17 +751,9 @@ def test_config_number_of_the_wrong_type_exits_2(tmp_path, capsys):
     assert "argument --nx: invalid int value: '32.5'" in capsys.readouterr().err
 
 
-def test_config_bool_sets_a_store_true_flag(tmp_path, capsys):
-    conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps({"duality": True}))
-    assert run(["monodromy", "--config", str(conf), "--out", str(tmp_path)]) == 0
-    assert json.loads(capsys.readouterr().out) is True
-    assert not (tmp_path / "monodromy_checks.json").exists()
-
-
 @pytest.mark.parametrize("argv, missing", [
     (["oracle"], "--a"), (["solve", "--a", "1"], "--kind"),
-    (["project", "--family", "section7"], "--z1, --z2, --z3")])
+    (["project", "--family", "section7"], "--z1, --z2, --z3"), (["classify"], "--field")])
 def test_missing_required_flag_without_config_exits_2(argv, missing, capsys):
     with pytest.raises(SystemExit) as exc:
         run(argv)

@@ -15,9 +15,21 @@ from slfib.models import (
     na_oracle,
     na_oracle_grid,
     na_potential_circle,
-    u_slice,
-    v_slice,
 )
+
+
+def u_slice(a, s):
+    """Axis value u_a(0, s) = -s (|a| + sqrt(s^2 + a^2))^{-1/2}."""
+    s = np.asarray(s, dtype=float)
+    denom = np.sqrt(abs(a) + np.hypot(s, a))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = np.where(denom > 0.0, -s / np.where(denom > 0.0, denom, 1.0), 0.0)
+    return out if out.ndim else float(out)
+
+
+def v_slice(a, s):
+    """Axis value v_a(s, 0) = s (s^2 + 2|a|)^{1/2}."""
+    return s * np.sqrt(s * s + 2.0 * abs(a))
 
 
 class P:

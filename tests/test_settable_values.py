@@ -13,7 +13,7 @@ from pathlib import Path
 from slfib.cli import build_parser
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "slfib"
-SETTABLE_MAX = 111
+SETTABLE_MAX = 94
 
 
 def _is_dataclass(node):

