@@ -9,7 +9,8 @@ strip) to ``solve``, the one command that turns data into a field;
     slfib solve --kind disc --a 0 --cos 1=1.25 --cos 3=-1 --out D
     slfib classify --field D/field.csv --out D
 
-A JSON config file can mirror any flag; explicit flags win.  All output
+A JSON config file can mirror any flag; explicit flags win, and a key
+that names no flag of the subcommand exits 2.  All output
 files are deterministic for a fixed config and seed.
 """
 
@@ -119,26 +120,33 @@ REQUIRED = {"solve": ("kind", "a"), "classify": ("field",), "sweep": ("family",)
 def _parse_args(argv):
     """Parse argv; config-file values replace the defaults, explicit flags win.
 
-    With --config, the config keys that name an option of the subcommand
-    become its defaults (numbers as strings, so that the option's type
-    applies) and argv is parsed again, so a flag given at its default
-    value still wins.  A key whose option argv already moved off its
-    default is dropped, so a repeatable flag such as --cos replaces the
-    config's list instead of extending it.  An option of REQUIRED that
-    neither argv nor the config gives is an error.
+    With --config, the config's keys must name options of the subcommand
+    other than --config; another key exits 2 with one line naming it.  The
+    keys become the options' defaults (numbers as strings, so that the
+    option's type applies) and argv is parsed again, so a flag given at
+    its default value still wins.  A key whose option argv already moved
+    off its default is dropped, so a repeatable flag such as --cos
+    replaces the config's list instead of extending it.  An option of
+    REQUIRED that neither argv nor the config gives is an error.
     """
     parser, commands = build_parser()
     args = parser.parse_args(argv)
     sub = commands[args.command]
     if args.config:
         with open(args.config) as fh:
-            conf = {key.replace("-", "_"): value for key, value in json.load(fh).items()}
+            conf = json.load(fh)
+        if not isinstance(conf, dict):
+            parser.exit(2, f"{args.config}: the config is not a JSON object\n")
+        options = set(vars(args)) - {"command", "fn", "config"}
+        unknown = [key for key in conf if key.replace("-", "_") not in options]
+        if unknown:
+            parser.exit(2, f"{args.config}: the key {unknown[0]!r} is no option of "
+                           f"slfib {args.command}\n")
+        conf = {key.replace("-", "_"): value for key, value in conf.items()}
         # a JSON number goes in as a string, which argparse converts by the option's type
         sub.set_defaults(**{
             dest: str(value) if type(value) in (int, float) else value
-            for dest, value in conf.items()
-            if hasattr(args, dest) and dest not in ("command", "fn", "config")
-            and getattr(args, dest) == sub.get_default(dest)})
+            for dest, value in conf.items() if getattr(args, dest) == sub.get_default(dest)})
         args = parser.parse_args(argv)
     missing = [f"--{dest}" for dest in REQUIRED.get(args.command, ())
                if getattr(args, dest) is None]

@@ -59,10 +59,13 @@ to the next.
 Newton solves on the representative nodes of the data's reflections
 (see solve_disc and solve_strip), in one level-solve path for both
 domains (_quotient_solve).  A quotient, built once per grid and
-reflections, orders its box of representatives by nested dissection,
-maps node -> (representative, sign), folds the Jacobian's columns into
-a fixed pattern and evaluates residuals on its own rows.  Starts are
-folded and solutions unfolded, so fields cover the full grid.
+reflections (data with no reflection get the full grid's), orders its
+box of representatives by nested dissection, maps node ->
+(representative, sign), and evaluates residuals and Jacobians on its
+own rows: the Jacobian's columns are folded into a fixed pattern once,
+when the quotient is built, so each Jacobian fills that pattern
+straight from per-row factors.  Starts are folded and solutions
+unfolded, so fields cover the full grid.
 
 A cold disc solve (no initial iterate) is grid-sequenced (nested
 iteration): when (N, M) halves exactly onto a grid of at least 16 x 16,
@@ -76,12 +79,21 @@ diverges, starts from the harmonic extension.  The strip starts cold
 from the linear blend of its edge data.
 
 Everything is computed in float64.  A residual evaluated in float64 has
-a round-off floor of about eps * || |J| |x| ||_inf, which at small a on
-fine grids lies above NEWTON_TOL, since the coefficient
-(v^2 + y^2 + a^2)^(-1/2) grows like 1/a near the singular points.  A
-solve is therefore converged when the sup-norm residual of the returned
-field is below max(NEWTON_TOL, ROUNDOFF_SAFETY * eps * || |J| |x| ||_inf),
-the floor taken from the last Jacobian that was factored.
+a round-off floor of about eps * B, with B the sup norm of its
+first-order forward-error bound (Higham, *Accuracy and Stability of
+Numerical Algorithms*, 2nd ed., SIAM 2002, section 3.1): each
+difference operator's error, at most eps times its stencil applied to
+absolute values, weighted by the residual's sensitivity to it.  On the
+disc B = max |dW/df_x * r^2 f_xx| (|S_x||L||z|) + W (|S_xx||L||z|)
++ |S_yy||L||z| over the rows, with S the operators and L the lift from
+the unknowns z (see DiscGrid); on the strip the same sum runs over the
+face fluxes and the row differences, edge values included.  B bounds
+|| |J| |z| ||_inf from above, and at small a on fine grids eps * B
+lies above NEWTON_TOL, since the coefficient (v^2 + y^2 + a^2)^(-1/2)
+grows like 1/a near the singular points.  A solve is therefore
+converged when the sup-norm residual of the returned field is below
+max(NEWTON_TOL, ROUNDOFF_SAFETY * eps * B), the floor taken at the last
+Jacobian that was factored.
 
 The level a = 0 is reached by geometric continuation a_k -> a_min with
 warm starts; the a_min field is returned as the singular-level proxy and
@@ -113,7 +125,7 @@ NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 60
 FLOOR_ACCEPT = 1e-8          # stagnation bound while the round-off floor is <= NEWTON_TOL
 CHORD_CONTRACTION = 0.5      # a chord step must cut the residual to this fraction
-ROUNDOFF_SAFETY = 0.5        # share of eps * || |J| |x| ||_inf taken as the residual floor
+ROUNDOFF_SAFETY = 0.5        # share of eps * the residual's forward-error bound taken as its floor
 GRADING = 0.4                # radial grading strength toward r = 1
 DEFAULT_A_MIN = 1e-4
 CLOSURE_DEFECT_TOL = 1e-6    # largest periodic closure defect of u that a strip field accepts
@@ -121,12 +133,14 @@ BOUNDARY_TOL = 1e-12         # validate: stored boundary values against the data
 MAXPRIN_SLACK = 1e-8         # validate: slack of the maximum principle
 # Part of every SolverCache key: change it whenever solver output changes,
 # so that fields cached on disk by an older solver are not reused.
-SOLVER_VERSION = "chord-newton-8"
+SOLVER_VERSION = "chord-newton-9"
 # The chord steps that one band refactorisation costs (_LU.horizon).  Per call (2 cores,
-# one BLAS thread, medians at a = 1e-4) the Jacobian plus dgbtrf take 300-470 us on the
-# (32, 64) disc quotient and 260-320 us on the (64, 33) strip quotient, against 70-90 us
-# for dgbtrs plus one residual.  A SuperLU refactorisation of the (128, 256) quarter
-# costs 15-26 chord steps, so SuperLU factors have no horizon.
+# one BLAS thread, medians of 5 runs of 2000 calls at the a_min proxy, a = 1e-4) the
+# Jacobian plus dgbtrf take 60 + 95 us on the (32, 64) disc quotient and 55 + 82 us on the
+# (64, 33) strip quotient, against 20 + 21 us and 22 + 28 us for dgbtrs plus one
+# residual: 3.7 and 2.8 chord steps.  H = 4 rounds the disc's, the strip's alone would
+# round to 3.  A SuperLU refactorisation of the (128, 256) quarter costs 15-26 chord
+# steps, so SuperLU factors have no horizon.
 BAND_HORIZON = 4
 # Why _newton factors: no live factor, a rejected chord step, the horizon rule, a damped step
 REFACTOR_REASONS = ("no_factor", "rejected_chord", "horizon", "damped")
@@ -355,8 +369,9 @@ class _LU:
     ``kernel`` is "band" or "superlu", ``half_bandwidth`` the system's in its
     band order, ``fill`` the entries the factor stores (SuperLU's L and U, or
     the band array) and ``floor`` the residual's round-off floor,
-    ROUNDOFF_SAFETY * eps * scale with scale = || |J| |z| ||_inf at the
-    iterate z where J was taken.  ``horizon`` is the number of chord steps that
+    ROUNDOFF_SAFETY * eps * scale, with scale the sup norm of the residual's
+    forward-error bound at the iterate where J was taken (see the system's
+    ``jacobian``).  ``horizon`` is the number of chord steps that
     one refactorisation costs, BAND_HORIZON for the band kernel and None for
     SuperLU.  ``lu_solve`` solves in the factor's order of n rows, ``index``
     holds each unknown's row there.
@@ -381,14 +396,16 @@ class _LU:
 class _Reflections:
     """A grid's systems on the representative nodes of its data's reflections.
 
-    Each system has its square Jacobian ``pattern``, (indices, indptr) in
-    factor order, and factors Jacobians on it (``factor``).  A quotient is a
-    shallow copy of its grid with its own ``shape``, ``pos``, ``pattern``,
-    ``_fold``, ``unknowns`` and ``_src``, ``_sgn``: the box node and sign of
-    each full-grid unknown.  A disc quotient also has ``_stacked``, the one
-    operator its residual applies (see DiscGrid).  Each system keeps its band
-    layout in ``_band`` once it is built.  ``contains`` reads the grid's
-    ``margin``, ``reader`` its nodes and ``pole``.
+    A grid's Newton systems are its quotients, one per parities of the
+    data, the full grid's included (parities (0, 0)).  A quotient is a
+    shallow copy of its grid with its own ``shape``, ``pos``, ``unknowns``,
+    ``_src`` and ``_sgn`` (the box node and sign of each full-grid unknown),
+    its square Jacobian ``pattern``, (indices, indptr) in factor order, and
+    the data its ``residual`` and ``jacobian`` read, built once by the
+    grid's ``_folded``.  It factors Jacobians on its pattern (``factor``)
+    and keeps its band layout in ``_band`` once it is built.  The grid
+    itself evaluates the full grid's residual only.  ``contains`` reads the
+    grid's ``margin``, ``reader`` its nodes and ``pole``.
     """
 
     _band = None
@@ -414,7 +431,7 @@ class _Reflections:
         """The system for data of parities sym = (sx, sy): 1 even, -1 odd, 0 neither."""
         quotients = self.__dict__.setdefault("_quotients", {})
         if sym not in quotients:
-            quotients[sym] = self._folded(sym) if any(sym) else self
+            quotients[sym] = self._folded(sym)
         return quotients[sym]
 
     def fold(self, f):
@@ -424,16 +441,6 @@ class _Reflections:
     def unfold(self, x):
         """The full interior array from the representatives' values."""
         return (self._sgn * x.ravel()[self._src])[self._full_pos].reshape(self._full_shape)
-
-    def _folded_jacobian(self, data, rows, indptr, z):
-        """(data, scale) on ``pattern`` from the full grid's columns of J in CSC form.
-
-        scale, || |J| |z| ||_inf at the iterate z, is summed in entry order, as the CSC
-        product |J| @ |z| sums it, and before the fold, which can cancel.
-        """
-        z_col = np.repeat(np.abs(z[: indptr.size - 1]), np.diff(indptr))   # per entry
-        scale = float(np.max(np.bincount(rows, np.abs(data) * z_col)))
-        return (data if self._fold is None else self._fold @ data), scale
 
     def factor(self, data, scale):
         """The _LU of the Jacobian with entries ``data`` on ``pattern``, floor from scale.
@@ -485,14 +492,20 @@ class DiscGrid(_Reflections):
     ``angular`` holds the 3-point angular stencils on angles j-1, j, j+1:
     "id", "d1" (f_theta, over 2 sin h) and "d2" (f_thetatheta, over
     2 - 2 cos h), h = 2 pi / M.  ops64 builds its operators from them and
-    extract_uv takes f_theta from "d1" on shifted copies of the rings.
+    extract_uv takes f_theta from "d1" on slices of the rings padded by one
+    angle on each side.
 
-    The full grid's residual applies ops64's three operators to the lifted
-    iterate (``_lift``).  A quotient's residual applies ``_stacked``, one CSR
-    matrix that _folded builds from the quotient's rows of those operators:
-    row 3k + (0, 1, 2) gives f_x, r^2 f_xx and 2 r^2 f_yy at box node k, and
-    its columns are the box values, then phi, with _lift composed into them.
-    The Jacobian lifts on both.
+    The grid's own residual, the full grid's, applies ops64's three
+    operators to the lifted iterate (``_lift``).  A quotient's residual and
+    Jacobian apply ``_stacked`` = S L, one CSR matrix that _folded builds:
+    S holds the quotient's rows of those operators and L is _lift as a
+    matrix, so ``_stacked``'s row t nb + k gives f_x, r^2 f_xx or 2 r^2 f_yy
+    (t = 0, 1, 2) at box node k of nb from the box values, then phi.  The
+    Jacobian's entries on ``pattern`` are
+    (dW/df_x r^2 f_xx)[row] FX + W[row] FXX + FYY, with FX, FXX and FYY
+    the folded entries of the x, xx and yy operators and row the box node
+    of the entry's row: one product with ``_fill``, which holds them.
+    ``_bound`` = |S| |L| gives the floor's scale (see ``jacobian``).
     """
 
     _stacked = None
@@ -537,10 +550,10 @@ class DiscGrid(_Reflections):
         "yy" give f_x, r^2 f_xx and 2 r^2 f_yy at the interior rings, rows
         in factor order; the row scaling r^2 desingularises the pole.  They
         are CSC matrices on one shared pattern.  Its square leading block,
-        up to g's column, is ``pattern``, the bordered Jacobian's, and
-        "yy" also holds the border row g - mean(ring 1).  The full grid's
-        residual and every Jacobian apply them; a quotient's residual applies
-        its ``_stacked`` instead (see the class).
+        up to g's column, is the bordered Jacobian's pattern before a
+        quotient folds it, and "yy" also holds the border row
+        g - mean(ring 1).  The full grid's residual applies them; each
+        quotient builds its own operators from them (see the class).
         """
         if self._ops is not None:
             return self._ops
@@ -584,7 +597,7 @@ class DiscGrid(_Reflections):
         g = n + M
         order = _factor_order(N - 1, M, True)
         self.pos = self._full_pos = _positions(order)
-        self._src, self._sgn, self._fold, self.unknowns = order, 1.0, None, n + 1
+        self._src, self._sgn = order, 1.0
         place = np.concatenate([self.pos, n + 1 + np.arange(M), [n]])   # node -> _lift index
         # the pattern, each entry numbered (+ 1) by its source: a stencil point,
         # ring 1's coupling to g, or the border row
@@ -594,14 +607,12 @@ class DiscGrid(_Reflections):
               place[np.concatenate([cols[points], np.full(M, g), np.append(np.arange(M), g)])])),
             shape=(n + 1, n + 1 + M))
         source = ids.data.astype(np.intp) - 1
-        self.pattern = ids.indices[: ids.indptr[n + 1]], ids.indptr[: n + 2]
         self._ops = {name: sp.csc_matrix((np.concatenate([vals, ghost, border[name]],
                                                          axis=None)[source],
                                           ids.indices, ids.indptr), shape=ids.shape)
                      for name, (vals, ghost) in stencils.items()}
         y = np.repeat(self.r[: N - 1], M) * np.tile(self.sin, N - 1)
         self._node_y2 = y * y                                   # y^2 per interior node
-        self._y2 = np.append(self._node_y2, 0.0)[np.append(order, n)]   # per row in factor order
         return self._ops
 
     @staticmethod
@@ -612,47 +623,82 @@ class DiscGrid(_Reflections):
         return (0, 0) if spec.sin_coeffs else (sx, 1)
 
     def _folded(self, sym):
-        """The quotient on 0 <= theta <= pi, or on 0 <= theta <= pi/2 when sx != 0."""
+        """The quotient on 0 <= theta <= pi, on 0 <= theta <= pi/2 when sx != 0 too.
+
+        Data with sine terms (sym = (0, 0)) get the full grid, the box periodic in theta.
+        """
         ops = self.ops64()
-        N, M, n, sx = self.N, self.M, self.pos.size, sym[0]
-        rep = np.minimum(np.arange(M), -np.arange(M) % M)
+        N, M, n, (sx, sy) = self.N, self.M, self.pos.size, sym
+        rep = np.minimum(np.arange(M), -np.arange(M) % M) if sy else np.arange(M)
         flip = (rep > M // 4) & (sx != 0)         # x -> -x maps theta to pi - theta
         sign, rep = np.where(flip, sx, 1.0), np.where(flip, M // 2 - rep, rep)
-        width = M // 4 + (sx > 0) if sx else M // 2 + 1
+        width = M // 4 + (sx > 0) if sx else M // 2 + 1 if sy else M
         sign[rep == width] = 0.0                  # odd in x: theta = +-pi/2
         rep[rep == width] = 0
-        box = _factor_order(N - 1, width, False)
+        box = _factor_order(N - 1, width, not sy)
+        nb = box.size
         view = copy.copy(self)
         view.shape, view.pos, view._band = (N - 1, width), _positions(box), None
         view._src = (np.arange(N - 1)[:, None] * width + rep).ravel()[self._src]
         view._sgn = np.tile(sign, N - 1)[self._src]
-        rows = np.append(self.pos[box // width * M + box % width], n)[: box.size + (sx >= 0)]
-        take, sub, view._fold, view.pattern = _fold(
-            ops["x"].indices, ops["x"].indptr, ops["x"].shape, rows,
-            np.append(view.pos[view._src], box.size), np.append(view._sgn, float(sx >= 0)))
-        view._ops = {name: sp.csc_matrix((op.data[take], sub.indices, sub.indptr), shape=sub.shape)
-                     for name, op in ops.items()}
-        view._y2, view.unknowns = self._y2[rows], rows.size
+        rows = np.append(self.pos[box // width * M + box % width], n)[: nb + (sx >= 0)]
+        view.unknowns = rows.size
         view._node_y2 = self._node_y2.reshape(N - 1, M)[:, :width].ravel()
-        # _stacked = S L, built as (L^T S^T)^T so that sub's CSC arrays serve as S^T's.
-        # S holds the box's rows of x, xx and yy, row 3k + t operator t's at box node k
-        # (g's row is the Jacobian's only).  L is _lift as a matrix: each full-grid
-        # unknown its box value times its sign, g the mean of ring 1, then phi.  The
-        # factors go before the CSR copy is made, to bound the build's peak memory.
-        nb, ring1 = box.size, self._full_pos[:M]
+        take, sub, fold, view.pattern = _fold(
+            ops["x"].indices, ops["x"].indptr, ops["x"].shape, rows,
+            np.append(view.pos[view._src], nb), np.append(view._sgn, float(sx >= 0)))
+        # FX, FXX and FYY: the operators' entries folded onto pattern, one row each
+        entries = np.vstack([fold @ ops[name].data[take[: fold.shape[1]]]
+                             for name in ("x", "xx", "yy")])
+        del fold
+        # _stacked = S L and _bound = |S| |L| from one complex product, built as
+        # (L^T S^T)^T so that sub's CSC arrays serve as S^T's.  S holds the box's rows of
+        # x, xx and yy, row t nb + k operator t's at box node k (g's row is the
+        # Jacobian's only).  L is _lift as a matrix: each full-grid unknown its box value
+        # times its sign, g the mean of ring 1, then phi.  Row j of S^T carries
+        # S + i |S| s_j, with s_j the sign of every entry of L's row j (g's weights are
+        # all positive or all zero), so the real part of the product is S L and the
+        # imaginary part |S| |L|, on the one pattern of |S| |L|, whose index arrays the
+        # two share.  Each factor goes before the next copy is made, to bound the
+        # build's peak memory.
+        ring1 = self._full_pos[:M]
         keep = sub.indices < nb
-        s_t = sp.csr_matrix(
-            (np.column_stack([view._ops[name].data[keep] for name in ("x", "xx", "yy")]).ravel(),
-             (3 * box[sub.indices[keep]][:, None] + np.arange(3)).ravel(),
-             3 * np.append(0, np.cumsum(keep))[sub.indptr]), shape=(sub.shape[1], 3 * nb))
+        take = take[keep]
+        s_data = np.empty((take.size, 3), complex)
+        for t, name in enumerate(("x", "xx", "yy")):
+            s_data.real[:, t] = ops[name].data[take]
+        del take
+        lifted = np.repeat(np.arange(sub.shape[1], dtype=np.int32), np.diff(sub.indptr))[keep]
+        np.multiply(np.abs(s_data.real), np.append(view._sgn, np.ones(1 + M))[lifted][:, None],
+                    out=s_data.imag)
+        del lifted
+        cols = np.empty((s_data.shape[0], 3), np.int32)
+        cols[:] = box[sub.indices[keep]][:, None] + nb * np.arange(3)
+        s_t = sp.csr_matrix((s_data.ravel(), cols.ravel(),
+                             3 * np.append(0, np.cumsum(keep))[sub.indptr]),
+                            shape=(sub.shape[1], 3 * nb))
+        del sub, keep, s_data, cols
         l_t = sp.csr_matrix(
             (np.concatenate([view._sgn, view._sgn[ring1] / M, np.ones(M)]),
              (np.concatenate([view._src, view._src[ring1], nb + np.arange(M)]),
               np.concatenate([np.arange(n), np.full(M, n), n + 1 + np.arange(M)]))),
             shape=(nb + M, n + 1 + M))
         product = l_t @ s_t
-        del s_t, l_t
-        view._stacked = product.T.tocsr()
+        del l_t, s_t
+        product = product.T.tocsr()
+        index = product.indices, product.indptr
+        view._stacked = sp.csr_matrix((product.data.real.copy(), *index), shape=product.shape)
+        view._bound = sp.csr_matrix((product.data.imag.copy(), *index), shape=product.shape)
+        del product
+        # _fill: entry e of the Jacobian is FX[e] u[row] + FXX[e] u[nb + row] + FYY[e] u[2 nb]
+        # with u = (dW/df_x r^2 f_xx, W, 1) and row its row's box node.  g's row
+        # (position nb) has none of x and xx, so it reads any node's factors, node 0's.
+        row = np.append(box, 0).astype(np.int32)[view.pattern[0]]
+        cols = np.column_stack([row, nb + row, np.full_like(row, 2 * nb)])
+        view._fill = sp.csr_matrix(
+            (entries.T.ravel(), cols.ravel(), 3 * np.arange(row.size + 1, dtype=np.int32)),
+            shape=(row.size, 2 * nb + 1))
+        view._fill.eliminate_zeros()              # x's stencils are sparser than the pattern
         return view
 
     def _lift(self, f_int, phi):
@@ -670,36 +716,41 @@ class DiscGrid(_Reflections):
         """Scaled residual r^2 (W f_xx + 2 f_yy) at the nodes of f_int's box.
 
         A quotient takes f_x, r^2 f_xx and 2 r^2 f_yy of every box node from one
-        product, ``_stacked`` @ (box values, phi).  The full grid lifts f_int and
+        product, ``_stacked`` @ (box values, phi).  The grid itself lifts f_int and
         applies ops64's three operators.
         """
         if self._stacked is None:
             z = self._lift(f_int, phi)
             fx, fxx, fyy = ((self._ops[name] @ z)[self.pos] for name in ("x", "xx", "yy"))
         else:
-            fx, fxx, fyy = (self._stacked @ np.concatenate([f_int.ravel(), phi])).reshape(-1, 3).T
+            fx, fxx, fyy = (self._stacked @ np.concatenate([f_int.ravel(), phi])).reshape(3, -1)
         w = 1.0 / np.sqrt(np.maximum(fx * fx + self._node_y2 + a * a, COEFF_FLOOR))
         return (w * fxx + fyy).reshape(f_int.shape)
 
     def jacobian(self, f_int, phi, a):
-        """The bordered Jacobian on ``pattern``: (data, scale) of ``_folded_jacobian``.
+        """A quotient's bordered Jacobian on ``pattern`` and its floor's scale: (data, scale).
 
-        Its data are one gather-multiply-add over the operators' shared
-        pattern.  On the full grid the Schur complement of g's row and column
-        is the Jacobian of ``residual``.
+        f_x and r^2 f_xx come from the residual's one product with ``_stacked``,
+        and the data fill the fixed folded entries row by row (see the class).
+        scale is the sup norm over the box of the residual's forward-error bound,
+        |dW/df_x r^2 f_xx| (|S_x||L||z|) + W (|S_xx||L||z|) + |S_yy||L||z| with
+        z = (box values, phi), from one product with ``_bound``.  It is at least
+        || |J| |z| ||_inf over the box's rows of the full grid's Jacobian, by the
+        triangle inequality.  On the full grid the Schur complement of g's row
+        and column is the Jacobian of ``residual``.
         """
-        z = self._lift(f_int, phi)
-        x, xx, yy = (self._ops[name] for name in ("x", "xx", "yy"))
-        fx = x @ z
-        q = fx * fx + self._y2 + a * a
+        z = np.concatenate([f_int.ravel(), phi])
+        fx, fxx, _ = (self._stacked @ z).reshape(3, -1)
+        q = fx * fx + self._node_y2 + a * a
         qe = np.maximum(q, COEFF_FLOOR)
         w = 1.0 / np.sqrt(qe)
-        dw = np.where(q > COEFF_FLOOR, -fx * qe**-1.5, 0.0)
-        m = self._full_pos.size + 1
-        k = xx.indptr[m]
-        rows = xx.indices[:k]
-        data = ((dw * (xx @ z))[rows] * x.data[:k] + w[rows] * xx.data[:k] + yy.data[:k])
-        return self._folded_jacobian(data, rows, xx.indptr[:m + 1], z)
+        dw_fxx = np.where(q > COEFF_FLOOR, -fx * fxx, 0.0) * (w / qe)
+        data = self._fill @ np.concatenate([dw_fxx, w, [1.0]])
+        bound, bxx, byy = (self._bound @ np.abs(z)).reshape(3, -1)
+        bound *= np.abs(dw_fxx)
+        bound += w * bxx
+        bound += byy
+        return data, float(np.max(bound))
 
     # -- field geometry and derived fields ---------------------------------
 
@@ -735,12 +786,20 @@ class DiscGrid(_Reflections):
         The radial derivative is central at the interior rings, the pole
         ghost standing in for ring 0, and one-sided on the boundary ring.
         """
-        f_c = math.fsum(f_int[0]) / self.M          # exact: 0 on a ring odd in x
-        rings = np.vstack([np.full(self.M, f_c), f_int, phi])    # rings 0..N
-        f_r = np.vstack([self.wm[:, None] * rings[:-2] + self.w0[:, None] * rings[1:-1]
-                         + self.wp[:, None] * rings[2:], np.dot(self.bnd_w, rings[-3:])])
+        N, M = self.N, self.M
+        f_c = math.fsum(f_int[0]) / M               # exact: 0 on a ring odd in x
+        padded = np.empty((N + 1, M + 2))           # rings 0..N, one angle wrapped on each side
+        padded[0, 1:-1] = f_c
+        padded[1:N, 1:-1] = f_int
+        padded[N, 1:-1] = phi
+        padded[:, 0], padded[:, -1] = padded[:, M], padded[:, 1]
+        rings = padded[:, 1:-1]
+        f_r = np.empty((N, M))
+        f_r[:-1] = (self.wm[:, None] * rings[:-2] + self.w0[:, None] * rings[1:-1]
+                    + self.wp[:, None] * rings[2:])
+        f_r[-1] = np.dot(self.bnd_w, rings[-3:])
         w_minus, _, w_plus = self.angular["d1"]
-        f_t = np.roll(rings[1:], -1, 1) * w_plus + np.roll(rings[1:], 1, 1) * w_minus
+        f_t = padded[1:, 2:] * w_plus + padded[1:, :-2] * w_minus
         c, s, r = self.cos, self.sin, self.r[:, None]
         u = s * f_r + c / r * f_t
         v = c * f_r - s / r * f_t
@@ -800,12 +859,14 @@ class StripGrid(_Reflections):
     A strip field's geometry lives here, as a disc field's on DiscGrid.
     The unknowns are v at the interior rows, row by row.  Their factor
     order is _factor_order over (interior rows x x nodes), periodic in x;
-    ``pos`` holds each node's position.  The Jacobian's five-point
-    pattern is fixed in that order (``_unfolded``; on a quotient, the
-    representative rows before the fold): its entry e is coefficient
-    ``_source[e]`` of the centre, right and left couplings of every node,
-    then the constant coupling across rows.  Residual and coefficients
-    are read off the box widened by one node, gathered through ``_halo``.
+    ``pos`` holds each node's position.  The full grid's five-point
+    Jacobian pattern is fixed in that order (``_unfolded``): its entry e is
+    coefficient ``_source[e]`` of the centre, right and left couplings of
+    every node, then the constant coupling across rows.  A quotient folds
+    it once into ``pattern`` and keeps ``_select``, the one matrix from the
+    flux derivatives of its box's faces to the folded entries (see
+    ``jacobian``).  Residual and coefficients are read off the box widened
+    by one node, gathered through ``_halo``.
     """
 
     def __init__(self, n_x, n_y, R, P):
@@ -821,7 +882,7 @@ class StripGrid(_Reflections):
         n = ny * nx
         order = _factor_order(ny, nx, True)
         self.pos = self._full_pos = _positions(order)
-        self._src, self._sgn, self._fold, self.unknowns = order, 1.0, None, n
+        self._src, self._sgn = order, 1.0
         self._halo = self._halo_index(np.arange(n), ny, nx)
         self._y2 = self.y[1:-1, None] ** 2
         k = np.arange(n).reshape(ny, nx)
@@ -831,7 +892,7 @@ class StripGrid(_Reflections):
         source = np.concatenate([k, k + n, k + 2 * n, np.full(2 * (n - nx), 3 * n)], axis=None)
         # entry numbers + 1 through the COO -> CSC conversion
         ids = sp.csc_matrix((source + 1.0, (self.pos[rows], self.pos[cols])), shape=(n, n))
-        self.pattern = self._unfolded = ids.indices, ids.indptr
+        self._unfolded = ids.indices, ids.indptr
         self._source = ids.data.astype(np.intp) - 1
 
     def nodes(self):
@@ -885,7 +946,10 @@ class StripGrid(_Reflections):
         return (int(not (top.sin_coeffs or bottom.sin_coeffs)), int(top == bottom))
 
     def _folded(self, sym):
-        """The quotient on 0 <= x <= P/2 when sx = 1 and on y <= 0 when sy = 1."""
+        """The quotient on 0 <= x <= P/2 when sx = 1 and on y <= 0 when sy = 1.
+
+        Edges with no reflection (sym = (0, 0)) get the full grid.
+        """
         sx, sy = sym
         ny, nx = self._full_shape
         n_rows, n_cols = (ny // 2 + 1 if sy else ny), (nx // 2 + 1 if sx else nx)
@@ -898,12 +962,28 @@ class StripGrid(_Reflections):
         view._band = None
         view._halo = self._halo_index(src, n_rows, n_cols)
         view._y2, view.unknowns = self.y[1:n_rows + 1, None] ** 2, box.size
-        take, sub, view._fold, view.pattern = _fold(*self._unfolded, (ny * nx,) * 2,
-                                                    self.pos[box // n_cols * nx + box % n_cols],
-                                                    view.pos[view._src], np.ones(ny * nx))
+        take, _, fold, view.pattern = _fold(*self._unfolded, (ny * nx,) * 2,
+                                            self.pos[box // n_cols * nx + box % n_cols],
+                                            view.pos[view._src], np.ones(ny * nx))
+        # _select: each entry from the faces' flux derivatives in the right node and in
+        # the left node (see jacobian), n_rows x (n_cols + 1) each, then a 1.  Node (r, c)
+        # has faces r (n_cols + 1) + c (left) and that + 1 (right) of each block.
         kind, node = np.divmod(self._source[take], ny * nx)
-        view._source = kind * box.size + node // nx * n_cols + node % nx
-        view._unfolded = sub.indices, sub.indptr
+        left = node // nx * (n_cols + 1) + node % nx
+        right, faces, hx2, hy2 = left + 1, n_rows * (n_cols + 1), self.hx**2, self.hy**2
+        entry = np.arange(take.size)
+        centre, edge = entry[kind == 0], entry[kind == 3]
+        terms = [(entry[kind == 1], right[kind == 1], 1.0 / hx2),      # the right neighbour
+                 (entry[kind == 2], faces + left[kind == 2], -1.0 / hx2),   # the left one
+                 (centre, faces + right[kind == 0], 1.0 / hx2),         # the centre
+                 (centre, left[kind == 0], -1.0 / hx2),
+                 (centre, np.full(centre.size, 2 * faces), -4.0 / hy2),
+                 (edge, np.full(edge.size, 2 * faces), 2.0 / hy2)]      # across rows
+        select = sp.csr_matrix(
+            (np.concatenate([np.full(e.size, c) for e, _, c in terms]),
+             (np.concatenate([e for e, _, _ in terms]), np.concatenate([k for _, k, _ in terms]))),
+            shape=(take.size, 2 * faces + 1))
+        view._select = (fold @ select).tocsr()
         return view
 
     def _band_order(self):
@@ -932,21 +1012,29 @@ class StripGrid(_Reflections):
         return (rx + ry).reshape(v_int.shape)
 
     def jacobian(self, v_int, top, bot, a):
-        """The Jacobian on ``pattern``: (data, scale) of ``_folded_jacobian``."""
-        hx2 = self.hx * self.hx
-        hy2 = self.hy * self.hy
-        mid, d, q = self._faces(np.concatenate([bot, v_int.ravel(), top])[self._halo], a)
+        """A quotient's Jacobian on ``pattern`` and its floor's scale: (data, scale).
+
+        data = ``_select`` @ (the faces' flux derivatives, 1).  scale is the sup norm of
+        the residual's forward-error bound: each face flux W d, with d the
+        difference of the face's nodes v_l and v_r and W its coefficient at
+        their mean, contributes (W + |dW/dv d| / 2)(|v_l| + |v_r|) / hx^2
+        to both of its nodes, and each row difference (|v_below| + 2 |v| +
+        |v_above|) 2 / hy^2, edge values included.  It is at least
+        || |J| |z| ||_inf over the box's rows of the full grid's Jacobian, by
+        the triangle inequality.
+        """
+        V = np.concatenate([bot, v_int.ravel(), top])[self._halo]
+        mid, d, q = self._faces(V, a)
         qe = np.maximum(q, COEFF_FLOOR)
         w = qe**-0.5
         half_dw_d = 0.5 * np.where(q > COEFF_FLOOR, -mid * qe**-1.5, 0.0) * d
         # face flux w * d: derivative w + half_dw_d in the right node, -w + half_dw_d in the left
-        right, left = w + half_dw_d, -w + half_dw_d
-        c_xp = right[:, 1:] / hx2
-        c_xm = -left[:, :-1] / hx2
-        c_0 = (left[:, 1:] - right[:, :-1]) / hx2 - 4.0 / hy2
-        coeffs = np.concatenate([c_0, c_xp, c_xm, 2.0 / hy2], axis=None)
-        return self._folded_jacobian(coeffs[self._source], *self._unfolded,
-                                     v_int.ravel()[self._src])
+        data = self._select @ np.concatenate([w + half_dw_d, half_dw_d - w, 1.0], axis=None)
+        A = np.abs(V)
+        face = (w + np.abs(half_dw_d)) * (A[1:-1, :-1] + A[1:-1, 1:])
+        bound = face[:, 1:] + face[:, :-1] + (A[2:, 1:-1] + 2.0 * A[1:-1, 1:-1] + A[:-2, 1:-1]) \
+            * (2.0 * self.hx**2 / self.hy**2)
+        return data, float(np.max(bound)) / self.hx**2
 
 
 @functools.lru_cache(maxsize=None)
@@ -1492,15 +1580,20 @@ def _tuples(obj):
 def load_field(path):
     """Rebuild a SolutionField from a dump written by save_field.
 
-    A malformed dump (a header that is not JSON or lacks a key, a row of
-    the wrong length, a body that does not fill the header's grid) raises
-    a ValueError that names the path.
+    A malformed dump (a header that is not a JSON object or lacks a key,
+    no body rows, a row of the wrong length, a body that does not fill the
+    header's grid) raises a one-line ValueError that names the path.
     """
     with open(path) as fh:
         try:
             header = json.loads(fh.readline())
             names = fh.readline().strip().split(",")
-            body = np.loadtxt(fh, delimiter=",", ndmin=2)
+            lines = [line for line in fh if line.strip()]
+            if not isinstance(header, dict):
+                raise ValueError("the dump's header is not a JSON object")
+            if not lines:
+                raise ValueError("the dump has no body rows")
+            body = np.loadtxt(lines, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     try:

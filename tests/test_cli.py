@@ -166,7 +166,9 @@ def test_classify_nonisolated_exit_code(tmp_path):
      "the header's disc grid needs 2049 rows of 5 values, the body has 1025 rows of 5"),
     (lambda lines: [*lines[:-1], lines[-1][:lines[-1].rindex(",")]],
      "the number of columns changed from 5 to 4"),
-], ids=["empty-header", "truncated-body", "wrong-n_x", "cut-row"])
+    (lambda lines: ["null", *lines[1:]], "the dump's header is not a JSON object"),
+    (lambda lines: lines[:2], "the dump has no body rows"),
+], ids=["empty-header", "truncated-body", "wrong-n_x", "cut-row", "null-header", "no-body"])
 def test_malformed_dump_exits_1_with_one_line_naming_it(damage, error, tmp_path, capsys):
     fld = field_from_callables(DomainSpec.disc(16, 64), 0.5, lambda x, y: -y, lambda x, y: x)
     good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
@@ -723,7 +725,7 @@ def test_config_supplies_a_required_flag_of_oracle(tmp_path, capsys):
 
 def test_config_supplies_the_required_flags_of_solve(tmp_path):
     conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps({"kind": "disc", "a": 1.0, "cos": ["1=1"], "n": 16}))
+    conf.write_text(json.dumps({"kind": "disc", "a": 1.0, "cos": ["1=1"], "nx": 16}))
     code = run(["solve", "--config", str(conf), "--out", str(tmp_path)])
     assert code == 0
     fld = load_field(tmp_path / "field.csv")
@@ -749,6 +751,26 @@ def test_config_number_of_the_wrong_type_exits_2(tmp_path, capsys):
         run(["sweep", "--family", "section7", "--config", str(conf), "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert "argument --nx: invalid int value: '32.5'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, conf, line", [
+    (["classify", "--field", "F"], {"nonsense_key": 3},
+     "the key 'nonsense_key' is no option of slfib classify"),
+    (["classify", "--field", "F"], {"kind": "disc"},
+     "the key 'kind' is no option of slfib classify"),
+    (["solve", "--kind", "disc", "--a", "1"], {"out-field": "f.csv", "n": 16},
+     "the key 'n' is no option of slfib solve"),
+    (["oracle", "--a", "1"], [{"x": 0.5}], "the config is not a JSON object"),
+], ids=["classify-nonsense", "classify-kind", "solve-n", "not-an-object"])
+def test_config_key_that_is_no_option_exits_2_with_one_line(argv, conf, line, tmp_path, capsys):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--config", str(path), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [f"{path}: {line}"]
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("argv, missing", [

@@ -534,6 +534,25 @@ def test_dump_roundtrip_disc(tmp_path, disc_field_alpha1):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@pytest.mark.parametrize("lines, error", [
+    (lambda lines: ["null", *lines[1:]], "the dump's header is not a JSON object"),
+    (lambda lines: ["[1, 2]", *lines[1:]], "the dump's header is not a JSON object"),
+    (lambda lines: lines[:2], "the dump has no body rows"),
+    (lambda lines: [*lines[:2], "", "  "], "the dump has no body rows"),
+], ids=["null-header", "list-header", "no-body", "blank-body"])
+def test_malformed_dump_raises_one_line_naming_it(lines, error, tmp_path, strip_field_cos):
+    import warnings
+
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    save_field(strip_field_cos, good)
+    bad.write_text("\n".join(lines(good.read_text().splitlines())) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")                # NumPy's loadtxt warns on no data
+        with pytest.raises(ValueError) as exc:
+            load_field(bad)
+    assert str(exc.value) == f"{bad}: {error}"
+
+
 def test_a_fields_kind_is_its_domains(tmp_path, disc_field_alpha1, strip_field_cos):
     for fld in (disc_field_alpha1, strip_field_cos):
         path = tmp_path / f"{fld.kind}.csv"
@@ -583,6 +602,114 @@ def _differenced(residual, x, step=1e-7):
     return np.column_stack(cols)
 
 
+# Reference Jacobians and floor scales, computed the way the solver computed them
+# before a quotient's Jacobian was built on its own folded pattern: the full grid's
+# Jacobian entry by entry, then restricted to the quotient's rows and folded by its
+# unfold map.  Rows and columns are box nodes in row-major order, the disc's border
+# unknown g last.
+
+def _box_rows(q, n_cols):
+    """The full grid's row-major node of each box node of the quotient q."""
+    k = np.arange(q.shape[0] * q.shape[1])
+    return k // q.shape[1] * n_cols + k % q.shape[1]
+
+
+def _unfold_matrix(q):
+    """The unfold map of the quotient q as a sparse matrix: full row-major nodes x box nodes."""
+    import scipy.sparse as sp
+
+    cols = []
+    for k in range(q.shape[0] * q.shape[1]):
+        e = np.zeros(q.shape[0] * q.shape[1])
+        e[k] = 1.0
+        cols.append(sp.csc_matrix(q.unfold(e.reshape(q.shape)).reshape(-1, 1)))
+    return sp.hstack(cols).tocsr()
+
+
+def _disc_reference(grid, q, x, phi, a):
+    """(J, |J||z| row sums, bound) of the disc quotient q at x, from the full grid's operators.
+
+    The bound is the residual's forward-error bound of each box node, summed from
+    |S| and |L| as matrices.
+    """
+    import scipy.sparse as sp
+
+    ops = grid.ops64()
+    n, nb, m = grid.pos.size, x.size, grid.M
+    ghost = q.unknowns > nb
+    # L: the lift from (box values, phi) to the operators' columns, factor order, g, phi
+    unfold = _unfold_matrix(q)
+    lift = sp.vstack([unfold[np.argsort(grid.pos)], unfold[:m].mean(axis=0)]).tocsr()
+    lift = sp.block_diag([lift, sp.identity(m)]).tocsr()
+    zq = np.append(x.ravel(), phi)
+    z = lift @ zq
+    fx, fxx = ops["x"] @ z, ops["xx"] @ z
+    y2 = np.zeros(n + 1)
+    y2[grid.pos] = grid.nodes()[1][:-1].ravel() ** 2
+    qq = fx * fx + y2 + a * a
+    w, dw_fxx = qq**-0.5, -fx * qq**-1.5 * fxx
+    jac = (sp.diags(dw_fxx) @ ops["x"] + sp.diags(w) @ ops["xx"] + ops["yy"]).tocsr()
+    rows = np.append(grid.pos[_box_rows(q, m)], np.full(int(ghost), n))
+    square = jac[rows][:, : n + 1]
+    # the bordered system's columns: the box values' reflections, then g as its own unknown
+    cols = sp.vstack([unfold[np.argsort(grid.pos)], sp.csr_matrix((1, nb))])
+    if ghost:
+        cols = sp.hstack([cols, sp.csr_matrix(([1.0], ([n], [0])), shape=(n + 1, 1))])
+    prefold = abs(square) @ np.abs(z[: n + 1])
+    rows = rows[:nb]
+    lifted = abs(lift) @ np.abs(zq)
+    sx, sxx, syy = (abs(ops[name][rows]) @ lifted for name in ("x", "xx", "yy"))
+    bound = np.abs(dw_fxx[rows]) * sx + w[rows] * sxx + syy
+    return (square @ cols).tocsr(), prefold, bound
+
+
+def _strip_reference(grid, q, x, top, bot, a):
+    """(J, |J||z| row sums, bound) of the strip quotient q at x, node by node."""
+    import scipy.sparse as sp
+
+    ny, nx = grid.shape
+    hx2, hy2 = grid.hx**2, grid.hy**2
+    V = np.vstack([bot, q.unfold(x), top])
+    entries = []                       # (row, column, value), duplicates summed
+    bound = np.zeros(ny * nx)
+
+    def face(i, j):                    # between nodes (i, j) and (i, j + 1) of V
+        left, right = V[i, j % nx], V[i, (j + 1) % nx]
+        mid = 0.5 * (left + right)
+        qq = mid * mid + grid.y[i] ** 2 + a * a
+        w, half_dw_d = qq**-0.5, -0.5 * mid * qq**-1.5 * (right - left)
+        return w + half_dw_d, -w + half_dw_d, (w + abs(half_dw_d)) * (abs(left) + abs(right))
+
+    for i in range(1, ny + 1):
+        for j in range(nx):
+            p = (i - 1) * nx + j
+            plus, minus = face(i, j), face(i, j - 1)
+            entries += [(p, p, (plus[1] - minus[0]) / hx2 - 4.0 / hy2),
+                        (p, (i - 1) * nx + (j + 1) % nx, plus[0] / hx2),
+                        (p, (i - 1) * nx + (j - 1) % nx, -minus[1] / hx2)]
+            entries += [(p, (k - 1) * nx + j, 2.0 / hy2) for k in (i - 1, i + 1) if 1 <= k <= ny]
+            bound[p] = ((plus[2] + minus[2]) / hx2
+                        + (abs(V[i - 1, j]) + 2 * abs(V[i, j]) + abs(V[i + 1, j])) * 2.0 / hy2)
+    r, c, v = zip(*entries)
+    jac = sp.csr_matrix((v, (r, c)), shape=(ny * nx, ny * nx))
+    rows = _box_rows(q, nx)
+    prefold = abs(jac[rows]) @ np.abs(V[1:-1].ravel())
+    return (jac[rows] @ _unfold_matrix(q)).tocsr(), prefold, bound[rows]
+
+
+def _reference(q, x, edges, a):
+    """_disc_reference or _strip_reference of the quotient q: edges (phi,) or (top, bottom)."""
+    if len(edges) == 1:
+        return _disc_reference(disc_grid(q.N, q.M), q, x, *edges, a)
+    return _strip_reference(strip_grid(q.n_x, q.n_y, q.R, q.P), q, x, *edges, a)
+
+
+def _box_order(q, jac):
+    """A quotient's Jacobian, rows and columns in box order, border unknowns last."""
+    perm = np.append(q.pos, np.arange(q.pos.size, q.unknowns))
+    return jac.tocsr()[perm][:, perm]
+
+
 @pytest.mark.parametrize("a", [0.5, 1e-3])
 @pytest.mark.parametrize("kind", ["disc", "strip"])
 def test_jacobian_matches_central_differences(kind, a):
@@ -590,30 +717,30 @@ def test_jacobian_matches_central_differences(kind, a):
     if kind == "disc":
         grid = disc_grid(16, 16)
         spec = BoundarySpec.make(0.2, cos={1: 1.0, 3: -1.0}, sin={2: 0.3})
-        phi = spec.sample(grid.theta)
+        edges = (spec.sample(grid.theta),)
         x = grid.harmonic_extension(spec) + 1e-2 * rng.standard_normal((15, 16))
-        data, scale = grid.jacobian(x, phi, a)
-        jac, pos = _matrix(grid, data), grid.pos
-        n = x.size
-        # the bordered Jacobian over the unknowns, then g: its Schur complement
-        # eliminates g and is the Jacobian of the residual in f_int
-        full = jac.toarray()[np.ix_(np.append(pos, n), np.append(pos, n))]
-        ana = full[:n, :n] - np.outer(full[:n, n], full[n, :n]) / full[n, n]
-        z = np.append(x.ravel()[np.argsort(pos)], np.mean(x[0]))   # factor order, g last
-        assert scale == pytest.approx(np.max(abs(jac) @ np.abs(z)), rel=1e-14)
-        num = _differenced(lambda f: grid.residual(f, phi, a), x)
     else:
         grid = strip_grid(16, 17, 1.0, 2 * np.pi)
         top = BoundarySpec.make(0.3, cos={1: 0.5}).sample_x(grid.x, 2 * np.pi)
         bot = BoundarySpec.make(0.3, sin={1: 0.4}).sample_x(grid.x, 2 * np.pi)
+        edges = (top, bot)
         x = 0.3 + 0.2 * rng.standard_normal((15, 16))
-        data, scale = grid.jacobian(x, top, bot, a)
-        jac, pos = _matrix(grid, data), grid.pos
-        ana = jac.toarray()[np.ix_(pos, pos)]
-        assert scale == np.max(abs(jac) @ np.abs(x.ravel()[np.argsort(pos)]))
-        num = _differenced(lambda v: grid.residual(v, top, bot, a), x)
+    system = grid.quotient((0, 0))                   # data of no reflection: the full grid
+    data, scale = system.jacobian(x, *edges, a)
+    jac = _matrix(system, data)
+    full = _box_order(system, jac).toarray()
+    n = x.size
+    # on the disc, the Schur complement of the bordered Jacobian's g row and column
+    # eliminates g and is the Jacobian of the residual in f_int
+    ana = full[:n, :n] - np.outer(full[:n, n], full[n, :n]) / full[n, n] if kind == "disc" \
+        else full
+    num = _differenced(lambda f: grid.residual(f, *edges, a), x)
     assert jac.has_canonical_format
     assert np.max(np.abs(ana - num)) <= 1e-7 * np.max(np.abs(ana))
+    # the floor's scale: the residual's forward-error bound, at least the full |J||z|
+    _, prefold, bound = _reference(system, x, edges, a)
+    assert scale == pytest.approx(np.max(bound), rel=1e-13)
+    assert scale >= np.max(prefold)
 
 
 @pytest.mark.parametrize("kind, n_x, n_y", [
@@ -637,7 +764,8 @@ def jacobian_128():
     grid = disc_grid(128, 256)
     spec = na_potential_circle(0.5)
     phi = spec.sample(grid.theta)
-    return _matrix(grid, grid.jacobian(grid.harmonic_extension(spec), phi, 0.5)[0])
+    system = grid.quotient((0, 0))                   # the full grid's system
+    return _matrix(system, system.jacobian(grid.harmonic_extension(spec), phi, 0.5)[0])
 
 
 def test_factor_order_fill_is_below_minimum_degree(jacobian_128):
@@ -882,12 +1010,21 @@ def test_quotient_solution_solves_the_full_grid(name):
     assert fld.diagnostics["unknowns"] == unknowns
     if fld.kind == "disc":
         grid = disc_grid(fld.domain.n_x, fld.domain.n_y)
-        res = grid.residual(fld.f[:-1], fld.f[-1], fld.a)
+        interior, edges = fld.f[:-1], (fld.f[-1],)
+        q = grid.quotient(grid.reflections(fld.boundary["circle"]))
     else:
         grid = strip_grid(fld.domain.n_x, fld.domain.n_y, fld.domain.R, fld.domain.P)
-        res = grid.residual(fld.v[1:-1], fld.v[-1], fld.v[0], fld.a)
+        interior, edges = fld.v[1:-1], (fld.v[-1], fld.v[0])
+        q = grid.quotient(grid.reflections(fld.boundary["top"], fld.boundary["bottom"]))
+    res = grid.residual(interior, *edges, fld.a)
     assert res.shape == grid.shape
     assert fld.converged and np.max(np.abs(res)) <= fld.diagnostics["tolerance"]
+    # the floor's scale at the solution: the forward-error bound, at least the full
+    # grid's |J||z| summed over the quotient's rows before the fold
+    _, scale = q.jacobian(q.fold(interior), *edges, fld.a)
+    _, prefold, bound = _reference(q, q.fold(interior), edges, fld.a)
+    assert scale == pytest.approx(np.max(bound), rel=1e-13)
+    assert scale >= np.max(prefold)
 
 
 def test_odd_data_vanish_on_the_vertical_and_at_the_pole():
@@ -955,17 +1092,19 @@ def test_quotient_jacobian_matches_central_differences(case):
         x = 0.3 + 0.2 * rng.standard_normal(q.shape)
         args = (top, bot, a)
     data, scale = q.jacobian(x, *args)
-    jac, pos = _matrix(q, data), q.pos
+    jac = _matrix(q, data)
     n = x.size
-    full = jac.toarray()[np.ix_(np.append(pos, np.arange(n, jac.shape[0])),
-                                np.append(pos, np.arange(n, jac.shape[0])))]
+    full = _box_order(q, jac).toarray()
     if jac.shape[0] > n:                     # eliminate the border unknown g
         full = full[:n, :n] - np.outer(full[:n, n], full[n, :n]) / full[n, n]
     num = _differenced(lambda y: q.residual(y, *args), x)
     assert jac.has_canonical_format and jac.shape[0] == q.unknowns
     assert np.max(np.abs(full - num)) <= 1e-7 * np.max(np.abs(full))
-    # the round-off floor is taken from the full grid's Jacobian at the unfolded iterate
-    assert scale == pytest.approx(grid.jacobian(q.unfold(x), *args)[1], rel=1e-12)
+    # the round-off floor's scale is the forward-error bound on the quotient's rows,
+    # and at least the full grid's |J||z| summed over them before the fold
+    _, prefold, bound = _reference(q, x, args[:-1], a)
+    assert scale == pytest.approx(np.max(bound), rel=1e-13)
+    assert scale >= np.max(prefold)
 
 
 @pytest.mark.parametrize("n_r, n_theta", [(32, 64), (64, 128)])
@@ -991,18 +1130,23 @@ def test_quotient_residual_is_the_full_grids_on_its_box(spec, n_r, n_theta):
 
 # -- the band LU of narrow systems -----------------------------------------------
 
-def _system(kind, n_x, n_y, *edges):
-    """A system of the data's reflections and its Jacobian (data, scale) at a = 0.05."""
+def _iterate(kind, n_x, n_y, *edges):
+    """A system of the data's reflections, a start on it and the sampled edges."""
     if kind == "disc":
         grid = disc_grid(n_x, n_y)
         q = grid.quotient(grid.reflections(*edges))
-        return q, q.jacobian(q.fold(grid.harmonic_extension(*edges)),
-                             edges[0].sample(grid.theta), 0.05)
+        return q, q.fold(grid.harmonic_extension(*edges)), (edges[0].sample(grid.theta),)
     grid = strip_grid(n_x, n_y, 1.0, 2 * np.pi)
     top, bot = (edge.sample_x(grid.x, 2 * np.pi) for edge in edges)
     w = (grid.y[1:-1, None] + 1.0) / 2.0
     q = grid.quotient(grid.reflections(*edges))
-    return q, q.jacobian(q.fold(bot * (1 - w) + top * w), top, bot, 0.05)
+    return q, q.fold(bot * (1 - w) + top * w), (top, bot)
+
+
+def _system(kind, n_x, n_y, *edges):
+    """A system of the data's reflections and its Jacobian (data, scale) at a = 0.05."""
+    q, x, sampled = _iterate(kind, n_x, n_y, *edges)
+    return q, q.jacobian(x, *sampled, 0.05)
 
 
 _EDGE_Y_SINE = BoundarySpec.make(-0.16, cos={1: 0.5}, sin={2: 0.1})
@@ -1017,6 +1161,21 @@ BAND_SYSTEMS = {
     "strip-x": ("strip", 64, 33, _strip_family_edge(), BoundarySpec.make(-0.16, cos={2: 0.3})),
     "strip-y": ("strip", 64, 33, _EDGE_Y_SINE, _EDGE_Y_SINE),
 }
+
+
+@pytest.mark.parametrize("name", list(BAND_SYSTEMS))
+def test_jacobian_is_the_full_grids_folded_onto_the_quotient(name):
+    # the entries filled on the quotient's own pattern against the full grid's
+    # Jacobian, restricted to the quotient's rows and folded by its unfold map
+    q, x, edges = _iterate(*BAND_SYSTEMS[name])
+    data, _ = q.jacobian(x, *edges, 0.05)
+    got = _box_order(q, _matrix(q, data))
+    ref, _, _ = _reference(q, x, edges, 0.05)
+    assert abs(got - ref).max() <= 1e-12 * abs(ref).max()
+    # the same pattern: every entry of the folded Jacobian is one of pattern's
+    ones = _box_order(q, _matrix(q, np.ones(data.size)))
+    ref.eliminate_zeros()
+    assert ones.multiply(abs(ref) > 0).nnz == ref.nnz
 
 
 @pytest.mark.parametrize("name", list(BAND_SYSTEMS))
@@ -1093,7 +1252,7 @@ def test_a_quotient_does_not_inherit_its_grids_band():
         q = grid.quotient(grid.reflections(spec))
         lus.append(q.factor(*q.jacobian(q.fold(grid.harmonic_extension(spec)),
                                         spec.sample(grid.theta), 0.05)))
-    assert max(grid._band[1:3]) == 127                # kept on the full grid
+    assert max(grid.quotient((0, 0))._band[1:3]) == 127   # kept on the full grid's system
     assert [(lu.kernel, lu.half_bandwidth) for lu in lus] == [("superlu", 127), ("band", 17)]
 
 
