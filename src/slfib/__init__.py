@@ -14,7 +14,6 @@ from .elliptic import (
     BoundarySpec,
     DomainSpec,
     SolutionField,
-    geometric_schedule,
     load_field,
     reconstruct_u,
     save_field,

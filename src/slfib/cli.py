@@ -102,10 +102,6 @@ def _floats(flag, text):
     return tuple(out)
 
 
-def _parse_schedule(text):
-    return _floats("schedule", text) if text else None
-
-
 def _write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
@@ -175,7 +171,6 @@ def _solve_from_args(args):
             raise ValueError(f"--{flag} is for --kind {other} only, "
                              f"got {getattr(args, flag)} for --kind {args.kind}")
     domain = _domain_from_args(args)
-    schedule = _parse_schedule(args.schedule) or fibrations.DEFAULT_SCHEDULE
     if args.kind == "disc":
         data = (BoundarySpec.make(_or_default(args.const, 0.0), _parse_kv("cos", args.cos),
                                   _parse_kv("sin", args.sin)),)
@@ -184,7 +179,7 @@ def _solve_from_args(args):
         data = (_parse_edge(args.top), _parse_edge(args.bottom))
         solve, solve_limit = solve_strip, solve_strip_limit
     if args.a == 0.0:
-        return solve_limit(*data, domain, schedule)
+        return solve_limit(*data, domain)
     return solve(*data, args.a, domain)
 
 
@@ -208,6 +203,7 @@ def cmd_solve(args):
         "refactors": {r: sum(lev["refactors"][r] for lev in levels) for r in REFACTOR_REASONS},
         "fill": [fill for lev in levels for fill in lev["fill"]],
         "levels": list(levels),
+        "retries": list(fld.diagnostics.get("retries", ())),
         "coarse": list(fld.diagnostics.get("coarse", ())),
         "cauchy_increments": list(fld.cauchy_increments),
         "is_limit": fld.is_limit,
@@ -233,8 +229,8 @@ def cmd_classify(args):
 
 
 def _sweep_point_section7(task):
-    t, resolution, schedule = task
-    curve = fibrations.alpha_beta_curves([t], resolution, schedule)
+    t, resolution = task
+    curve = fibrations.alpha_beta_curves([t], resolution)
     return curve[0]
 
 
@@ -251,7 +247,6 @@ def cmd_sweep(args):
     for t in ts:
         if not math.isfinite(t):
             raise ValueError(f"--t items must be finite, got {t!r}")
-    schedule = _parse_schedule(args.schedule)
     if args.family == "section7" and not ts:
         print("empty t list", file=sys.stderr)
         return 2
@@ -259,7 +254,7 @@ def cmd_sweep(args):
     os.makedirs(args.out, exist_ok=True)
     records = []
     if args.family == "section7":
-        tasks = [(t, resolution, schedule) for t in ts]
+        tasks = [(t, resolution) for t in ts]
         # a fork-started pool starts every worker at the first submit
         workers = min(args.jobs, len(tasks))
         if workers > 1:
@@ -277,15 +272,14 @@ def cmd_sweep(args):
             for t, a_t, b_t in rows:
                 fh.write(f"{t!r},{a_t!r},{b_t!r}\n")
     else:
-        alpha0, alpha1 = fibrations.find_alpha0_alpha1(resolution, schedule)
+        alpha0, alpha1 = fibrations.find_alpha0_alpha1(resolution)
         ribbon = fibrations.ribbon_report(family, (alpha0, alpha1))
         counts = []
         if args.alpha_grid:
             spread = 0.5 * (alpha1 - alpha0)
             alphas = np.linspace(alpha0 - spread, alpha1 + spread, args.alpha_grid)
             for al in alphas:
-                fld = fibrations.solve_family_member(family, 0.0, float(al), resolution,
-                                                     schedule)
+                fld = fibrations.solve_family_member(family, 0.0, float(al), resolution)
                 try:
                     interior, _ = singularities.detect_axis_zeros(fld)
                     counts.append((float(al), len(interior)))
@@ -336,8 +330,7 @@ def cmd_project(args):
         raise ValueError(f"--t must be finite, got {args.t}")
     p = ComplexPoint3(*(_complex(flag, getattr(args, flag)) for flag in ("z1", "z2", "z3")))
     fam, resolution = _family_from_args(args, args.t)
-    coords = fibrations.project_to_base(p, fam, resolution,
-                                        _parse_schedule(args.schedule))
+    coords = fibrations.project_to_base(p, fam, resolution)
     print(json.dumps({"a": coords.a, "b": coords.b, "c": coords.c}, sort_keys=True))
     return EXIT_OK
 
@@ -487,8 +480,6 @@ def build_parser():
     p.add_argument("--const", type=float, help="disc data constant (default 0)")
     p.add_argument("--top")
     p.add_argument("--bottom")
-    p.add_argument("--schedule", default="",
-                   help="comma list for the a=0 continuation (default 1, 1/4, ... down to 1e-4)")
     p.add_argument("--out-field", default="field.csv")
     common(p)
     p.set_defaults(fn=cmd_solve)
@@ -505,7 +496,6 @@ def build_parser():
     p.add_argument("--alpha-grid", type=int, default=0, help="alpha count (section6)")
     p.add_argument("--nx", type=int, default=None)
     p.add_argument("--ny", type=int, default=None)
-    p.add_argument("--schedule", default="")
     p.add_argument("--jobs", type=int, default=1, help="worker processes (section7)")
     common(p)
     p.set_defaults(fn=cmd_sweep)
@@ -518,7 +508,6 @@ def build_parser():
     p.add_argument("--z3")
     p.add_argument("--nx", type=int, default=None)
     p.add_argument("--ny", type=int, default=None)
-    p.add_argument("--schedule", default="")
     config(p)
     p.set_defaults(fn=cmd_project)
 

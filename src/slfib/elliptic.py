@@ -95,10 +95,10 @@ converged when the sup-norm residual of the returned field is below
 max(NEWTON_TOL, ROUNDOFF_SAFETY * eps * B), the floor taken at the last
 Jacobian that was factored.
 
-The level a = 0 is reached by geometric continuation a_k -> a_min with
-warm starts; the a_min field is returned as the singular-level proxy and
-the sup-norm increments of v between consecutive steps are recorded as
-a Cauchy diagnostic.
+The level a = 0 is reached by continuation in a from a = 1 with warm
+starts and adaptive steps in log a (see _continue); the a_min field is
+returned as the singular-level proxy and the sup-norm increments of v
+between consecutive kept levels are recorded as a Cauchy diagnostic.
 """
 
 import copy
@@ -127,13 +127,15 @@ FLOOR_ACCEPT = 1e-8          # stagnation bound while the round-off floor is <= 
 CHORD_CONTRACTION = 0.5      # a chord step must cut the residual to this fraction
 ROUNDOFF_SAFETY = 0.5        # share of eps * the residual's forward-error bound taken as its floor
 GRADING = 0.4                # radial grading strength toward r = 1
-DEFAULT_A_MIN = 1e-4
+DEFAULT_A_MIN = 1e-4         # the a_min proxy of the singular level a = 0
+MAX_STEP_RATIO = 1.0 / 256   # the longest continuation step: a_next >= a / 256
+STEP_HALVINGS = 4            # halved steps in a row before a failed level ends a continuation
 CLOSURE_DEFECT_TOL = 1e-6    # largest periodic closure defect of u that a strip field accepts
 BOUNDARY_TOL = 1e-12         # validate: stored boundary values against the data
 MAXPRIN_SLACK = 1e-8         # validate: slack of the maximum principle
 # Part of every SolverCache key: change it whenever solver output changes,
 # so that fields cached on disk by an older solver are not reused.
-SOLVER_VERSION = "chord-newton-9"
+SOLVER_VERSION = "chord-newton-10"
 # The chord steps that one band refactorisation costs (_LU.horizon).  Per call (2 cores,
 # one BLAS thread, medians of 5 runs of 2000 calls at the a_min proxy, a = 1e-4) the
 # Jacobian plus dgbtrf take 60 + 95 us on the (32, 64) disc quotient and 55 + 82 us on the
@@ -253,19 +255,6 @@ class DomainSpec:
     @staticmethod
     def strip(n_x, n_y, R=1.0, P=2.0 * np.pi):
         return DomainSpec("periodic-strip", R, P, n_x, n_y)
-
-
-def geometric_schedule(a_start, factor, a_min=DEFAULT_A_MIN):
-    """Decreasing level schedule a_start * factor^k, clamped to end at a_min."""
-    if not (0 < factor < 1 and 0 < a_min <= a_start):
-        raise ValueError("need 0 < factor < 1 and 0 < a_min <= a_start")
-    out = []
-    a = float(a_start)
-    while a > a_min * (1 + 1e-12):
-        out.append(a)
-        a *= factor
-    out.append(float(a_min))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -1338,42 +1327,58 @@ def level_record(fld):
                 "refactors", "fill", "factor", "half_bandwidth")}}
 
 
-def _continue(schedule, solve_level):
-    """Solve along a decreasing level schedule; returns the a_min proxy.
+def _continue(solve_level):
+    """Continuation in a from a = 1 down to the a_min proxy DEFAULT_A_MIN.
 
     ``solve_level(a, initial, factor)`` solves one level, warm-started
-    from the grid's ``interior`` of the previous level's field and sharing
-    one FactorSlot with every level.  The returned field records the Cauchy
-    increments of v between consecutive levels (``cauchy_increments``; u is
-    not read, so a strip level's u is never built here) and, under
-    ``diagnostics["levels"]``, each level's a, residual norm, tolerance
-    and counts; ``diagnostics["coarse"]`` gathers the levels' coarse
-    solves (see solve_disc), which only a cold first level makes.
+    from the grid's ``interior`` of the last kept level's field and sharing
+    one FactorSlot with every level.  Each step multiplies a by a ratio,
+    at least MAX_STEP_RATIO, and the last step is clamped onto DEFAULT_A_MIN.
+    A level that raises SolverDiverged is retried from the last kept level
+    with no factor and half the log-step it took (a square root); each
+    kept level doubles the log-step again, up to the longest (Allgower &
+    Georg, *Introduction to Numerical Continuation Methods*, SIAM 2003,
+    ch. 6).  A stagnated level is kept: retrying cannot remove a round-off
+    stall.  ContinuationFailed names a level that diverges at a = 1 or
+    after STEP_HALVINGS halvings in a row.
+
+    The returned field records the Cauchy increments of v between kept
+    levels (``cauchy_increments``; u is not read, so a strip level's u is
+    never built here) and the diagnostics ``levels`` (each kept level's
+    a, residual norm, tolerance and counts), ``retries`` (the levels that
+    diverged) and ``coarse`` (the coarse solves, see solve_disc, that
+    only a cold first level makes).
     """
-    schedule = tuple(schedule)
-    if len(schedule) == 0 or not all(s > 0 and math.isfinite(s) for s in schedule) or \
-            any(schedule[i + 1] >= schedule[i] for i in range(len(schedule) - 1)):
-        raise ValueError("schedule must be a decreasing positive sequence")
     factor = FactorSlot()
-    fld = None
-    prev = None
-    increments, levels, coarse = [], [], []
-    for a_k in schedule:
+    fld = prev = None
+    increments, levels, retries, coarse = [], [], [], []
+    a_k, ratio, halvings = 1.0, MAX_STEP_RATIO, 0
+    while True:
         try:
             nxt = solve_level(a_k, prev, factor)
         except SolverDiverged as exc:
-            raise ContinuationFailed(f"continuation step failed at a={a_k}",
-                                     a=a_k, residual=exc.data.get("residual")) from exc
-        if fld is not None:
-            increments.append(float(np.max(np.abs(nxt.v - fld.v))))
-        levels.append(level_record(nxt))
-        coarse.extend(nxt.diagnostics.get("coarse", ()))
-        fld = nxt
-        prev = fld.grid.interior(fld)
+            if fld is None or halvings == STEP_HALVINGS:
+                raise ContinuationFailed(f"continuation step failed at a={a_k}",
+                                         a=a_k, residual=exc.data.get("residual")) from exc
+            retries.append(a_k)
+            halvings += 1
+            ratio = math.sqrt(a_k / kept)      # half the log-step taken, clamped or not
+            factor.lu = None                   # taken at the iterates that diverged
+        else:
+            if fld is not None:
+                increments.append(float(np.max(np.abs(nxt.v - fld.v))))
+            levels.append(level_record(nxt))
+            coarse.extend(nxt.diagnostics.get("coarse", ()))
+            fld, prev, kept = nxt, nxt.grid.interior(nxt), a_k
+            if kept == DEFAULT_A_MIN:
+                break
+            halvings = 0
+            ratio = max(ratio * ratio, MAX_STEP_RATIO)
+        a_k = max(kept * ratio, DEFAULT_A_MIN)
     fld.is_limit = True
     fld.cauchy_increments = tuple(increments)
-    fld.diagnostics["schedule"] = tuple(float(s) for s in schedule)
     fld.diagnostics["levels"] = tuple(levels)
+    fld.diagnostics["retries"] = tuple(retries)
     fld.diagnostics["coarse"] = tuple(coarse)
     return fld
 
@@ -1432,10 +1437,9 @@ def solve_disc(boundary, a, domain, initial=None, factor=None):
                          u_center=u_c, v_center=v_c, boundary={"circle": boundary}, **solved)
 
 
-def solve_disc_limit(boundary, domain, schedule):
-    """Continuation along a decreasing level schedule; returns the a_min proxy."""
+def solve_disc_limit(boundary, domain):
+    """The disc field at the a_min proxy, by continuation in a from a = 1 (see _continue)."""
     return _continue(
-        schedule,
         lambda a_k, initial, factor: solve_disc(boundary, a_k, domain, initial=initial,
                                                 factor=factor))
 
@@ -1471,10 +1475,9 @@ def solve_strip(top, bottom, a, domain, initial=None, factor=None):
                          **solved)
 
 
-def solve_strip_limit(top, bottom, domain, schedule):
-    """Continuation wrapper for the strip problem down to the a_min proxy."""
+def solve_strip_limit(top, bottom, domain):
+    """The strip field at the a_min proxy, by continuation in a from a = 1 (see _continue)."""
     return _continue(
-        schedule,
         lambda a_k, initial, factor: solve_strip(top, bottom, a_k, domain, initial=initial,
                                                  factor=factor))
 
@@ -1538,8 +1541,10 @@ def save_field(field, path):
 
     Disc rows: centre first, then rings inner to outer, angles ascending;
     columns x, y, f, u, v.  Strip rows: y ascending then x ascending;
-    columns x, y, u, v.  The header also carries the Cauchy increments of
-    v and the diagnostics.
+    columns x, y, u, v.  The header also carries the diagnostics and the
+    Cauchy increments of v, one per continuation step: the steps are few
+    and long (up to a factor 1 / MAX_STEP_RATIO in a), so an increment
+    measures the change over a whole step, not a rate in a.
     """
     header = {
         "kind": field.kind,

@@ -35,10 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import (
+    DEFAULT_A_MIN,
     SOLVER_VERSION,
     BoundarySpec,
     DomainSpec,
-    geometric_schedule,
     level_record,
     load_field,
     save_field,
@@ -51,7 +51,6 @@ from .errors import BracketFailed, OutsideTotalSpace, SolverDiverged
 
 DEFAULT_DISC_RESOLUTION = (64, 128)
 DEFAULT_STRIP_RESOLUTION = (128, 65)
-DEFAULT_SCHEDULE = geometric_schedule(1.0, 0.25)
 ROOT_TOL = 1e-6
 CURVE_TOL = 1e-5
 CACHE_ENV = "SLFIB_CACHE_DIR"
@@ -147,7 +146,7 @@ class SolverCache:
     (lane, b), so ``nearest`` reads a lane's solved fields straight off
     the in-memory entries; of the solves that had such a neighbour,
     ``warm_starts`` counts those that started from one and
-    ``warm_fallbacks`` those that ran the full schedule instead.
+    ``warm_fallbacks`` those that ran the full continuation instead.
     """
 
     def __init__(self):
@@ -218,16 +217,16 @@ def _save_atomic(fld, path):
 _shared_cache = SolverCache()
 
 
-def solve_family_member(family, a, b, resolution, schedule=None, cache=None):
+def solve_family_member(family, a, b, resolution, cache=None):
     """Solve (or fetch) the family field at level a and parameter b.
 
     A field is cached under its lane, the family's kind and coefficients
-    as plain tuples (cheap to hash and compare), level a, resolution and
-    (at a = 0) schedule, and its parameter b.  On a miss the probe is
-    warm-started in b: the Dirichlet problem at a != 0 has a unique
-    solution, so a start built from solved neighbours in the same lane runs
-    one Newton solve at the lane's final level (``schedule[-1]`` at a = 0,
-    else a).  The starts are tried in this order, the first converged kept:
+    as plain tuples (cheap to hash and compare), level a and resolution,
+    and its parameter b.  On a miss the probe is warm-started in b: the
+    Dirichlet problem at a != 0 has a unique solution, so a start built
+    from solved neighbours in the same lane runs one Newton solve at the
+    lane's final level (the a_min proxy DEFAULT_A_MIN at a = 0, else a).
+    The starts are tried in this order, the first converged kept:
 
     - with a solved b1 < b and b2 > b, the linear interpolant
       (1 - w) F1 + w F2 of their interiors, w = (b - b1) / (b2 - b1);
@@ -240,19 +239,18 @@ def solve_family_member(family, a, b, resolution, schedule=None, cache=None):
     pair (b1, b2) for the interpolant and b' for a one-sided start, and,
     at a = 0, its one level under ``diagnostics["levels"]``, with no
     Cauchy increments.  With no neighbour, or when every attempt diverges
-    or stagnates, the probe runs the full continuation along the schedule.
+    or stagnates, the probe runs the full continuation in a.
     """
     cache = cache or _shared_cache
-    schedule = tuple(schedule) if schedule is not None else DEFAULT_SCHEDULE
     b = float(b)
-    level = schedule[-1] if a == 0.0 else a      # the level a warm start solves at
+    level = DEFAULT_A_MIN if a == 0.0 else a      # the level a warm start solves at
     domain = family.domain(resolution)
     # module globals, read at call time, so that a patched solver is the one called
     solve_level, solve_limit = ((solve_disc, solve_disc_limit) if family.kind == "disc"
                                 else (solve_strip, solve_strip_limit))
     lane = (family.kind, *((d.constant, d.cos_coeffs, d.sin_coeffs)
                            for d in family.base + family.step),
-            round(float(a), 15), resolution, schedule if a == 0 else None)
+            round(float(a), 15), resolution)
 
     def starts(seeds):
         grid = domain.grid()
@@ -282,7 +280,7 @@ def solve_family_member(family, a, b, resolution, schedule=None, cache=None):
         if seeds:
             cache.warm_fallbacks += 1
         if a == 0.0:
-            return solve_limit(*data, domain, schedule)
+            return solve_limit(*data, domain)
         return solve_level(*data, a, domain)
 
     return cache.get_or_solve((lane, b), solve)
@@ -291,10 +289,10 @@ def solve_family_member(family, a, b, resolution, schedule=None, cache=None):
 # ---------------------------------------------------------------------------
 # probes and root searches
 
-def _probe(family, a, point, resolution, schedule, cache):
+def _probe(family, a, point, resolution, cache):
     """The map b -> v at ``point`` of the family field at level a, by the grid's ``reader``."""
     read = family.domain(resolution).grid().reader("v", *point)
-    return lambda b: read(solve_family_member(family, a, b, resolution, schedule, cache))
+    return lambda b: read(solve_family_member(family, a, b, resolution, cache))
 
 
 def _bisect(fn, lo, hi, tol):
@@ -321,14 +319,14 @@ def _bisect(fn, lo, hi, tol):
     return 0.5 * (lo + hi)
 
 
-def find_alpha0_alpha1(resolution, schedule=None, bracket=(-20.0, 20.0), cache=None):
+def find_alpha0_alpha1(resolution, bracket=(-20.0, 20.0), cache=None):
     """The two bifurcation values of the disc sweep at level zero.
 
     alpha0 is the unique root of alpha -> v(0,0) and alpha1 of
     alpha -> v(1,0); both probes are strictly increasing in alpha.  Each
     is bisected over ``bracket`` to ROOT_TOL, read at call time.
     """
-    alpha0, alpha1 = (_bisect(_probe(disc_family(), 0.0, point, resolution, schedule, cache),
+    alpha0, alpha1 = (_bisect(_probe(disc_family(), 0.0, point, resolution, cache),
                               *bracket, ROOT_TOL) for point in ((0.0, 0.0), (1.0, 0.0)))
     if not alpha0 < alpha1:
         raise BracketFailed("bifurcation values out of order",
@@ -346,7 +344,7 @@ def _grown_bracket(fn, tol):
     raise BracketFailed("no sign change up to the maximal bracket", b_max=BRACKET_MAX)
 
 
-def project_to_base(p, family, resolution, schedule=None, cache=None):
+def project_to_base(p, family, resolution, cache=None):
     """Base coordinates of a total-space point under the family fibration.
 
     The level is read off the moment map; the family parameter b is the
@@ -363,14 +361,14 @@ def project_to_base(p, family, resolution, schedule=None, cache=None):
     if grid.margin(x, y) <= 0.0:
         raise OutsideTotalSpace(f"({x!r}, {y!r}) is outside the family's domain", x=x, y=y)
 
-    probe = _probe(family, a, (x, y), resolution, schedule, cache)
+    probe = _probe(family, a, (x, y), resolution, cache)
     b = _grown_bracket(lambda b: probe(b) - target, ROOT_TOL)
-    fld = solve_family_member(family, a, b, resolution, schedule, cache)
+    fld = solve_family_member(family, a, b, resolution, cache)
     c = z3.imag - grid.reader("u", x, y)(fld)
     return FiberCoordinates(float(a), float(b), float(c))
 
 
-def alpha_beta_curves(t_grid, resolution, schedule=None, cache=None):
+def alpha_beta_curves(t_grid, resolution, cache=None):
     """Edge curves of the strip-sweep discriminant band over a t grid.
 
     alpha(t) and beta(t) are the roots in b of the level-zero probes
@@ -380,7 +378,7 @@ def alpha_beta_curves(t_grid, resolution, schedule=None, cache=None):
     out = []
     for t in t_grid:
         fam = strip_family(t)
-        alpha_t, beta_t = (_grown_bracket(_probe(fam, 0.0, point, resolution, schedule, cache),
+        alpha_t, beta_t = (_grown_bracket(_probe(fam, 0.0, point, resolution, cache),
                                           CURVE_TOL) for point in ((0.0, 0.0), (np.pi, 0.0)))
         out.append((float(t), alpha_t, beta_t))
     return out

@@ -9,7 +9,8 @@ import pytest
 
 from slfib import cli, fibrations
 from slfib.cli import main
-from slfib.elliptic import DomainSpec, field_from_callables, load_field, save_field
+from slfib.elliptic import DEFAULT_A_MIN, DomainSpec, field_from_callables, load_field, save_field
+from slfib.errors import SolverDiverged
 from slfib.models import na_oracle_grid
 
 
@@ -73,8 +74,7 @@ def test_solve_extreme_alpha_is_recorded(tmp_path):
     # a huge first harmonic keeps the field far from the singular regime:
     # the run must finish with a recorded outcome either way
     code = run(["solve", "--kind", "disc", "--a", "0", "--cos", "1=9999",
-                "--nx", "16", "--schedule", "0.5,0.125,0.03125,0.0078125,0.0001",
-                "--out", str(tmp_path)])
+                "--nx", "16", "--out", str(tmp_path)])
     assert code in (0, 4)
     if code == 0:
         assert (tmp_path / "field.csv.diag.json").exists()
@@ -183,8 +183,7 @@ def test_malformed_dump_exits_1_with_one_line_naming_it(damage, error, tmp_path,
 
 
 @pytest.mark.parametrize("argv, alpha, tol", [
-    (["--t", "0", "--nx", "48", "--ny", "25",
-      "--schedule", "0.5,0.125,0.03125,0.0078125,0.0001"], 0.0, 1e-4),
+    (["--t", "0", "--nx", "48", "--ny", "25"], 0.0, 1e-4),
     (["--t", "0.5", "--nx", "64", "--ny", "33"], -0.168392181, 1e-5),
 ], ids=["t=0", "t=0.5"])
 def test_sweep_section7_band_edges(argv, alpha, tol, tmp_path, fresh_cache):
@@ -256,13 +255,10 @@ def test_negative_alpha_grid_exits_1_before_any_solve(tmp_path, monkeypatch, cap
      "--alpha-grid is for section6 only, got 3 for section7"),
     (["--family", "section6", "--jobs", "4"], "--jobs is for section7 only, got 4 for section6"),
     (["--family", "section7", "--t", "0.5,x"], "--t item 'x' is not a number"),
-    (["--family", "section7", "--t", "0.5", "--schedule", "1,0.5,x"],
-     "--schedule item 'x' is not a number"),
-    (["--family", "section6", "--schedule", "1,,0.5"], "--schedule item '' is not a number"),
     (["--family", "section7", "--t", "nan"], "--t items must be finite, got nan"),
     (["--family", "section7", "--t", "0.5,-inf"], "--t items must be finite, got -inf"),
 ], ids=["jobs-negative", "jobs-zero", "alpha-grid-section7", "jobs-section6", "t-malformed",
-        "schedule-malformed", "schedule-empty-item", "t-nan", "t-inf"])
+        "t-nan", "t-inf"])
 def test_sweep_flag_out_of_range_exits_1_before_any_solve(argv, line, tmp_path, monkeypatch,
                                                           capsys):
     # a solve would fail: neither root search nor strip curve may be reached
@@ -378,7 +374,6 @@ def test_sweep_jobs_matches_the_serial_run(tmp_path):
     for jobs in ("1", "2"):
         code = run(["sweep", "--family", "section7", "--t", "0.25,0.5",
                     "--nx", "32", "--ny", "17",
-                    "--schedule", "0.5,0.125,0.03125,0.0078125,0.001",
                     "--jobs", jobs, "--out", str(tmp_path / jobs)])
         assert code == 0
     assert (tmp_path / "1" / "curves.csv").read_bytes() == \
@@ -405,7 +400,6 @@ def test_sweep_jobs_never_exceed_the_t_values(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
     for ts in ("0.5,0.25", "0.5"):
         code = run(["sweep", "--family", "section7", "--t", ts, "--nx", "32", "--ny", "17",
-                    "--schedule", "0.5,0.125,0.03125,0.0078125,0.001",
                     "--jobs", "64", "--out", str(tmp_path / ts)])
         assert code == 0
     assert asked == [2]  # two t values ask for two workers, one t for no pool
@@ -420,8 +414,7 @@ def test_sweep_empty_t_usage_error(tmp_path):
 def test_project_trivial_strip(capsys):
     code = run(["project", "--family", "section7", "--t", "0",
                 "--z1", "1", "--z2", "1", "--z3", "1j",
-                "--nx", "48", "--ny", "25",
-                "--schedule", "0.5,0.125,0.0001"])
+                "--nx", "48", "--ny", "25"])
     assert code == 0
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert abs(out["a"]) < 1e-9
@@ -530,14 +523,6 @@ def test_commands_that_write_nothing_take_no_out(argv, capsys):
     with pytest.raises(SystemExit):
         run(argv + ["--out", "."])
     assert "unrecognized arguments: --out" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("schedule", ["1,nan", "nan", "inf,1"])
-def test_solve_rejects_a_non_finite_schedule_level(schedule, tmp_path, capsys):
-    assert run(["solve", "--kind", "disc", "--a", "0", "--nx", "16", "--ny", "32",
-                "--cos", "1=1", "--schedule", schedule, "--out", str(tmp_path)]) == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert lines == ["schedule must be a decreasing positive sequence"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -785,18 +770,41 @@ def test_missing_required_flag_without_config_exits_2(argv, missing, capsys):
 
 def test_solve_limit_diag_totals_its_levels(tmp_path):
     code = run(["solve", "--kind", "disc", "--a", "0", "--nx", "24", "--ny", "48",
-                "--cos", "1=1.25", "--cos", "3=-1", "--schedule", "1,0.25,0.0625",
-                "--out", str(tmp_path)])
+                "--cos", "1=1.25", "--cos", "3=-1", "--out", str(tmp_path)])
     assert code == 0
     diag = json.loads((tmp_path / "field.csv.diag.json").read_text())
     levels = diag["levels"]
-    assert [lev["a"] for lev in levels] == [1.0, 0.25, 0.0625]
+    a = [lev["a"] for lev in levels]
+    assert a[0] == 1.0 and a[-1] == DEFAULT_A_MIN and all(hi > lo for hi, lo in zip(a, a[1:]))
+    assert len(diag["cauchy_increments"]) == len(levels) - 1
     for key in ("newton_iterations", "factorizations", "chord_steps"):
         assert diag[key] == sum(lev[key] for lev in levels)
     assert diag["newton_iterations"] > levels[-1]["newton_iterations"]
     assert diag["fill"] == [fill for lev in levels for fill in lev["fill"]]
     assert len(diag["fill"]) == diag["factorizations"]
     assert all(len(lev["fill"]) == lev["factorizations"] for lev in levels)
+
+
+def test_solve_limit_diag_lists_the_retried_levels(tmp_path, monkeypatch):
+    from slfib import elliptic
+
+    tried, real = [], elliptic.solve_disc
+
+    def diverge_at_the_second_level(boundary, a, *args, **kwargs):
+        tried.append(a)
+        if len(tried) == 2:
+            raise SolverDiverged("forced", residual=1.0)
+        return real(boundary, a, *args, **kwargs)
+
+    # (24, 48) does not halve onto a coarse grid: every solve_disc call is a level
+    monkeypatch.setattr(elliptic, "solve_disc", diverge_at_the_second_level)
+    assert run(["solve", "--kind", "disc", "--a", "0", "--nx", "24", "--ny", "48",
+                "--cos", "1=1.25", "--cos", "3=-1", "--out", str(tmp_path)]) == 0
+    diag = json.loads((tmp_path / "field.csv.diag.json").read_text())
+    assert diag["retries"] == [tried[1]]
+    assert [lev["a"] for lev in diag["levels"]] == [1.0, *tried[2:]]
+    assert diag["converged"] and diag["is_limit"]
+    assert load_field(tmp_path / "field.csv").diagnostics["retries"] == (tried[1],)
 
 
 def test_solve_diag_lists_the_coarse_solves_apart_from_the_fine_totals(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from slfib.elliptic import (
+    DEFAULT_A_MIN,
     FLOOR_ACCEPT,
     NEWTON_TOL,
     BoundarySpec,
@@ -9,7 +10,6 @@ from slfib.elliptic import (
     SolutionField,
     disc_grid,
     field_from_callables,
-    geometric_schedule,
     load_field,
     reconstruct_u,
     save_field,
@@ -21,8 +21,10 @@ from slfib.elliptic import (
 )
 from slfib.errors import ContinuationFailed, IncompatibleBoundary, MonodromyDefect, \
     SolverDiverged
-from slfib.fibrations import DEFAULT_SCHEDULE, disc_family
+from slfib.fibrations import disc_family
 from slfib.models import na_oracle, na_oracle_grid, na_potential_circle
+
+from ladder import kept_levels, ladder
 
 
 def _plain_lu(jac, scale):
@@ -87,14 +89,6 @@ def test_boundary_data_reject_a_negative_harmonic_index(make):
 
 def test_boundary_data_keep_the_harmonic_index_zero():
     assert BoundarySpec.make(cos={0: 0.5}).cos_coeffs == ((0, 0.5),)
-
-
-def test_schedule():
-    s = geometric_schedule(1.0, 0.5, 1e-4)
-    assert s[0] == 1.0 and s[-1] == 1e-4
-    assert all(b < a for a, b in zip(s, s[1:]))
-    with pytest.raises(ValueError):
-        geometric_schedule(1.0, 1.5)
 
 
 @pytest.mark.parametrize("a", [1e-4, 0.1, 1.0, 10.0])
@@ -164,14 +158,13 @@ def test_disc_potential_against_the_exact_one(a, ceilings):
 
 @pytest.mark.parametrize("solve", [
     lambda: solve_disc_limit(BoundarySpec.make(cos={1: 1.0, 3: -1.0}),
-                             DomainSpec.disc(24, 48), geometric_schedule(1.0, 0.25)),
+                             DomainSpec.disc(24, 48)),
     lambda: solve_strip_limit(BoundarySpec.make(0.2, cos={1: 0.5}),
                               BoundarySpec.make(0.2, cos={1: 0.5}),
-                              DomainSpec.strip(48, 25), geometric_schedule(1.0, 0.25)),
+                              DomainSpec.strip(48, 25)),
 ], ids=["disc", "strip"])
 def test_limit_reuses_factors(solve):
-    levels = solve().diagnostics["levels"]
-    assert len(levels) == len(geometric_schedule(1.0, 0.25))
+    levels = kept_levels(solve())
     for lev in levels:
         assert lev["converged"] and lev["residual_norm"] < NEWTON_TOL
         assert lev["newton_iterations"] == lev["factorizations"] + lev["chord_steps"]
@@ -209,10 +202,8 @@ def test_residual_norm_is_that_of_the_stored_field(kind):
 
 def test_deep_levels_converge_at_the_roundoff_floor():
     # at this grid the float64 residual floor passes NEWTON_TOL on the way to a_min
-    fld = solve_disc_limit(*disc_family().boundary(2.24), DomainSpec.disc(64, 128),
-                           DEFAULT_SCHEDULE)
-    levels = fld.diagnostics["levels"]
-    assert len(levels) == len(DEFAULT_SCHEDULE)
+    fld = solve_disc_limit(*disc_family().boundary(2.24), DomainSpec.disc(64, 128))
+    levels = kept_levels(fld)
     assert levels[-1]["tolerance"] > NEWTON_TOL
     for lev in levels:
         assert lev["converged"] and lev["residual_norm"] <= lev["tolerance"]
@@ -451,38 +442,87 @@ def test_apriori_bounds(strip_field_cos):
 
 def test_limit_affine_is_level_independent():
     spec = BoundarySpec.make(cos={1: 1.5})
-    fld = solve_disc_limit(spec, DomainSpec.disc(20, 40),
-                           geometric_schedule(0.5, 0.25))
+    fld = solve_disc_limit(spec, DomainSpec.disc(20, 40))
     assert np.max(np.abs(fld.v - 1.5)) < 1e-10
     assert fld.is_limit and fld.a == 1e-4
     assert max(fld.cauchy_increments) < 1e-10
 
 
-def test_limit_schedule_validation():
-    spec = BoundarySpec.make(cos={1: 1.0})
-    with pytest.raises(ValueError):
-        solve_disc_limit(spec, DomainSpec.disc(20, 40), [0.5, 0.5])
-    with pytest.raises(ValueError):
-        solve_strip_limit(spec, spec, DomainSpec.strip(32, 17), [-1.0])
-
-
 def test_continuation_failure_names_level(monkeypatch):
     import slfib.elliptic as ell
 
-    def boom(*args, **kwargs):
+    levels = []
+
+    def boom(boundary, a, *args, **kwargs):
+        levels.append(a)
         raise SolverDiverged("no", residual=1.0)
 
     monkeypatch.setattr(ell, "solve_disc", boom)
     with pytest.raises(ContinuationFailed) as err:
-        ell.solve_disc_limit(BoundarySpec.make(cos={1: 1.0}), DomainSpec.disc(20, 40),
-                             [0.5, 0.25])
-    assert err.value.data["a"] == 0.5
+        ell.solve_disc_limit(BoundarySpec.make(cos={1: 1.0}), DomainSpec.disc(20, 40))
+    # a failure at a = 1 has no kept level to retry from
+    assert levels == [1.0] and err.value.data["a"] == 1.0
+
+
+def _diverging(monkeypatch, times, below=1.0):
+    """Diverge solve_disc at its first ``times`` levels a < ``below``; returns every a tried."""
+    import slfib.elliptic as ell
+
+    tried, real = [], ell.solve_disc
+
+    def solve(boundary, a, *args, **kwargs):
+        tried.append(a)
+        if a < below and sum(b < below for b in tried) <= times:
+            raise SolverDiverged("forced", residual=1.0)
+        return real(boundary, a, *args, **kwargs)
+
+    monkeypatch.setattr(ell, "solve_disc", solve)
+    return tried
+
+
+def test_a_diverged_level_is_retried_with_half_the_log_step(monkeypatch):
+    from slfib.elliptic import MAX_STEP_RATIO
+
+    tried = _diverging(monkeypatch, times=1)
+    fld = solve_disc_limit(*disc_family().boundary(1.25), DomainSpec.disc(20, 40))
+    # the first step, to a = MAX_STEP_RATIO, diverges; the retry takes half its log-step
+    assert tried[:3] == [1.0, MAX_STEP_RATIO, MAX_STEP_RATIO ** 0.5]
+    assert fld.diagnostics["retries"] == (MAX_STEP_RATIO,)
+    levels = kept_levels(fld)
+    assert levels[1]["a"] == MAX_STEP_RATIO ** 0.5
+    # the next kept level doubles the log-step back to the longest
+    assert levels[2]["a"] == max(MAX_STEP_RATIO ** 1.5, DEFAULT_A_MIN)
+    assert all(lev["converged"] for lev in levels)
+
+
+def test_a_diverged_clamped_step_is_retried_with_half_of_the_step_taken(monkeypatch):
+    from slfib.elliptic import MAX_STEP_RATIO
+
+    # the step from MAX_STEP_RATIO to a_min is clamped, shorter than MAX_STEP_RATIO
+    tried = _diverging(monkeypatch, times=1, below=1.5 * DEFAULT_A_MIN)
+    fld = solve_disc_limit(*disc_family().boundary(1.25), DomainSpec.disc(20, 40))
+    retry = (MAX_STEP_RATIO * DEFAULT_A_MIN) ** 0.5
+    assert tried == [1.0, MAX_STEP_RATIO, DEFAULT_A_MIN, pytest.approx(retry, rel=1e-14),
+                     DEFAULT_A_MIN]
+    assert fld.diagnostics["retries"] == (DEFAULT_A_MIN,)
+    assert len(kept_levels(fld)) == 4
+
+
+def test_a_level_that_keeps_diverging_ends_the_continuation(monkeypatch):
+    from slfib.elliptic import MAX_STEP_RATIO, STEP_HALVINGS
+
+    tried = _diverging(monkeypatch, times=STEP_HALVINGS + 1)
+    with pytest.raises(ContinuationFailed) as err:
+        solve_disc_limit(*disc_family().boundary(1.25), DomainSpec.disc(20, 40))
+    # the longest step, then STEP_HALVINGS halvings of its log-step, all from a = 1
+    ratios = [MAX_STEP_RATIO ** (0.5 ** k) for k in range(STEP_HALVINGS + 1)]
+    assert tried[0] == 1.0 and tried[1:] == pytest.approx(ratios, rel=1e-14)
+    assert err.value.data["a"] == tried[-1]
 
 
 def test_limit_strip_cauchy_decays():
     top = BoundarySpec.make(constant=0.2, cos={1: 0.5})
-    fld = solve_strip_limit(top, top, DomainSpec.strip(48, 25),
-                            geometric_schedule(0.5, 0.25))
+    fld = solve_strip_limit(top, top, DomainSpec.strip(48, 25))
     inc = fld.cauchy_increments
     assert inc[-1] < inc[0]
     assert fld.is_limit
@@ -495,7 +535,7 @@ def test_a_strip_continuation_builds_u_only_when_it_is_read(monkeypatch):
     eager = elliptic.reconstruct_u
     monkeypatch.setattr(elliptic, "reconstruct_u", lambda fld: calls.append(fld) or eager(fld))
     top = BoundarySpec.make(constant=0.2, cos={1: 0.5})
-    fld = solve_strip_limit(top, top, DomainSpec.strip(48, 25), geometric_schedule(0.5, 0.25))
+    fld = solve_strip_limit(top, top, DomainSpec.strip(48, 25))
     assert calls == [] and "u" not in vars(fld)
     assert "cauchy_u" not in fld.diagnostics
     assert len(fld.cauchy_increments) == len(fld.diagnostics["levels"]) - 1
@@ -787,8 +827,7 @@ def test_factor_order_solve_matches_minimum_degree(jacobian_128):
 
 
 def test_fill_is_recorded_per_factorisation():
-    fld = solve_disc_limit(BoundarySpec.make(cos={1: 1.0, 3: -1.0}), DomainSpec.disc(24, 48),
-                           geometric_schedule(1.0, 0.25))
+    fld = solve_disc_limit(BoundarySpec.make(cos={1: 1.0, 3: -1.0}), DomainSpec.disc(24, 48))
     levels = fld.diagnostics["levels"]
     assert sum(lev["factorizations"] for lev in levels) >= 1
     for lev in levels:
@@ -867,8 +906,7 @@ def test_sequenced_start_keeps_affine_data_exact():
 
 
 def test_limit_lists_the_coarse_solves_of_its_first_level():
-    fld = solve_disc_limit(BoundarySpec.make(cos={1: 1.0, 3: -1.0}), DomainSpec.disc(32, 64),
-                           geometric_schedule(1.0, 0.25, 1e-2))
+    fld = solve_disc_limit(BoundarySpec.make(cos={1: 1.0, 3: -1.0}), DomainSpec.disc(32, 64))
     coarse = fld.diagnostics["coarse"]
     assert [(c["a"], c["n_x"], c["n_y"]) for c in coarse] == [(1.0, 16, 32)]
     # the coarse solves stay out of the level records
@@ -974,16 +1012,34 @@ def test_band_factors_refactor_once_the_chord_rate_would_not_reach_the_tolerance
         assert history[last + 2] * 0.4**BAND_HORIZON <= NEWTON_TOL
 
 
+@pytest.mark.parametrize("alpha", [0.22, 0.25, 0.28, 0.30, 0.32])
+def test_the_continuation_converges_every_level_near_the_lower_bifurcation(alpha):
+    # a quartering ladder's Newton stalls at a = 2.44e-4 for alpha = 0.3 on this grid
+    fld = solve_disc_limit(*disc_family().boundary(alpha), DomainSpec.disc(32, 64))
+    assert all(lev["converged"] for lev in kept_levels(fld))
+
+
+@pytest.mark.parametrize("kind", ["disc", "strip"])
+def test_the_continuation_agrees_with_a_quartering_ladder_at_the_cli_grids(kind):
+    if kind == "disc":
+        data, domain = disc_family().boundary(1.25), DomainSpec.disc(128, 256)
+        fld = solve_disc_limit(*data, domain)
+    else:
+        data, domain = (BoundarySpec.make(cos={1: 0.5}),) * 2, DomainSpec.strip(256, 129)
+        fld = solve_strip_limit(*data, domain)
+    ref = ladder(data, domain)[-1]
+    assert fld.a == ref.a == DEFAULT_A_MIN
+    for name in ("u", "v"):
+        assert np.max(np.abs(getattr(fld, name) - getattr(ref, name))) <= 1e-10
+
+
 def test_disc_family_continuation_refactors_before_a_slow_chord_run():
-    fld = solve_disc_limit(*disc_family().boundary(2.2), DomainSpec.disc(32, 64),
-                           DEFAULT_SCHEDULE)
-    levels = fld.diagnostics["levels"]
-    assert len(levels) == len(DEFAULT_SCHEDULE)
-    assert all(lev["converged"] for lev in levels)
+    fields = ladder(disc_family().boundary(2.2), DomainSpec.disc(32, 64))
+    assert len(fields) == 8 and all(fld.converged for fld in fields)
     # a level whose chord steps contract by just under CHORD_CONTRACTION refactors
     # instead of running 30 chord steps
-    assert max(lev["newton_iterations"] for lev in levels) <= 12
-    assert fld.v_center == pytest.approx(3.36329415949, abs=1e-9)
+    assert max(fld.diagnostics["newton_iterations"] for fld in fields) <= 12
+    assert fields[-1].v_center == pytest.approx(3.36329415949, abs=1e-9)
 
 
 # -- solves on the symmetry quotient ---------------------------------------------
@@ -1225,12 +1281,11 @@ def test_superlu_everywhere_agrees_with_the_band_path(kind, monkeypatch):
 
     if kind == "disc":
         def solve():
-            return solve_disc_limit(*disc_family().boundary(1.25), DomainSpec.disc(32, 64),
-                                    DEFAULT_SCHEDULE)
+            return solve_disc_limit(*disc_family().boundary(1.25), DomainSpec.disc(32, 64))
     else:
         def solve():
             edge = _strip_family_edge()
-            return solve_strip_limit(edge, edge, DomainSpec.strip(64, 33), DEFAULT_SCHEDULE)
+            return solve_strip_limit(edge, edge, DomainSpec.strip(64, 33))
     banded = solve()
     monkeypatch.setattr(elliptic, "BAND_MAX", 0)
     superlu = solve()

@@ -5,11 +5,11 @@ import pytest
 
 from slfib.calibration import ComplexPoint3, FiberChartPoint, fiber_points
 from slfib.elliptic import (
+    DEFAULT_A_MIN,
     BoundarySpec,
     DomainSpec,
     StripGrid,
     disc_grid,
-    geometric_schedule,
     solve_disc,
     solve_disc_limit,
     solve_strip,
@@ -19,7 +19,6 @@ from slfib.errors import BracketFailed, OutsideTotalSpace, SolverDiverged
 from slfib.fibrations import (
     BISECT_MAX_ITER,
     BRACKET_MAX,
-    DEFAULT_SCHEDULE,
     DiscriminantRibbon,
     FamilySpec,
     SolverCache,
@@ -36,7 +35,8 @@ from slfib.fibrations import (
 )
 from slfib.singularities import detect_axis_zeros
 
-FAST_SCHEDULE = geometric_schedule(0.5, 0.25)
+from ladder import kept_levels
+
 DISC_RES = (24, 48)
 STRIP_RES = (48, 25)
 
@@ -70,9 +70,9 @@ def test_equal_families_share_a_lane():
     first, second = strip_family(0.5), strip_family(0.5)
     assert first == second and first is not second
     cache = SolverCache()
-    solve_family_member(first, 0.0, 0.25, STRIP_RES, FAST_SCHEDULE, cache)
-    solve_family_member(second, 0.0, 0.25, STRIP_RES, FAST_SCHEDULE, cache)
-    fld = solve_family_member(second, 0.0, 0.125, STRIP_RES, FAST_SCHEDULE, cache)
+    solve_family_member(first, 0.0, 0.25, STRIP_RES, cache)
+    solve_family_member(second, 0.0, 0.25, STRIP_RES, cache)
+    fld = solve_family_member(second, 0.0, 0.125, STRIP_RES, cache)
     assert (cache.misses, cache.hits, cache.warm_starts) == (2, 1, 1)
     assert fld.diagnostics["warm_seed"] == 0.25
 
@@ -96,8 +96,8 @@ def test_vhat_probe_even_in_x():
 def test_probe_evaluates_only_v(kind, point):
     fam, res = (disc_family(), DISC_RES) if kind == "disc" else (strip_family(0.5), STRIP_RES)
     cache = SolverCache()
-    val = _probe(fam, 0.0, point, res, FAST_SCHEDULE, cache)(0.25)
-    fld = solve_family_member(fam, 0.0, 0.25, res, FAST_SCHEDULE, cache)
+    val = _probe(fam, 0.0, point, res, cache)(0.25)
+    fld = solve_family_member(fam, 0.0, 0.25, res, cache)
     assert (cache.misses, cache.hits) == (1, 1)
     # the point is a node: the probe read it and built no interpolant
     assert "u" not in fld._interp and "v" not in fld._interp
@@ -112,8 +112,8 @@ def test_probe_evaluates_only_v(kind, point):
 def test_probe_off_the_nodes_evaluates_the_interpolant():
     fam, point = strip_family(0.5), (1.0, 0.1)
     cache = SolverCache()
-    val = _probe(fam, 0.0, point, STRIP_RES, FAST_SCHEDULE, cache)(0.25)
-    fld = solve_family_member(fam, 0.0, 0.25, STRIP_RES, FAST_SCHEDULE, cache)
+    val = _probe(fam, 0.0, point, STRIP_RES, cache)(0.25)
+    fld = solve_family_member(fam, 0.0, 0.25, STRIP_RES, cache)
     assert "u" not in fld._interp and "v" in fld._interp
     assert val == float(fld.uv(*point)[1])
 
@@ -125,11 +125,11 @@ def test_a_warm_strip_probe_builds_no_u(monkeypatch):
     eager = elliptic.reconstruct_u
     monkeypatch.setattr(elliptic, "reconstruct_u", lambda fld: calls.append(fld) or eager(fld))
     fam, cache = strip_family(0.5), SolverCache()
-    probe = _probe(fam, 0.0, (0.0, 0.0), STRIP_RES, FAST_SCHEDULE, cache)
+    probe = _probe(fam, 0.0, (0.0, 0.0), STRIP_RES, cache)
     probe(0.25)                   # a cold continuation
     calls.clear()
     probe(0.125)
-    fld = solve_family_member(fam, 0.0, 0.125, STRIP_RES, FAST_SCHEDULE, cache)
+    fld = solve_family_member(fam, 0.0, 0.125, STRIP_RES, cache)
     assert cache.warm_starts == 1 and calls == []
     assert "u" not in vars(fld)
 
@@ -137,8 +137,7 @@ def test_a_warm_strip_probe_builds_no_u(monkeypatch):
 def test_project_strip_trivial_family():
     # constant edge data: v = b and u = 0, so the projection is explicit
     p = ComplexPoint3(1 + 0j, 1 + 0j, 1j)
-    coords = project_to_base(p, strip_family(0.0), STRIP_RES, FAST_SCHEDULE,
-                             cache=SolverCache())
+    coords = project_to_base(p, strip_family(0.0), STRIP_RES, cache=SolverCache())
     assert abs(coords.a - 0.0) < 1e-12
     assert abs(coords.b - 1.0) < 1e-6
     assert abs(coords.c - 1.0) < 1e-6
@@ -183,7 +182,7 @@ def test_projection_distinct_fibres_disjoint():
 
 
 def test_alpha_beta_start_at_zero():
-    rows = alpha_beta_curves([0.0], STRIP_RES, FAST_SCHEDULE, cache=SolverCache())
+    rows = alpha_beta_curves([0.0], STRIP_RES, cache=SolverCache())
     t, alpha_t, beta_t = rows[0]
     assert abs(alpha_t) < 1e-4 and abs(beta_t) < 1e-4
 
@@ -209,13 +208,13 @@ def test_singular_count_profile_across_the_band(monkeypatch):
     import slfib.fibrations as fib
 
     # axis-zero counts just outside the band, at both edges and at its midpoint
-    res, schedule, cache = (32, 17), geometric_schedule(0.5, 0.25, 1e-3), SolverCache()
+    res, cache = (32, 17), SolverCache()
     monkeypatch.setattr(fib, "CURVE_TOL", 1e-9)
-    (_, alpha, beta), = alpha_beta_curves([0.5], res, schedule, cache=cache)
+    (_, alpha, beta), = alpha_beta_curves([0.5], res, cache=cache)
     delta = max(0.05 * (beta - alpha), 1e-3)
     samples = [alpha - delta, alpha, 0.5 * (alpha + beta), beta, beta + delta]
     counts = [len(detect_axis_zeros(
-        solve_family_member(strip_family(0.5), 0.0, b, res, schedule, cache))[0])
+        solve_family_member(strip_family(0.5), 0.0, b, res, cache))[0])
         for b in samples]
     assert counts == [0, 1, 2, 1, 0]
     assert alpha < 0.0 < beta
@@ -355,11 +354,11 @@ def test_cache_evicts_the_least_recently_used(monkeypatch):
 def test_cache_disk_keeps_diagnostics(tmp_path, monkeypatch):
     monkeypatch.setenv("SLFIB_CACHE_DIR", str(tmp_path))
     fam = strip_family(0.5)
-    fld1 = solve_family_member(fam, 0.0, 0.2, STRIP_RES, FAST_SCHEDULE, cache=SolverCache())
+    fld1 = solve_family_member(fam, 0.0, 0.2, STRIP_RES, cache=SolverCache())
     c2 = SolverCache()
-    fld2 = solve_family_member(fam, 0.0, 0.2, STRIP_RES, FAST_SCHEDULE, cache=c2)
+    fld2 = solve_family_member(fam, 0.0, 0.2, STRIP_RES, cache=c2)
     assert c2.misses == 0  # served from disk
-    assert len(fld1.cauchy_increments) == len(FAST_SCHEDULE) - 1
+    kept_levels(fld1)
     assert fld2.cauchy_increments == fld1.cauchy_increments
     assert fld2.diagnostics["levels"] == fld1.diagnostics["levels"]
     assert fld2.diagnostics == fld1.diagnostics
@@ -379,21 +378,21 @@ def _max_diff(f1, f2):
 def test_warm_start_matches_the_full_continuation(kind, seed_b, b, res):
     if kind == "disc":
         fam = disc_family()
-        ref = solve_disc_limit(*fam.boundary(b), DomainSpec.disc(*res), DEFAULT_SCHEDULE)
+        ref = solve_disc_limit(*fam.boundary(b), DomainSpec.disc(*res))
     else:
         fam = strip_family(0.5)
-        ref = solve_strip_limit(*fam.boundary(b), DomainSpec.strip(*res), DEFAULT_SCHEDULE)
+        ref = solve_strip_limit(*fam.boundary(b), DomainSpec.strip(*res))
     cache = SolverCache()
     seed = solve_family_member(fam, 0.0, seed_b, res, cache=cache)
     fld = solve_family_member(fam, 0.0, b, res, cache=cache)
     assert (cache.misses, cache.warm_starts, cache.warm_fallbacks) == (2, 1, 0)
     assert "warm_seed" not in seed.diagnostics
-    assert len(seed.cauchy_increments) == len(DEFAULT_SCHEDULE) - 1
+    kept_levels(seed)
     assert fld.diagnostics["warm_seed"] == seed_b
     assert fld.cauchy_increments == ()
     assert fld.is_limit and fld.converged
     (level,) = fld.diagnostics["levels"]
-    assert level["a"] == DEFAULT_SCHEDULE[-1] == fld.a
+    assert level["a"] == DEFAULT_A_MIN == fld.a
     assert _max_diff(fld, ref) <= 1e-11
 
 
@@ -417,14 +416,13 @@ def test_warm_start_falls_back_to_the_full_schedule(failure, monkeypatch):
     solve_family_member(fam, 0.0, 0.0, res, cache=cache)
     monkeypatch.setattr(fib, "solve_disc", failing_solve_disc)
     fld = solve_family_member(fam, 0.0, 0.3125, res, cache=cache)
-    ref = solve_disc_limit(*fam.boundary(0.3125), DomainSpec.disc(*res), DEFAULT_SCHEDULE)
+    ref = solve_disc_limit(*fam.boundary(0.3125), DomainSpec.disc(*res))
     assert len(attempts) == 1
     assert (cache.misses, cache.warm_starts, cache.warm_fallbacks) == (2, 0, 1)
     assert "warm_seed" not in fld.diagnostics
     assert np.array_equal(fld.f, ref.f) and np.array_equal(fld.v, ref.v)
     assert fld.cauchy_increments == ref.cauchy_increments
-    assert len(fld.cauchy_increments) == len(DEFAULT_SCHEDULE) - 1
-    assert fld.diagnostics["levels"] == ref.diagnostics["levels"]
+    assert fld.diagnostics["levels"] == kept_levels(ref)
 
 
 @pytest.mark.parametrize("kind, b1, b2, b", [
@@ -433,10 +431,10 @@ def test_two_sided_start_matches_the_full_continuation(kind, b1, b2, b):
     # disc: the one-sided start from 1.25 diverges, the interpolant converges
     if kind == "disc":
         fam, res = disc_family(), (32, 64)
-        ref = solve_disc_limit(*fam.boundary(b), DomainSpec.disc(*res), DEFAULT_SCHEDULE)
+        ref = solve_disc_limit(*fam.boundary(b), DomainSpec.disc(*res))
     else:
         fam, res = strip_family(0.5), (64, 33)
-        ref = solve_strip_limit(*fam.boundary(b), DomainSpec.strip(*res), DEFAULT_SCHEDULE)
+        ref = solve_strip_limit(*fam.boundary(b), DomainSpec.strip(*res))
     cache = SolverCache()
     for seed_b in (b1, b2):
         solve_family_member(fam, 0.0, seed_b, res, cache=cache)
@@ -463,7 +461,7 @@ def test_warm_attempts_run_interpolant_then_nearer_then_farther(monkeypatch):
     fallbacks = cache.warm_fallbacks
     monkeypatch.setattr(fib, "solve_disc", failing_solve_disc)
     fld = solve_family_member(fam, 0.0, b, res, cache=cache)
-    ref = solve_disc_limit(*fam.boundary(b), DomainSpec.disc(*res), DEFAULT_SCHEDULE)
+    ref = solve_disc_limit(*fam.boundary(b), DomainSpec.disc(*res))
 
     r, theta = lo.grid.r, lo.grid.theta
     shift = r[:-1, None] * np.cos(theta)
@@ -472,13 +470,13 @@ def test_warm_attempts_run_interpolant_then_nearer_then_farther(monkeypatch):
                 hi.f[:-1] + (b - 1.0) * shift]            # farther neighbour, b' = 1
     assert len(attempts) == 3
     for (level, initial), want in zip(attempts, expected):
-        assert level == DEFAULT_SCHEDULE[-1]
+        assert level == DEFAULT_A_MIN
         assert np.max(np.abs(initial - want)) <= 1e-13
     assert cache.warm_fallbacks == fallbacks + 1
     assert "warm_seed" not in fld.diagnostics
     assert np.array_equal(fld.f, ref.f) and np.array_equal(fld.v, ref.v)
     assert fld.cauchy_increments == ref.cauchy_increments
-    assert len(fld.cauchy_increments) == len(DEFAULT_SCHEDULE) - 1
+    kept_levels(fld)
 
 
 def test_a_one_sided_disc_start_is_the_scaled_unit_step(monkeypatch):
@@ -512,10 +510,10 @@ def test_a_family_given_only_as_data_solves_warm_and_probes():
     warm = solve_family_member(fam, 0.0, 2.25, res, cache=cache)
     assert "warm_seed" not in cold.diagnostics and warm.diagnostics["warm_seed"] == 2.5
     for b, fld in ((2.5, cold), (2.25, warm)):
-        ref = solve_disc_limit(*fam.boundary(b), DomainSpec.disc(*res), DEFAULT_SCHEDULE)
+        ref = solve_disc_limit(*fam.boundary(b), DomainSpec.disc(*res))
         assert _max_diff(fld, ref) <= 1e-11
         for point, want in (((0.0, 0.0), ref.v_center), ((1.0, 0.0), ref.v[-1, 0])):
-            assert abs(_probe(fam, 0.0, point, res, None, cache)(b) - want) <= 1e-11
+            assert abs(_probe(fam, 0.0, point, res, cache)(b) - want) <= 1e-11
     assert (cache.misses, cache.warm_starts) == (2, 1)
 
 
@@ -540,18 +538,16 @@ def test_predictor_converged_field_reports_its_residual():
 def test_warm_start_stays_in_its_lane():
     cache = SolverCache()
     fam = strip_family(0.5)
-    solve_family_member(fam, 0.0, 0.2, STRIP_RES, FAST_SCHEDULE, cache=cache)
+    solve_family_member(fam, 0.0, 0.2, STRIP_RES, cache=cache)
     others = [
-        solve_family_member(fam, 0.0, 0.25, (32, 17), FAST_SCHEDULE, cache=cache),
-        solve_family_member(strip_family(0.4), 0.0, 0.25, STRIP_RES, FAST_SCHEDULE, cache=cache),
-        solve_family_member(fam, 0.0, 0.25, STRIP_RES, geometric_schedule(0.5, 0.25, 1e-3),
-                            cache=cache),
+        solve_family_member(fam, 0.0, 0.25, (32, 17), cache=cache),
+        solve_family_member(strip_family(0.4), 0.0, 0.25, STRIP_RES, cache=cache),
         solve_family_member(fam, 0.5, 0.25, STRIP_RES, cache=cache),
     ]
-    assert (cache.misses, cache.warm_starts, cache.warm_fallbacks) == (5, 0, 0)
+    assert (cache.misses, cache.warm_starts, cache.warm_fallbacks) == (4, 0, 0)
     assert not any("warm_seed" in fld.diagnostics for fld in others)
     # the same lane does seed
-    fld = solve_family_member(fam, 0.0, 0.25, STRIP_RES, FAST_SCHEDULE, cache=cache)
+    fld = solve_family_member(fam, 0.0, 0.25, STRIP_RES, cache=cache)
     assert cache.warm_starts == 1 and fld.diagnostics["warm_seed"] == 0.2
 
 
@@ -570,11 +566,11 @@ def test_cache_disk_keeps_the_warm_seed(tmp_path, monkeypatch):
     monkeypatch.setenv("SLFIB_CACHE_DIR", str(tmp_path))
     fam = strip_family(0.5)
     c1 = SolverCache()
-    solve_family_member(fam, 0.0, 0.25, STRIP_RES, FAST_SCHEDULE, cache=c1)
-    fld1 = solve_family_member(fam, 0.0, 0.125, STRIP_RES, FAST_SCHEDULE, cache=c1)
+    solve_family_member(fam, 0.0, 0.25, STRIP_RES, cache=c1)
+    fld1 = solve_family_member(fam, 0.0, 0.125, STRIP_RES, cache=c1)
     assert c1.warm_starts == 1
     c2 = SolverCache()
-    fld2 = solve_family_member(fam, 0.0, 0.125, STRIP_RES, FAST_SCHEDULE, cache=c2)
+    fld2 = solve_family_member(fam, 0.0, 0.125, STRIP_RES, cache=c2)
     assert c2.misses == 0  # served from disk
     assert fld2.diagnostics["warm_seed"] == 0.25
     assert fld2.cauchy_increments == () and fld2.is_limit

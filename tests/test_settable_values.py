@@ -13,7 +13,7 @@ from pathlib import Path
 from slfib.cli import build_parser
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "slfib"
-SETTABLE_MAX = 94
+SETTABLE_MAX = 86
 
 
 def _is_dataclass(node):

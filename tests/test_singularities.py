@@ -5,7 +5,6 @@ from slfib.elliptic import (
     BoundarySpec,
     DomainSpec,
     field_from_callables,
-    geometric_schedule,
     solve_disc_limit,
     solve_strip_limit,
 )
@@ -220,14 +219,13 @@ def test_boundary_zeros_are_listed_apart():
 def test_solved_self_reflecting_data_are_nonisolated(kind):
     # pure-sine disc data and strip edges with bottom = -top: the solved v
     # vanishes along the whole axis, which the stretch test reports
-    schedule = geometric_schedule(1.0, 0.25)
     if kind == "disc":
         fld = solve_disc_limit(BoundarySpec.make(sin={1: 1.0, 2: 0.3}),
-                               DomainSpec.disc(32, 64), schedule)
+                               DomainSpec.disc(32, 64))
     else:
         fld = solve_strip_limit(BoundarySpec.make(cos={1: 0.5}, sin={2: 0.2}),
                                 BoundarySpec.make(cos={1: -0.5}, sin={2: -0.2}),
-                                STRIP, schedule)
+                                STRIP)
     with pytest.raises(NonisolatedSingularities):
         detect_axis_zeros(fld)
 
