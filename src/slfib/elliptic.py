@@ -113,6 +113,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbtrf, dgbtrs   # already loaded by scipy.sparse.linalg
 
+from ._splines import Bicubic
 from .errors import (
     ContinuationFailed,
     IncompatibleBoundary,
@@ -288,13 +289,10 @@ def _periodic_spline(rows, cols, period, w):
 
     Four columns are wrapped onto each side so that it stays smooth across the seam.
     """
-    # local: scipy.interpolate loads scipy.optimize, which a solve never needs
-    from scipy.interpolate import RectBivariateSpline
-
     pad = 4
     cols = np.concatenate([cols[-pad:] - period, cols, cols[:pad] + period])
     w = np.concatenate([w[:, -pad:], w, w[:, :pad]], axis=1)
-    return RectBivariateSpline(rows, cols, w, kx=3, ky=3, s=0)
+    return Bicubic(rows, cols, w)
 
 
 @functools.lru_cache(maxsize=None)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from ._splines import axis_spline
 from .errors import (
     CircleHitsZero,
     NonisolatedSingularities,
@@ -66,12 +67,8 @@ class SingularPointRecord:
 
 
 def _axis_spline(field):
-    # local: importing slfib should not load scipy.interpolate and scipy.optimize
-    from scipy.interpolate import CubicSpline
-
     xs, vs = field.grid.axis(field.v, field.v_center)
-    periodic = field.kind == "periodic-strip"
-    return CubicSpline(xs, vs, bc_type="periodic" if periodic else "not-a-knot"), xs
+    return axis_spline(xs, vs, field.kind == "periodic-strip"), xs
 
 
 def detect_axis_zeros(field):
@@ -92,13 +89,12 @@ def detect_axis_zeros(field):
     spline, xs = _axis_spline(field)
     lo, hi = float(xs[0]), float(xs[-1])
     cluster_tol = 2.0 * float(np.median(np.diff(xs)))
-    # PPoly.roots and .solve report NaN for a piece that vanishes identically
-    roots, critical, *crossings = (r[~np.isnan(r)] for r in (
-        spline.roots(extrapolate=False), spline.derivative().roots(extrapolate=False),
-        spline.solve(TANGENTIAL_THRESHOLD, extrapolate=False),
-        spline.solve(-TANGENTIAL_THRESHOLD, extrapolate=False)))
+    # solve reports NaN for a piece that vanishes identically
+    roots, up, down, critical = (r[~np.isnan(r)] for r in (
+        *spline.solve([0.0, TANGENTIAL_THRESHOLD, -TANGENTIAL_THRESHOLD]),
+        spline.derivative().solve([0.0])[0]))
     # |v| stays on one side of the threshold between consecutive crossings
-    cuts = np.unique(np.concatenate([[lo, hi], *crossings]))
+    cuts = np.unique(np.concatenate([[lo, hi], up, down]))
     below = np.abs(spline(0.5 * (cuts[:-1] + cuts[1:]))) < TANGENTIAL_THRESHOLD
     if np.any(below & (np.diff(cuts) > cluster_tol)):
         raise NonisolatedSingularities("v below threshold along a stretch of the axis")
@@ -183,9 +179,9 @@ def _difference_on_circle(field, x0, radius, m):
     phis = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
     cx = x0 + radius * np.cos(phis)
     cy = radius * np.sin(phis)
-    u1, v1 = field.uv(cx, cy)
-    u2, v2 = field.uv(cx, -cy)
-    return u1 - u2, v1 + v2
+    # the circle and its reflection in one evaluation
+    u, v = field.uv(np.concatenate([cx, cx]), np.concatenate([cy, -cy]))
+    return u[:m] - u[m:], v[:m] + v[m:]
 
 
 def winding_multiplicity(field, x_location, radius):

@@ -339,7 +339,7 @@ def test_the_other_kinds_data_flag_exits_1_before_any_solve(argv, line, tmp_path
 @pytest.mark.parametrize("flags", [
     ["--kind", "disc"], ["--kind", "strip"], ["--a", "0"], ["--a", "0.5"], ["--nx", "16"],
     ["--ny", "32"], ["--R", "2"], ["--P", "3"], ["--cos", "1=30"], ["--sin", "2=1"],
-    ["--const", "1"], ["--top", "const=9"], ["--bottom", "const=9"], ["--schedule", "1,0.5"],
+    ["--const", "1"], ["--top", "const=9"], ["--bottom", "const=9"], ["--out-field", "f.csv"],
     ["--cos", "1=30", "--kind", "strip", "--top", "const=9"],
 ], ids=lambda flags: "three-flags" if len(flags) > 2 else "-".join(flags))
 def test_classify_refuses_a_solve_flag(flags, tmp_path, monkeypatch, capsys):
