@@ -26,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import fibrations, monodromy, singularities
-from .calibration import chart_points, fiber_points, sl_defect
+from .calibration import ComplexPoint3, chart_points, fiber_points, sl_defect
 from .elliptic import (
     REFACTOR_REASONS,
     BoundarySpec,
@@ -106,6 +106,13 @@ def _write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+def _write_csv(path, header, rows):
+    """A header line, then each row's values by repr: Python scalars, not NumPy's."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 # the options that a subcommand cannot run without, given as flags or by --config
@@ -243,6 +250,8 @@ def cmd_sweep(args):
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if args.jobs > 1 and args.family == "section6":
         raise ValueError(f"--jobs is for section7 only, got {args.jobs} for section6")
+    if args.t and args.family == "section6":
+        raise ValueError(f"--t is for section7 only, got {args.t} for section6")
     ts = _floats("t", args.t) if args.t else ()
     for t in ts:
         if not math.isfinite(t):
@@ -267,10 +276,7 @@ def cmd_sweep(args):
             ribbon = fibrations.ribbon_report(fam, (alpha_t, beta_t))
             records.append({"t": t, "alpha": alpha_t, "beta": beta_t,
                             "ribbon": ribbon.__dict__})
-        with open(os.path.join(args.out, "curves.csv"), "w") as fh:
-            fh.write("t,alpha_t,beta_t\n")
-            for t, a_t, b_t in rows:
-                fh.write(f"{t!r},{a_t!r},{b_t!r}\n")
+        _write_csv(os.path.join(args.out, "curves.csv"), "t,alpha_t,beta_t", rows)
     else:
         alpha0, alpha1 = fibrations.find_alpha0_alpha1(resolution)
         ribbon = fibrations.ribbon_report(family, (alpha0, alpha1))
@@ -287,10 +293,7 @@ def cmd_sweep(args):
                     records.append({"alpha": float(al), "error": exc.token})
                     counts.append((float(al), -1))
         records.append({"alpha0": alpha0, "alpha1": alpha1, "ribbon": ribbon.__dict__})
-        with open(os.path.join(args.out, "zero_counts.csv"), "w") as fh:
-            fh.write("alpha,zero_count\n")
-            for al, cnt in counts:
-                fh.write(f"{al!r},{cnt}\n")
+        _write_csv(os.path.join(args.out, "zero_counts.csv"), "alpha,zero_count", counts)
     nd_path = os.path.join(args.out, "sweep.ndjson")
     with open(nd_path, "w") as fh:
         for rec in records:
@@ -322,8 +325,6 @@ def _family_from_args(args, t):
 
 
 def cmd_project(args):
-    from .calibration import ComplexPoint3
-
     if args.t and args.family == "section6":
         raise ValueError(f"--t is for section7 only, got {args.t} for section6")
     if not math.isfinite(args.t):
@@ -358,11 +359,8 @@ def cmd_fiber_sample(args):
     path = os.path.join(args.out, args.out_file)
     charts = itertools.islice(chart_points(field, rng, args.extent), args.count)
     points = [fiber_points(field, chart) for chart in charts]
-    with open(path, "w") as fh:
-        fh.write("z1_re,z1_im,z2_re,z2_im,z3_re,z3_im\n")
-        for pt in points:
-            fh.write(",".join(repr(v) for z in (pt.z1, pt.z2, pt.z3)
-                              for v in (z.real, z.imag)) + "\n")
+    _write_csv(path, "z1_re,z1_im,z2_re,z2_im,z3_re,z3_im",
+               ([v for z in (pt.z1, pt.z2, pt.z3) for v in (z.real, z.imag)] for pt in points))
     print(f"samples written to {path}")
     return EXIT_OK
 
@@ -399,19 +397,14 @@ def cmd_monodromy(args):
     }
     os.makedirs(args.out, exist_ok=True)
     for name, model in (("positive", pos), ("negative", neg)):
-        path = os.path.join(args.out, f"ribbon_{name}.csv")
-        with open(path, "w") as fh:
-            fh.write("piece_id,x1,x2,x3\n")
-            for piece in monodromy.ribbon_figure_data(model):
-                for vx in piece["vertices"]:
-                    fh.write(f"{piece['piece_id']},{vx[0]!r},{vx[1]!r},{vx[2]!r}\n")
+        _write_csv(os.path.join(args.out, f"ribbon_{name}.csv"), "piece_id,x1,x2,x3",
+                   ((piece["piece_id"], *vx) for piece in monodromy.ribbon_figure_data(model)
+                    for vx in piece["vertices"]))
     _write_json(os.path.join(args.out, "monodromy_checks.json"), checks)
-    print(json.dumps({k: checks[k] for k in
-                      ("positive_product_identity", "negative_product_identity",
-                       "transpose_duality", "unipotent")}, sort_keys=True))
-    all_ok = (checks["positive_product_identity"] and checks["negative_product_identity"]
-              and checks["transpose_duality"] and checks["unipotent"]
-              and all(d == 1 for d in checks["dets"]))
+    verdicts = ("positive_product_identity", "negative_product_identity",
+                "transpose_duality", "unipotent")
+    print(json.dumps({k: checks[k] for k in verdicts}, sort_keys=True))
+    all_ok = all(checks[k] for k in verdicts) and all(d == 1 for d in checks["dets"])
     return EXIT_OK if all_ok else EXIT_ERROR
 
 
@@ -431,14 +424,14 @@ def _parse_grid(text):
 
 def cmd_oracle(args):
     if args.grid:
+        for flag in ("x", "y"):
+            if value := getattr(args, flag):
+                raise ValueError(f"--{flag} is for a point only, got {value} with --grid")
         x, y = np.meshgrid(*_parse_grid(args.grid))   # rows: y outer, x inner
         u, v = na_oracle_grid(args.a, x, y)
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, args.out_file)
-        with open(path, "w") as fh:
-            fh.write("x,y,u,v\n")
-            for row in zip(x.flat, y.flat, u.flat, v.flat):
-                fh.write(",".join(repr(float(val)) for val in row) + "\n")
+        _write_csv(path, "x,y,u,v", zip(*(w.ravel().tolist() for w in (x, y, u, v))))
         print(f"oracle grid written to {path}")
         return EXIT_OK
     u, v = na_oracle(args.a, args.x, args.y)
@@ -468,11 +461,21 @@ def build_parser():
         p.add_argument("--out", default=".", help="output directory")
         config(p)
 
+    def resolution(p):                # a subcommand that solves on a grid
+        p.add_argument("--nx", type=int, default=None)
+        p.add_argument("--ny", type=int, default=None)
+
+    def model(p):                     # a subcommand that samples an algebraic model
+        p.add_argument("--model", choices=("na", "F", "Fprime"), default="na")
+        p.add_argument("--a", type=float, default=0.5)
+        p.add_argument("--c", default="0")
+        p.add_argument("--extent", type=float, default=1.5)
+        p.add_argument("--seed", type=int, default=0)
+
     p = command("solve", "solve one Dirichlet problem and dump the field")
     p.add_argument("--kind", choices=("disc", "strip"))
     p.add_argument("--a", type=float)
-    p.add_argument("--nx", type=int, default=None)
-    p.add_argument("--ny", type=int, default=None)
+    resolution(p)
     p.add_argument("--R", type=float, help="strip half-width (default 1)")
     p.add_argument("--P", type=float, help="strip period (default 2 pi)")
     p.add_argument("--cos", action="append", metavar="K=V")
@@ -494,8 +497,7 @@ def build_parser():
     p.add_argument("--family", choices=("section6", "section7"))
     p.add_argument("--t", default="", help="comma list of t values (section7)")
     p.add_argument("--alpha-grid", type=int, default=0, help="alpha count (section6)")
-    p.add_argument("--nx", type=int, default=None)
-    p.add_argument("--ny", type=int, default=None)
+    resolution(p)
     p.add_argument("--jobs", type=int, default=1, help="worker processes (section7)")
     common(p)
     p.set_defaults(fn=cmd_sweep)
@@ -506,30 +508,21 @@ def build_parser():
     p.add_argument("--z1")
     p.add_argument("--z2")
     p.add_argument("--z3")
-    p.add_argument("--nx", type=int, default=None)
-    p.add_argument("--ny", type=int, default=None)
+    resolution(p)
     config(p)
     p.set_defaults(fn=cmd_project)
 
     p = command("fiber-sample", "sample points of a model fibre")
-    p.add_argument("--model", choices=("na", "F", "Fprime"), default="na")
-    p.add_argument("--a", type=float, default=0.5)
-    p.add_argument("--c", default="0")
+    model(p)
     p.add_argument("--count", type=int, default=64)
-    p.add_argument("--extent", type=float, default=1.5)
     p.add_argument("--out-file", default="fiber.csv")
-    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(fn=cmd_fiber_sample)
 
     p = command("sl-check", "special Lagrangian residuals on sampled frames")
-    p.add_argument("--model", choices=("na", "F", "Fprime"), default="na")
-    p.add_argument("--a", type=float, default=0.5)
-    p.add_argument("--c", default="0")
+    model(p)
     p.add_argument("--frames", type=int, default=100)
-    p.add_argument("--extent", type=float, default=1.5)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
     config(p)
     p.set_defaults(fn=cmd_sl_check)
 

@@ -391,15 +391,12 @@ class _Reflections:
     the data its ``residual`` and ``jacobian`` read, built once by the
     grid's ``_folded``.  It factors Jacobians on its pattern (``factor``)
     and keeps its band layout in ``_band`` once it is built.  The grid
-    itself evaluates the full grid's residual only.  ``contains`` reads the
-    grid's ``margin``, ``reader`` its nodes and ``pole``.
+    itself evaluates the full grid's residual only.  ``reader`` reads the
+    grid's nodes and ``pole``.
     """
 
     _band = None
     pole = None                                  # the disc's centre, a point but not a node
-
-    def contains(self, x, y):
-        return self.margin(x, y) >= -1e-12
 
     def reader(self, name, x, y):
         """fld -> u or v (``name``) at the point (x, y), located once here.
@@ -1257,11 +1254,7 @@ class SolutionField:
         return (*self.grid.nodes(), self.u, self.v)
 
     def contains(self, x, y):
-        return self.grid.contains(x, y)
-
-    @property
-    def is_singular_level(self):
-        return self.is_limit or self.a == 0.0
+        return self.grid.margin(x, y) >= -1e-12
 
     def _eval(self, name, x, y):
         """The interpolant of u or v (``name``) at points (x, y), built on first use."""
@@ -1468,7 +1461,7 @@ def solve_strip(top, bottom, a, domain, initial=None, factor=None):
     v_sol, solved = _quotient_solve(grid, grid.reflections(top, bottom), v0, (top_v, bot_v), a,
                                  factor)
     v_full = np.vstack([bot_v, v_sol, top_v])
-    solved["diagnostics"]["closure_defect"] = _closure_defect(grid.hx, grid.gradient(v_full)[1])
+    solved["diagnostics"]["closure_defect"] = _closure_defect(grid, v_full)
     return SolutionField(domain, a, None, v_full, boundary={"top": top, "bottom": bottom},
                          **solved)
 
@@ -1480,14 +1473,17 @@ def solve_strip_limit(top, bottom, domain):
                                                  factor=factor))
 
 
-def _closure_defect(hx, v_y):
+def _closure_defect(grid, v):
     """The largest periodic closure defect hx * sum(v_y) over the rows of u.
 
     Row j of u integrates u_x = v_y around the period, so it closes when
-    row j of v_y sums to zero.  A defect above CLOSURE_DEFECT_TOL signals
-    an unconverged v or incompatible data and raises MonodromyDefect.
+    row j of v_y sums to zero.  That sum is the y-derivative of v's row
+    sums, by the np.gradient stencil of ``StripGrid.gradient``.  A defect
+    above CLOSURE_DEFECT_TOL signals an unconverged v or incompatible data
+    and raises MonodromyDefect.
     """
-    worst = float(np.max(np.abs(hx * v_y.sum(axis=1))))
+    v_y_sums = np.gradient(v.sum(axis=1), grid.hy, edge_order=2)
+    worst = float(np.max(np.abs(grid.hx * v_y_sums)))
     if worst > CLOSURE_DEFECT_TOL:
         raise MonodromyDefect("periodic closure of u failed", defect=worst)
     return worst
@@ -1508,7 +1504,7 @@ def reconstruct_u(field):
     hx, hy, y = grid.hx, grid.hy, grid.y
     a = field.a
     vx, vy = grid.gradient(v)
-    worst = _closure_defect(hx, vy)
+    worst = _closure_defect(grid, v)
 
     q = v**2 + y[:, None] ** 2 + a * a
     uy = -0.5 * vx / np.sqrt(np.maximum(q, COEFF_FLOOR))

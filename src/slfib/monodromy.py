@@ -12,6 +12,7 @@ Everything here is exact integer arithmetic; lattice kernels come from
 Hermite-style unimodular row reduction.
 """
 
+import math
 from dataclasses import dataclass
 
 SPINE_LENGTH = 2.0               # length of each ribbon piece's spine past the vertex
@@ -218,8 +219,6 @@ def ribbon_figure_data(vertex):
                            "plane_normal": normal})
         return pieces
     # negative: Y shape in the plane x1 = 0, spines 120 degrees apart
-    import math
-
     for pid, angle_deg in ((1, 90.0), (2, 210.0), (3, 330.0)):
         ang = math.radians(angle_deg)
         e = (0.0, math.cos(ang), math.sin(ang))
@@ -238,7 +237,5 @@ def ribbon_figure_data(vertex):
 
 
 def _normalise(d):
-    import math
-
     norm = math.sqrt(sum(x * x for x in d))
     return tuple(x / norm for x in d)

@@ -67,8 +67,17 @@ class SingularPointRecord:
 
 
 def _axis_spline(field):
-    xs, vs = field.grid.axis(field.v, field.v_center)
-    return axis_spline(xs, vs, field.kind == "periodic-strip"), xs
+    """The cubic spline of v(., 0) and its knots, kept in the field's interpolant cache."""
+    if "axis" not in field._interp:
+        xs, vs = field.grid.axis(field.v, field.v_center)
+        field._interp["axis"] = axis_spline(xs, vs, field.kind == "periodic-strip"), xs
+    return field._interp["axis"]
+
+
+def _axis_gap(field, x, z):
+    """The distance from x to z along the axis, around the period on the strip."""
+    gap = abs(z - x)
+    return min(gap, field.domain.P - gap) if field.kind == "periodic-strip" else gap
 
 
 def detect_axis_zeros(field):
@@ -83,7 +92,7 @@ def detect_axis_zeros(field):
     Returns (interior, boundary): the sorted interior locations and the
     sorted boundary zeros, x = -1 or 1 (disc only; empty on the strip).
     """
-    if not field.is_singular_level:
+    if not field.is_limit:
         raise ValueError("axis zero detection expects a singular-level field")
 
     spline, xs = _axis_spline(field)
@@ -141,21 +150,13 @@ def _sign_label(field, spline, xs, x_location, zeros):
     The probes sit halfway to the nearest other zero or to the end of the
     axis segment (a quarter period on the strip).
     """
-    others = [z for z in zeros if abs(z - x_location) > SAME_ZERO_TOL]
-    if field.kind == "periodic-strip":
-        period = field.domain.P
-        gaps = [min(abs(z - x_location), period - abs(z - x_location)) for z in others]
-        edge_gap = period / 4.0
-    else:
-        gaps = [abs(z - x_location) for z in others]
-        edge_gap = min(x_location - xs[0], xs[-1] - x_location)
-    probe_eps = 0.5 * min(gaps + [edge_gap])
-    if field.kind == "periodic-strip":
-        left = float(spline((x_location - probe_eps) % period))
-        right = float(spline((x_location + probe_eps) % period))
-    else:
-        left = float(spline(max(x_location - probe_eps, xs[0])))
-        right = float(spline(min(x_location + probe_eps, xs[-1])))
+    edge_gap = (field.domain.P / 4.0 if field.kind == "periodic-strip"
+                else min(x_location - xs[0], xs[-1] - x_location))
+    probe_eps = 0.5 * min([_axis_gap(field, x_location, z) for z in zeros
+                           if abs(z - x_location) > SAME_ZERO_TOL] + [edge_gap])
+    # the probes stay on the disc's axis; the strip's spline wraps them into the period
+    left = float(spline(x_location - probe_eps))
+    right = float(spline(x_location + probe_eps))
     if min(abs(left), abs(right)) < PROBE_SIGN_FLOOR:
         raise ProbeTooClose("cannot read a sign at the probe points",
                             left=left, right=right, eps=probe_eps)
@@ -259,9 +260,7 @@ def analyze_field(field):
     records = []
     scale = 1.0 if field.kind == "disc" else field.domain.P / (2.0 * np.pi)
     for z in interior:
-        gaps = [abs(w - z) for w in interior + boundary if w != z]
-        if field.kind != "disc":
-            gaps = [min(g, field.domain.P - g) for g in gaps]
+        gaps = [_axis_gap(field, z, w) for w in interior + boundary if w != z]
         radius = min(0.45 * min(gaps + [field.grid.margin(z, 0.0)]), 0.3 * scale)
         radius = max(radius, 4.0 * field.grid.cell())
         label = _sign_label(field, spline, xs, z, interior)

@@ -257,8 +257,9 @@ def test_negative_alpha_grid_exits_1_before_any_solve(tmp_path, monkeypatch, cap
     (["--family", "section7", "--t", "0.5,x"], "--t item 'x' is not a number"),
     (["--family", "section7", "--t", "nan"], "--t items must be finite, got nan"),
     (["--family", "section7", "--t", "0.5,-inf"], "--t items must be finite, got -inf"),
+    (["--family", "section6", "--t", "0.5"], "--t is for section7 only, got 0.5 for section6"),
 ], ids=["jobs-negative", "jobs-zero", "alpha-grid-section7", "jobs-section6", "t-malformed",
-        "t-nan", "t-inf"])
+        "t-nan", "t-inf", "t-section6"])
 def test_sweep_flag_out_of_range_exits_1_before_any_solve(argv, line, tmp_path, monkeypatch,
                                                           capsys):
     # a solve would fail: neither root search nor strip curve may be reached
@@ -656,6 +657,16 @@ def test_malformed_oracle_grid_exits_1_with_one_line_naming_it(grid, tmp_path, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"cannot parse --grid {grid!r}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["x", "y"])
+def test_oracle_point_flag_with_grid_exits_1_with_one_line_naming_it(flag, tmp_path, capsys):
+    assert run(["oracle", "--a", "0.5", "--grid", "0:1:2;0:1:2", f"--{flag}", "5",
+                "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"--{flag} is for a point only, got 5.0 with --grid"]
     assert list(tmp_path.iterdir()) == []
 
 

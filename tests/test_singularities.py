@@ -308,3 +308,25 @@ def test_analyze_detects_axis_zeros_once(monkeypatch):
     assert np.allclose([x for x, _, _ in recs], [0.5 * np.pi, 1.5 * np.pi], atol=1e-7)
     # classify_type gives the same labels from its own detection
     assert [classify_type(fld, x) for x, _, _ in recs] == ["decreasing", "increasing"]
+
+
+@pytest.mark.parametrize("family, b, resolution", [
+    (disc_family(), 1.25, (32, 64)), (strip_family(0.5), -0.16, (64, 33))],
+    ids=["disc", "strip"])
+def test_analyze_builds_one_axis_spline_per_field(family, b, resolution, monkeypatch):
+    import slfib.singularities as sing
+
+    fld = solve_family_member(family, 0.0, b, resolution, cache=SolverCache())
+    calls = []
+    build = sing.axis_spline
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(sing, "axis_spline", counted)
+    first = analyze_field(fld)
+    assert len(calls) == 1
+    second = analyze_field(fld)                 # the field keeps its spline
+    assert len(calls) == 1
+    assert second["records"] == first["records"] and len(first["records"]) == 2
